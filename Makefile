@@ -7,7 +7,7 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test bench bench-kernels kernels-smoke bench-scenario bench-serve \
 	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
-	regen-golden docs-check checkpoint-smoke lint-docs all
+	regen-golden docs-check checkpoint-smoke perfbench-smoke lint-docs all
 
 ## Tier-1 test suite (what CI gates on).
 test:
@@ -101,5 +101,12 @@ docs-check:
 ## bit-identical to an uninterrupted one.
 checkpoint-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/checkpoint_smoke.py
+
+## Repository benchmark self-test (CI): every perfbench workload at its
+## tiny size, untraced and traced.  Fails if a recorded fingerprint moves,
+## a declared metric goes missing, or a repro call the tracer wraps is
+## gone; about two minutes.
+perfbench-smoke:
+	$(PYTHON) perfbench/selftest.py
 
 all: test docs-check checkpoint-smoke

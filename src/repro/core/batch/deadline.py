@@ -14,11 +14,18 @@ group as one stacked tensor computation.  Per time layer ``t`` it builds
   :func:`repro.core.deadline.vectorized.solve_deadline` with a single BLAS
   call per layer.
 
+Only the continuation reads the next layer, so everything else is
+computed ahead of the backward loop for a block of layers at once.
+
 The recurrence, truncation lengths, absorbing-tail payment, and
-lowest-price tie-breaking all mirror the scalar solvers, so the produced
-tables agree with :func:`~repro.core.deadline.vectorized.solve_deadline`
-and :func:`~repro.core.deadline.simple_dp.solve_deadline_simple` to float
-tolerance; the test suite asserts this on randomized instances.
+lowest-price tie-breaking all mirror the scalar solvers, so the price
+tables are bitwise those of
+:func:`~repro.core.deadline.vectorized.solve_deadline` and
+:func:`~repro.core.deadline.simple_dp.solve_deadline_simple` (the values
+differ from theirs only in the last bits, because the matmul sums in
+another order); the test suite asserts this on randomized instances.
+The hoisted sweep, a per-layer sweep and the compiled kernels give
+bitwise-identical tables, values included.
 """
 
 from __future__ import annotations
@@ -31,12 +38,12 @@ from repro.core.batch import kernels
 from repro.core.deadline.model import DeadlineProblem
 from repro.core.deadline.policy import DeadlinePolicy
 
-__all__ = ["solve_deadline_batch", "group_key"]
+__all__ = ["solve_deadline_batch", "solve_deadline_single", "group_key"]
 
-#: Above this Poisson mean the pmf recurrence underflows at ``s = 0``; the
-#: scalar path (:func:`repro.util.poisson.poisson_pmf_vector`) switches to
-#: log-space there, and the batch kernel mirrors the switch exactly.
-_LOG_SPACE_MEAN = kernels.LOG_SPACE_MEAN
+#: Byte budget of the pmf tensor of one block of hoisted layers (the
+#: payment tensor and a few temporaries are the same size); a block
+#: always holds at least one layer.
+_BLOCK_BYTES = 128 * 1024
 
 
 def group_key(problem: DeadlineProblem) -> tuple:
@@ -52,11 +59,14 @@ def group_key(problem: DeadlineProblem) -> tuple:
 def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     """Solve one same-shaped group of instances as stacked tensors.
 
-    Each backward-induction layer is delegated to
-    :func:`repro.core.batch.kernels.deadline_layer` — the numpy reference
-    by default, the numba-compiled twin under ``REPRO_KERNELS=numba``;
-    the two are exact-equality-tested, so the selection never changes the
-    produced tables.
+    With the numpy kernels, the layer-independent terms (pmf tensor,
+    truncation, payment) are computed for a block of up to
+    :data:`_BLOCK_BYTES` worth of layers at once, and only
+    :func:`~repro.core.batch.kernels.deadline_layer_step` runs inside the
+    backward loop.  Under ``REPRO_KERNELS=numba`` each layer is one call
+    to :func:`~repro.core.batch.kernels.deadline_layer` and its compiled
+    kernel.  All paths are exact-equality-tested, so the selection never
+    changes the produced tables.
     """
     first = problems[0]
     n_tasks = first.num_tasks
@@ -72,12 +82,28 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     opt[:, :, n_intervals] = np.stack(
         [p.penalty.terminal_costs(n_tasks) for p in problems]
     )
-    for t in range(n_intervals - 1, -1, -1):
-        opt_t, best = kernels.deadline_layer(
-            lam[:, t], probs, prices, opt[:, :, t + 1], eps
-        )
-        opt[:, :, t] = opt_t
-        price_index[:, 1:, t] = best[:, 1:]
+    if kernels.jit_layers():
+        for t in range(n_intervals - 1, -1, -1):
+            opt_t, best = kernels.deadline_layer(
+                lam[:, t], probs, prices, opt[:, :, t + 1], eps
+            )
+            opt[:, :, t] = opt_t
+            price_index[:, 1:, t] = best[:, 1:]
+    else:
+        lam_by_t = np.ascontiguousarray(lam.T)  # (T, B)
+        block = max(1, _BLOCK_BYTES // (8 * batch * first.num_prices * size))
+        for stop in range(n_intervals, 0, -block):
+            start = max(stop - block, 0)
+            means = lam_by_t[start:stop, :, None] * probs  # (L, B, C)
+            pmf, pay = kernels.deadline_layer_terms(
+                means, np.exp(-means), prices, eps, n_tasks
+            )
+            for t in range(stop - 1, start - 1, -1):
+                opt_t, best = kernels.deadline_layer_step(
+                    pmf[t - start], pay[t - start], opt[:, :, t + 1]
+                )
+                opt[:, :, t] = opt_t
+                price_index[:, 1:, t] = best[:, 1:]
     return [
         DeadlinePolicy(
             problem=problem,
@@ -87,6 +113,17 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
         )
         for b, problem in enumerate(problems)
     ]
+
+
+def solve_deadline_single(problem: DeadlineProblem) -> DeadlinePolicy:
+    """Solve one instance with the batched kernel, as a batch of one.
+
+    The engine's one-instance solves (adaptive suffix re-solves,
+    single-campaign admissions, gateway quotes) call this in place of
+    :func:`~repro.core.deadline.vectorized.solve_deadline`: same price
+    table, several times faster per instance.
+    """
+    return _solve_group([problem])[0]
 
 
 def solve_deadline_batch(

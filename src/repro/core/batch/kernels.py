@@ -17,6 +17,12 @@ completion application (:func:`shard_tick`) — each exist twice here:
   the engine-level matrix suite asserts bit-identical
   :class:`~repro.engine.clock.EngineResult` under either.
 
+The numpy deadline layer is the composition of two halves: the
+layer-independent terms (:func:`deadline_layer_terms`: pmf, truncation,
+payment), which the batched solver computes for a block of layers at
+once, and the per-layer :func:`deadline_layer_step` (continuation and
+argmin) that runs inside its backward loop.
+
 Selection is environmental, never structural: ``REPRO_KERNELS=numba``
 requests the compiled path, ``REPRO_KERNELS=numpy`` (or unset) pins the
 reference, and ``REPRO_KERNELS=auto`` compiles when :mod:`numba` is
@@ -42,6 +48,7 @@ the exactness contract rather than exceptions to it:
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import warnings
 
@@ -57,6 +64,9 @@ __all__ = [
     "available",
     "available_kernels",
     "deadline_layer",
+    "deadline_layer_step",
+    "deadline_layer_terms",
+    "jit_layers",
     "lower_hull_indices",
     "set_kernels",
     "shard_tick",
@@ -161,6 +171,101 @@ def use_kernels(name: str | None):
 # ----------------------------------------------------------------------
 # Kernel 1: one time layer of the batched deadline value iteration
 # ----------------------------------------------------------------------
+def deadline_layer_terms(
+    means: np.ndarray,
+    pmf0: np.ndarray,
+    prices: np.ndarray,
+    eps: float | None,
+    n_tasks: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-independent half of a deadline layer: pmf and payment terms.
+
+    Nothing here reads the next layer's values, so the batched solver
+    computes these terms for a whole block of layers in one pass: every
+    operation is elementwise or runs along the last (state) axis, and
+    its result does not depend on the leading axes.  ``means``/``pmf0``
+    are ``(..., B, C)`` and ``prices`` is ``(B, C)``; returns ``(pmf,
+    pay)``, both ``(..., B, C, S)`` with ``S = n_tasks + 1``: the
+    truncated completion-count pmf, and the expected payment
+    ``price * (head_paid + n * tail)`` of posting each price at each
+    state.
+    """
+    size = n_tasks + 1
+    n_range = np.arange(size)
+    # Poisson pmf tensor P[..., c, s]: the stable multiplicative recurrence
+    # seeded by the precomputed pmf0 = exp(-means), run state-major so each
+    # step writes one contiguous row; means at or above LOG_SPACE_MEAN,
+    # where the recurrence underflows, are overwritten by the log-space pmf.
+    pmf = np.empty((size,) + means.shape)
+    pmf[0] = pmf0
+    for s in range(1, size):
+        np.multiply(pmf[s - 1], means, out=pmf[s])
+        np.divide(pmf[s], s, out=pmf[s])
+    pmf = np.moveaxis(pmf, 0, -1).copy()
+    big = means >= LOG_SPACE_MEAN
+    if np.any(big):
+        pmf[big] = _pmf_log_space(means[big], n_tasks)
+    lengths = _truncation_lengths(means, pmf, eps, n_tasks)
+    pmf[n_range >= lengths[..., None]] = 0.0
+    # Head of the payment term for state n covers s = 0 .. min(n-1,
+    # length-1): the running sums up to n - 1, since past the cut-off they
+    # only add zeros.  The Poisson tail completes all n remaining tasks
+    # (absorbing state).  ``pay`` is built in place, holding head_prob,
+    # then the tail, then price * (head_paid + n * tail).
+    head_paid = np.zeros(pmf.shape)
+    np.cumsum((pmf * n_range)[..., :-1], axis=-1, out=head_paid[..., 1:])
+    pay = np.zeros(pmf.shape)
+    np.cumsum(pmf[..., :-1], axis=-1, out=pay[..., 1:])
+    np.subtract(1.0, pay, out=pay)
+    np.maximum(pay, 0.0, out=pay)
+    pay *= n_range
+    pay += head_paid
+    pay *= prices[..., None]
+    return pmf, pay
+
+
+def deadline_layer_step(
+    pmf: np.ndarray, pay: np.ndarray, opt_next: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-dependent half of a deadline layer: continuation and argmin.
+
+    ``pmf``/``pay`` are one layer's ``(B, C, S)`` terms from
+    :func:`deadline_layer_terms` and ``opt_next`` the ``(B, S)`` next
+    layer's values; returns ``(opt_t, best)`` as
+    :func:`_deadline_layer_numpy` does.
+    """
+    size = opt_next.shape[1]
+    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s), gathered
+    # contiguous from a zero-padded copy: the continuation of every
+    # (instance, price) is one batched matmul.  Contiguous matters: BLAS
+    # output on a reversed strided view differs in the last ulp from the
+    # contiguous product, and the numba twin (plain 2-D ``np.dot``) can
+    # only match the contiguous one.
+    padded = np.zeros((opt_next.shape[0], 2 * size - 1))
+    padded[:, size - 1 :] = opt_next
+    toeplitz = np.take(padded, _toeplitz_index(size), axis=1)
+    costs = pmf @ toeplitz  # (B, C, S)
+    costs += pay
+    costs[:, :, 0] = 0.0
+    best = np.argmin(costs, axis=1)  # first minimum = lowest price
+    # The minimum is the cost at ``best`` (costs are never -0.0 or NaN).
+    opt_t = costs.min(axis=1)
+    opt_t[:, 0] = 0.0
+    return opt_t, best
+
+
+@functools.lru_cache(maxsize=64)
+def _toeplitz_index(size: int) -> np.ndarray:
+    """Gather index ``[s, n] -> n - s + size - 1`` into a zero-padded row.
+
+    Cached per state count and shared by every caller, so read-only.
+    """
+    n_range = np.arange(size)
+    index = n_range[None, :] - n_range[:, None] + size - 1
+    index.flags.writeable = False
+    return index
+
+
 def _deadline_layer_numpy(
     means: np.ndarray,
     pmf0: np.ndarray,
@@ -168,60 +273,17 @@ def _deadline_layer_numpy(
     opt_next: np.ndarray,
     eps: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference layer: the exact tensor arithmetic of the PR 2 fast path.
+    """Reference layer: :func:`deadline_layer_terms` then the step.
 
     ``means``/``prices`` are ``(B, C)``, ``opt_next`` is ``(B, S)`` with
     ``S = num_tasks + 1``; returns ``(opt_t, best)`` where ``opt_t`` is the
     layer's value vector (``opt_t[:, 0] = 0``) and ``best`` the per-state
     lowest-cost price index (first minimum = lowest price).
     """
-    batch, n_tasks = opt_next.shape[0], opt_next.shape[1] - 1
-    size = n_tasks + 1
-    n_range = np.arange(size)
-    # Poisson pmf tensor P[b, c, s]: the stable multiplicative recurrence
-    # seeded by the precomputed pmf0 = exp(-means); callers route layers
-    # containing log-space means (>= LOG_SPACE_MEAN) through
-    # _pmf_log_space first, so the recurrence here never underflows.
-    pmf = np.empty(means.shape + (size,))
-    pmf[..., 0] = pmf0
-    for s in range(1, size):
-        pmf[..., s] = pmf[..., s - 1] * means / s
-    big = means >= LOG_SPACE_MEAN
-    if np.any(big):
-        pmf[big] = _pmf_log_space(means[big], n_tasks)
-    lengths = _truncation_lengths(means, pmf, eps, n_tasks)
-    pmf[n_range[None, None, :] >= lengths[:, :, None]] = 0.0
-    prob_cum = np.cumsum(pmf, axis=-1)
-    paid_cum = np.cumsum(pmf * n_range, axis=-1)
-    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s): the
-    # continuation of every (instance, price) is one batched matmul.
-    # Materialized contiguous: BLAS output on the reversed strided view
-    # differs in the last ulp from the contiguous product, and the numba
-    # twin (plain 2-D ``np.dot``) can only match the contiguous one.
-    padded = np.concatenate([np.zeros((batch, n_tasks)), opt_next], axis=1)
-    toeplitz = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(padded, size, axis=1)[
-            :, ::-1, :
-        ]
+    pmf, pay = deadline_layer_terms(
+        means, pmf0, prices, eps, opt_next.shape[1] - 1
     )
-    conv = pmf @ toeplitz  # (B, C, S)
-    # Head of the payment term covers s = 0 .. min(n-1, length-1); the
-    # Poisson tail completes all n remaining tasks (absorbing state).
-    k = np.minimum(n_range[None, None, :] - 1, lengths[:, :, None] - 1)
-    k_safe = np.maximum(k, 0)
-    head_prob = np.where(
-        k >= 0, np.take_along_axis(prob_cum, k_safe, axis=-1), 0.0
-    )
-    head_paid = np.where(
-        k >= 0, np.take_along_axis(paid_cum, k_safe, axis=-1), 0.0
-    )
-    tail = np.maximum(0.0, 1.0 - head_prob)
-    costs = prices[:, :, None] * (head_paid + n_range * tail) + conv
-    costs[:, :, 0] = 0.0
-    best = np.argmin(costs, axis=1)  # first minimum = lowest price
-    opt_t = np.take_along_axis(costs, best[:, None, :], axis=1)[:, 0, :]
-    opt_t[:, 0] = 0.0
-    return opt_t, best
+    return deadline_layer_step(pmf, pay, opt_next)
 
 
 def _pmf_log_space(means: np.ndarray, s_max: int) -> np.ndarray:
@@ -360,6 +422,15 @@ else:
     _deadline_layer_jit = None
 
 
+def jit_layers() -> bool:
+    """True when deadline layers run the compiled kernel (numba active).
+
+    Layers with log-space means still take the numpy path inside
+    :func:`deadline_layer`.
+    """
+    return _deadline_layer_jit is not None and active() == "numba"
+
+
 def deadline_layer(
     lam_t: np.ndarray,
     probs: np.ndarray,
@@ -389,11 +460,7 @@ def deadline_layer(
     """
     means = lam_t[:, None] * probs
     pmf0 = np.exp(-means)
-    if (
-        _deadline_layer_jit is not None
-        and active() == "numba"
-        and not np.any(means >= LOG_SPACE_MEAN)
-    ):
+    if jit_layers() and not np.any(means >= LOG_SPACE_MEAN):
         return _deadline_layer_jit(
             np.ascontiguousarray(means),
             np.ascontiguousarray(pmf0),

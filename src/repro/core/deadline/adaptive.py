@@ -9,17 +9,18 @@ matches the statically trained table; on a consistently deviating day
 (the paper's 1/1 holiday) the correction converges within a few intervals
 and the re-solved prices compensate.
 
-Re-solving every interval costs one suffix DP per interval; a cache keyed
-by (interval, quantized factor) keeps repeated factors free, and
-``resolve_every`` trades adaptivity for compute.
+Re-solving every interval costs one suffix DP per interval, solved by the
+batched kernel as a batch of one (bitwise the vectorized solver's price
+table); a cache keyed by (anchor, quantized factor) keeps repeated
+factors free, and ``resolve_every`` trades adaptivity for compute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batch.deadline import solve_deadline_single as solve_deadline
 from repro.core.deadline.model import DeadlineProblem
-from repro.core.deadline.vectorized import solve_deadline
 from repro.market.adaptive import AdaptiveRatePredictor
 from repro.sim.policies import PricingRuntime
 

@@ -20,6 +20,7 @@ __all__ = [
     "CampaignOutcome",
     "DEADLINE",
     "BUDGET",
+    "horizon_overrun",
     "validate_submission",
 ]
 
@@ -122,12 +123,20 @@ def validate_submission(
     for spec in new_specs:
         if spec.campaign_id in known_ids:
             raise ValueError(f"duplicate campaign_id {spec.campaign_id!r}")
-        if spec.end_interval > num_intervals:
-            raise ValueError(
-                f"campaign {spec.campaign_id!r} runs to interval "
-                f"{spec.end_interval}, beyond the stream's {num_intervals}"
-            )
+        overrun = horizon_overrun(spec, num_intervals)
+        if overrun is not None:
+            raise ValueError(overrun)
         known_ids.add(spec.campaign_id)
+
+
+def horizon_overrun(spec: "CampaignSpec", num_intervals: int) -> str | None:
+    """Why ``spec`` outruns a stream of ``num_intervals``, or ``None`` if it fits."""
+    if spec.end_interval > num_intervals:
+        return (
+            f"campaign {spec.campaign_id!r} runs to interval "
+            f"{spec.end_interval}, beyond the stream's {num_intervals}"
+        )
+    return None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,12 +12,17 @@ so they price campaigns identically.
 
 Admission has two paths:
 
-* :meth:`CampaignPlanner.admit` — the scalar path: one cache lookup, one
-  solve on miss (``solve_deadline`` / ``solve_budget_hull`` per instance).
+* :meth:`CampaignPlanner.admit` — one campaign: one cache lookup, one
+  solve on miss (a deadline instance through the batched kernel as a
+  batch of one, :func:`~repro.core.batch.deadline.solve_deadline_single`;
+  a budget instance through ``solve_budget_hull``).
 * :meth:`CampaignPlanner.admit_many` — the batch fast path: all of one
   tick's cache misses are drained into a
   :class:`~repro.core.batch.solver.BatchPolicySolver` and solved in one
   stacked array pass (see :mod:`repro.core.batch`).
+
+Both produce the price tables of the vectorized scalar solver, which
+stays the test oracle (``tests/engine/test_batch_solver.py``).
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batch.budget import BudgetRequest
+from repro.core.batch.deadline import solve_deadline_single as solve_deadline
 from repro.core.batch.solver import BatchPolicySolver
 from repro.core.budget.static_lp import solve_budget_hull
 from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
-from repro.core.deadline.vectorized import solve_deadline
 from repro.engine.cache import PolicyCache
 from repro.engine.campaign import BUDGET, DEADLINE, CampaignSpec
 from repro.market.acceptance import AcceptanceModel
@@ -156,10 +161,10 @@ class CampaignPlanner:
     truncation_eps:
         Poisson-truncation threshold handed to every deadline instance.
     batch_solve:
-        When True (default), :meth:`admit_many` drains cache misses
-        through the batched array kernels; when False it falls back to
-        per-campaign scalar solves (useful for benchmarking the fast
-        path against its baseline).
+        When True (default), :meth:`admit_many` drains one tick's cache
+        misses through the batched array kernels in one call; when False
+        it admits campaign by campaign through :meth:`admit` (useful for
+        benchmarking the stacked drain against one solve per campaign).
     batch_solver:
         The :class:`BatchPolicySolver` to drain into; defaults to a fresh
         one.  Its :attr:`~BatchPolicySolver.stats` record how much
@@ -228,7 +233,11 @@ class CampaignPlanner:
     # Admission
     # ------------------------------------------------------------------
     def admit(self, spec: CampaignSpec) -> _LiveCampaign:
-        """Scalar path: solve (or fetch) one campaign's policy and go live."""
+        """Solve (or fetch) one campaign's policy and go live.
+
+        A deadline miss is solved by the batched kernel as a batch of
+        one; nothing is counted on the :class:`BatchPolicySolver`.
+        """
         if spec.kind == BUDGET:
             request = self.budget_request(spec)
             allocation, hit = self.cache.get_or_solve(
@@ -262,7 +271,7 @@ class CampaignPlanner:
         :func:`~repro.core.batch.budget.solve_budget_batch`.  Adaptive
         campaigns keep their private re-planning loops and are admitted
         individually.  Returns live campaigns in submission order, priced
-        identically to the scalar path.
+        identically to one-by-one :meth:`admit` calls.
         """
         if not self.batch_solve or len(specs) <= 1:
             return [self.admit(spec) for spec in specs]

@@ -56,9 +56,9 @@ import time
 
 import numpy as np
 
+from repro.core.batch.deadline import solve_deadline_single as solve_deadline
 from repro.core.budget.static_lp import solve_budget_hull
-from repro.core.deadline.vectorized import solve_deadline
-from repro.engine.campaign import BUDGET, CampaignOutcome
+from repro.engine.campaign import BUDGET, CampaignOutcome, horizon_overrun
 from repro.engine.checkpoint import (
     CheckpointError,
     load_extras,
@@ -490,10 +490,16 @@ class Gateway:
         The peek counts no cache lookup and refreshes no LRU position,
         so quoting cannot perturb the underlying run's admission
         telemetry; ``solve_on_miss`` solves *outside* the cache (nothing
-        stored) for the same reason.
+        stored) for the same reason.  A shape that would outrun the
+        stream is rejected as its submission would be.
         """
         planner = self.engine.planner
         spec = request.spec
+        overrun = horizon_overrun(spec, self.engine.stream.num_intervals)
+        if overrun is not None:
+            return Response(
+                kind="quote", status="rejected", tick=core.clock, detail=overrun
+            )
         payload: dict = {"kind": spec.kind, "cached": False, "solved": False,
                          "price": None}
         signature = self._cached_quote_signature(spec)

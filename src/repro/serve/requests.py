@@ -96,8 +96,10 @@ class Quote:
     Attributes
     ----------
     spec:
-        The campaign shape to quote (its id and submit interval are
-        irrelevant to the price; only the shape enters the signature).
+        The campaign shape to quote.  Its id is irrelevant to the price;
+        its submit interval picks the forecast slice under ``"sliced"``
+        planning.  A shape that would run past the stream is answered
+        ``rejected``, exactly as its submission would be.
     solve_on_miss:
         Solve uncached shapes on the spot (costly but exact) instead of
         answering "not cached".

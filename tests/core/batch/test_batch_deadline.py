@@ -5,7 +5,9 @@ these property tests draw randomized instances (sizes, horizons, grids,
 acceptance parameters, penalties, truncation settings) and assert the
 stacked kernel reproduces ``solve_deadline`` (and, on small instances,
 the literal Algorithm 1 of ``solve_deadline_simple``) — identical price
-tables, values within float tolerance.
+tables, values within float tolerance.  Against its own per-layer
+reference (one ``_deadline_layer_numpy`` call per layer) the hoisted
+sweep is bitwise equal.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.batch import solve_deadline_batch
-from repro.core.batch.deadline import group_key
+from repro.core.batch import deadline as batch_deadline
+from repro.core.batch.deadline import group_key, solve_deadline_single
+from repro.core.batch.kernels import _deadline_layer_numpy
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
 from repro.core.deadline.simple_dp import solve_deadline_simple
 from repro.core.deadline.vectorized import solve_deadline
@@ -43,6 +47,78 @@ def random_problem(rng: np.random.Generator, *, small: bool = False) -> Deadline
         ),
         truncation_eps=eps,
     )
+
+
+def shape_group(
+    count: int,
+    *,
+    num_tasks: int = 40,
+    num_prices: int = 30,
+    horizon: int | None = None,
+    levels=(900.0, 1400.0, 300.0, 2200.0),
+    eps: float | None = 1e-9,
+) -> list[DeadlineProblem]:
+    """``count`` same-shaped instances with distinct forecasts and penalties.
+
+    The default horizon spans three and a bit hoisted layer blocks of a
+    group this wide.
+    """
+    if horizon is None:
+        per_layer = 8 * count * num_prices * (num_tasks + 1)
+        horizon = 3 * max(1, batch_deadline._BLOCK_BYTES // per_layer) + 2
+    wave = 1.0 + 0.5 * np.sin(np.arange(horizon))
+    return [
+        DeadlineProblem(
+            num_tasks=num_tasks,
+            arrival_means=levels[i % len(levels)] * wave,
+            acceptance=paper_acceptance_model(),
+            price_grid=np.arange(1.0, num_prices + 1.0),
+            penalty=PenaltyScheme(per_task=120.0 + 30.0 * i),
+            truncation_eps=eps,
+        )
+        for i in range(count)
+    ]
+
+
+def zero_arrival_group() -> list[DeadlineProblem]:
+    problems = shape_group(3)
+    for p in problems:
+        p.arrival_means[::3] = 0.0
+    return problems
+
+
+#: Instance groups that stress the hoisted sweep: block boundaries,
+#: stacks of up to four, the log-space pmf, exact (untruncated) pmfs,
+#: and intervals without arrivals.
+HOISTING_CASES = {
+    "one-instance-many-blocks": lambda: shape_group(1),
+    "four-instances-many-blocks": lambda: shape_group(4, num_tasks=20, num_prices=12),
+    "log-space-means": lambda: shape_group(
+        2, num_tasks=30, horizon=12, levels=(150000.0, 40.0)
+    ),
+    "no-truncation": lambda: shape_group(3, eps=None),
+    "zero-arrival-intervals": zero_arrival_group,
+}
+
+
+def layer_by_layer(problems) -> tuple[np.ndarray, np.ndarray]:
+    """``(opt, price_index)`` swept one ``_deadline_layer_numpy`` call a layer."""
+    n_tasks, n_intervals = problems[0].num_tasks, problems[0].num_intervals
+    lam = np.stack([p.arrival_means for p in problems])
+    prices = np.stack([p.price_grid for p in problems])
+    probs = np.stack([p.acceptance_probabilities() for p in problems])
+    opt = np.zeros((len(problems), n_tasks + 1, n_intervals + 1))
+    price_index = np.zeros((len(problems), n_tasks + 1, n_intervals), dtype=int)
+    opt[:, :, n_intervals] = [p.penalty.terminal_costs(n_tasks) for p in problems]
+    for t in range(n_intervals - 1, -1, -1):
+        means = lam[:, t][:, None] * probs
+        opt_t, best = _deadline_layer_numpy(
+            means, np.exp(-means), prices, opt[:, :, t + 1],
+            problems[0].truncation_eps,
+        )
+        opt[:, :, t] = opt_t
+        price_index[:, 1:, t] = best[:, 1:]
+    return opt, price_index
 
 
 def assert_same_policy(scalar, batch) -> None:
@@ -102,6 +178,24 @@ class TestAgainstVectorizedSolver:
         )
         (policy,) = solve_deadline_batch([problem])
         assert_same_policy(solve_deadline(problem), policy)
+
+
+class TestHoistedSweep:
+    @pytest.mark.parametrize("case", sorted(HOISTING_CASES))
+    def test_bitwise_equal_to_the_per_layer_sweep(self, case):
+        # Stacked or alone (the engine's one-instance entry point), each
+        # instance gets the per-layer sweep's tables exactly, and the
+        # scalar solver's price table.
+        problems = HOISTING_CASES[case]()
+        assert len({group_key(p) for p in problems}) == 1
+        opt, price_index = layer_by_layer(problems)
+        for b, policy in enumerate(solve_deadline_batch(problems)):
+            single = solve_deadline_single(problems[b])
+            for solved in (policy, single):
+                assert np.array_equal(solved.opt, opt[b])  # exact
+                assert np.array_equal(solved.price_index, price_index[b])
+            scalar = solve_deadline(problems[b])
+            assert np.array_equal(policy.price_index, scalar.price_index)
 
 
 class TestAgainstAlgorithm1:

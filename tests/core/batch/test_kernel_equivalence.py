@@ -30,7 +30,7 @@ from repro.core.batch.kernels import (
 from repro.market.acceptance import LogitAcceptance
 from repro.util.convexhull import lower_convex_hull
 
-from tests.core.batch.test_batch_deadline import random_problem
+from tests.core.batch.test_batch_deadline import HOISTING_CASES, random_problem
 from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
 
@@ -88,6 +88,32 @@ class TestDeadlineLayerKernel:
             out = kernels.deadline_layer(lam_t, probs, prices, opt_next, 1e-9)
         assert np.array_equal(ref[0], out[0])
         assert np.array_equal(ref[1], out[1])
+
+    @pytest.mark.parametrize("case", sorted(HOISTING_CASES))
+    def test_numba_mode_sends_every_layer_to_the_jit(self, case):
+        # The hoisted sweep is numpy-only: under the numba backend each
+        # layer is still one _deadline_layer_jit call, except layers with
+        # log-space means, which take the numpy path.
+        problems = HOISTING_CASES[case]()
+        means = np.stack([p.completion_means() for p in problems])
+        jit_layers = int(np.sum(~np.any(means >= kernels.LOG_SPACE_MEAN, axis=(0, 2))))
+        with kernel_mode("numpy"):
+            ref = solve_deadline_batch(problems)
+        calls = []
+        with kernel_mode("numba"):
+            jit = kernels._deadline_layer_jit
+            kernels._deadline_layer_jit = lambda *args: calls.append(1) or jit(*args)
+            try:
+                out = solve_deadline_batch(problems)
+            finally:
+                kernels._deadline_layer_jit = jit
+        assert len(calls) == jit_layers > 0
+        # Only the log-space case has layers the jit must not take.
+        all_layers = jit_layers == problems[0].num_intervals
+        assert all_layers == (case != "log-space-means")
+        for a, b in zip(ref, out):
+            assert np.array_equal(a.opt, b.opt)
+            assert np.array_equal(a.price_index, b.price_index)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_batch_solver_identical_across_modes(self, seed):

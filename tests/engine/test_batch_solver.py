@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.deadline.adaptive as adaptive_module
+import repro.engine.planning as planning_module
 from repro.core.batch import BatchPolicySolver
+from repro.core.deadline import vectorized
 from repro.engine import MarketplaceEngine, PolicyCache, generate_workload
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
@@ -147,6 +150,33 @@ class TestEngineBatchAdmission:
         scalar = self.run(stream, False, cache_entries=0)
         assert self.outcome_key(batch) == self.outcome_key(scalar)
         assert batch.cache_stats.misses == scalar.cache_stats.misses
+
+    @pytest.mark.parametrize("batch_solve", [True, False])
+    def test_kernel_matches_the_scalar_oracle(self, stream, monkeypatch, batch_solve):
+        # Both admission paths and every adaptive re-solve run the batched
+        # kernel; with the engine's single-instance solves sent back to the
+        # vectorized scalar solver, a sliced run with adaptive campaigns
+        # must retire identical outcomes.
+        def sliced_run():
+            engine = MarketplaceEngine(
+                stream,
+                paper_acceptance_model(),
+                cache=PolicyCache(max_entries=256),
+                planning="sliced",
+                batch_solve=batch_solve,
+            )
+            engine.submit(generate_workload(
+                40, stream.num_intervals, seed=13, adaptive_fraction=0.5
+            ))
+            return engine.run(seed=13)
+
+        kernel = sliced_run()
+        monkeypatch.setattr(planning_module, "solve_deadline", vectorized.solve_deadline)
+        monkeypatch.setattr(adaptive_module, "solve_deadline", vectorized.solve_deadline)
+        oracle = sliced_run()
+        assert any(o.spec.adaptive and o.num_solves > 1 for o in oracle.outcomes)
+        assert self.outcome_key(kernel) == self.outcome_key(oracle)
+        assert kernel.checksum == oracle.checksum
 
     def test_batch_stats_reported(self, stream):
         result = self.run(stream, True)

@@ -6,8 +6,10 @@ import asyncio
 
 import pytest
 
+from repro.engine import MarketplaceEngine
 from repro.engine.campaign import CampaignSpec
 from repro.engine.workload import DEFAULT_TEMPLATES
+from repro.market.acceptance import paper_acceptance_model
 from repro.serve import (
     Cancel,
     Gateway,
@@ -15,7 +17,7 @@ from repro.serve import (
     Quote,
     SubmitCampaign,
 )
-from tests.serve.conftest import NUM_INTERVALS, make_engine
+from tests.serve.conftest import NUM_INTERVALS, make_engine, make_stream
 
 
 def spec(cid: str, submit: int = 0, tasks: int = 10) -> CampaignSpec:
@@ -225,6 +227,43 @@ def test_quote_solve_on_miss_prices_without_storing():
     budget = gateway.offer(Quote(budget_spec("b"), solve_on_miss=True))
     assert budget.response.payload["price"] is not None
     assert gateway.engine.cache.stats == stats_before
+
+
+@pytest.mark.parametrize("planning", ["sliced", "stationary"])
+@pytest.mark.parametrize("submit", [40, 60])
+def test_out_of_horizon_quote_rejected_like_its_submission(planning, submit):
+    # submit=40 runs past a 48-interval stream (sliced planning used to
+    # price it on a truncated forecast slice); submit=60 starts past it
+    # (sliced planning used to raise a bare ValueError out of offer()).
+    gateway = Gateway(MarketplaceEngine(
+        make_stream(48), paper_acceptance_model(), planning=planning,
+    ))
+    gateway.start(seed=3)
+    shape = CampaignSpec(
+        campaign_id="late", kind="deadline", num_tasks=10,
+        submit_interval=submit, horizon_intervals=18, max_price=30,
+    )
+    quote = gateway.offer(Quote(shape, solve_on_miss=True))
+    submission = gateway.offer(SubmitCampaign(shape))
+    gateway.step()
+    assert quote.done and quote.response.status == "rejected"
+    assert quote.response.payload is None
+    assert submission.response.status == "rejected"
+    assert quote.response.detail == submission.response.detail
+    assert "beyond the stream's 48" in quote.response.detail
+
+
+def test_quote_ending_at_the_horizon_is_priced():
+    gateway = Gateway(MarketplaceEngine(
+        make_stream(48), paper_acceptance_model(), planning="sliced",
+    ))
+    gateway.start(seed=3)
+    shape = CampaignSpec(
+        campaign_id="last", kind="deadline", num_tasks=10,
+        submit_interval=30, horizon_intervals=18, max_price=30,
+    )
+    quote = gateway.offer(Quote(shape, solve_on_miss=True))
+    assert quote.response.ok and quote.response.payload["price"] is not None
 
 
 def test_query_telemetry_summary_and_window():
