@@ -7,7 +7,8 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test bench bench-kernels kernels-smoke bench-scenario bench-serve \
 	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
-	regen-golden docs-check checkpoint-smoke perfbench-smoke lint-docs all
+	regen-golden golden-check docs-check checkpoint-smoke perfbench-smoke \
+	lint-docs all
 
 ## Tier-1 test suite (what CI gates on).
 test:
@@ -89,6 +90,12 @@ cov:
 ## *intentional* engine-behaviour change; review the diff like code.
 regen-golden:
 	PYTHONPATH=src $(PYTHON) scripts/regen_golden.py
+
+## Golden guard (CI): regenerate every golden — executor, numba,
+## streaming, tenant, multi-frontier and instrumented invariance arms
+## included — and fail if any committed golden byte changed.
+golden-check: regen-golden
+	git diff --exit-code -- 'tests/golden/*.json'
 
 ## Documentation contract: docs pages exist and are linked, relative
 ## links resolve, the tracked benchmark record has its fields, and every

@@ -82,8 +82,8 @@ def verify_invariance() -> str | None:
     # (a) the default-tenant payload must never leak tenant keys (the
     # byte-identity convention for pre-tenant readers), (b) replaying the
     # tenant-tagged twin under fair scheduling must leave the engine
-    # result identical, and (c) a 2-gateway fleet must reproduce the solo
-    # gateway's payload exactly.
+    # result identical, and (c) a gateway with 2 admission frontiers must
+    # reproduce the one-frontier payload exactly.
     for case in sorted(SERVE_CASES):
         baseline = run_serve_case(case)
         if '"tenant"' in json.dumps(baseline):
@@ -102,14 +102,14 @@ def verify_invariance() -> str | None:
                 "test_fleet.py) — fix the serve layer before "
                 "regenerating goldens"
             )
-        fleet = run_serve_case(case, num_gateways=2)
+        split = run_serve_case(case, frontiers=2)
         if (
-            fleet["result"] != baseline["result"]
-            or fleet["telemetry"] != baseline["telemetry"]
+            split["result"] != baseline["result"]
+            or split["telemetry"] != baseline["telemetry"]
         ):
             return (
-                f"served case {case!r} diverged between a solo gateway "
-                "and a 2-gateway fleet; the fleet determinism contract "
+                f"served case {case!r} diverged between one and two "
+                "admission frontiers; the frontier determinism contract "
                 "is broken (see tests/serve/test_fleet.py) — fix the "
                 "serve layer before regenerating goldens"
             )
@@ -138,7 +138,7 @@ def main() -> int:
         return 1
     print("invariance verified: traces byte-identical under "
           "executor='process', the numba kernel path, streaming "
-          "outcome mode, tenant tagging, a 2-gateway fleet, and a "
+          "outcome mode, tenant tagging, 2 admission frontiers, and a "
           "fully-instrumented run with live ops scrapes")
     for case in sorted(CASES) + sorted(SERVE_CASES):
         payload = run_any_case(case)

@@ -84,11 +84,6 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
         "one worker process per shard; the choice never changes results",
     )
     parser.add_argument(
-        "--solver", choices=["batch", "scalar"], default="batch",
-        help="policy-solve path on cache miss: one stacked array pass per "
-        "tick (batch, the fast path) or one solve per campaign (scalar)",
-    )
-    parser.add_argument(
         "--kernels", choices=["auto", "numpy", "numba"], default=None,
         help="compiled-kernel backend for the hot solve loops (default: "
         "the REPRO_KERNELS env var, else auto); numba falls back to "
@@ -127,7 +122,7 @@ def _add_tenant_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _tenant_kwargs(args: argparse.Namespace) -> dict:
-    """Parse the tenant flags into Gateway/GatewayFleet keyword arguments."""
+    """Parse the tenant flags into Gateway keyword arguments."""
     from repro.serve import parse_tenant_quotas, parse_tenant_weights
 
     if args.max_drain < 0:
@@ -439,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--gateways", type=int, default=1, metavar="N",
-        help="serve through a fleet of N gateways partitioned over the "
-        "shared engine (tenants hash to members); 1 = single gateway",
+        help="split admission into N frontiers, each with its own queue, "
+        "drain budget and fair scheduler (tenants hash to frontiers); "
+        "ignored with --resume, which reads N from the bundle",
     )
     _add_tenant_flags(serve)
     serve.add_argument(
@@ -772,7 +768,7 @@ def _make_serving_engine(
     arrival stream comes from the common stream flags
     (``--horizon-hours``/``--interval-minutes``/``--start-day``) and the
     engine front-end from the common serving flags (``--shards``/
-    ``--executor``/``--planning``/``--cache-size``/``--solver``), so the
+    ``--executor``/``--planning``/``--cache-size``), so the
     commands can never diverge on what an engine *is*.  ``surge`` scales
     realized arrivals while planning keeps the unscaled forecast;
     ``router=None`` uses the engine's default.  Returns
@@ -810,7 +806,6 @@ def _build_engine(args: argparse.Namespace, router=None, surge: float = 1.0):
         cache=PolicyCache(max_entries=args.cache_size),
         planning=args.planning,
         planning_means=forecast.arrival_means,
-        batch_solve=args.solver == "batch",
     )
     if router is not None:
         common["router"] = router
@@ -899,8 +894,7 @@ def _cmd_engine_run(args: argparse.Namespace) -> int:
         print(f"stream        : {num_intervals} x {args.interval_minutes:.0f}min "
               f"intervals from trace day {args.start_day}; router={args.router}, "
               f"planning={args.planning}, surge={args.surge:g}")
-        print(f"serving       : {sharding}, solver={args.solver}, "
-              f"cache capacity {args.cache_size}")
+        print(f"serving       : {sharding}, cache capacity {args.cache_size}")
     # One shared stepping loop drives plain runs, periodic checkpointing,
     # and the simulated-kill path alike.
     ticks = 0
@@ -1019,8 +1013,7 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
         print(f"stream        : {num_intervals} x {args.interval_minutes:.0f}min "
               f"intervals from trace day {args.start_day}; "
               f"planning={args.planning}")
-        print(f"serving       : {sharding}, solver={args.solver}, "
-              f"cache capacity {args.cache_size}")
+        print(f"serving       : {sharding}, cache capacity {args.cache_size}")
     ticks = 0
     while not driver.done:
         driver.step()
@@ -1139,7 +1132,7 @@ def _start_ops(args: argparse.Namespace, gateway, metrics, event_log):
 
 def _cmd_engine_serve(args: argparse.Namespace) -> int:
     from repro.engine import CheckpointError, generate_workload
-    from repro.serve import Gateway, GatewayFleet
+    from repro.serve import Gateway
 
     _check_serving_flags(args)
     if args.max_live < 0 or args.max_queue < 0:
@@ -1147,7 +1140,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
     if args.gateways < 1:
         raise _CliError("--gateways must be >= 1")
     tenant_kwargs = _tenant_kwargs(args)
-    fleet_mode = args.gateways > 1
     event_log = None
     if args.event_log:
         from repro.obs import EventLog
@@ -1156,25 +1148,17 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
     metrics = _make_metrics(args)
     if args.resume:
         try:
-            if fleet_mode:
-                gateway = GatewayFleet.resume(
-                    args.resume, event_log=event_log, metrics=metrics
-                )
-            else:
-                gateway = Gateway.resume(
-                    args.resume, event_log=event_log, metrics=metrics
-                )
+            gateway = Gateway.resume(
+                args.resume, event_log=event_log, metrics=metrics
+            )
         except CheckpointError as exc:
             raise _CliError(str(exc)) from exc
         core = gateway.core
         assert core is not None  # resume always reopens the session
         remaining = gateway.replay_remaining
-        depth = (
-            gateway.queue_depth if fleet_mode else gateway.queue.depth
-        )
         print(f"resume        : {args.resume} at tick {core.clock} "
               f"({core.num_live} live, {core.num_pending} pending, "
-              f"{depth} queued requests, "
+              f"{gateway.queue_depth} queued requests, "
               f"{remaining if remaining is not None else 'no'} trace "
               "requests left)")
         if remaining is None:
@@ -1194,35 +1178,29 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
                 )
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
-        if fleet_mode:
-            gateway = GatewayFleet(
-                engine,
-                args.gateways,
-                max_live=args.max_live or None,
-                max_queue=args.max_queue or None,
-                event_log=event_log,
-                metrics=metrics,
-                **tenant_kwargs,
-            )
-        else:
-            gateway = Gateway(
-                engine,
-                max_live=args.max_live or None,
-                max_queue=args.max_queue or None,
-                event_log=event_log,
-                metrics=metrics,
-                **tenant_kwargs,
-            )
+        gateway = Gateway(
+            engine,
+            frontiers=args.gateways,
+            max_live=args.max_live or None,
+            max_queue=args.max_queue or None,
+            event_log=event_log,
+            metrics=metrics,
+            **tenant_kwargs,
+        )
         gateway.start(seed=seed, rate_multipliers=multipliers)
         sharding = (
             f"shards={args.shards} ({args.executor})"
             if args.shards > 0
             else "unsharded"
         )
-        front = f"{args.gateways}-gateway fleet" if fleet_mode else "gateway"
+        front = (
+            f"gateway with {args.gateways} frontiers"
+            if args.gateways > 1
+            else "gateway"
+        )
         print(f"serving       : trace {trace.name!r} "
               f"({trace.num_requests} requests), seed={seed}, "
-              f"{sharding}, solver={args.solver}, {front}")
+              f"{sharding}, {front}")
         print(f"admission     : max-live "
               f"{args.max_live if args.max_live else 'unlimited'}, "
               f"queue depth {args.max_queue if args.max_queue else 'unbounded'}")

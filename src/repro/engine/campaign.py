@@ -113,19 +113,24 @@ def validate_submission(
     new_specs: list["CampaignSpec"],
     known_ids: set[str],
     num_intervals: int,
+    planner,
 ) -> None:
-    """Reject duplicate ids and campaigns outrunning the stream horizon.
+    """Reject duplicate ids, horizon overruns, and unaffordable budgets.
 
     Shared by every engine front-end's ``submit`` so the validation rules
-    cannot drift between them.  Mutates ``known_ids`` as specs are
+    cannot drift between them.  ``planner`` is the engine's
+    :class:`~repro.engine.planning.CampaignPlanner` (its acceptance model
+    prices the budget check).  Mutates ``known_ids`` as specs are
     accepted (so duplicates *within* ``new_specs`` are caught too).
     """
     for spec in new_specs:
         if spec.campaign_id in known_ids:
             raise ValueError(f"duplicate campaign_id {spec.campaign_id!r}")
-        overrun = horizon_overrun(spec, num_intervals)
-        if overrun is not None:
-            raise ValueError(overrun)
+        problem = horizon_overrun(spec, num_intervals)
+        if problem is None:
+            problem = planner.budget_shortfall(spec)
+        if problem is not None:
+            raise ValueError(problem)
         known_ids.add(spec.campaign_id)
 
 

@@ -250,7 +250,6 @@ def save_checkpoint(
     config = {
         "planning": engine.planner.planning,
         "truncation_eps": engine.planner.truncation_eps,
-        "batch_solve": engine.planner.batch_solve,
         "cache_max_entries": engine.cache.max_entries,
         "acceptance": _acceptance_to_dict(engine.acceptance),
         "router": _router_to_dict(engine.router),
@@ -465,7 +464,6 @@ def _restore(bundle: pathlib.Path) -> MarketplaceEngine | ShardedEngine:
         planning=cfg["planning"],
         planning_means=arrays["planning_means"],
         truncation_eps=cfg["truncation_eps"],
-        batch_solve=cfg["batch_solve"],
     )
     engine: MarketplaceEngine | ShardedEngine
     if manifest["engine"] == "sharded":

@@ -118,8 +118,8 @@ class EngineResult:
         Wall-clock spent inside the session's ticks (time the clock sat
         idle between explicit ``tick()`` calls is not counted).
     batch_stats:
-        Batch-solver counters for this session when it used the batched
-        admission fast path; ``None`` on the scalar path.
+        Batch-solver counters for this session (``None`` only on results
+        built by hand).
     num_shards:
         Worker shards the run was partitioned over (1 = unsharded).
     aggregate:
@@ -920,13 +920,12 @@ class EngineCore:
         request queue through one of these.
 
         **Ordering guarantee:** hooks run in registration order, every
-        tick — registration order *is* drain precedence.  A
-        :class:`~repro.serve.fleet.GatewayFleet` relies on this: member
-        gateways register their drains in member order, so the merged
-        per-tick drain is deterministic and identical across runs and
-        resumes (members re-register in the same order).  Hook work is
-        not counted in the session's ``elapsed_seconds``, and hooks are
-        never checkpointed — re-register after a resume.
+        tick — registration order *is* drain precedence, identical across
+        runs and resumes as long as whoever registered re-registers in
+        the same order.  (A gateway registers one hook that drains its
+        admission frontiers in index order.)  Hook work is not counted in
+        the session's ``elapsed_seconds``, and hooks are never
+        checkpointed — re-register after a resume.
         """
         self._tick_boundary_hooks.append(hook)
 
@@ -1081,10 +1080,8 @@ class EngineCore:
             max_concurrent=self.max_concurrent,
             cache_stats=self.planner.cache.stats.since(self._cache_baseline),
             elapsed_seconds=self.elapsed_seconds,
-            batch_stats=(
-                self.planner.batch_solver.stats.since(self._batch_baseline)
-                if self.planner.batch_solve
-                else None
+            batch_stats=self.planner.batch_solver.stats.since(
+                self._batch_baseline
             ),
             num_shards=self.backend.num_shards,
         )
@@ -1159,7 +1156,9 @@ class EngineBase(abc.ABC):
         # rebuild; validate_submission mutates it as it accepts, so a
         # rejected batch must roll its accepted prefix back out.
         try:
-            validate_submission(batch, self._known_ids, self.stream.num_intervals)
+            validate_submission(
+                batch, self._known_ids, self.stream.num_intervals, self.planner
+            )
         except Exception:
             retained = {s.campaign_id for s in self._specs}
             for spec in batch:

@@ -172,6 +172,9 @@ class _PooledBackend(ClockBackend):
 class MarketplaceEngine(EngineBase):
     """Discrete-time engine multiplexing campaigns over one worker stream.
 
+    Each tick's policy-cache misses are solved in one stacked array pass
+    (:mod:`repro.core.batch`).
+
     Parameters
     ----------
     stream:
@@ -197,11 +200,6 @@ class MarketplaceEngine(EngineBase):
         error (e.g. a surge the planners did not expect).
     truncation_eps:
         Poisson-truncation threshold handed to every deadline instance.
-    batch_solve:
-        When True (default) each tick's policy-cache misses are solved in
-        one stacked array pass (:mod:`repro.core.batch`); False restores
-        the scalar one-solve-per-campaign path.  Both paths produce the
-        same policies.
     """
 
     def __init__(
@@ -213,7 +211,6 @@ class MarketplaceEngine(EngineBase):
         planning: str = "sliced",
         planning_means: np.ndarray | None = None,
         truncation_eps: float | None = 1e-9,
-        batch_solve: bool = True,
     ):
         self.acceptance = acceptance
         self.router = router if router is not None else default_router(acceptance)
@@ -226,7 +223,6 @@ class MarketplaceEngine(EngineBase):
                 planning_means, stream.arrival_means
             ),
             truncation_eps=truncation_eps,
-            batch_solve=batch_solve,
         )
         super().__init__(stream, planner)
 
@@ -240,10 +236,6 @@ class MarketplaceEngine(EngineBase):
     def planning_problem(self, spec: CampaignSpec) -> DeadlineProblem:
         """Build the deadline instance a campaign is solved against."""
         return self.planner.planning_problem(spec)
-
-    def _admit(self, spec: CampaignSpec) -> _LiveCampaign:
-        """Solve (or fetch) the campaign's policy and go live."""
-        return self.planner.admit(spec)
 
     # ------------------------------------------------------------------
     # The clock (shared EngineCore; this engine only supplies the backend)

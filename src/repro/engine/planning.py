@@ -45,6 +45,10 @@ __all__ = ["CampaignPlanner", "PLANNING_MODES", "resolve_planning_means"]
 #: Supported planning-forecast modes.
 PLANNING_MODES = ("sliced", "stationary")
 
+#: Price grids whose cheapest viable price the planner remembers; grids
+#: are client-chosen (``max_price``), so the memo is bounded.
+_CHEAPEST_MEMO_CAP = 1024
+
 
 def resolve_planning_means(
     planning_means: np.ndarray | None, stream_means: np.ndarray
@@ -160,11 +164,6 @@ class CampaignPlanner:
         Per-interval arrival forecast the campaigns plan against.
     truncation_eps:
         Poisson-truncation threshold handed to every deadline instance.
-    batch_solve:
-        When True (default), :meth:`admit_many` drains one tick's cache
-        misses through the batched array kernels in one call; when False
-        it admits campaign by campaign through :meth:`admit` (useful for
-        benchmarking the stacked drain against one solve per campaign).
     batch_solver:
         The :class:`BatchPolicySolver` to drain into; defaults to a fresh
         one.  Its :attr:`~BatchPolicySolver.stats` record how much
@@ -178,7 +177,6 @@ class CampaignPlanner:
         planning: str,
         planning_means: np.ndarray,
         truncation_eps: float | None = 1e-9,
-        batch_solve: bool = True,
         batch_solver: BatchPolicySolver | None = None,
     ):
         if planning not in PLANNING_MODES:
@@ -190,8 +188,10 @@ class CampaignPlanner:
         self.planning = planning
         self.planning_means = np.asarray(planning_means, dtype=float)
         self.truncation_eps = truncation_eps
-        self.batch_solve = batch_solve
         self.batch_solver = batch_solver if batch_solver is not None else BatchPolicySolver()
+        # max_price -> cheapest price on its grid with p(c) > 0 (None if
+        # there is none); see budget_shortfall.
+        self._cheapest_viable: dict[float, float | None] = {}
 
     # ------------------------------------------------------------------
     # Planning inputs
@@ -228,6 +228,40 @@ class CampaignPlanner:
             acceptance=self.acceptance,
             price_grid=spec.price_grid(),
         )
+
+    def budget_shortfall(self, spec: CampaignSpec) -> str | None:
+        """Why a budget campaign cannot pay for its tasks, or ``None``.
+
+        The bound the budget solvers enforce at admission — the budget
+        must cover every task at the cheapest grid price workers accept —
+        checked up front, so an unaffordable submission is refused
+        instead of failing the tick that would admit it.  The cheapest
+        viable price is computed once per price grid.
+        """
+        if spec.kind != BUDGET:
+            return None
+        assert spec.budget is not None  # CampaignSpec validates this
+        if spec.max_price in self._cheapest_viable:
+            cheapest = self._cheapest_viable[spec.max_price]
+        else:
+            grid = spec.price_grid()
+            viable = grid[self.acceptance.probabilities(grid) > 0]
+            cheapest = float(viable[0]) if viable.size else None
+            if len(self._cheapest_viable) >= _CHEAPEST_MEMO_CAP:
+                self._cheapest_viable.pop(next(iter(self._cheapest_viable)))
+            self._cheapest_viable[spec.max_price] = cheapest
+        if cheapest is None:
+            return (
+                f"campaign {spec.campaign_id!r}: no price up to "
+                f"{spec.max_price} has positive acceptance probability"
+            )
+        if spec.budget < spec.num_tasks * cheapest:
+            return (
+                f"campaign {spec.campaign_id!r} budget {spec.budget} cannot "
+                f"cover {spec.num_tasks} tasks even at the cheapest viable "
+                f"price {cheapest}"
+            )
+        return None
 
     # ------------------------------------------------------------------
     # Admission
@@ -270,10 +304,11 @@ class CampaignPlanner:
         and all budget misses in one call to
         :func:`~repro.core.batch.budget.solve_budget_batch`.  Adaptive
         campaigns keep their private re-planning loops and are admitted
-        individually.  Returns live campaigns in submission order, priced
-        identically to one-by-one :meth:`admit` calls.
+        individually, as is a tick with a single campaign.  Returns live
+        campaigns in submission order, priced identically to one-by-one
+        :meth:`admit` calls.
         """
-        if not self.batch_solve or len(specs) <= 1:
+        if len(specs) <= 1:
             return [self.admit(spec) for spec in specs]
         live: list[_LiveCampaign | None] = [None] * len(specs)
         deadline_items: list[tuple[tuple, DeadlineProblem]] = []

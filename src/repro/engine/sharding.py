@@ -410,7 +410,7 @@ class ShardedEngine(EngineBase):
         Shared policy cache (admission runs on the coordinator, so the
         cache needs no locking).  Session-scoped, as in the unsharded
         engine.
-    planning, planning_means, truncation_eps, batch_solve:
+    planning, planning_means, truncation_eps:
         Forwarded to the shared :class:`CampaignPlanner` — identical
         meaning to the unsharded engine.
     executor:
@@ -436,7 +436,6 @@ class ShardedEngine(EngineBase):
         planning: str = "stationary",
         planning_means: np.ndarray | None = None,
         truncation_eps: float | None = 1e-9,
-        batch_solve: bool = True,
         executor: str | concurrent.futures.Executor = "thread",
     ):
         if num_shards < 1:
@@ -465,7 +464,6 @@ class ShardedEngine(EngineBase):
                 planning_means, stream.arrival_means
             ),
             truncation_eps=truncation_eps,
-            batch_solve=batch_solve,
         )
         super().__init__(stream, planner)
 

@@ -25,7 +25,7 @@ or *durable between checkpoints*.  ``repro.obs`` adds the missing layer:
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges, and histograms, exportable as JSON or Prometheus text format.
 * :mod:`repro.obs.ops` — the **live ops plane**: an asyncio HTTP server
-  attachable to a running gateway or fleet (``--ops-port``) answering
+  attachable to a running gateway (``--ops-port``) answering
   ``/metrics``, ``/healthz``, ``/readyz``, ``/tenants``, and ``/slo``
   mid-run without perturbing any deterministic artifact.
 * :mod:`repro.obs.slo` — SLO objectives (availability, latency) with

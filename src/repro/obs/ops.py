@@ -1,9 +1,8 @@
 """The live ops plane: scrapeable HTTP endpoints over a running gateway.
 
 :class:`OpsServer` attaches to a live :class:`~repro.serve.gateway.Gateway`
-or :class:`~repro.serve.fleet.GatewayFleet` (the ``--ops-port`` flag on
-``engine serve`` / ``engine loadtest``) and answers operational questions
-without stopping the run:
+(the ``--ops-port`` flag on ``engine serve`` / ``engine loadtest``) and
+answers operational questions without stopping the run:
 
 ======================  ==================================================
 ``GET /metrics``        Prometheus text exposition — a live scrape of the
@@ -11,7 +10,7 @@ without stopping the run:
 ``GET /healthz``        Liveness: the process answers, with the clock and
                         occupancy it currently stands at.
 ``GET /readyz``         Admission-readiness: 200 only while the session is
-                        open, every member queue has headroom, every shard
+                        open, every frontier queue has headroom, every shard
                         worker process is alive, and the event-log writer
                         is keeping up; 503 otherwise, with per-check detail.
 ``GET /tenants``        Per-tenant live/quota/deficit/admission state from
@@ -51,22 +50,14 @@ ENDPOINTS = ("/metrics", "/healthz", "/readyz", "/tenants", "/slo")
 _MAX_REQUEST_BYTES = 8192
 
 
-def _members(target) -> list:
-    """The gateway frontiers behind ``target`` (fleet members or itself)."""
-    if target is None:
-        return []
-    return list(getattr(target, "members", None) or [target])
-
-
 class OpsServer:
-    """Scrapeable ops endpoints over one running gateway or fleet.
+    """Scrapeable ops endpoints over one running gateway.
 
     Parameters
     ----------
     target:
-        The :class:`~repro.serve.gateway.Gateway` or
-        :class:`~repro.serve.fleet.GatewayFleet` to introspect (``None``
-        serves metrics/health only).
+        The :class:`~repro.serve.gateway.Gateway` to introspect, at any
+        frontier count (``None`` serves metrics/health only).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` ``/metrics``
         scrapes; usually the same registry the target records into.
@@ -147,11 +138,10 @@ class OpsServer:
     def _refresh_gauges(self) -> None:
         """Re-sample the point-in-time gauges so an idle-period scrape
         still reads current state (tick boundaries also update them)."""
-        members = _members(self.target)
-        if members:
+        if self.target is not None:
             self.metrics.gauge(
                 "serve_queue_depth", "Mutating requests queued"
-            ).set(sum(m.queue.depth for m in members))
+            ).set(self.target.queue_depth)
         core = self._core()
         if core is not None:
             self.metrics.gauge(
@@ -190,9 +180,9 @@ class OpsServer:
             "detail": "engine session open" if core is not None
             else "no open engine session",
         }
-        members = _members(self.target)
-        depths = [m.queue.depth for m in members]
-        bounds = [m.queue.max_depth for m in members]
+        queues = self.target.queues if self.target is not None else ()
+        depths = [q.depth for q in queues]
+        bounds = [q.max_depth for q in queues]
         full = [
             i for i, (depth, bound) in enumerate(zip(depths, bounds))
             if bound is not None and depth >= bound
@@ -205,8 +195,8 @@ class OpsServer:
                 if any(b is not None for b in bounds) else None
             ),
             "detail": (
-                "every member queue has headroom" if not full
-                else f"member queue(s) {full} at their depth bound"
+                "every frontier queue has headroom" if not full
+                else f"frontier queue(s) {full} at their depth bound"
             ),
         }
         shard_health = None
@@ -254,26 +244,24 @@ class OpsServer:
         )
 
     def _tenants(self) -> tuple[int, str, str]:
-        members = _members(self.target)
-        if not members:
+        if self.target is None:
             return 404, "application/json", json.dumps(
                 {"error": "no gateway attached to the ops server"}
             )
+        queues = self.target.queues
         ledger = self.target.ledger
         telemetry = self.target.telemetry
         held = ledger.snapshot()
         names = sorted(
             set(telemetry.tenants)
             | set(held["live"])
-            | {t for m in members for t in m.queue.tenants}
+            | {t for q in queues for t in q.tenants}
         )
         core = self._core()
         tenants = {}
         for name in names:
-            owner = next(
-                (m for m in members if name in m.queue.tenants), members[0]
-            )
-            deficits = owner.queue.scheduler_state().get("deficits", {})
+            owner = next((q for q in queues if name in q.tenants), queues[0])
+            deficits = owner.scheduler_state().get("deficits", {})
             series = telemetry.tenants.get(name)
             totals = {
                 key: sum(values) for key, values in series.items()
@@ -282,8 +270,8 @@ class OpsServer:
             tenants[name] = {
                 "live": held["live"].get(name, 0),
                 "admitted_this_tick": held["tick_admitted"].get(name, 0),
-                "queued": sum(m.queue.depth_of(name) for m in members),
-                "weight": owner.queue.weight_of(name),
+                "queued": sum(q.depth_of(name) for q in queues),
+                "weight": owner.weight_of(name),
                 "deficit": deficits.get(name, 0.0),
                 "quota": quota,
                 "totals": totals,

@@ -92,15 +92,13 @@ def bundle_event_seq(bundle_path: str | pathlib.Path) -> int | None:
 
     ``None`` when the bundle predates event logging or was saved by a
     gateway with no log wired — recovery then replays the entire log.
-    Reads solo-gateway and fleet bundles alike (a fleet shares one log,
-    so its bundle records one fleet-wide high-water mark).
+    Reads bundles of any frontier count (the frontiers share one log, so
+    the bundle records one high-water mark).
     """
     from repro.engine.checkpoint import load_extras
-    from repro.serve.fleet import _FLEET_EXTRAS_KEY
-    from repro.serve.gateway import _EXTRAS_KEY
+    from repro.serve.gateway import _gateway_state
 
-    extras = load_extras(bundle_path) or {}
-    state = extras.get(_EXTRAS_KEY) or extras.get(_FLEET_EXTRAS_KEY) or {}
+    state = _gateway_state(load_extras(bundle_path)) or {}
     log_state = state.get("event_log")
     if not log_state or log_state.get("last_seq") is None:
         return None

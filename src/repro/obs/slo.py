@@ -218,9 +218,10 @@ def event_log_slo(log_path, policy: SloPolicy | None = None) -> dict:
 
     Availability counts ``submit-campaign`` response rows (bad =
     ``rejected``); latency joins each response to its request by
-    ``(client, seq)`` — member ticket sequences are per-gateway in a
-    fleet log, and one client's requests always land on one member, so
-    the pair is a fleet-safe join key — and measures the deterministic
+    ``(client, seq)`` — ticket sequences count per frontier in a
+    multi-frontier gateway's log, and one client's requests always land
+    on one frontier, so the pair is a unique join key — and measures the
+    deterministic
     queueing latency in ticks (bad = slower than
     :attr:`SloPolicy.latency_target_ticks`).  Windows are trailing
     *ticks* ending at the last response tick.

@@ -22,13 +22,10 @@ reading telemetry *while* the deterministic clock keeps ticking.
   quotas answer typed backpressure naming the tenant and quota.
 * :mod:`repro.serve.gateway` — the :class:`Gateway`: tick-boundary
   request drains riding the ordinary mid-flight ``submit()``/``cancel()``
-  paths (served outcomes bit-identical to the offline run), cache-peek
-  quotes that never block or perturb the clock, an asyncio facade for
-  concurrent clients, and checkpoint/resume of the whole served session.
-* :mod:`repro.serve.fleet` — the :class:`GatewayFleet`: N gateway
-  frontiers partitioned over one shared engine session, tenants hashed
-  to members, one merged telemetry stream — replay-deterministic and
-  checkpoint/resumable like the solo gateway.
+  paths (served outcomes bit-identical to the offline run), N admission
+  frontiers with tenants hashed across them, cache-peek quotes that
+  never block or perturb the clock, an asyncio facade for concurrent
+  clients, and checkpoint/resume of the whole served session.
 * :mod:`repro.serve.telemetry` — :class:`GatewayTelemetry`: per-tick
   queue/batch/admission series (with per-tenant breakdowns) layered
   over the engine telemetry, plus wall-clock latency percentiles
@@ -54,7 +51,6 @@ contract.
 """
 
 from repro.serve.admission import AdmissionQueue, QueueStats, Ticket
-from repro.serve.fleet import GatewayFleet
 from repro.serve.gateway import Gateway
 from repro.serve.loadgen import ClientMix, LoadGenerator
 from repro.serve.requests import (
@@ -88,7 +84,6 @@ from repro.serve.tenants import (
 
 __all__ = [
     "Gateway",
-    "GatewayFleet",
     "LoadGenerator",
     "ClientMix",
     "AdmissionQueue",

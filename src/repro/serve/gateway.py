@@ -20,15 +20,24 @@ deterministic tick loop keeps running underneath:
   request queue rejects offers beyond its depth, and a live-campaign
   budget rejects submissions once ``live + pending`` reaches it — both
   deterministic functions of the arrival sequence, never of wall-clock.
+* **Frontiers isolate tenant groups.**  ``frontiers=N`` splits admission
+  into N queues, each with its own depth bound, drain budget, and
+  weighted-fair scheduler.  A tenant's requests (an untagged client's, by
+  client id) always route to the same frontier by a stable CRC-32, so
+  its FIFO order holds while one group's backlog cannot backpressure
+  another's.  Frontiers drain in index order into the one engine
+  session, ledger, and telemetry stream: the engine re-sorts same-tick
+  submissions at admission, so an uncontended replay is bit-identical
+  at any frontier count.
 * **Reads never wait for the clock.**  Quotes are answered from the
   policy cache via a side-effect-free
   :meth:`~repro.engine.cache.PolicyCache.peek`, and telemetry queries
   from the collector — immediately, between ticks.
 * **Serving sessions are durable.**  :meth:`Gateway.save` checkpoints
-  the engine session *plus* the gateway's queue, drain-in-progress
-  tally, telemetry, and replay cursor into one bundle (manifest extras);
-  :meth:`Gateway.resume` reopens it mid-serve, bit-identical to never
-  having stopped.
+  the engine session *plus* every frontier's queue and drain-in-progress
+  tally, the telemetry, and the replay cursor into one bundle (manifest
+  extras); :meth:`Gateway.resume` reopens it mid-serve, bit-identical to
+  never having stopped.
 
 Two ways to drive it: the synchronous :meth:`step`/:meth:`replay` pair
 (deterministic traces, tests, golden runs) and the asyncio facade
@@ -67,6 +76,7 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.clock import EngineBase, EngineCore, PhaseTimings, TickReport
 from repro.engine.outcomes import outcome_from_record, outcome_record
+from repro.engine.sharding import shard_of
 from repro.obs.tracing import trace_id_for_seq
 from repro.scenario.driver import apply_cancellation
 from repro.serve.admission import AdmissionQueue, Ticket
@@ -89,16 +99,47 @@ from repro.serve.tenants import TenantLedger, TenantQuota
 
 __all__ = ["Gateway"]
 
-#: Key the gateway's state lives under in a checkpoint bundle's extras.
+#: Key a one-frontier gateway's state lives under in a bundle's extras.
 _EXTRAS_KEY = "serve_gateway"
 
-#: Extras format version; bumped on any incompatible change.
+#: Key a multi-frontier gateway's state lives under: the same fields,
+#: with the per-frontier ones listed under ``"members"``.
+_FLEET_EXTRAS_KEY = "serve_fleet"
+
+#: Extras format version (both keys); bumped on any incompatible change.
 _EXTRAS_VERSION = 1
 
 
 def _kind(request) -> str:
     """The request's type tag (response ``kind`` field)."""
     return request_kind(request)
+
+
+def _gateway_state(extras: dict | None) -> dict | None:
+    """The gateway state in a bundle's extras, whichever layout wrote it."""
+    extras = extras or {}
+    return extras.get(_EXTRAS_KEY) or extras.get(_FLEET_EXTRAS_KEY)
+
+
+class _Frontier:
+    """One admission frontier: a bounded fair queue plus its drain tally.
+
+    The tally and the outcomes of the cancellations it applied accumulate
+    across a tick's drains and are taken when the tick is recorded.
+    """
+
+    __slots__ = ("queue", "drain", "cancelled")
+
+    def __init__(self, max_queue: int | None, weights: dict[str, float] | None):
+        self.queue = AdmissionQueue(max_depth=max_queue, weights=weights)
+        self.drain = DrainReport()
+        self.cancelled: list[CampaignOutcome] = []
+
+    def take(self) -> tuple[DrainReport, list[CampaignOutcome]]:
+        """Swap out the accumulated drain state for one recorded tick."""
+        drain, self.drain = self.drain, DrainReport()
+        cancelled, self.cancelled = self.cancelled, []
+        return drain, cancelled
 
 
 class Gateway:
@@ -110,34 +151,35 @@ class Gateway:
         Any engine front-end.  The gateway owns its serving session:
         call :meth:`start` (not ``engine.start``) and drive ticks through
         :meth:`step`/:meth:`serve`.
+    frontiers:
+        Admission frontiers (queue + fair scheduler), ``>= 1``.  Tenants
+        partition across them by stable hash (:meth:`frontier_of`);
+        ``max_queue`` and ``max_drain`` bound each frontier separately.
     max_live:
         Live-campaign budget: submissions are rejected (backpressure)
         while ``live + pending`` campaigns would exceed it.  ``None``
-        disables the budget.
+        disables the budget.  Engine-wide, whatever the frontier count.
     max_queue:
-        Mutating-request queue depth; offers beyond it are rejected at
-        offer time.  ``None`` disables the bound.
+        Mutating-request queue depth per frontier; offers beyond it are
+        rejected at offer time.  ``None`` disables the bound.
     max_drain:
-        Per-boundary drain budget: at most this many queued requests are
-        applied at each tick boundary (``None`` = drain everything, the
-        historical behaviour).  Bounding the drain is what makes the
-        weighted-fair scheduler observable — with an unbounded drain
-        every queued request lands at the next boundary regardless of
-        tenant.  Revival drains (waking an idle clock) stay unbounded so
-        a queued submission can always restart the session.
+        Per-boundary drain budget per frontier: at most this many queued
+        requests are applied at each tick boundary (``None`` = drain
+        everything, the historical behaviour).  Bounding the drain is
+        what makes the weighted-fair scheduler observable — with an
+        unbounded drain every queued request lands at the next boundary
+        regardless of tenant.  Revival drains (waking an idle clock) stay
+        unbounded so a queued submission can always restart the session.
     tenant_weights:
         Tenant name -> drain weight for the deficit-round-robin
         scheduler (unlisted tenants weigh 1.0).  ``None`` keeps every
         tenant at equal weight.
     tenant_quotas:
-        Tenant name -> :class:`~repro.serve.tenants.TenantQuota`.
-        Exhausted quotas answer typed backpressure rejections whose
-        payload names the tenant and quota.
-    ledger:
-        The :class:`~repro.serve.tenants.TenantLedger` quota checks run
-        against; fresh by default.  A :class:`~repro.serve.fleet.GatewayFleet`
-        passes one shared ledger to every member so quotas bound the
-        tenant across the whole fleet.
+        Tenant name -> :class:`~repro.serve.tenants.TenantQuota`, checked
+        against the gateway's one :attr:`ledger` (a quota bounds the
+        tenant, not the tenant per frontier).  Exhausted quotas answer
+        typed backpressure rejections whose payload names the tenant and
+        quota.
     telemetry:
         The serving collector; fresh by default (restored on resume).
     event_log:
@@ -161,17 +203,19 @@ class Gateway:
         self,
         engine: EngineBase,
         *,
+        frontiers: int = 1,
         max_live: int | None = None,
         max_queue: int | None = 256,
         max_drain: int | None = None,
         tenant_weights: dict[str, float] | None = None,
         tenant_quotas: dict[str, TenantQuota] | None = None,
-        ledger: TenantLedger | None = None,
         telemetry: GatewayTelemetry | None = None,
         event_log=None,
         tracer=None,
         metrics=None,
     ):
+        if frontiers < 1:
+            raise ValueError(f"frontiers must be >= 1, got {frontiers}")
         if max_live is not None and max_live < 1:
             raise ValueError(f"max_live must be >= 1 or None, got {max_live}")
         if max_drain is not None and max_drain < 1:
@@ -179,12 +223,10 @@ class Gateway:
         self.engine = engine
         self.max_live = max_live
         self.max_drain = max_drain
-        self.queue = AdmissionQueue(max_depth=max_queue, weights=tenant_weights)
-        self.ledger = ledger if ledger is not None else TenantLedger(tenant_quotas)
-        # What a drained Snapshot request calls to write the bundle; a
-        # fleet points every member at the fleet-wide save so a snapshot
-        # through any member checkpoints the whole fleet.
-        self._snapshot_fn = self.save
+        self._frontiers = tuple(
+            _Frontier(max_queue, tenant_weights) for _ in range(frontiers)
+        )
+        self.ledger = TenantLedger(tenant_quotas)
         self.telemetry = telemetry if telemetry is not None else GatewayTelemetry()
         self.event_log = event_log
         self.tracer = tracer
@@ -207,7 +249,8 @@ class Gateway:
         #: (``None`` on a fresh start or a pre-event-log bundle); events
         #: beyond it are the request tail recovery replays.
         self.resumed_event_seq: int | None = None
-        # Open request spans by arrival seq (tracer wiring only).
+        # Open request spans by ticket (tracer wiring only; arrival seqs
+        # are per frontier, so they are not unique across the gateway).
         self._open_spans: dict = {}
         # Arrival seqs the current tick's drain applied (tick-span attrs).
         self._drained_seqs: list[int] = []
@@ -222,8 +265,6 @@ class Gateway:
         # client-controlled): oldest entries are dropped past the cap.
         self._quote_signatures: dict = {}
         self._quote_signatures_cap = 1024
-        self._pending_drain = DrainReport()
-        self._pending_cancelled: list[CampaignOutcome] = []
         self._replay_trace: RequestTrace | None = None
         self._replay_cursor = 0
         self._stopping = False
@@ -250,7 +291,10 @@ class Gateway:
         if self.metrics is not None:
             core.enable_phase_timings(PhaseTimings(metrics=self.metrics))
         if self.event_log is not None:
-            self.event_log.log("run", core.clock, {"action": "start", "seed": seed})
+            payload = {"action": "start", "seed": seed}
+            if len(self._frontiers) > 1:
+                payload["gateways"] = len(self._frontiers)
+            self.event_log.log("run", core.clock, payload)
         self._started = True
         return core
 
@@ -283,14 +327,47 @@ class Gateway:
         return self._active_core().clock >= self.engine.stream.num_intervals
 
     @property
+    def queues(self) -> tuple[AdmissionQueue, ...]:
+        """Every frontier's admission queue, in drain order."""
+        return tuple(frontier.queue for frontier in self._frontiers)
+
+    @property
+    def queue(self) -> AdmissionQueue:
+        """The admission queue of a one-frontier gateway (see :attr:`queues`)."""
+        if len(self._frontiers) > 1:
+            raise AttributeError(
+                f"this gateway has {len(self._frontiers)} frontier queues; "
+                "use .queues or .queue_depth"
+            )
+        return self._frontiers[0].queue
+
+    @property
+    def queue_depth(self) -> int:
+        """Mutating requests queued across every frontier."""
+        return sum(frontier.queue.depth for frontier in self._frontiers)
+
+    def frontier_of(self, tenant: str = DEFAULT_TENANT, client: str = "local") -> int:
+        """The index of the frontier that owns a tenant's requests.
+
+        Stable: a tenant always lands on the same frontier, so its
+        requests keep FIFO order through one fair scheduler.  Untagged
+        (default-tenant) traffic partitions by client id for the same
+        reason.  A one-frontier gateway hashes nothing.
+        """
+        count = len(self._frontiers)
+        if count == 1:
+            return 0
+        return shard_of(tenant if tenant != DEFAULT_TENANT else client, count)
+
+    @property
     def done(self) -> bool:
-        """True when nothing could change: engine drained, queue empty."""
+        """True when nothing could change: engine drained, queues empty."""
         if not self._started:
             return False
         core = self.engine.core
         if core is None:
             return True
-        return core.done and self.queue.depth == 0
+        return core.done and self.queue_depth == 0
 
     def close(self) -> None:
         """End the session; unanswered queued requests are rejected."""
@@ -315,17 +392,19 @@ class Gateway:
         this returns.  Mutating requests resolve at the next tick
         boundary — drive the gateway (:meth:`step`, :meth:`serve`, or
         :meth:`replay`) and read ``ticket.response``.  ``tenant`` selects
-        the fair-scheduler subqueue and the quota the submission is
-        checked against.
+        the frontier (:meth:`frontier_of`), its fair-scheduler subqueue,
+        and the quota the submission is checked against.  Ticket
+        sequence numbers count per frontier.
         """
         core = self._active_core()
         now = time.perf_counter()
+        queue = self._frontiers[self.frontier_of(tenant, client)].queue
         if not is_mutating(request):
-            ticket = self.queue.make_ticket(client, request, now, tenant)
+            ticket = queue.make_ticket(client, request, now, tenant)
             self._record_request(ticket, core)
             self._resolve(ticket, self._answer_read(request, core))
             return ticket
-        ticket, accepted = self.queue.offer(client, request, now, tenant)
+        ticket, accepted = queue.offer(client, request, now, tenant)
         self._record_request(ticket, core)
         if not accepted:
             self._resolve(
@@ -335,7 +414,7 @@ class Gateway:
                     status="rejected",
                     tick=core.clock,
                     detail=(
-                        f"request queue full ({self.queue.max_depth} deep): "
+                        f"request queue full ({queue.max_depth} deep): "
                         "backpressure, retry after a tick"
                     ),
                 ),
@@ -385,7 +464,7 @@ class Gateway:
                 trace_id=trace_id_for_seq(ticket.seq),
             )
         if self.tracer is not None:
-            self._open_spans[ticket.seq] = self.tracer.start_span(
+            self._open_spans[ticket] = self.tracer.start_span(
                 "request",
                 trace_id_for_seq(ticket.seq),
                 attrs={"kind": _kind(ticket.request), "client": ticket.client},
@@ -414,7 +493,7 @@ class Gateway:
                 trace_id=trace_id_for_seq(ticket.seq),
             )
         if self.tracer is not None:
-            span = self._open_spans.pop(ticket.seq, None)
+            span = self._open_spans.pop(ticket, None)
             if span is not None:
                 self.tracer.finish_span(span, {"status": response.status})
         if self.metrics is not None:
@@ -442,7 +521,7 @@ class Gateway:
                 "clock": core.clock,
                 "live": core.num_live,
                 "pending": core.num_pending,
-                "queue_depth": self.queue.depth,
+                "queue_depth": self.queue_depth,
                 "responses": dict(self.telemetry.responses),
                 "ticks_recorded": self.telemetry.num_ticks,
             }
@@ -491,14 +570,17 @@ class Gateway:
         so quoting cannot perturb the underlying run's admission
         telemetry; ``solve_on_miss`` solves *outside* the cache (nothing
         stored) for the same reason.  A shape that would outrun the
-        stream is rejected as its submission would be.
+        stream, or a budget that cannot pay for its tasks, is rejected as
+        its submission would be.
         """
         planner = self.engine.planner
         spec = request.spec
-        overrun = horizon_overrun(spec, self.engine.stream.num_intervals)
-        if overrun is not None:
+        problem = horizon_overrun(spec, self.engine.stream.num_intervals)
+        if problem is None:
+            problem = planner.budget_shortfall(spec)
+        if problem is not None:
             return Response(
-                kind="quote", status="rejected", tick=core.clock, detail=overrun
+                kind="quote", status="rejected", tick=core.clock, detail=problem
             )
         payload: dict = {"kind": spec.kind, "cached": False, "solved": False,
                          "price": None}
@@ -537,42 +619,43 @@ class Gateway:
     # The tick-boundary drain (mutating requests coalesce here)
     # ------------------------------------------------------------------
     def _drain_hook(self, core: EngineCore) -> None:
-        """The :meth:`EngineCore.tick` boundary hook: apply the queue."""
+        """The :meth:`EngineCore.tick` boundary hook: apply the queues."""
         self._do_drain(core, budget=self.max_drain)
 
     def _do_drain(self, core: EngineCore, budget: int | None = None) -> None:
-        """Apply queued mutations in fair-scheduler order, tallying the drain.
+        """Apply queued mutations frontier by frontier, in fair-scheduler order.
 
-        At most ``budget`` requests are applied (``None`` = all — revival
-        drains pass no budget so a queued submission can always wake an
-        idle clock).  The tally accumulates in-place on
-        ``self._pending_drain`` so a mid-batch :class:`Snapshot`
-        checkpoints a consistent partial drain (the resumed gateway
-        finishes the batch and the recorded tick comes out identical to
-        the uninterrupted run's).
+        Each frontier applies requests until its tally for the tick
+        reaches ``budget`` (``None`` = all — revival drains pass no
+        budget so a queued submission can always wake an idle clock, and
+        leave every queue empty for the hook drain that follows).  The
+        tally accumulates in place on the frontier, so a mid-batch
+        :class:`Snapshot` checkpoints a consistent partial drain: the
+        resumed gateway finishes the batch within the same budget and the
+        recorded tick comes out identical to the uninterrupted run's.
         """
-        pd = self._pending_drain
-        pd.queue_depth = max(pd.queue_depth, self.queue.depth)
-        applied = 0
-        while budget is None or applied < budget:
-            ticket = self.queue.pop()
-            if ticket is None:
-                break
-            applied += 1
-            pd.drained += 1
-            pd.tally(ticket.tenant, "drained")
-            self._drained_seqs.append(ticket.seq)
-            request = ticket.request
-            if isinstance(request, SubmitCampaign):
-                self._apply_submit(ticket, core, pd)
-            elif isinstance(request, Cancel):
-                self._apply_cancel(ticket, core, pd)
-            elif isinstance(request, Snapshot):
-                self._apply_snapshot(ticket, core, pd)
-            else:  # pragma: no cover - is_mutating() gates the queue
-                raise TypeError(
-                    f"unexpected queued request {type(request).__name__}"
-                )
+        for frontier in self._frontiers:
+            pd = frontier.drain
+            queue = frontier.queue
+            pd.queue_depth = max(pd.queue_depth, queue.depth)
+            while budget is None or pd.drained < budget:
+                ticket = queue.pop()
+                if ticket is None:
+                    break
+                pd.drained += 1
+                pd.tally(ticket.tenant, "drained")
+                self._drained_seqs.append(ticket.seq)
+                request = ticket.request
+                if isinstance(request, SubmitCampaign):
+                    self._apply_submit(ticket, core, pd)
+                elif isinstance(request, Cancel):
+                    self._apply_cancel(ticket, core, frontier)
+                elif isinstance(request, Snapshot):
+                    self._apply_snapshot(ticket, core, pd)
+                else:  # pragma: no cover - is_mutating() gates the queue
+                    raise TypeError(
+                        f"unexpected queued request {type(request).__name__}"
+                    )
 
     def _apply_submit(
         self, ticket: Ticket, core: EngineCore, pd: DrainReport
@@ -646,7 +729,7 @@ class Gateway:
         )
 
     def _apply_cancel(
-        self, ticket: Ticket, core: EngineCore, pd: DrainReport
+        self, ticket: Ticket, core: EngineCore, frontier: _Frontier
     ) -> None:
         campaign_id = ticket.request.campaign_id
         try:
@@ -660,8 +743,8 @@ class Gateway:
                 ),
             )
             return
-        pd.cancels += 1
-        pd.tally(ticket.tenant, "cancels")
+        frontier.drain.cancels += 1
+        frontier.drain.tally(ticket.tenant, "cancels")
         if status in ("cancelled", "dropped"):
             # The campaign left the engine: give its owner the budget
             # slot back (no-op for campaigns not admitted via a tenant).
@@ -677,7 +760,7 @@ class Gateway:
             )
         payload: dict = {"campaign_id": campaign_id, "result": status}
         if outcome is not None:
-            self._pending_cancelled.append(outcome)
+            frontier.cancelled.append(outcome)
             payload.update(
                 completed=outcome.completed,
                 remaining=outcome.remaining,
@@ -694,13 +777,15 @@ class Gateway:
         # Tallied before saving so the bundle accounts for the snapshot
         # itself — its drain entry and its own "ok" response — exactly as
         # the uninterrupted run will have recorded them; a resumed
-        # gateway then continues from identical counters.  The ticket is
-        # resolved directly (not through _resolve) to avoid re-counting.
+        # gateway then continues from identical counters.  A failed save
+        # (bundle errors, or an unwritable path) rolls both back.  The
+        # ticket is resolved directly (not through _resolve) to avoid
+        # re-counting.
         pd.snapshots += 1
         self.telemetry.count_response("ok", is_read=False)
         try:
-            path = self._snapshot_fn(ticket.request.path)
-        except CheckpointError as exc:
+            path = self.save(ticket.request.path)
+        except (CheckpointError, OSError) as exc:
             pd.snapshots -= 1
             self.telemetry.responses["ok"] -= 1
             self.telemetry.count_response("error", is_read=False)
@@ -708,16 +793,11 @@ class Gateway:
                 kind="snapshot", status="error", tick=core.clock,
                 detail=str(exc),
             )
-            ticket.resolve(response)
-            self.telemetry.latency.observe(
-                time.perf_counter() - ticket.offered_at
+        else:
+            response = Response(
+                kind="snapshot", status="ok", tick=core.clock,
+                payload={"path": str(path)},
             )
-            self._record_response(ticket, response)
-            return
-        response = Response(
-            kind="snapshot", status="ok", tick=core.clock,
-            payload={"path": str(path)},
-        )
         ticket.resolve(response)
         self.telemetry.latency.observe(time.perf_counter() - ticket.offered_at)
         self._record_response(ticket, response)
@@ -726,20 +806,21 @@ class Gateway:
         """Reject every still-queued request (shutdown path: none lost)."""
         core = self.engine.core
         tick = core.clock if core is not None else -1
-        while (ticket := self.queue.pop()) is not None:
-            self._resolve(
-                ticket,
-                Response(
-                    kind=_kind(ticket.request), status="rejected",
-                    tick=tick, detail=reason,
-                ),
-            )
+        for frontier in self._frontiers:
+            while (ticket := frontier.queue.pop()) is not None:
+                self._resolve(
+                    ticket,
+                    Response(
+                        kind=_kind(ticket.request), status="rejected",
+                        tick=tick, detail=reason,
+                    ),
+                )
 
     # ------------------------------------------------------------------
     # Driving the clock
     # ------------------------------------------------------------------
     def step(self) -> TickReport | None:
-        """Advance one tick (draining the queue at its boundary).
+        """Advance one tick (draining the queues at its boundary).
 
         When the engine is idle-done, queued mutations are drained first
         — a submission can revive the clock.  Returns ``None`` when no
@@ -761,21 +842,19 @@ class Gateway:
         self._finish_tick(core, report, tick_span)
         return report
 
-    def _take_drain(self) -> tuple[DrainReport, list[CampaignOutcome], list[int]]:
-        """Swap out this frontier's accumulated drain state for one tick.
-
-        Returns ``(drain report, cancelled outcomes, drained seqs)`` —
-        what :meth:`_finish_tick` records for a solo gateway and what a
-        fleet merges across its members before recording once.
-        """
-        drain, self._pending_drain = self._pending_drain, DrainReport()
-        cancelled, self._pending_cancelled = self._pending_cancelled, []
-        drained_seqs, self._drained_seqs = self._drained_seqs, []
-        return drain, cancelled, drained_seqs
-
     def _finish_tick(self, core: EngineCore, report: TickReport, tick_span=None) -> None:
-        """Record one completed tick: telemetry, ledger, observability."""
-        drain, cancelled, drained_seqs = self._take_drain()
+        """Record one completed tick: telemetry, ledger, observability.
+
+        Every frontier's drain tally is merged (in frontier order) into
+        one report, so the tick is recorded once however many frontiers
+        drained at its boundary.
+        """
+        drain, cancelled = self._frontiers[0].take()
+        for frontier in self._frontiers[1:]:
+            more, more_cancelled = frontier.take()
+            drain.absorb(more)
+            cancelled.extend(more_cancelled)
+        drained_seqs, self._drained_seqs = self._drained_seqs, []
         self.ledger.settle(
             report.interval, (o.spec.campaign_id for o in report.retired)
         )
@@ -807,7 +886,7 @@ class Gateway:
         """
         self.metrics.gauge(
             "serve_queue_depth", "Mutating requests queued"
-        ).set(self.queue.depth)
+        ).set(self.queue_depth)
         self.metrics.gauge(
             "engine_live_campaigns", "Campaigns currently live"
         ).set(core.num_live)
@@ -922,7 +1001,7 @@ class Gateway:
             while i < len(requests) and requests[i].tick <= core.clock:
                 i += 1
             deliver(i)
-            if core.done and self.queue.depth == 0:
+            if core.done and self.queue_depth == 0:
                 if self._replay_cursor >= len(requests):
                     break
                 # Engine idle mid-trace: deliver up to and including the
@@ -1012,17 +1091,19 @@ class Gateway:
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
-    def _frontier_state(self) -> dict:
-        """This frontier's serialized queue + drain-in-progress state.
+    @staticmethod
+    def _frontier_state(frontier: _Frontier) -> dict:
+        """One frontier's serialized queue + drain-in-progress state.
 
-        The per-gateway half of a bundle's extras — :meth:`save` embeds
-        one for a solo gateway, a fleet embeds one per member.  Additive
-        tenant keys follow the trace convention: present only when they
-        carry non-default information, so single-tenant bundles stay
-        byte-identical to pre-tenant ones.
+        The per-frontier part of a bundle's extras: :meth:`save` inlines
+        it for a one-frontier gateway and lists one per frontier under
+        ``"members"`` otherwise.  Additive tenant keys follow the trace
+        convention: present only when they carry non-default information,
+        so single-tenant bundles stay byte-identical to pre-tenant ones.
         """
+        queue = frontier.queue
         entries = []
-        for t in self.queue.snapshot():
+        for t in queue.snapshot():
             entry = {
                 "seq": t.seq,
                 "client": t.client,
@@ -1031,39 +1112,38 @@ class Gateway:
             if t.tenant != DEFAULT_TENANT:
                 entry["tenant"] = t.tenant
             entries.append(entry)
+        drain = frontier.drain
         pending_drain = {
-            "queue_depth": self._pending_drain.queue_depth,
-            "drained": self._pending_drain.drained,
-            "admitted": self._pending_drain.admitted,
-            "rejected": self._pending_drain.rejected,
-            "cancels": self._pending_drain.cancels,
-            "snapshots": self._pending_drain.snapshots,
+            "queue_depth": drain.queue_depth,
+            "drained": drain.drained,
+            "admitted": drain.admitted,
+            "rejected": drain.rejected,
+            "cancels": drain.cancels,
+            "snapshots": drain.snapshots,
         }
-        if self._pending_drain.tenants:
+        if drain.tenants:
             pending_drain["tenants"] = {
-                tenant: dict(row)
-                for tenant, row in self._pending_drain.tenants.items()
+                tenant: dict(row) for tenant, row in drain.tenants.items()
             }
         state = {
-            "next_seq": self.queue.next_seq,
+            "next_seq": queue.next_seq,
             "queue": entries,
             "pending_drain": pending_drain,
             # Full records, spec embedded: in streaming mode the engine
             # holds no outcome list to look these up in at resume time.
             "pending_cancelled": [
-                outcome_record(o, with_spec=True)
-                for o in self._pending_cancelled
+                outcome_record(o, with_spec=True) for o in frontier.cancelled
             ],
         }
         # The DRR round state matters only when several tenants are
         # queued (single-tenant restore is exact without it).
-        if len(self.queue.tenants) > 1 or self.queue.weights:
-            state["scheduler"] = self.queue.scheduler_state()
+        if len(queue.tenants) > 1 or queue.weights:
+            state["scheduler"] = queue.scheduler_state()
         return state
 
-    def _restore_frontier(self, state: dict, now: float) -> None:
-        """Reload :meth:`_frontier_state` into this gateway (resume path)."""
-        self.queue.restore(
+    def _restore_frontier(self, frontier: _Frontier, state: dict, now: float) -> None:
+        """Reload :meth:`_frontier_state` into one frontier (resume path)."""
+        frontier.queue.restore(
             state["next_seq"],
             [
                 Ticket(
@@ -1079,7 +1159,7 @@ class Gateway:
         )
         pending_drain = dict(state["pending_drain"])
         tenants = pending_drain.pop("tenants", {})
-        self._pending_drain = DrainReport(
+        frontier.drain = DrainReport(
             **pending_drain,
             tenants={t: dict(row) for t, row in tenants.items()},
         )
@@ -1092,7 +1172,7 @@ class Gateway:
             if core is not None
             else {}
         )
-        self._pending_cancelled = [
+        frontier.cancelled = [
             outcome_from_record(entry)
             if isinstance(entry, dict)
             else outcomes[entry]
@@ -1101,15 +1181,16 @@ class Gateway:
 
     def _config_state(self) -> dict:
         """The admission configuration as serialized in bundle extras."""
+        queue = self._frontiers[0].queue
         config = {
             "max_live": self.max_live,
-            "max_queue": self.queue.max_depth,
+            "max_queue": queue.max_depth,
         }
         # Additive keys, present only when configured (.get on resume).
         if self.max_drain is not None:
             config["max_drain"] = self.max_drain
-        if self.queue.weights:
-            config["tenant_weights"] = dict(self.queue.weights)
+        if queue.weights:
+            config["tenant_weights"] = dict(queue.weights)
         if self.ledger.quotas:
             config["tenant_quotas"] = {
                 tenant: quota.to_dict()
@@ -1120,12 +1201,14 @@ class Gateway:
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Snapshot the served session to a bundle (engine + gateway state).
 
-        The bundle is a regular engine checkpoint whose extras carry the
-        gateway's unanswered queue, the drain-in-progress tally, the
+        The bundle is a regular engine checkpoint whose extras carry every
+        frontier's unanswered queue and drain-in-progress tally, the
         tenant ledger, the serving telemetry, the admission
         configuration, and — when called inside :meth:`replay` — the
-        trace and its cursor.  Legal at any tick boundary, including
-        mid-drain (a queued :class:`Snapshot`).
+        trace and its cursor.  A one-frontier gateway writes them under
+        ``"serve_gateway"``; more frontiers write the ``"serve_fleet"``
+        layout, one ``"members"`` entry per frontier.  Legal at any tick
+        boundary, including mid-drain (a queued :class:`Snapshot`).
         """
         if not self._started:
             raise CheckpointError(
@@ -1138,27 +1221,36 @@ class Gateway:
         event_log_state = None
         if self.event_log is not None:
             event_log_state = {"last_seq": self.event_log.sync()}
-        state = {
-            "version": _EXTRAS_VERSION,
-            "event_log": event_log_state,
-            "config": self._config_state(),
-            **self._frontier_state(),
-            "telemetry": self.telemetry.to_dict(),
-            "replay": (
-                None
-                if self._replay_trace is None
-                else {
-                    "trace": self._replay_trace.to_dict(),
-                    "cursor": self._replay_cursor,
-                }
-            ),
-        }
+        state = {"version": _EXTRAS_VERSION, "event_log": event_log_state}
         ledger_state = self.ledger.to_dict()
-        if any(
+        if len(self._frontiers) == 1:
+            key = _EXTRAS_KEY
+            state["config"] = self._config_state()
+            state.update(self._frontier_state(self._frontiers[0]))
+        else:
+            key = _FLEET_EXTRAS_KEY
+            state["config"] = {
+                "num_gateways": len(self._frontiers),
+                **self._config_state(),
+            }
+            state["members"] = [
+                self._frontier_state(frontier) for frontier in self._frontiers
+            ]
+            state["tenants"] = ledger_state
+        state["telemetry"] = self.telemetry.to_dict()
+        state["replay"] = (
+            None
+            if self._replay_trace is None
+            else {
+                "trace": self._replay_trace.to_dict(),
+                "cursor": self._replay_cursor,
+            }
+        )
+        if key == _EXTRAS_KEY and any(
             value for value in ledger_state.values() if isinstance(value, dict)
         ):
             state["tenants"] = ledger_state
-        bundle = save_checkpoint(self.engine, path, extras={_EXTRAS_KEY: state})
+        bundle = save_checkpoint(self.engine, path, extras={key: state})
         if self.event_log is not None:
             self.event_log.log(
                 "checkpoint",
@@ -1180,16 +1272,16 @@ class Gateway:
         """Reopen a served session from a bundle written by :meth:`save`.
 
         Restores the engine session, re-registers the tick-boundary
-        drain, reloads the unanswered queue (the restored requests will
-        be answered at the next boundary — none were lost), and rewinds
-        nothing: driving the resumed gateway to exhaustion produces
-        telemetry bit-identical to never having stopped.  A bundle saved
+        drain, reloads every frontier's unanswered queue (the restored
+        requests will be answered at the next boundary — none were lost),
+        and rewinds nothing: driving the resumed gateway to exhaustion
+        produces telemetry bit-identical to never having stopped.  The
+        frontier count comes from the bundle.  A bundle saved
         mid-:meth:`replay` carries its trace; continue with
         :meth:`resume_replay`.
         """
         engine = restore_engine(path)
-        extras = load_extras(path)
-        state = (extras or {}).get(_EXTRAS_KEY)
+        state = _gateway_state(load_extras(path))
         if state is None:
             raise CheckpointError(
                 f"bundle at {path} carries no serving-gateway state "
@@ -1200,10 +1292,13 @@ class Gateway:
                 f"serve-gateway state version {state.get('version')!r} is not "
                 f"supported (this build reads version {_EXTRAS_VERSION})"
             )
+        # A one-frontier state carries its frontier fields inline.
+        members = state.get("members", [state])
         config = state["config"]
         quotas = config.get("tenant_quotas")
         gateway = cls(
             engine,
+            frontiers=len(members),
             max_live=config["max_live"],
             max_queue=config["max_queue"],
             max_drain=config.get("max_drain"),
@@ -1238,7 +1333,9 @@ class Gateway:
                 {"action": "resume", "bundle": str(path)},
             )
         gateway._started = True
-        gateway._restore_frontier(state, time.perf_counter())
+        now = time.perf_counter()
+        for frontier, member in zip(gateway._frontiers, members):
+            gateway._restore_frontier(frontier, member, now)
         if state["replay"] is not None:
             gateway._replay_trace = RequestTrace.from_dict(
                 state["replay"]["trace"]
@@ -1248,8 +1345,13 @@ class Gateway:
 
     def __repr__(self) -> str:
         state = "started" if self._started else "idle"
+        frontiers = (
+            f"{len(self._frontiers)} frontiers, "
+            if len(self._frontiers) > 1
+            else ""
+        )
         return (
-            f"Gateway({type(self.engine).__name__}, {state}, "
-            f"queue depth {self.queue.depth}, "
+            f"Gateway({type(self.engine).__name__}, {state}, {frontiers}"
+            f"queue depth {self.queue_depth}, "
             f"{self.telemetry.total_requests} responses)"
         )

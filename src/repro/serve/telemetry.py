@@ -111,7 +111,7 @@ class DrainReport:
         row[key] += amount
 
     def absorb(self, other: "DrainReport") -> None:
-        """Fold another drain report into this one (fleet tick merge)."""
+        """Fold another drain report into this one (frontier tick merge)."""
         self.queue_depth += other.queue_depth
         self.drained += other.drained
         self.admitted += other.admitted

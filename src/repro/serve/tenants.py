@@ -17,9 +17,9 @@ fairness, and quotas"):
   whose payload names the tenant and the quota that bounced it.
 * :class:`TenantLedger` is the bookkeeping those quotas are enforced
   against — per-tenant live+pending campaign counts and the per-tick
-  admission tally.  A :class:`~repro.serve.fleet.GatewayFleet` shares
-  one ledger across all member gateways, so quotas bound the *tenant*,
-  not the tenant-per-gateway.
+  admission tally.  A gateway keeps one ledger however many admission
+  frontiers it runs, so quotas bound the *tenant*, not the tenant per
+  frontier.
 
 Everything here is a pure function of the arrival sequence — wall-clock
 never enters, so quota decisions replay bit-identically.
@@ -87,10 +87,9 @@ class TenantLedger:
     Tracks, for every campaign submitted *through a gateway*, which
     tenant owns it — so retirements and cancellations give the tenant
     its budget back — plus how many submissions each tenant had admitted
-    at the current tick boundary.  One ledger may be shared by several
-    gateways (a fleet): :meth:`settle` and :meth:`end_tick` are
-    idempotent per interval, so every member can call them after the
-    same tick without double-counting.
+    at the current tick boundary.  :meth:`settle` and :meth:`end_tick`
+    are idempotent per interval: a tick report applied twice releases
+    and resets nothing twice.
     """
 
     def __init__(self, quotas: Mapping[str, TenantQuota] | None = None):
@@ -160,8 +159,8 @@ class TenantLedger:
     def settle(self, interval: int, retired_ids: Iterable[str]) -> None:
         """Return the budget of campaigns that retired at ``interval``.
 
-        Idempotent per interval so every fleet member can settle the same
-        tick report without releasing a campaign twice.
+        Idempotent per interval: settling the same tick report again
+        releases no campaign twice.
         """
         if interval <= self._settled_interval:
             return

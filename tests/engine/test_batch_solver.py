@@ -10,6 +10,7 @@ import repro.engine.planning as planning_module
 from repro.core.batch import BatchPolicySolver
 from repro.core.deadline import vectorized
 from repro.engine import MarketplaceEngine, PolicyCache, generate_workload
+from repro.engine.planning import CampaignPlanner
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
 
@@ -112,6 +113,15 @@ class TestBatchPolicySolverStats:
         assert solver.stats.batches == 2
 
 
+def admit_one_by_one(monkeypatch) -> None:
+    """Send every tick's admissions through ``CampaignPlanner.admit``."""
+    monkeypatch.setattr(
+        CampaignPlanner,
+        "admit_many",
+        lambda planner, specs: [planner.admit(spec) for spec in specs],
+    )
+
+
 class TestEngineBatchAdmission:
     def outcome_key(self, result):
         return [
@@ -127,43 +137,49 @@ class TestEngineBatchAdmission:
             for o in result.outcomes
         ]
 
-    def run(self, stream, batch_solve, cache_entries=256):
+    def run(self, stream, cache_entries=256):
         engine = MarketplaceEngine(
             stream,
             paper_acceptance_model(),
             cache=PolicyCache(max_entries=cache_entries),
             planning="stationary",
-            batch_solve=batch_solve,
         )
         engine.submit(generate_workload(40, stream.num_intervals, seed=13))
         return engine.run(seed=13)
 
-    def test_batch_and_scalar_paths_agree_exactly(self, stream):
-        batch = self.run(stream, True)
-        scalar = self.run(stream, False)
+    def test_batch_and_scalar_paths_agree_exactly(self, stream, monkeypatch):
+        batch = self.run(stream)
+        admit_one_by_one(monkeypatch)
+        scalar = self.run(stream)
         assert self.outcome_key(batch) == self.outcome_key(scalar)
         assert batch.cache_stats.hits == scalar.cache_stats.hits
         assert batch.cache_stats.misses == scalar.cache_stats.misses
 
-    def test_batch_and_scalar_agree_with_cache_disabled(self, stream):
-        batch = self.run(stream, True, cache_entries=0)
-        scalar = self.run(stream, False, cache_entries=0)
+    def test_batch_and_scalar_agree_with_cache_disabled(self, stream, monkeypatch):
+        batch = self.run(stream, cache_entries=0)
+        admit_one_by_one(monkeypatch)
+        scalar = self.run(stream, cache_entries=0)
         assert self.outcome_key(batch) == self.outcome_key(scalar)
         assert batch.cache_stats.misses == scalar.cache_stats.misses
 
-    @pytest.mark.parametrize("batch_solve", [True, False])
-    def test_kernel_matches_the_scalar_oracle(self, stream, monkeypatch, batch_solve):
-        # Both admission paths and every adaptive re-solve run the batched
-        # kernel; with the engine's single-instance solves sent back to the
-        # vectorized scalar solver, a sliced run with adaptive campaigns
-        # must retire identical outcomes.
+    @pytest.mark.parametrize("batch_admission", [True, False])
+    def test_kernel_matches_the_scalar_oracle(
+        self, stream, monkeypatch, batch_admission
+    ):
+        # Batched admission (True), one-by-one CampaignPlanner.admit
+        # (False), and every adaptive re-solve run the batched kernel; with
+        # the engine's single-instance solves sent back to the vectorized
+        # scalar solver, a sliced run with adaptive campaigns must retire
+        # identical outcomes.
+        if not batch_admission:
+            admit_one_by_one(monkeypatch)
+
         def sliced_run():
             engine = MarketplaceEngine(
                 stream,
                 paper_acceptance_model(),
                 cache=PolicyCache(max_entries=256),
                 planning="sliced",
-                batch_solve=batch_solve,
             )
             engine.submit(generate_workload(
                 40, stream.num_intervals, seed=13, adaptive_fraction=0.5
@@ -177,16 +193,13 @@ class TestEngineBatchAdmission:
         assert any(o.spec.adaptive and o.num_solves > 1 for o in oracle.outcomes)
         assert self.outcome_key(kernel) == self.outcome_key(oracle)
         assert kernel.checksum == oracle.checksum
+        if not batch_admission:
+            assert kernel.batch_stats.instances == 0
 
     def test_batch_stats_reported(self, stream):
-        result = self.run(stream, True)
+        result = self.run(stream)
         assert result.batch_stats is not None
         # Single-spec ticks fall back to scalar admission, so the batch
         # solver sees at most (and usually most of) the cache misses.
         assert 0 < result.batch_stats.instances <= result.cache_stats.misses
         assert "batch solver" in result.summary()
-
-    def test_scalar_path_reports_no_batch_stats(self, stream):
-        result = self.run(stream, False)
-        assert result.batch_stats is None
-        assert "batch solver" not in result.summary()

@@ -67,6 +67,30 @@ class TestSubmission:
         with pytest.raises(ValueError, match="beyond"):
             engine.submit(deadline_spec(submit_interval=40, horizon_intervals=12))
 
+    def test_unaffordable_budget_rejected_at_submission(self, engine):
+        # 50 tasks cannot be paid from 1 cent at the cheapest viable price
+        # (1 cent): refused here, not by the tick that would admit it.
+        with pytest.raises(ValueError, match="cannot cover 50 tasks"):
+            engine.submit(budget_spec(num_tasks=50, budget=1.0, max_price=10))
+        # The rejected id is free again, and a budget exactly at the bound
+        # is admitted.
+        engine.submit(budget_spec(num_tasks=50, budget=50.0, max_price=10))
+        assert engine.run(seed=1).num_campaigns == 1
+
+    def test_budget_check_prices_the_cheapest_viable_grid_price(self, stream):
+        # Workers refuse anything under 3 cents, so 10 tasks need 30.
+        from repro.market.acceptance import EmpiricalAcceptance
+
+        acceptance = EmpiricalAcceptance({1.0: 0.0, 2.0: 0.0, 3.0: 0.2, 25.0: 0.9})
+        engine = MarketplaceEngine(stream, acceptance)
+        with pytest.raises(ValueError, match="cheapest viable price 3.0"):
+            engine.submit(budget_spec(budget=29.0))
+        engine.submit(budget_spec(budget=30.0))
+        with pytest.raises(ValueError, match="positive acceptance"):
+            engine.submit(budget_spec(campaign_id="bg-1", max_price=2))
+        assert engine.num_submitted == 1
+        assert engine.planner.budget_shortfall(budget_spec(budget=30.0)) is None
+
     def test_invalid_planning_mode_rejected(self, stream, paper_acceptance):
         with pytest.raises(ValueError, match="planning"):
             MarketplaceEngine(stream, paper_acceptance, planning="psychic")

@@ -213,20 +213,18 @@ def serve_trace() -> RequestTrace:
 
 def build_serve_gateway(
     case: str,
-    num_gateways: int = 1,
+    frontiers: int = 1,
     tenant_weights: dict[str, float] | None = None,
     sinks: dict | None = None,
-):
-    """Construct one served case's engine + front (session not yet open).
+) -> Gateway:
+    """Construct one served case's engine + gateway (session not yet open).
 
-    ``num_gateways > 1`` builds a :class:`~repro.serve.fleet.GatewayFleet`
-    over the same engine — the fleet arm of the golden invariance guard.
-    ``sinks`` passes observability keyword arguments (``event_log`` /
-    ``tracer`` / ``metrics``) straight through — the instrumented arm of
-    the same guard.
+    ``frontiers > 1`` splits admission across that many frontiers — the
+    multi-frontier arm of the golden invariance guard.  ``sinks`` passes
+    observability keyword arguments (``event_log`` / ``tracer`` /
+    ``metrics``) straight through — the instrumented arm of the same
+    guard.
     """
-    from repro.serve import GatewayFleet
-
     sinks = sinks or {}
     num_shards = SERVE_CASES[case]["num_shards"]
     if num_shards:
@@ -238,15 +236,9 @@ def build_serve_gateway(
         engine = MarketplaceEngine(
             make_stream(), paper_acceptance_model(), planning="stationary"
         )
-    if num_gateways > 1:
-        return GatewayFleet(
-            engine, num_gateways,
-            max_live=SERVE_CASES[case]["max_live"],
-            tenant_weights=tenant_weights,
-            **sinks,
-        )
     return Gateway(
         engine,
+        frontiers=frontiers,
         max_live=SERVE_CASES[case]["max_live"],
         tenant_weights=tenant_weights,
         **sinks,
@@ -270,15 +262,16 @@ def tenant_tagged_trace(tenants: tuple[str, ...]) -> RequestTrace:
 def run_serve_case(
     case: str,
     tenants: tuple[str, ...] | None = None,
-    num_gateways: int = 1,
+    frontiers: int = 1,
     instrumented: bool = False,
 ) -> dict:
     """Run one served case; payload = trace + result + serving telemetry.
 
     ``tenants`` replays the tenant-tagged twin of the trace under fair
-    scheduling (weights 2:1:...), and ``num_gateways`` routes it through
-    a fleet — neither may change the engine ``result`` block, which is
-    what the regen guard verifies before rewriting any golden.
+    scheduling (weights 2:1:...), and ``frontiers`` splits admission
+    across that many frontiers — neither may change the engine
+    ``result`` block, which is what the regen guard verifies before
+    rewriting any golden.
     ``instrumented`` wires every observability layer the ops plane rides
     on — event log, tracer, metrics registry with phase timings, and a
     live :class:`~repro.obs.ops.OpsServer` scraped at tick boundaries —
@@ -314,7 +307,7 @@ def run_serve_case(
         }
         cleanup = [event_log.close, lambda: shutil.rmtree(tmp)]
     gateway = build_serve_gateway(
-        case, num_gateways=num_gateways, tenant_weights=weights, sinks=sinks
+        case, frontiers=frontiers, tenant_weights=weights, sinks=sinks
     )
     if instrumented:
         ops = OpsServer(gateway, metrics=metrics, event_log=sinks["event_log"])

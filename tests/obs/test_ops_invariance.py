@@ -77,10 +77,9 @@ def test_instrumented_solo_golden_matches_dark():
 
 
 def test_instrumented_fleet_golden_matches_dark():
-    dark = run_serve_case("serve_flash_crowd", num_gateways=2)
-    lit = run_serve_case(
-        "serve_flash_crowd", num_gateways=2, instrumented=True
-    )
+    """The same contract at two admission frontiers."""
+    dark = run_serve_case("serve_flash_crowd", frontiers=2)
+    lit = run_serve_case("serve_flash_crowd", frontiers=2, instrumented=True)
     assert json.dumps(lit, sort_keys=True) == json.dumps(dark, sort_keys=True)
 
 

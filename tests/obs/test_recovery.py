@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -121,6 +122,58 @@ class TestRecoveryGuards:
         workdir, _ = finished_drill
         with pytest.raises(FileNotFoundError):
             recover_serve_run(workdir / BUNDLE_NAME, tmp_path / "nope.sqlite")
+
+
+class TestMultiFrontierRecovery:
+    def test_two_frontier_bundle_and_log_recover_bit_identically(self, tmp_path):
+        """A stopped 2-frontier run recovers from its bundle + log tail."""
+        from repro.serve import Gateway, RequestTrace
+
+        def gateway(event_log=None) -> Gateway:
+            pinned = build_drill_gateway()  # the drill's engine and budget
+            return Gateway(
+                pinned.engine, frontiers=2, max_live=pinned.max_live,
+                event_log=event_log,
+            )
+
+        base = drill_trace()
+        trace = RequestTrace(base.name, tuple(
+            dataclasses.replace(timed, tenant=("acme", "beta", "gamma")[i % 3])
+            for i, timed in enumerate(base.requests)
+        ))
+        log_path = tmp_path / LOG_NAME
+        log = EventLog(log_path)
+        killed = gateway(log)
+        killed.start(**drill_start_kwargs())
+        bundle = tmp_path / BUNDLE_NAME
+        requests = trace.requests
+        delivered = 0
+        # Offer-driven (open mode), so the bundle carries no trace cursor:
+        # save at tick 8, then keep serving until the "kill" at tick 14.
+        while killed.clock < 14:
+            while (
+                delivered < len(requests)
+                and requests[delivered].tick <= killed.clock
+            ):
+                timed = requests[delivered]
+                delivered += 1
+                killed.offer(
+                    timed.request, client=timed.client, tenant=timed.tenant
+                )
+            assert killed.step() is not None
+            if killed.clock == 8:
+                killed.save(bundle)
+        log.close()
+        assert bundle_event_seq(bundle) < EventLog.read(log_path).last_seq
+
+        recovered = recover_serve_run(bundle, log_path)
+        assert len(recovered.queues) == 2
+        baseline = gateway()
+        baseline.start(**drill_start_kwargs())
+        baseline.replay(reconstruct_trace(log_path))
+        assert recovered.telemetry.to_dict() == baseline.telemetry.to_dict()
+        recovered.close()
+        baseline.close()
 
 
 class TestKillMinusNine:

@@ -76,29 +76,32 @@ def test_serve_trace_with_telemetry_out_and_shards(tmp_path, capsys):
 def test_serve_stop_resume_round_trip(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     LoadGenerator(18, seed=3, rate=2.0).trace("open").save(trace_path)
-    bundle = tmp_path / "bundle"
     full_out = tmp_path / "full.json"
-    resumed_out = tmp_path / "resumed.json"
-
-    assert main([
-        "engine", "serve", "--trace", str(trace_path), *FAST,
-        "--stop-after", "5", "--checkpoint-path", str(bundle),
-    ]) == 0
-    assert "stopped       : after 5 ticks" in capsys.readouterr().out
-
-    assert main([
-        "engine", "serve", "--resume", str(bundle),
-        "--telemetry-out", str(resumed_out),
-    ]) == 0
-    assert "resume        :" in capsys.readouterr().out
-
     assert main([
         "engine", "serve", "--trace", str(trace_path), *FAST,
         "--telemetry-out", str(full_out),
     ]) == 0
-    assert json.loads(resumed_out.read_text()) == json.loads(
-        full_out.read_text()
-    )
+    capsys.readouterr()
+
+    # The resume reads the frontier count from the bundle: no --gateways.
+    for gateways in ("1", "2"):
+        bundle = tmp_path / f"bundle-{gateways}"
+        resumed_out = tmp_path / f"resumed-{gateways}.json"
+        assert main([
+            "engine", "serve", "--trace", str(trace_path), *FAST,
+            "--gateways", gateways,
+            "--stop-after", "5", "--checkpoint-path", str(bundle),
+        ]) == 0
+        assert "stopped       : after 5 ticks" in capsys.readouterr().out
+
+        assert main([
+            "engine", "serve", "--resume", str(bundle),
+            "--telemetry-out", str(resumed_out),
+        ]) == 0
+        assert "resume        :" in capsys.readouterr().out
+        assert json.loads(resumed_out.read_text()) == json.loads(
+            full_out.read_text()
+        ), gateways
 
 
 def test_serve_resume_of_non_gateway_bundle_exits_2(tmp_path, capsys):

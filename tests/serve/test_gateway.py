@@ -253,6 +253,42 @@ def test_out_of_horizon_quote_rejected_like_its_submission(planning, submit):
     assert "beyond the stream's 48" in quote.response.detail
 
 
+@pytest.mark.parametrize("planning", ["sliced", "stationary"])
+def test_unaffordable_budget_quote_rejected_like_its_submission(planning):
+    # 50 tasks cannot be paid from 1 cent.  The submission is refused up
+    # front, not left to fail the next tick's admission, and the
+    # solve-on-miss quote is refused, not raised out of offer().
+    gateway = Gateway(MarketplaceEngine(
+        make_stream(48), paper_acceptance_model(), planning=planning,
+    ))
+    gateway.start(seed=3)
+    shape = CampaignSpec(
+        campaign_id="broke", kind="budget", num_tasks=50,
+        submit_interval=0, horizon_intervals=6, budget=1.0, max_price=10,
+    )
+    quote = gateway.offer(Quote(shape, solve_on_miss=True))
+    submission = gateway.offer(SubmitCampaign(shape))
+    gateway.step()
+    assert quote.done and quote.response.status == "rejected"
+    assert quote.response.payload is None
+    assert submission.response.status == "rejected"
+    assert quote.response.detail == submission.response.detail
+    assert "cannot cover 50 tasks" in quote.response.detail
+
+
+def test_budget_exactly_at_the_bound_is_admitted():
+    gateway = started_gateway()
+    shape = CampaignSpec(
+        campaign_id="exact", kind="budget", num_tasks=50,
+        submit_interval=0, horizon_intervals=6, budget=50.0, max_price=10,
+    )
+    quote = gateway.offer(Quote(shape, solve_on_miss=True))
+    assert quote.response.ok and quote.response.payload["price"] == 1.0
+    submission = gateway.offer(SubmitCampaign(shape))
+    gateway.step()
+    assert submission.response.ok
+
+
 def test_quote_ending_at_the_horizon_is_priced():
     gateway = Gateway(MarketplaceEngine(
         make_stream(48), paper_acceptance_model(), planning="sliced",

@@ -10,9 +10,14 @@ the snapshot was taken.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import pathlib
+import shutil
+
 import pytest
 
-from repro.engine.checkpoint import CheckpointError
+from repro.engine.checkpoint import CheckpointError, load_extras
 from repro.serve import (
     Cancel,
     Gateway,
@@ -142,3 +147,111 @@ def test_double_hop_resume(tmp_path):
     hop2.resume_replay()
     assert hop2.telemetry == uninterrupted.telemetry
     assert outcome_map(hop2.core) == outcome_map(uninterrupted.core)
+
+
+def test_snapshot_to_an_unwritable_path_answers_error(tmp_path):
+    """A save that fails with an OS error is answered, not raised."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    gateway = Gateway(make_engine())
+    gateway.start(seed=SEED)
+    gateway.offer(SubmitCampaign(BASE_TRACE.requests[0].request.spec))
+    snapshot = gateway.offer(Snapshot(str(blocker / "bundle")))
+    assert gateway.step() is not None  # the OSError does not escape
+    assert snapshot.response.status == "error"
+    assert gateway.step() is not None
+    telemetry = gateway.telemetry
+    assert telemetry.responses == {"ok": 1, "rejected": 0, "error": 1}
+    assert sum(telemetry.responses.values()) == telemetry.total_requests == 2
+    assert telemetry.serve["snapshots"][0] == 0
+    assert telemetry.serve["drained"][0] == 2
+
+
+@pytest.mark.parametrize("frontiers", [1, 2])
+def test_mid_drain_snapshot_resumes_within_the_drain_budget(tmp_path, frontiers):
+    """A resumed boundary applies only what is left of its drain budget."""
+    bundle = str(tmp_path / "bundle")
+
+    def spec(cid: str, submit: int, tasks: int = 10):
+        return dataclasses.replace(
+            BASE_TRACE.requests[0].request.spec,
+            campaign_id=cid, submit_interval=submit, num_tasks=tasks,
+        )
+
+    def run() -> Gateway:
+        gateway = Gateway(make_engine(), frontiers=frontiers, max_drain=2)
+        gateway.start(seed=SEED)
+        gateway.offer(SubmitCampaign(spec("first", 0, tasks=40)), tenant="t0")
+        gateway.step()
+        gateway.offer(Snapshot(bundle), tenant="t0")
+        for i in range(5):
+            gateway.offer(SubmitCampaign(spec(f"c{i}", 1)), tenant=f"t{i % 2}")
+        while gateway.step() is not None:
+            pass
+        return gateway
+
+    uninterrupted = run()
+    resumed = Gateway.resume(bundle)
+    while resumed.step() is not None:
+        pass
+    assert resumed.telemetry == uninterrupted.telemetry
+    assert outcome_map(resumed.core) == outcome_map(uninterrupted.core)
+
+
+# ----------------------------------------------------------------------
+# Bundles written by an earlier build
+# ----------------------------------------------------------------------
+#: Bundles committed from commit 965fc69, the last one with a separate
+#: multi-gateway front-end: ``serve_gateway_v1`` from a one-frontier
+#: ``Gateway.save``, ``serve_fleet_v1`` from its two-member front-end's
+#: save, both at tick :data:`FIXTURE_SAVE_TICK` of :data:`FIXTURE_TRACE`
+#: on ``make_engine()`` with seed :data:`SEED`.  Their manifests still
+#: carry the engine-config switch of the retired scalar admission path.
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+FIXTURE_TRACE = LoadGenerator(
+    NUM_INTERVALS, seed=11, clients=3, rate=1.0, think=1,
+    tenants=("acme", "beta", "gamma"),
+).trace("open")
+FIXTURE_SAVE_TICK = 14
+FIXTURE_LAYOUTS = pytest.mark.parametrize(
+    "layout, frontiers", [("serve_gateway_v1", 1), ("serve_fleet_v1", 2)]
+)
+
+
+def fixture_run(frontiers: int, save_to=None) -> Gateway:
+    """The committed bundles' workload; stops after saving when asked."""
+    gateway = Gateway(make_engine(), frontiers=frontiers)
+    gateway.start(seed=SEED)
+
+    def on_tick(gw: Gateway):
+        if save_to is not None and gw.clock >= FIXTURE_SAVE_TICK:
+            gw.save(save_to)
+            return False
+        return None
+
+    gateway.replay(FIXTURE_TRACE, on_tick=on_tick)
+    return gateway
+
+
+@FIXTURE_LAYOUTS
+def test_committed_bundle_resumes_to_the_uninterrupted_run(
+    tmp_path, layout, frontiers
+):
+    bundle = tmp_path / layout
+    shutil.copytree(FIXTURES / layout, bundle)
+    resumed = Gateway.resume(bundle)
+    assert len(resumed.queues) == frontiers
+    resumed.resume_replay()
+    uninterrupted = fixture_run(frontiers)
+    assert resumed.telemetry == uninterrupted.telemetry
+    assert outcome_map(resumed.core) == outcome_map(uninterrupted.core)
+
+
+@FIXTURE_LAYOUTS
+def test_fresh_run_writes_the_committed_extras(tmp_path, layout, frontiers):
+    fresh = tmp_path / "fresh"
+    fixture_run(frontiers, save_to=fresh)
+    # Key order included: the extras JSON is written byte-for-byte alike.
+    assert json.dumps(load_extras(fresh)) == json.dumps(
+        load_extras(FIXTURES / layout)
+    )
