@@ -24,9 +24,16 @@ horizons, low price grids) so the bounded frontier — not per-campaign
 solve cost — dominates; stationary planning lets the policy cache
 collapse the million admissions into a handful of solves.
 
+Both modes also assert what they record: the scale arm's outcome
+checksum must equal a committed literal (in full mode, the checksum of
+the committed ``BENCH_engine.json`` ``"scale"`` record), so a change to
+any retired byte fails the run, and its campaigns/sec must clear a
+ratcheted floor.
+
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks both arms (CI proves the
-memory *shape*, not the headline count); the committed
-``BENCH_engine.json`` ``"scale"`` record is only rewritten by full runs.
+memory *shape* and the outcome bytes, not the headline count); the
+committed ``BENCH_engine.json`` ``"scale"`` record is only rewritten by
+full runs.
 """
 
 from __future__ import annotations
@@ -68,6 +75,19 @@ SEED = 11
 #: (1M specs + outcomes ≈ 1 GiB of dataclasses — two orders over this).
 RSS_BUDGET_MIB = 512 if SMOKE else 1024
 TRACED_BUDGET_MIB = 256
+
+#: The scale arm's outcome checksum.  Full mode: the committed
+#: ``BENCH_engine.json`` ``"scale"`` checksum; smoke mode: the same
+#: workload at 20k campaigns.  Either moves only if a retired byte does.
+EXPECTED_CHECKSUM = (
+    "ffbe848c15dffadf59080ea0d5edc447db61ec021f94188fa9f331febad21e1d"
+    if SMOKE
+    else "4326ccd9a9bb69bd6a44a46809dcaa88c7fb787745f711b643a1ecb3ae9bfb40"
+)
+
+#: Ratcheted scale-arm floor (campaigns/sec); raise it when the recorded
+#: figure rises, never lower it.  Smoke mode only guards against hangs.
+REQUIRED_MIN_CPS = 500.0 if SMOKE else 12_000.0
 
 #: Tiny shapes: the frontier stays wide (one wave every ~tick) while
 #: each campaign's policy and lifetime stay small.
@@ -159,6 +179,11 @@ def test_scale_report(emit):
         f"{SCALE_CAMPAIGNS} campaigns (budget {RSS_BUDGET_MIB} MiB)"
     )
 
+    assert result.checksum == EXPECTED_CHECKSUM, (
+        f"scale arm checksum {result.checksum} != {EXPECTED_CHECKSUM}: "
+        "the retired outcome bytes changed"
+    )
+
     cps = SCALE_CAMPAIGNS / elapsed
     rss_per_campaign = rss_after * MIB / SCALE_CAMPAIGNS
     lines = [
@@ -166,7 +191,8 @@ def test_scale_report(emit):
         f"{num_intervals:,} intervals "
         f"({CAMPAIGNS_PER_WAVE}/wave, {'smoke' if SMOKE else 'full'} mode)",
         "",
-        f"scale arm : {elapsed:8.1f}s  ({cps:9.0f} campaigns/sec)",
+        f"scale arm : {elapsed:8.1f}s  ({cps:9.0f} campaigns/sec, "
+        f"floor {REQUIRED_MIN_CPS:.0f})",
         f"  peak RSS: {rss_after:8.0f} MiB "
         f"(budget {RSS_BUDGET_MIB} MiB; {rss_before:.0f} MiB before run)",
         f"  per camp: {rss_per_campaign:8.0f} bytes peak-RSS/campaign",
@@ -185,6 +211,10 @@ def test_scale_report(emit):
         "(per-campaign records disabled)",
     ]
     emit("scale", "\n".join(lines))
+    assert cps >= REQUIRED_MIN_CPS, (
+        f"scale arm ran {cps:.0f} campaigns/sec "
+        f"(ratcheted floor: {REQUIRED_MIN_CPS:.0f})"
+    )
 
     if not SMOKE:
         record = (
@@ -197,6 +227,7 @@ def test_scale_report(emit):
             "seed": SEED,
             "elapsed_seconds": round(elapsed, 1),
             "campaigns_per_second": round(cps, 1),
+            "required_min_campaigns_per_second": REQUIRED_MIN_CPS,
             "peak_rss_mib": round(rss_after, 1),
             "peak_rss_bytes_per_campaign": round(rss_per_campaign, 1),
             "rss_budget_mib": RSS_BUDGET_MIB,

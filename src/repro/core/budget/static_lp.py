@@ -92,8 +92,17 @@ class StaticAllocation:
         return tuple(seq)
 
     def as_semi_static(self) -> SemiStaticStrategy:
-        """View as a semi-static strategy (descending price order)."""
-        return SemiStaticStrategy(self.price_sequence())
+        """View as a semi-static strategy (descending price order).
+
+        Built on the first call and shared after it (the strategy is
+        immutable): the engine prices every campaign a cached allocation
+        admits with it.
+        """
+        strategy = self.__dict__.get("_semi_static")
+        if strategy is None:
+            strategy = SemiStaticStrategy(self.price_sequence())
+            object.__setattr__(self, "_semi_static", strategy)
+        return strategy
 
 
 def solve_budget_hull(

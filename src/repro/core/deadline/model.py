@@ -19,7 +19,7 @@ from repro.market.acceptance import AcceptanceModel
 from repro.market.nhpp import interval_means
 from repro.market.rates import RateFunction
 
-__all__ = ["PenaltyScheme", "DeadlineProblem"]
+__all__ = ["PenaltyScheme", "DeadlineProblem", "deadline_signature"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +64,32 @@ class PenaltyScheme:
         costs = (n + self.existence) * self.per_task
         costs[0] = 0.0
         return costs
+
+
+def deadline_signature(
+    num_tasks: int,
+    arrival_means: Sequence[float],
+    acceptance: AcceptanceModel,
+    price_grid: Sequence[float],
+    penalty: PenaltyScheme,
+    truncation_eps: float | None,
+    precision: int = 9,
+) -> tuple:
+    """:meth:`DeadlineProblem.signature` of an instance, from its parts.
+
+    Lets a caller key a policy cache without constructing (and
+    validating) the problem; the engine's planner builds one only when
+    the key misses and the instance must be solved.
+    """
+    return (
+        "deadline",
+        num_tasks,
+        tuple(round(float(x), precision) for x in arrival_means),
+        acceptance.signature(),
+        tuple(round(float(c), precision) for c in price_grid),
+        (float(penalty.per_task), float(penalty.existence)),
+        truncation_eps,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,14 +199,14 @@ class DeadlineProblem:
         between them.  Arrival means and grid prices are rounded to
         ``precision`` decimals to absorb float noise from rate integration.
         """
-        return (
-            "deadline",
+        return deadline_signature(
             self.num_tasks,
-            tuple(round(float(x), precision) for x in self.arrival_means),
-            self.acceptance.signature(),
-            tuple(round(float(c), precision) for c in self.price_grid),
-            (float(self.penalty.per_task), float(self.penalty.existence)),
+            self.arrival_means,
+            self.acceptance,
+            self.price_grid,
+            self.penalty,
             self.truncation_eps,
+            precision,
         )
 
     def with_penalty(self, penalty: PenaltyScheme) -> "DeadlineProblem":

@@ -127,7 +127,9 @@ class PolicyCache:
         ----------
         items:
             ``(signature, request)`` pairs; ``request`` is whatever
-            ``solve_many`` consumes (a problem, a budget request, ...).
+            ``solve_many`` consumes (a problem, a budget request, or a
+            campaign spec the solver builds its problem from, so only
+            misses pay for building one).
         solve_many:
             Callable mapping a request list to a same-length, same-order
             list of solved policies.

@@ -12,6 +12,8 @@ retires.
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import operator
 
 import numpy as np
 
@@ -33,6 +35,11 @@ BUDGET = "budget"
 class CampaignSpec:
     """One campaign submitted to the engine.
 
+    The integer fields (``num_tasks``, ``submit_interval``,
+    ``horizon_intervals``, ``resolve_every``, and an integral
+    ``max_price``) are stored as ``int``, so numpy integers are accepted;
+    any other value is rejected with a ``ValueError`` naming the field.
+
     Attributes
     ----------
     campaign_id:
@@ -48,7 +55,8 @@ class CampaignSpec:
         Campaign-local horizon: a deadline campaign's ``N_T``; a budget
         campaign is retired (tasks may remain) after this many intervals.
     max_price:
-        Largest admissible reward; the grid is ``1 .. max_price`` cents.
+        Largest admissible reward, a whole number of cents; the grid is
+        ``1 .. max_price``.
     penalty_per_task:
         Terminal penalty per unfinished task (deadline campaigns).
     budget:
@@ -75,6 +83,17 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.kind not in (DEADLINE, BUDGET):
             raise ValueError(f"kind must be {DEADLINE!r} or {BUDGET!r}, got {self.kind!r}")
+        # The engine sizes arrays and ranges with these, and the outcome
+        # fold serializes them: store plain ints (numpy ints included) and
+        # reject anything else by field name.  Plain ints skip the loop.
+        if not (
+            type(self.num_tasks) is int
+            and type(self.submit_interval) is int
+            and type(self.horizon_intervals) is int
+            and type(self.resolve_every) is int
+            and type(self.max_price) is int
+        ):
+            self._coerce_integers()
         if self.num_tasks <= 0:
             raise ValueError(f"num_tasks must be positive, got {self.num_tasks}")
         if self.submit_interval < 0:
@@ -99,6 +118,20 @@ class CampaignSpec:
         if self.resolve_every < 1:
             raise ValueError(f"resolve_every must be >= 1, got {self.resolve_every}")
 
+    def _coerce_integers(self) -> None:
+        """Store the integer fields as ``int``; raise on a non-integer one."""
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(operator.index(value)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        price = self.max_price
+        if isinstance(price, numbers.Integral):
+            object.__setattr__(self, "max_price", int(price))
+        elif not (isinstance(price, numbers.Real) and float(price).is_integer()):
+            raise ValueError(f"max_price must be a whole number, got {price!r}")
+
     @property
     def end_interval(self) -> int:
         """First engine-clock interval *after* the campaign's horizon."""
@@ -107,6 +140,10 @@ class CampaignSpec:
     def price_grid(self) -> np.ndarray:
         """Integer-cent price grid ``1 .. max_price``."""
         return np.arange(1.0, self.max_price + 1.0)
+
+
+#: ``CampaignSpec`` fields that must hold integers.
+_INTEGER_FIELDS = ("num_tasks", "submit_interval", "horizon_intervals", "resolve_every")
 
 
 def validate_submission(

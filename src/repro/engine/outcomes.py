@@ -47,6 +47,16 @@ __all__ = [
 ]
 
 
+#: ``CampaignSpec`` fields in declaration order, the keys of a record's
+#: ``"spec"``.  Every field is a scalar, so reading them one by one gives
+#: what ``dataclasses.asdict`` would, without its per-call deep copy.
+_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(CampaignSpec))
+
+#: The one encoder every canonical record goes through (``json.dumps``
+#: with these options would build a fresh encoder per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def outcome_record(outcome: CampaignOutcome, with_spec: bool = True) -> dict:
     """One outcome as a canonical JSON-ready dict.
 
@@ -67,7 +77,8 @@ def outcome_record(outcome: CampaignOutcome, with_spec: bool = True) -> dict:
         "cancelled": outcome.cancelled,
     }
     if with_spec:
-        record["spec"] = dataclasses.asdict(outcome.spec)
+        spec = outcome.spec
+        record["spec"] = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     return record
 
 
@@ -97,7 +108,7 @@ def outcome_from_record(
 
 def _canonical_bytes(record: dict) -> bytes:
     """The byte form the checksum chain and the spill file both write."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODER.encode(record).encode()
 
 
 class OutcomeAggregate:
@@ -140,8 +151,13 @@ class OutcomeAggregate:
         self.total_solves = 0
         self._digest = b"\x00" * 32
 
-    def fold(self, outcome: CampaignOutcome) -> None:
-        """Absorb one retired campaign into every aggregate."""
+    def fold(self, outcome: CampaignOutcome) -> bytes:
+        """Absorb one retired campaign into every aggregate.
+
+        Returns the outcome's canonical record bytes (what the checksum
+        chain hashed), so a spilling sink writes them without a second
+        encode.
+        """
         self.num_campaigns += 1
         self.total_completed += outcome.completed
         self.total_remaining += outcome.remaining
@@ -158,9 +174,9 @@ class OutcomeAggregate:
         if outcome.remaining == 0:
             self.num_finished += 1
         self.total_solves += outcome.num_solves
-        self._digest = hashlib.sha256(
-            self._digest + _canonical_bytes(outcome_record(outcome))
-        ).digest()
+        data = _canonical_bytes(outcome_record(outcome))
+        self._digest = hashlib.sha256(self._digest + data).digest()
+        return data
 
     @property
     def checksum(self) -> str:
@@ -305,12 +321,12 @@ class OutcomeSink:
 
     def append(self, outcome: CampaignOutcome) -> None:
         """Fold one retirement (and keep/spill it per the sink's policy)."""
-        self.aggregate.fold(outcome)
+        data = self.aggregate.fold(outcome)
         if self.keep:
             self.outcomes.append(outcome)
             self._retired_ids.add(outcome.spec.campaign_id)
         if self._spill is not None:
-            line = _canonical_bytes(outcome_record(outcome)) + b"\n"
+            line = data + b"\n"
             self._spill.write(line)
             self._spill_offset += len(line)
             self.spill_count += 1

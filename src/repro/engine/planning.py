@@ -10,6 +10,10 @@ resolving the policy through the shared
 :class:`~repro.engine.sharding.ShardedEngine` admit through one planner,
 so they price campaigns identically.
 
+Every static campaign resolves under its cache signature, which
+:meth:`CampaignPlanner.cache_signature` memoizes per planning shape, so a
+cache hit costs a memo lookup and a cache lookup and builds no planning
+problem.
 Admission has two paths:
 
 * :meth:`CampaignPlanner.admit` — one campaign: one cache lookup, one
@@ -32,11 +36,16 @@ import numpy as np
 from repro.core.batch.budget import BudgetRequest
 from repro.core.batch.deadline import solve_deadline_single as solve_deadline
 from repro.core.batch.solver import BatchPolicySolver
-from repro.core.budget.static_lp import solve_budget_hull
+from repro.core.budget.static_lp import (
+    StaticAllocation,
+    budget_signature,
+    solve_budget_hull,
+)
 from repro.core.deadline.adaptive import AdaptiveRepricer
-from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
+from repro.core.deadline.model import DeadlineProblem, PenaltyScheme, deadline_signature
+from repro.core.deadline.policy import DeadlinePolicy
 from repro.engine.cache import PolicyCache
-from repro.engine.campaign import BUDGET, DEADLINE, CampaignSpec
+from repro.engine.campaign import BUDGET, DEADLINE, CampaignOutcome, CampaignSpec
 from repro.market.acceptance import AcceptanceModel
 from repro.sim.policies import PricingRuntime, SemiStaticRuntime, TablePolicyRuntime
 
@@ -48,6 +57,10 @@ PLANNING_MODES = ("sliced", "stationary")
 #: Price grids whose cheapest viable price the planner remembers; grids
 #: are client-chosen (``max_price``), so the memo is bounded.
 _CHEAPEST_MEMO_CAP = 1024
+
+#: Planning shapes whose cache signature the planner remembers; shapes are
+#: client-chosen too, so this memo is bounded the same way.
+_SIGNATURE_MEMO_CAP = 1024
 
 
 def resolve_planning_means(
@@ -120,15 +133,13 @@ class _LiveCampaign:
             )
         return done * posted_price
 
-    def outcome(self, cancelled: bool = False):
-        """Freeze the final accounting (a ``CampaignOutcome``).
+    def outcome(self, cancelled: bool = False) -> CampaignOutcome:
+        """Freeze the final accounting.
 
         A cancelled campaign reports the partial utility delivered so far
         (completions, spend) and is charged no terminal penalty — the
         requester withdrew; the marketplace did not miss the deadline.
         """
-        from repro.engine.campaign import CampaignOutcome
-
         penalty = (
             self.spec.penalty_per_task * self.remaining
             if self.spec.kind == DEADLINE and not cancelled
@@ -149,6 +160,13 @@ class _LiveCampaign:
 
 class CampaignPlanner:
     """Builds planning problems and admits campaigns through the cache.
+
+    A campaign's cache signature depends only on its planning shape (see
+    :meth:`cache_signature`), which the planner memoizes, so admitting a
+    campaign whose policy is cached builds no planning problem: problems
+    and budget requests are built only for the signatures the cache
+    misses, and for adaptive campaigns, which re-plan on their own.  The
+    memo is derived state and is never checkpointed.
 
     Parameters
     ----------
@@ -192,6 +210,12 @@ class CampaignPlanner:
         # max_price -> cheapest price on its grid with p(c) > 0 (None if
         # there is none); see budget_shortfall.
         self._cheapest_viable: dict[float, float | None] = {}
+        # Planning shape -> cache signature; see cache_signature.
+        self._signatures: dict[tuple, tuple] = {}
+        # Stationary planning plans every campaign against this one level.
+        self._stationary_level = (
+            float(self.planning_means.mean()) if planning == "stationary" else None
+        )
 
     # ------------------------------------------------------------------
     # Planning inputs
@@ -199,8 +223,7 @@ class CampaignPlanner:
     def planning_slice(self, spec: CampaignSpec) -> np.ndarray:
         """The per-interval arrival forecast ``spec`` plans against."""
         if self.planning == "stationary":
-            level = float(self.planning_means.mean())
-            return np.full(spec.horizon_intervals, level)
+            return np.full(spec.horizon_intervals, self._stationary_level)
         start = spec.submit_interval
         return self.planning_means[start : start + spec.horizon_intervals].copy()
 
@@ -228,6 +251,44 @@ class CampaignPlanner:
             acceptance=self.acceptance,
             price_grid=spec.price_grid(),
         )
+
+    def cache_signature(self, spec: CampaignSpec) -> tuple:
+        """The policy-cache key a static campaign resolves under.
+
+        Equal to ``planning_problem(spec).signature()`` for a deadline
+        campaign and ``budget_request(spec).signature()`` for a budget
+        one, but computed once per planning shape: kind, batch size,
+        horizon, price cap, penalty, budget and, under ``"sliced"``
+        planning, the submit interval that picks the forecast slice.
+        The planner's configuration is fixed at construction, so entries
+        never go stale.  Shapes are client-chosen, so past
+        ``_SIGNATURE_MEMO_CAP`` shapes the oldest entry is dropped.
+        """
+        key = (
+            spec.kind, spec.num_tasks, spec.horizon_intervals, spec.max_price,
+            spec.penalty_per_task, spec.budget,
+            spec.submit_interval if self.planning == "sliced" else -1,
+        )
+        signature = self._signatures.get(key)
+        if signature is None:
+            if spec.kind == BUDGET:
+                signature = budget_signature(
+                    spec.num_tasks, spec.budget, self.acceptance, spec.price_grid()
+                )
+            else:
+                signature = deadline_signature(
+                    spec.num_tasks,
+                    self.planning_slice(spec),
+                    self.acceptance,
+                    spec.price_grid(),
+                    PenaltyScheme(per_task=spec.penalty_per_task),
+                    self.truncation_eps,
+                )
+            if len(self._signatures) >= _SIGNATURE_MEMO_CAP:
+                # Dicts iterate in insertion order: drop the oldest shape.
+                self._signatures.pop(next(iter(self._signatures)))
+            self._signatures[key] = signature
+        return signature
 
     def budget_shortfall(self, spec: CampaignSpec) -> str | None:
         """Why a budget campaign cannot pay for its tasks, or ``None``.
@@ -272,29 +333,26 @@ class CampaignPlanner:
         A deadline miss is solved by the batched kernel as a batch of
         one; nothing is counted on the :class:`BatchPolicySolver`.
         """
-        if spec.kind == BUDGET:
-            request = self.budget_request(spec)
-            allocation, hit = self.cache.get_or_solve(
-                request.signature(),
-                lambda: solve_budget_hull(
-                    request.num_tasks,
-                    request.budget,
-                    request.acceptance,
-                    request.price_grid,
-                ),
-            )
-            runtime: PricingRuntime = SemiStaticRuntime(allocation.as_semi_static())
-            return _LiveCampaign(spec, runtime, hit, 0 if hit else 1)
-        problem = self.planning_problem(spec)
         if spec.adaptive:
             # Adaptive campaigns own their re-planning loop (and its private
             # suffix-solve cache); the shared cache only serves static ones.
-            repricer = AdaptiveRepricer(problem, resolve_every=spec.resolve_every)
+            repricer = AdaptiveRepricer(
+                self.planning_problem(spec), resolve_every=spec.resolve_every
+            )
             return _LiveCampaign(spec, repricer, False, 0)
-        policy, hit = self.cache.get_or_solve(
-            problem.signature(), lambda: solve_deadline(problem)
-        )
-        return _LiveCampaign(spec, TablePolicyRuntime(policy), hit, 0 if hit else 1)
+        signature = self.cache_signature(spec)
+        runtime: PricingRuntime
+        if spec.kind == BUDGET:
+            allocation, hit = self.cache.get_or_solve(
+                signature, lambda: self._solve_budget(spec)
+            )
+            runtime = SemiStaticRuntime(allocation.as_semi_static())
+        else:
+            policy, hit = self.cache.get_or_solve(
+                signature, lambda: solve_deadline(self.planning_problem(spec))
+            )
+            runtime = TablePolicyRuntime(policy)
+        return _LiveCampaign(spec, runtime, hit, 0 if hit else 1)
 
     def admit_many(self, specs: list[CampaignSpec]) -> list[_LiveCampaign]:
         """Batch path: admit one tick's campaigns in stacked solve passes.
@@ -311,24 +369,22 @@ class CampaignPlanner:
         if len(specs) <= 1:
             return [self.admit(spec) for spec in specs]
         live: list[_LiveCampaign | None] = [None] * len(specs)
-        deadline_items: list[tuple[tuple, DeadlineProblem]] = []
+        deadline_items: list[tuple[tuple, CampaignSpec]] = []
         deadline_slots: list[int] = []
-        budget_items: list[tuple[tuple, BudgetRequest]] = []
+        budget_items: list[tuple[tuple, CampaignSpec]] = []
         budget_slots: list[int] = []
         for i, spec in enumerate(specs):
-            if spec.kind == BUDGET:
-                request = self.budget_request(spec)
-                budget_items.append((request.signature(), request))
-                budget_slots.append(i)
-            elif spec.adaptive:
+            if spec.adaptive:
                 live[i] = self.admit(spec)
+            elif spec.kind == BUDGET:
+                budget_items.append((self.cache_signature(spec), spec))
+                budget_slots.append(i)
             else:
-                problem = self.planning_problem(spec)
-                deadline_items.append((problem.signature(), problem))
+                deadline_items.append((self.cache_signature(spec), spec))
                 deadline_slots.append(i)
         if deadline_items:
             resolved = self.cache.get_or_solve_many(
-                deadline_items, self.batch_solver.solve_deadline_many
+                deadline_items, self._solve_deadline_many
             )
             for i, (policy, hit) in zip(deadline_slots, resolved):
                 live[i] = _LiveCampaign(
@@ -336,7 +392,7 @@ class CampaignPlanner:
                 )
         if budget_items:
             resolved = self.cache.get_or_solve_many(
-                budget_items, self.batch_solver.solve_budget_many
+                budget_items, self._solve_budget_many
             )
             for i, (allocation, hit) in zip(budget_slots, resolved):
                 live[i] = _LiveCampaign(
@@ -346,3 +402,23 @@ class CampaignPlanner:
                     0 if hit else 1,
                 )
         return live  # type: ignore[return-value]
+
+    # ------------------------------------------------------------------
+    # Cache-miss solves: a static campaign's problem or request is built
+    # here, once per distinct miss
+    # ------------------------------------------------------------------
+    def _solve_budget(self, spec: CampaignSpec) -> StaticAllocation:
+        request = self.budget_request(spec)
+        return solve_budget_hull(
+            request.num_tasks, request.budget, request.acceptance, request.price_grid
+        )
+
+    def _solve_deadline_many(self, specs: list[CampaignSpec]) -> list[DeadlinePolicy]:
+        return self.batch_solver.solve_deadline_many(
+            [self.planning_problem(spec) for spec in specs]
+        )
+
+    def _solve_budget_many(self, specs: list[CampaignSpec]) -> list[StaticAllocation]:
+        return self.batch_solver.solve_budget_many(
+            [self.budget_request(spec) for spec in specs]
+        )

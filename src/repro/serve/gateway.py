@@ -257,14 +257,6 @@ class Gateway:
         # Admission-log entries already mirrored into the event log.
         self._admission_seen = 0
         self._started = False
-        # Quote-side memo: campaign shape -> cache signature.  Signatures
-        # are pure functions of the shape and the planner's (per-session
-        # constant) configuration, and computing one builds a full
-        # planning problem — far too slow to repeat for every quote of a
-        # popular shape on the read path.  Bounded (shapes are
-        # client-controlled): oldest entries are dropped past the cap.
-        self._quote_signatures: dict = {}
-        self._quote_signatures_cap = 1024
         self._replay_trace: RequestTrace | None = None
         self._replay_cursor = 0
         self._stopping = False
@@ -535,43 +527,18 @@ class Gateway:
             f"not a read request: {type(request).__name__}"
         )
 
-    def _cached_quote_signature(self, spec):
-        """The shape's cache signature, memoized on the read path.
-
-        Keyed by everything the signature can depend on: the shape
-        itself, and — under ``"sliced"`` planning, where each submit
-        interval plans against its own forecast slice — the submit
-        interval too.  The planner's configuration is constant for the
-        session, so entries never go stale.
-        """
-        planner = self.engine.planner
-        key = (
-            spec.kind, spec.num_tasks, spec.horizon_intervals,
-            spec.max_price, spec.penalty_per_task, spec.budget,
-            spec.submit_interval if planner.planning == "sliced" else -1,
-        )
-        signature = self._quote_signatures.get(key)
-        if signature is None:
-            if spec.kind == BUDGET:
-                signature = planner.budget_request(spec).signature()
-            else:
-                signature = planner.planning_problem(spec).signature()
-            if len(self._quote_signatures) >= self._quote_signatures_cap:
-                # Clients control the shape space; drop the oldest entry
-                # (dicts iterate in insertion order) to stay bounded.
-                self._quote_signatures.pop(next(iter(self._quote_signatures)))
-            self._quote_signatures[key] = signature
-        return signature
-
     def _quote(self, request: Quote, core: EngineCore) -> Response:
         """Price a campaign shape from the cache without touching it.
 
         The peek counts no cache lookup and refreshes no LRU position,
         so quoting cannot perturb the underlying run's admission
         telemetry; ``solve_on_miss`` solves *outside* the cache (nothing
-        stored) for the same reason.  A shape that would outrun the
-        stream, or a budget that cannot pay for its tasks, is rejected as
-        its submission would be.
+        stored) for the same reason.  The signature comes from the
+        planner's per-shape memo
+        (:meth:`~repro.engine.planning.CampaignPlanner.cache_signature`),
+        so quoting a popular shape builds no planning problem.  A shape
+        that would outrun the stream, or a budget that cannot pay for its
+        tasks, is rejected as its submission would be.
         """
         planner = self.engine.planner
         spec = request.spec
@@ -584,7 +551,7 @@ class Gateway:
             )
         payload: dict = {"kind": spec.kind, "cached": False, "solved": False,
                          "price": None}
-        signature = self._cached_quote_signature(spec)
+        signature = planner.cache_signature(spec)
         if spec.kind == BUDGET:
             allocation = planner.cache.peek(signature)
             if allocation is not None:

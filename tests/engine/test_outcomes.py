@@ -18,21 +18,30 @@ Contracts under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import (
     CampaignOutcome,
     CampaignSpec,
+    CampaignTemplate,
     DEADLINE,
     BUDGET,
+    MarketplaceEngine,
     OutcomeAggregate,
     OutcomeSink,
+    StreamedWorkload,
+    Telemetry,
     outcome_from_record,
     outcome_record,
     replay_outcomes,
 )
+from repro.market.acceptance import paper_acceptance_model
+from repro.scenario import DemandShock, Scenario, ScenarioDriver
+from repro.sim.stream import SharedArrivalStream
 
 
 def make_outcome(i: int, *, cancelled: bool = False) -> CampaignOutcome:
@@ -223,3 +232,113 @@ class TestOutcomeSink:
         assert sink.aggregate == OutcomeAggregate.from_outcomes(OUTCOMES)
         assert sink.outcomes == list(OUTCOMES)
         assert sink.has_retired(OUTCOMES[2].spec.campaign_id)
+
+
+class TestCanonicalBytes:
+    """The serialized outcome bytes, pinned to literals.
+
+    Every other test here compares two runs of the same code, so a change
+    to the canonical form would move both sides together; these compare
+    against fixed bytes, so any such change fails here.
+    """
+
+    CANCELLED_BUDGET = (
+        b'{"cache_hit":true,"campaign_id":"b-7","cancelled":true,'
+        b'"completed":3,"finished_interval":null,"num_solves":0,'
+        b'"penalty":0.0,"remaining":5,"spec":{"adaptive":false,'
+        b'"budget":48.0,"campaign_id":"b-7","horizon_intervals":6,'
+        b'"kind":"budget","max_price":10,"num_tasks":8,'
+        b'"penalty_per_task":100.0,"resolve_every":4,"submit_interval":3},'
+        b'"total_cost":25.0}'
+    )
+    UNFINISHED_DEADLINE = (
+        b'{"cache_hit":false,"campaign_id":"d-2","cancelled":false,'
+        b'"completed":4,"finished_interval":null,"num_solves":1,'
+        b'"penalty":40.0,"remaining":2,"spec":{"adaptive":false,'
+        b'"budget":null,"campaign_id":"d-2","horizon_intervals":5,'
+        b'"kind":"deadline","max_price":12,"num_tasks":6,'
+        b'"penalty_per_task":20.0,"resolve_every":4,"submit_interval":0},'
+        b'"total_cost":33.0}'
+    )
+
+    @staticmethod
+    def records() -> list[CampaignOutcome]:
+        budget = CampaignSpec(
+            campaign_id="b-7", kind=BUDGET, num_tasks=8, submit_interval=3,
+            horizon_intervals=6, max_price=10, budget=48.0,
+        )
+        deadline = CampaignSpec(
+            campaign_id="d-2", kind=DEADLINE, num_tasks=6, submit_interval=0,
+            horizon_intervals=5, max_price=12, penalty_per_task=20.0,
+        )
+        return [
+            CampaignOutcome(
+                spec=budget, completed=3, remaining=5, total_cost=25.0,
+                penalty=0.0, finished_interval=None, cache_hit=True,
+                num_solves=0, cancelled=True,
+            ),
+            CampaignOutcome(
+                spec=deadline, completed=4, remaining=2, total_cost=33.0,
+                penalty=40.0, finished_interval=None, cache_hit=False,
+                num_solves=1,
+            ),
+        ]
+
+    def test_spilled_records_and_checksum_chain(self, tmp_path):
+        path = tmp_path / "two.jsonl"
+        sink = OutcomeSink(keep=False, spill_path=path)
+        sink.extend(self.records())
+        sink.close()
+        lines = [self.CANCELLED_BUDGET, self.UNFINISHED_DEADLINE]
+        assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
+        digest = b"\x00" * 32
+        for line in lines:
+            digest = hashlib.sha256(digest + line).digest()
+        assert sink.aggregate.checksum == digest.hex()
+
+    def test_record_without_spec(self):
+        assert outcome_record(self.records()[1], with_spec=False) == {
+            "campaign_id": "d-2", "completed": 4, "remaining": 2,
+            "total_cost": 33.0, "penalty": 40.0, "finished_interval": None,
+            "cache_hit": False, "num_solves": 1, "cancelled": False,
+        }
+
+    def test_streamed_scale_shapes_pin_checksum_and_spill(self, tmp_path):
+        # The bench_scale workload at 2,000 campaigns: tiny deadline and
+        # budget shapes, 100 per wave, under a mid-run demand shock.
+        templates = (
+            CampaignTemplate("sc-dl", DEADLINE, num_tasks=6, horizon_intervals=5,
+                             max_price=12, penalty_per_task=20.0),
+            CampaignTemplate("sc-bg", BUDGET, num_tasks=8, horizon_intervals=6,
+                             max_price=10, per_task_budget=6.0),
+        )
+        intervals = 2_000 // 100 + 8
+        source = StreamedWorkload(
+            2_000, intervals, seed=11, templates=templates,
+            budget_fraction=0.25, adaptive_fraction=0.0,
+            campaigns_per_wave=100, id_prefix="sc",
+        )
+        engine = MarketplaceEngine(
+            SharedArrivalStream(np.full(intervals, 400.0)),
+            paper_acceptance_model(),
+            planning="stationary",
+        )
+        engine.submit_source(source)
+        scenario = Scenario(
+            name="scale-steady", seed=11,
+            events=(DemandShock(start=intervals // 3, stop=intervals // 2,
+                                factor=1.5),),
+        )
+        path = tmp_path / "scale.jsonl"
+        result = ScenarioDriver(
+            engine, scenario, telemetry=Telemetry(record_campaigns=False),
+            keep_outcomes=False, outcomes_path=path,
+        ).run()
+        engine.close()
+        assert result.num_campaigns == 2_000
+        assert result.checksum == (
+            "27628417b60c44d8d773b0eb9426afa08c54011574edd9f23c382125b7d1b9c4"
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "570b2fce566c5d1fb2d2f8f71e65d6f471a471cf0afc924d2425072e158cd336"
+        )

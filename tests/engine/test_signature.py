@@ -4,13 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budget import budget_signature
+from repro.core.deadline.model import DeadlineProblem
+from repro.engine import (
+    BUDGET,
+    DEADLINE,
+    CampaignSpec,
+    CampaignTemplate,
+    MarketplaceEngine,
+    PolicyCache,
+    StreamedWorkload,
+    Telemetry,
+)
+from repro.engine import planning as planning_module
+from repro.engine.planning import PLANNING_MODES, CampaignPlanner
 from repro.market.acceptance import (
     EmpiricalAcceptance,
     LogitAcceptance,
     paper_acceptance_model,
 )
+from repro.scenario import Scenario, ScenarioDriver
+from repro.serve import Gateway, Quote, SubmitCampaign
+from repro.sim.stream import SharedArrivalStream
 from tests.conftest import make_problem
 
 
@@ -93,3 +111,132 @@ class TestBudgetSignature:
         )
         assert sig != problem.signature()
         assert sig[0] == "budget" and problem.signature()[0] == "deadline"
+
+
+#: A forecast that differs per interval, so sliced planning gives every
+#: submit interval its own signature.
+FORECAST = 500.0 + 200.0 * np.sin(np.linspace(0.0, 3.0, 40))
+PLANNERS = {
+    mode: CampaignPlanner(paper_acceptance_model(), PolicyCache(), mode, FORECAST)
+    for mode in PLANNING_MODES
+}
+
+
+@st.composite
+def static_specs(draw) -> CampaignSpec:
+    kind = draw(st.sampled_from([DEADLINE, BUDGET]))
+    num_tasks = draw(st.integers(1, 40))
+    horizon = draw(st.integers(1, 12))
+    return CampaignSpec(
+        campaign_id="c",
+        kind=kind,
+        num_tasks=num_tasks,
+        submit_interval=draw(st.integers(0, FORECAST.size - horizon)),
+        horizon_intervals=horizon,
+        max_price=draw(st.integers(1, 40)),
+        penalty_per_task=draw(st.sampled_from([0.0, 20.0, 20, 37.5])),
+        budget=(
+            draw(st.floats(1.0, 2000.0, allow_nan=False))
+            if kind == BUDGET else None
+        ),
+    )
+
+
+class TestPlannerSignatureMemo:
+    """``CampaignPlanner.cache_signature``: one memo, keyed by shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=static_specs(), mode=st.sampled_from(PLANNING_MODES))
+    def test_memoized_signature_equals_the_built_instance(self, spec, mode):
+        planner = PLANNERS[mode]
+        if spec.kind == BUDGET:
+            expected = planner.budget_request(spec).signature()
+        else:
+            expected = planner.planning_problem(spec).signature()
+        # First call may fill the memo; the second is answered from it.
+        assert planner.cache_signature(spec) == expected
+        assert planner.cache_signature(spec) == expected
+
+    @pytest.mark.parametrize("cache_size", [256, 0])
+    @pytest.mark.parametrize("planning", PLANNING_MODES)
+    def test_one_problem_per_distinct_cache_miss(
+        self, planning, cache_size, monkeypatch
+    ):
+        built = []
+        post_init = DeadlineProblem.__post_init__
+
+        def counted(problem):
+            built.append(problem)
+            post_init(problem)
+
+        monkeypatch.setattr(DeadlineProblem, "__post_init__", counted)
+        same = (CampaignTemplate("same", DEADLINE, num_tasks=6,
+                                 horizon_intervals=5, max_price=12,
+                                 penalty_per_task=20.0),)
+        intervals = 300 // 40 + 9
+        source = StreamedWorkload(
+            300, intervals, seed=5, templates=same, budget_fraction=0.0,
+            adaptive_fraction=0.0, campaigns_per_wave=40, id_prefix="s",
+        )
+        engine = MarketplaceEngine(
+            SharedArrivalStream(np.full(intervals, 400.0)),
+            paper_acceptance_model(),
+            cache=PolicyCache(cache_size),
+            planning=planning,
+        )
+        engine.submit_source(source)
+        telemetry = Telemetry(record_campaigns=False)
+        ScenarioDriver(
+            engine, Scenario(name="same", seed=5), telemetry=telemetry,
+            keep_outcomes=False,
+        ).run()
+        engine.close()
+        # Per-tick cache accounting as recorded before the memo existed.
+        admitted = [40, 0, 40, 40, 0, 40, 40, 0, 40, 40, 0, 20, 0, 0, 0, 0]
+        if cache_size:
+            hits = [39] + admitted[1:]
+            misses = [1] + [0] * (len(admitted) - 1)
+        else:
+            hits, misses = [0] * len(admitted), admitted
+        assert telemetry.series["cache_hits"] == hits
+        assert telemetry.series["cache_misses"] == misses
+        assert len(built) == sum(misses)
+
+    def test_memo_is_capped(self):
+        planner = CampaignPlanner(
+            paper_acceptance_model(), PolicyCache(), "sliced", FORECAST
+        )
+        cap = planning_module._SIGNATURE_MEMO_CAP
+        for i in range(cap + 50):
+            planner.cache_signature(CampaignSpec(
+                campaign_id="c", kind=BUDGET, num_tasks=1 + i % 30,
+                submit_interval=0, horizon_intervals=4, budget=100.0 + i,
+            ))
+            assert len(planner._signatures) <= cap
+        assert len(planner._signatures) == cap
+
+    def test_memo_is_capped_through_submissions_and_quotes(self, monkeypatch):
+        monkeypatch.setattr(planning_module, "_SIGNATURE_MEMO_CAP", 6)
+        engine = MarketplaceEngine(
+            SharedArrivalStream(np.full(24, 500.0)), paper_acceptance_model(),
+            planning="sliced",
+        )
+        gateway = Gateway(engine)
+        gateway.start(seed=2)
+        planner = engine.planner
+        for i in range(8):
+            shape = dict(
+                kind=DEADLINE, num_tasks=2 + i, submit_interval=gateway.core.clock,
+                horizon_intervals=3, max_price=8,
+            )
+            quote = gateway.offer(Quote(CampaignSpec(campaign_id=f"q{i}", **shape)))
+            assert quote.response.ok
+            assert len(planner._signatures) <= 6
+            submit = gateway.offer(SubmitCampaign(CampaignSpec(
+                campaign_id=f"s{i}", **{**shape, "num_tasks": 20 + i},
+            )))
+            gateway.step()
+            assert submit.response.ok
+            assert len(planner._signatures) <= 6
+        assert len(planner._signatures) == 6
+        assert engine.cache.stats.misses == 8  # every submission was admitted

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.engine import MarketplaceEngine
 from repro.engine.campaign import BUDGET, DEADLINE, CampaignOutcome, CampaignSpec
+from repro.engine.outcomes import outcome_record
+from repro.market.acceptance import paper_acceptance_model
+from repro.serve.requests import request_from_dict
+from repro.sim.stream import SharedArrivalStream
 from repro.engine.workload import (
     DEFAULT_TEMPLATES,
     CampaignTemplate,
@@ -55,6 +61,55 @@ class TestCampaignSpec:
     def test_invalid_fields_rejected(self, overrides):
         with pytest.raises(ValueError):
             make_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["num_tasks", "submit_interval", "horizon_intervals", "resolve_every"],
+    )
+    @pytest.mark.parametrize("value", [5.5, 5.0, "5", None])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_spec(**{field: value})
+
+    def test_fractional_task_count_is_refused_at_the_decode_boundary(self):
+        # A served submission used to be answered "ok" and then crash the
+        # drain that admitted it with a bare TypeError.
+        data = {
+            "type": "submit-campaign",
+            "spec": {
+                "campaign_id": "half", "kind": DEADLINE, "num_tasks": 5.5,
+                "submit_interval": 0, "horizon_intervals": 6,
+            },
+        }
+        with pytest.raises(ValueError, match="num_tasks must be an integer"):
+            request_from_dict(data)
+
+    def test_fractional_max_price_rejected(self):
+        # 10.5 used to build the grid 1..11, above the campaign's own cap.
+        with pytest.raises(ValueError, match="max_price must be a whole number"):
+            make_spec(max_price=10.5)
+        assert make_spec(max_price=10.0).price_grid().max() == 10.0
+
+    def test_numpy_integer_fields_are_stored_as_int(self):
+        fields = dict(
+            num_tasks=np.int64(4), submit_interval=np.int64(0),
+            horizon_intervals=np.int32(6), max_price=np.int64(25),
+            resolve_every=np.int64(2),
+        )
+        spec = make_spec(**fields)
+        # It runs through retirement (the fold used to fail to serialize
+        # the spec) and folds the same record as its plain-int twin.
+        engine = MarketplaceEngine(
+            SharedArrivalStream(np.full(12, 600.0)), paper_acceptance_model()
+        )
+        engine.submit([spec])
+        (outcome,) = engine.run(seed=1).outcomes
+        twin = make_spec(**{name: int(v) for name, v in fields.items()})
+        assert outcome_record(outcome) == outcome_record(
+            dataclasses.replace(outcome, spec=twin)
+        )
+        for name in fields:
+            assert type(getattr(spec, name)) is int, name
 
     def test_outcome_properties(self):
         outcome = CampaignOutcome(

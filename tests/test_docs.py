@@ -123,6 +123,7 @@ class TestBenchRecord:
             "campaigns",
             "elapsed_seconds",
             "campaigns_per_second",
+            "required_min_campaigns_per_second",
             "peak_rss_mib",
             "peak_rss_bytes_per_campaign",
             "rss_budget_mib",
@@ -132,6 +133,10 @@ class TestBenchRecord:
         ):
             assert field in scale
         assert scale["campaigns"] >= 1_000_000
+        assert (
+            scale["campaigns_per_second"]
+            >= scale["required_min_campaigns_per_second"]
+        )
         assert scale["peak_rss_mib"] < scale["rss_budget_mib"]
         assert scale["traced_peak_mib"] < scale["traced_budget_mib"]
 
