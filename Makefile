@@ -5,8 +5,8 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-kernels kernels-smoke bench-scenario bench-serve \
-	serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
+.PHONY: test bench bench-smoke bench-kernels kernels-smoke bench-scenario \
+	bench-serve serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
 	regen-golden golden-check docs-check checkpoint-smoke perfbench-smoke \
 	lint-docs all
 
@@ -18,6 +18,11 @@ test:
 ## shard scaling.  Regenerates BENCH_engine.json at the repo root.
 bench:
 	$(PYTEST) benchmarks/bench_engine.py -q -p no:cacheprovider
+
+## Engine bench smoke (CI): the same benchmarks with a tiny shard-scaling
+## workload and a hang-guard floor; never rewrites BENCH_engine.json.
+bench-smoke:
+	REPRO_BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_engine.py -q -p no:cacheprovider
 
 ## Compiled-kernel microbenchmark: scalar vs kernel DP-solve throughput
 ## under the resolved REPRO_KERNELS backend (>= 5x bar with numba, the
@@ -91,9 +96,9 @@ cov:
 regen-golden:
 	PYTHONPATH=src $(PYTHON) scripts/regen_golden.py
 
-## Golden guard (CI): regenerate every golden — executor, numba,
-## streaming, tenant, multi-frontier and instrumented invariance arms
-## included — and fail if any committed golden byte changed.
+## Golden guard (CI): regenerate every golden — numba, streaming,
+## tenant, multi-frontier and instrumented invariance arms included —
+## and fail if any committed golden byte changed.
 golden-check: regen-golden
 	git diff --exit-code -- 'tests/golden/*.json'
 

@@ -11,15 +11,15 @@ Three tracked surfaces:
   acceptance bar is a >= 3x policy-solve throughput win for the batch
   kernel.
 * **Shard scaling** — the same workload through
-  :class:`~repro.engine.sharding.ShardedEngine` across executor arms
-  (serial, thread, process) at 1/2/4 shards.  The arms are timed
+  :class:`~repro.engine.sharding.ShardedEngine` at 1/2/4 shards, each
+  running its shards in the engine's serial loop.  The arms are timed
   **interleaved**, best-of-``SHARD_REPEATS`` each (like
   ``bench_obs.py``), so CPU-frequency drift and cache warmth hit every
   arm equally instead of flattering whichever ran last.  Outcomes are
   asserted identical across every arm (the determinism contract), and
-  every arm must clear a ratcheted ``campaigns_per_second`` floor;
-  wall-clock *scaling* depends on available cores and is reported as
-  measured, never asserted.
+  every arm must clear a ratcheted ``campaigns_per_second`` floor; the
+  spread between arms is the cost of the shard partition itself,
+  reported as measured, never asserted.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the shard-scaling workload
 and loosens the throughput floor (a contended single-core CI runner
@@ -61,21 +61,14 @@ NUM_CAMPAIGNS = 50
 NUM_INTERVALS = 96
 SEED = 21
 
-#: Shard-scaling arms: (num_shards, executor).  One serial baseline plus
-#: the two parallel executors at 2 and 4 shards.
-SHARD_ARMS = (
-    (1, "serial"),
-    (2, "thread"),
-    (4, "thread"),
-    (2, "process"),
-    (4, "process"),
-)
+#: Shard-scaling arms: shard counts, every one run by the serial loop.
+SHARD_ARMS = (1, 2, 4)
 SHARD_CAMPAIGNS = 24 if SMOKE else 120
 SHARD_REPEATS = 2 if SMOKE else 3
 #: Ratcheted floor: every arm's best-of campaigns/sec must clear it in
 #: full mode (raise when the engine gets faster, never lower).  Smoke
 #: mode only guards against pathological hangs.
-REQUIRED_MIN_CPS = 0.5 if SMOKE else 100.0
+REQUIRED_MIN_CPS = 0.5 if SMOKE else 300.0
 
 #: The 64-campaign solve workload for the batch-vs-scalar comparison:
 #: the four default template shapes, each at 16 distinct forecast levels.
@@ -133,9 +126,7 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def run_sharded(
-    stream: SharedArrivalStream, num_shards: int, executor: str
-) -> EngineResult:
+def run_sharded(stream: SharedArrivalStream, num_shards: int) -> EngineResult:
     """One ShardedEngine run of the shard-scaling workload on one arm."""
     engine = ShardedEngine(
         stream,
@@ -143,7 +134,6 @@ def run_sharded(
         num_shards=num_shards,
         cache=PolicyCache(max_entries=256),
         planning="stationary",
-        executor=executor,
     )
     engine.submit(generate_workload(SHARD_CAMPAIGNS, NUM_INTERVALS, seed=SEED))
     return engine.run(seed=SEED)
@@ -213,17 +203,15 @@ def test_engine_fastpath_report(stream, emit):
     # machine drift is shared) with best-of-SHARD_REPEATS per arm.  Round
     # zero doubles as the warm-up and the invariance check: every arm
     # must produce the bit-identical outcome aggregate.
-    arm_results: dict[tuple[int, str], EngineResult] = {}
-    arm_best: dict[tuple[int, str], float] = {
-        arm: float("inf") for arm in SHARD_ARMS
-    }
+    arm_results: dict[int, EngineResult] = {}
+    arm_best: dict[int, float] = {arm: float("inf") for arm in SHARD_ARMS}
     for _ in range(SHARD_REPEATS):
         for arm in SHARD_ARMS:
             t0 = time.perf_counter()
-            result = run_sharded(stream, *arm)
+            result = run_sharded(stream, arm)
             arm_best[arm] = min(arm_best[arm], time.perf_counter() - t0)
             arm_results.setdefault(arm, result)
-    baseline = arm_results[(1, "serial")]
+    baseline = arm_results[1]
     for arm, result in arm_results.items():  # sharding: pure throughput lever
         assert result.total_completed == baseline.total_completed, arm
         assert result.total_cost == pytest.approx(baseline.total_cost), arm
@@ -232,7 +220,7 @@ def test_engine_fastpath_report(stream, emit):
     }
     slowest = min(arm_cps, key=arm_cps.get)
     assert arm_cps[slowest] >= REQUIRED_MIN_CPS, (
-        f"arm {slowest} delivered {arm_cps[slowest]:.1f} campaigns/sec "
+        f"{slowest}-shard arm delivered {arm_cps[slowest]:.1f} campaigns/sec "
         f"(ratcheted floor: {REQUIRED_MIN_CPS})"
     )
 
@@ -250,10 +238,9 @@ def test_engine_fastpath_report(stream, emit):
         f"best-of-{SHARD_REPEATS}, identical outcomes per arm):",
     ]
     lines += [
-        f"  {n} shard{'s' if n > 1 else ' '} {executor:7s}: "
-        f"{arm_best[(n, executor)]:6.2f}s  "
-        f"({arm_cps[(n, executor)]:6.1f} campaigns/sec)"
-        for n, executor in SHARD_ARMS
+        f"  {n} shard{'s' if n > 1 else ' '}: {arm_best[n]:6.2f}s  "
+        f"({arm_cps[n]:6.1f} campaigns/sec)"
+        for n in SHARD_ARMS
     ]
 
     if not SMOKE:
@@ -281,12 +268,11 @@ def test_engine_fastpath_report(stream, emit):
             "arms": [
                 {
                     "shards": n,
-                    "executor": executor,
-                    "seconds": round(arm_best[(n, executor)], 3),
-                    "campaigns_per_second": round(arm_cps[(n, executor)], 1),
-                    "completed": arm_results[(n, executor)].total_completed,
+                    "seconds": round(arm_best[n], 3),
+                    "campaigns_per_second": round(arm_cps[n], 1),
+                    "completed": arm_results[n].total_completed,
                 }
-                for n, executor in SHARD_ARMS
+                for n in SHARD_ARMS
             ],
         }
         record["cache"] = {

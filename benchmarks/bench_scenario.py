@@ -53,7 +53,6 @@ def make_engine(num_shards: int = 0):
     if num_shards:
         return ShardedEngine(
             make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            executor="serial" if num_shards == 1 else "thread",
             planning="stationary",
         )
     return MarketplaceEngine(

@@ -77,7 +77,6 @@ def make_engine(num_shards: int = 0):
         return ShardedEngine(
             SharedArrivalStream(means), paper_acceptance_model(),
             num_shards=num_shards,
-            executor="serial" if num_shards == 1 else "thread",
             planning="stationary",
         )
     return MarketplaceEngine(

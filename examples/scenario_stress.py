@@ -82,7 +82,6 @@ def run_once(num_shards: int) -> ScenarioDriver:
         build_stream(),
         paper_acceptance_model(),
         num_shards=num_shards,
-        executor="serial",
         planning="stationary",
     )
     engine.submit(generate_workload(10, NUM_INTERVALS, seed=SEED))
@@ -121,7 +120,7 @@ def main() -> None:
         interrupted = ScenarioDriver(
             ShardedEngine(
                 build_stream(), paper_acceptance_model(), num_shards=3,
-                executor="serial", planning="stationary",
+                planning="stationary",
             ),
             scenario,
         )

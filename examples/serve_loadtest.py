@@ -45,7 +45,7 @@ def make_engine(num_shards: int = 0):
     if num_shards:
         return ShardedEngine(
             SharedArrivalStream(means), paper_acceptance_model(),
-            num_shards=num_shards, executor="serial", planning="stationary",
+            num_shards=num_shards, planning="stationary",
         )
     return MarketplaceEngine(
         SharedArrivalStream(means), paper_acceptance_model(),

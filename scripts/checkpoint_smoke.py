@@ -43,13 +43,13 @@ FLAVOURS = {
     "marketplace": lambda: MarketplaceEngine(
         _stream(), paper_acceptance_model(), planning="stationary"
     ),
-    "sharded-1-serial": lambda: ShardedEngine(
+    "sharded-1": lambda: ShardedEngine(
         _stream(), paper_acceptance_model(), num_shards=1,
-        executor="serial", planning="stationary",
+        planning="stationary",
     ),
-    "sharded-3-thread": lambda: ShardedEngine(
+    "sharded-3": lambda: ShardedEngine(
         _stream(), paper_acceptance_model(), num_shards=3,
-        executor="thread", planning="stationary",
+        planning="stationary",
     ),
 }
 

@@ -5,11 +5,11 @@ engine-behaviour change (new draw order, different routing, changed
 accounting), then review the JSON diff like any other code change —
 unreviewed regeneration defeats the point of a golden trace.
 
-Before writing anything, the script verifies the executor/kernel/memory
-invariance contract on the *candidate* traces: the sharded cases re-run
-under ``executor="process"`` and under the numba kernel path, and every
-case re-run in streaming mode (lazy source + spill-backed sink), must be
-byte-identical to the serial/numpy/materialized recomputation.  A
+Before writing anything, the script verifies the kernel/memory
+invariance contract on the *candidate* traces: every case re-run under
+both kernel paths (numpy and numba), and in streaming mode (lazy source
++ spill-backed sink), must be byte-identical to the materialized
+recomputation.  A
 divergence means the engine change broke the determinism contract —
 regeneration would only bake the bug into the goldens — so the script
 refuses and points at the first differing cell instead (the matrix
@@ -45,27 +45,23 @@ from tests.kernel_modes import kernel_mode  # noqa: E402
 
 
 def verify_invariance() -> str | None:
-    """Prove the candidate traces hold across executors and kernels.
+    """Prove the candidate traces hold across kernels and memory modes.
 
     Returns ``None`` when every re-run is byte-identical, else a message
-    naming the first diverging (case, executor, kernels) cell.
+    naming the first diverging (case, kernels) cell.
     """
     for case in sorted(CASES):
         baseline = run_case(case)
-        sharded = bool(CASES[case]["num_shards"])
-        executors = ("process",) if sharded else ("serial",)
-        for executor in executors:
-            for kernels_name in ("numpy", "numba"):
-                with kernel_mode(kernels_name):
-                    candidate = run_case(case, executor=executor)
-                if candidate != baseline:
-                    return (
-                        f"case {case!r} diverged under executor="
-                        f"{executor!r}, kernels={kernels_name!r}; the "
-                        "determinism contract is broken — fix the engine "
-                        "(see tests/engine/test_executor_matrix.py) "
-                        "before regenerating goldens"
-                    )
+        for kernels_name in ("numpy", "numba"):
+            with kernel_mode(kernels_name):
+                candidate = run_case(case)
+            if candidate != baseline:
+                return (
+                    f"case {case!r} diverged under kernels="
+                    f"{kernels_name!r}; the determinism contract is "
+                    "broken — fix the engine (see tests/engine/"
+                    "test_executor_matrix.py) before regenerating goldens"
+                )
         # Memory-mode arm: the same workload fed through a lazy source
         # into a streaming (aggregate + spill) sink must reproduce the
         # trace byte-for-byte — goldens are only ever rewritten when
@@ -137,9 +133,9 @@ def main() -> int:
         print(f"refusing to regenerate: {failure}", file=sys.stderr)
         return 1
     print("invariance verified: traces byte-identical under "
-          "executor='process', the numba kernel path, streaming "
-          "outcome mode, tenant tagging, 2 admission frontiers, and a "
-          "fully-instrumented run with live ops scrapes")
+          "both kernel paths, streaming outcome mode, tenant tagging, "
+          "2 admission frontiers, and a fully-instrumented run with "
+          "live ops scrapes")
     for case in sorted(CASES) + sorted(SERVE_CASES):
         payload = run_any_case(case)
         path = trace_path(case)

@@ -48,9 +48,7 @@ identical for any shard count under one seed (``repro engine run
 
     from repro import ShardedEngine
 
-    engine = ShardedEngine(
-        stream, paper_acceptance_model(), num_shards=4, executor="thread",
-    )
+    engine = ShardedEngine(stream, paper_acceptance_model(), num_shards=4)
 
 Subpackages
 -----------
@@ -64,7 +62,7 @@ Subpackages
   admission, sharding, re-planning, per-tick telemetry.
 * :mod:`repro.scenario` — declarative stress scenarios (churn, demand
   shocks, cancellations) driven tick-by-tick with a determinism
-  contract across shards/executors/checkpoints.
+  contract across shard counts and checkpoints.
 * :mod:`repro.serve` — the serving gateway: an async request frontier
   (submissions, quotes, cancellations, telemetry reads) over one engine
   session, with tick-boundary admission batching, backpressure, a seeded

@@ -78,12 +78,6 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
         "N >= 1 under the same seed",
     )
     parser.add_argument(
-        "--executor", choices=["thread", "serial", "process"],
-        default="thread",
-        help="shard executor (with --shards): thread pool, serial loop, or "
-        "one worker process per shard; the choice never changes results",
-    )
-    parser.add_argument(
         "--kernels", choices=["auto", "numpy", "numba"], default=None,
         help="compiled-kernel backend for the hot solve loops (default: "
         "the REPRO_KERNELS env var, else auto); numba falls back to "
@@ -341,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             "retiring campaigns early — while recording per-tick telemetry "
             "(live campaigns, routed arrivals, cache hits, adaptive "
             "re-plans).  A scenario with a fixed seed is bit-identical "
-            "across shard counts, executors, and checkpoint/resume "
+            "across shard counts and checkpoint/resume "
             "boundaries; see docs/scenarios.md for the spec schema."
         ),
     )
@@ -768,7 +762,7 @@ def _make_serving_engine(
     arrival stream comes from the common stream flags
     (``--horizon-hours``/``--interval-minutes``/``--start-day``) and the
     engine front-end from the common serving flags (``--shards``/
-    ``--executor``/``--planning``/``--cache-size``), so the
+    ``--planning``/``--cache-size``), so the
     commands can never diverge on what an engine *is*.  ``surge`` scales
     realized arrivals while planning keeps the unscaled forecast;
     ``router=None`` uses the engine's default.  Returns
@@ -811,9 +805,7 @@ def _build_engine(args: argparse.Namespace, router=None, surge: float = 1.0):
         common["router"] = router
     engine: MarketplaceEngine | ShardedEngine
     if args.shards > 0:
-        engine = ShardedEngine(
-            num_shards=args.shards, executor=args.executor, **common
-        )
+        engine = ShardedEngine(num_shards=args.shards, **common)
     else:
         engine = MarketplaceEngine(**common)
     return num_intervals, engine
@@ -886,11 +878,7 @@ def _cmd_engine_run(args: argparse.Namespace) -> int:
             keep_outcomes=args.keep_outcomes or args.per_campaign,
             outcomes_path=args.outcomes_out,
         )
-        sharding = (
-            f"shards={args.shards} ({args.executor})"
-            if args.shards > 0
-            else "unsharded"
-        )
+        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         print(f"stream        : {num_intervals} x {args.interval_minutes:.0f}min "
               f"intervals from trace day {args.start_day}; router={args.router}, "
               f"planning={args.planning}, surge={args.surge:g}")
@@ -1001,11 +989,7 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
         driver.start()
-        sharding = (
-            f"shards={args.shards} ({args.executor})"
-            if args.shards > 0
-            else "unsharded"
-        )
+        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         print(f"scenario      : {scenario.name!r} seed={scenario.seed}, "
               f"{len(scenario.events)} events, "
               f"{driver.timeline.num_campaigns} timeline campaigns "
@@ -1188,11 +1172,7 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
             **tenant_kwargs,
         )
         gateway.start(seed=seed, rate_multipliers=multipliers)
-        sharding = (
-            f"shards={args.shards} ({args.executor})"
-            if args.shards > 0
-            else "unsharded"
-        )
+        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         front = (
             f"gateway with {args.gateways} frontiers"
             if args.gateways > 1

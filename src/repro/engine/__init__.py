@@ -27,12 +27,9 @@ subpackage is that serving layer:
   front-end: one generator draws realized arrivals and the router splits
   them across live campaigns.
 * :mod:`repro.engine.sharding` — :class:`ShardedEngine`, partitioning the
-  campaign set over parallel worker shards while splitting the arrival
-  stream deterministically (same seed, any shard count, same outcomes).
-* :mod:`repro.engine.procpool` — the ``executor="process"`` backend:
-  per-shard worker processes owning their campaigns and generators
-  end-to-end, exchanging only per-tick aggregates (bit-identical to the
-  in-process executors; worker death surfaces as :class:`EngineError`).
+  campaign set over worker shards (run in one serial loop) while splitting
+  the arrival stream deterministically (same seed, any shard count, same
+  outcomes).
 * :mod:`repro.engine.checkpoint` — durable serving state:
   :func:`save_checkpoint` / :func:`restore_engine` snapshot a session
   mid-flight to a versioned JSON+npz bundle and resume it bit-identically
@@ -80,7 +77,6 @@ from repro.engine.clock import (
     ClockBackend,
     EngineBase,
     EngineCore,
-    EngineError,
     TickReport,
 )
 from repro.engine.engine import EngineResult, MarketplaceEngine, PLANNING_MODES
@@ -99,7 +95,7 @@ from repro.engine.source import (
     source_from_dict,
 )
 from repro.engine.routing import ArrivalRouter, LogitRouter, UniformRouter
-from repro.engine.sharding import EXECUTORS, ShardedEngine, shard_of
+from repro.engine.sharding import ShardedEngine, shard_of
 from repro.engine.telemetry import CampaignRecord, Telemetry
 from repro.engine.workload import (
     CampaignTemplate,
@@ -114,7 +110,6 @@ __all__ = [
     "EngineBase",
     "EngineCore",
     "ClockBackend",
-    "EngineError",
     "TickReport",
     "EngineResult",
     "CHECKPOINT_VERSION",
@@ -124,7 +119,6 @@ __all__ = [
     "load_extras",
     "Telemetry",
     "CampaignRecord",
-    "EXECUTORS",
     "shard_of",
     "CampaignSpec",
     "CampaignOutcome",

@@ -11,7 +11,7 @@ to a versioned **JSON + npz bundle**, and restores it such that
     ``snapshot -> restore -> finish``  ==  an uninterrupted same-seed run
 
 bit-for-bit (same outcomes, same counters, same per-run stats), for both
-engine front-ends and any shard count/executor.
+engine front-ends and any shard count.
 
 Bundle layout (a directory)::
 
@@ -38,10 +38,11 @@ Two design points worth knowing:
   from an empty cache, which :meth:`~repro.engine.clock.EngineBase.start`
   guarantees.
 * **Only declarative configuration is checkpointable.**  Acceptance
-  models (:class:`LogitAcceptance` / :class:`EmpiricalAcceptance`),
-  built-in routers, and string executors round-trip; a custom router
-  class or an executor *instance* cannot be serialized and raises
-  :class:`CheckpointError` at save time.
+  models (:class:`LogitAcceptance` / :class:`EmpiricalAcceptance`) and
+  built-in routers round-trip; a custom router class cannot be
+  serialized and raises :class:`CheckpointError` at save time.  Sharded
+  bundles from older builds carry one more config key, naming a
+  shard-loop mode that no longer exists; restore ignores it.
 
 CLI: ``repro engine run --checkpoint-every N --checkpoint-path P`` saves
 periodic bundles, and ``repro engine run --resume P`` finishes an
@@ -232,8 +233,8 @@ def save_checkpoint(
     Legal at any tick boundary (including before the first tick and after
     the last).  Returns the bundle path.  Raises :class:`CheckpointError`
     when no session is active or the engine's configuration contains
-    non-serializable parts (custom router classes, executor instances,
-    exotic acceptance models).
+    non-serializable parts (custom router classes, exotic acceptance
+    models).
 
     ``extras`` is an optional JSON-serializable dict stored verbatim in
     the manifest and read back with :func:`load_extras` — how layers
@@ -263,14 +264,7 @@ def save_checkpoint(
     backend = core.backend
     if isinstance(engine, ShardedEngine):
         kind = "sharded"
-        if not isinstance(engine.executor, str):
-            raise CheckpointError(
-                "executor instances cannot be checkpointed; construct the "
-                "engine with executor='serial', 'thread', or 'process' to "
-                "enable resume"
-            )
         config["num_shards"] = engine.num_shards
-        config["executor"] = engine.executor
     elif isinstance(engine, MarketplaceEngine):
         kind = "marketplace"
     else:
@@ -467,9 +461,7 @@ def _restore(bundle: pathlib.Path) -> MarketplaceEngine | ShardedEngine:
     )
     engine: MarketplaceEngine | ShardedEngine
     if manifest["engine"] == "sharded":
-        engine = ShardedEngine(
-            num_shards=cfg["num_shards"], executor=cfg["executor"], **common
-        )
+        engine = ShardedEngine(num_shards=cfg["num_shards"], **common)
     elif manifest["engine"] == "marketplace":
         engine = MarketplaceEngine(**common)
     else:

@@ -65,23 +65,10 @@ __all__ = [
     "ClockBackend",
     "EngineBase",
     "EngineCore",
-    "EngineError",
     "EngineResult",
     "PhaseTimings",
     "TickReport",
 ]
-
-
-class EngineError(RuntimeError):
-    """A serving session failed irrecoverably mid-flight.
-
-    Raised by backends when the machinery under a session breaks — e.g. a
-    process-executor shard worker dies mid-tick — as opposed to caller
-    mistakes, which stay ``ValueError``/``RuntimeError``.  The session's
-    deterministic state is gone; recovery is restoring the most recent
-    checkpoint bundle (which resumes bit-identically) rather than
-    retrying the tick.
-    """
 
 
 def _submission_key(spec: CampaignSpec) -> tuple[int, str]:
@@ -261,12 +248,10 @@ class PhaseTimings:
 
     Sharded backends additionally break the ``price``/``split``/
     ``observe`` phases down **per shard** (:meth:`record_shard`): the
-    thread and serial executors time each shard's slice of the work, and
-    the process executor's workers measure their own compute and ship
-    the elapsed seconds back inside the existing per-tick aggregate
-    replies — so the aggregate phases include coordination/IPC wait
-    while :attr:`shard_totals` isolates where the compute actually ran
-    (the "which shard is slow" question the ops plane answers).
+    serial shard loop times each shard's slice of the work, so the
+    aggregate phases include the coordinator's share while
+    :attr:`shard_totals` isolates where the per-shard work ran (the
+    "which shard is slow" question the ops plane answers).
     """
 
     PHASES = ("admission", "price", "split", "observe", "retire")
@@ -438,16 +423,6 @@ class ClockBackend(abc.ABC):
     #: records its ``price`` / ``split`` / ``observe`` sub-phases into it.
     phases: "PhaseTimings | None" = None
 
-    def shard_health(self) -> list[dict] | None:
-        """Liveness of worker processes behind this backend, if any.
-
-        ``None`` means the backend runs in-process (nothing that can die
-        independently); process-backed executors return one row per
-        shard worker (``{"shard", "pid", "alive"}``) — what the ops
-        plane's readiness probe checks.
-        """
-        return None
-
     @abc.abstractmethod
     def place(self, admitted: Sequence[_LiveCampaign]) -> None:
         """Take ownership of newly admitted live campaigns."""
@@ -492,9 +467,6 @@ class ClockBackend(abc.ABC):
         Sorted by campaign id so the listing is independent of the shard
         layout; telemetry builds its per-tick series from this.
         """
-
-    def close(self) -> None:
-        """Release backend resources (executor pools); a no-op by default."""
 
     # ------------------------------------------------------------------
     # Checkpoint surface (optional)
@@ -1087,9 +1059,8 @@ class EngineCore:
         )
 
     def close(self) -> None:
-        """Release backend resources and the outcome spill file (if any);
-        the session's aggregates and kept outcomes stay readable."""
-        self.backend.close()
+        """Release the outcome spill file (if any); the session's
+        aggregates and kept outcomes stay readable."""
         self.sink.close()
 
 
@@ -1315,7 +1286,7 @@ class EngineBase(abc.ABC):
             self._core = None
 
     def close(self) -> None:
-        """End any active session, releasing executor resources."""
+        """End any active session, releasing its outcome spill file."""
         if self._core is not None:
             self._core.close()
             self._core = None

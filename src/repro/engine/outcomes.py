@@ -21,7 +21,7 @@ module is the O(live) replacement:
   :class:`CampaignOutcome` objects (specs included), in retirement order.
 
 Determinism: outcomes are folded in retirement order, which the engine's
-contract fixes independent of shard count, executor, kernel backend, or
+contract fixes independent of shard count, kernel backend, or
 checkpoint/resume cuts — so the aggregate (checksum included) is itself
 a deterministic fingerprint of the run.  Float totals are summed in that
 same fixed order, keeping them bit-identical across modes too.

@@ -1,14 +1,12 @@
-"""Engine sharding: partition campaigns across parallel worker shards.
+"""Engine sharding: partition campaigns across worker shards.
 
-:class:`ShardedEngine` scales the marketplace engine across campaigns: the
-submitted campaign set is partitioned over ``N`` worker shards by a stable
-hash of the campaign id, and each tick's pricing/acceptance work is mapped
-over the shards through a pluggable executor (serial loop, thread pool, or
-any ``concurrent.futures.Executor``).  The clock itself is the shared
-:class:`~repro.engine.clock.EngineCore`; this module only supplies the
-*factored* arrival backend each session runs on, so the sharded engine
-inherits tick stepping, mid-flight submission, and checkpoint/resume from
-the same loop the unsharded engine uses.
+:class:`ShardedEngine` partitions the submitted campaign set over ``N``
+worker shards by a stable hash of the campaign id, and each tick's
+pricing/acceptance work runs shard by shard in one serial loop.  The
+clock itself is the shared :class:`~repro.engine.clock.EngineCore`; this
+module only supplies the *factored* arrival backend each session runs
+on, so the sharded engine inherits tick stepping, mid-flight submission,
+and checkpoint/resume from the same loop the unsharded engine uses.
 
 **Deterministic stream splitting.**  The shared NHPP worker stream is
 split by *Poisson factorization* rather than by handing realized workers
@@ -23,23 +21,19 @@ coordinator, so the superposed arrival process is distributed exactly like
 the unsharded stream.
 
 Because every random decision is keyed by campaign (not by shard), the
-realized run is **invariant to the shard count and executor**: the same
-seed produces identical per-campaign outcomes for 1 shard, N shards,
-serial, threaded, or process-parallel — sharding is purely a throughput
-lever.  The choice fractions are computed once per tick from the
-canonically-ordered global price vector, which is the only cross-shard
-coordination each tick needs.  ``executor="process"``
-(:mod:`repro.engine.procpool`) pushes the same factorization across
-process boundaries: each worker process owns its shard's campaigns and
-generators end-to-end and exchanges only per-tick aggregates with the
-coordinator (the differential suite in
-``tests/engine/test_executor_matrix.py`` asserts the invariance cell by
-cell).
+realized run is **invariant to the shard count**: the same seed produces
+identical per-campaign outcomes for 1 shard or N shards.  The choice
+fractions are computed once per tick from the canonically-ordered global
+price vector, which is the only cross-shard coordination each tick needs
+(the differential suite under ``tests/engine/`` asserts the invariance
+cell by cell).  Thread-pool and worker-process
+loops over the shards were measured and removed: the per-tick work is
+bound by data movement, and both lost to this serial loop on every
+workload (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 import zlib
 from typing import Callable, TypeVar
@@ -49,7 +43,7 @@ import numpy as np
 from repro.core.batch import kernels
 from repro.engine.cache import PolicyCache
 from repro.engine.campaign import CampaignOutcome
-from repro.engine.clock import ClockBackend, EngineBase, EngineResult
+from repro.engine.clock import ClockBackend, EngineBase
 from repro.engine.planning import (
     CampaignPlanner,
     _LiveCampaign,
@@ -61,13 +55,7 @@ from repro.sim.policies import SemiStaticRuntime
 from repro.sim.stream import SharedArrivalStream
 from repro.util.rngstate import generator_from_state, generator_state
 
-__all__ = ["ShardedEngine", "shard_of", "EXECUTORS"]
-
-#: Built-in executor names (any ``concurrent.futures.Executor`` also works).
-#: ``"process"`` runs each shard in its own worker process
-#: (:mod:`repro.engine.procpool`) — same bit-identical results, true
-#: multi-core parallelism.
-EXECUTORS = ("serial", "thread", "process")
+__all__ = ["ShardedEngine", "shard_of"]
 
 # Sub-stream tags keeping the coordinator's draws independent of every
 # campaign's draws under one run seed.
@@ -108,8 +96,8 @@ class _ShardCampaign:
 class _Shard:
     """One worker shard: the campaigns it owns and their per-tick work.
 
-    All methods are called with the shard as the unit of parallelism —
-    each touches only this shard's campaigns, so shards never contend.
+    Each method touches only this shard's campaigns, which is what lets
+    the backend time (and attribute) every phase per shard.
     """
 
     __slots__ = ("index", "campaigns")
@@ -208,12 +196,9 @@ class _Shard:
 
 
 class _FactoredBackend(ClockBackend):
-    """Sharded mechanics: factored per-campaign draws mapped over shards.
+    """Sharded mechanics: factored per-campaign draws looped over shards.
 
-    Owns the shard array, the coordinator's walk-away generator, and the
-    (lazily created) thread pool for the ``"thread"`` executor — pool
-    lifetime matches the serving session, so tick stepping does not spin
-    a pool per interval.
+    Owns the shard array and the coordinator's walk-away generator.
     """
 
     def __init__(
@@ -222,51 +207,29 @@ class _FactoredBackend(ClockBackend):
         router: ArrivalRouter,
         num_shards: int,
         seed: int,
-        executor: str | concurrent.futures.Executor,
     ):
         self.stream = stream
         self.router = router
         self.num_shards = num_shards
         self.seed = seed
-        self.executor = executor
         self.shards = [_Shard(i) for i in range(num_shards)]
         self.market_rng = np.random.default_rng([seed, _MARKET_STREAM])
-        self._own_pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    def _pool(self) -> concurrent.futures.Executor | None:
-        if isinstance(self.executor, concurrent.futures.Executor):
-            return self.executor
-        if self.executor == "thread" and self.num_shards > 1:
-            if self._own_pool is None:
-                self._own_pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.num_shards, thread_name_prefix="repro-shard"
-                )
-            return self._own_pool
-        return None
 
     def _map(self, fn: Callable[[_Shard], _T]) -> list[_T]:
-        pool = self._pool()
-        if pool is None:
-            return [fn(shard) for shard in self.shards]
-        return list(pool.map(fn, self.shards))
+        return [fn(shard) for shard in self.shards]
 
     def _timed_map(self, fn: Callable[[_Shard], _T], phase: str) -> list[_T]:
-        # Per-shard compute seconds, measured inside the worker (thread or
-        # the serial loop) so the ops plane can tell a slow shard from a
-        # slow coordinator.  Timing is observation-only: the mapped results
-        # are returned unchanged, in shard order.
+        # Per-shard compute seconds, so the ops plane can tell a slow
+        # shard from a slow coordinator.  Timing is observation-only: the
+        # results are returned unchanged, in shard order.
         phases = self.phases
         if phases is None:
             return self._map(fn)
-
-        def timed(shard: _Shard) -> tuple[_T, float]:
-            started = time.perf_counter()
-            return fn(shard), time.perf_counter() - started
-
         results: list[_T] = []
-        for shard_index, (result, elapsed) in enumerate(self._map(timed)):
-            phases.record_shard(shard_index, phase, elapsed)
-            results.append(result)
+        for shard in self.shards:
+            started = time.perf_counter()
+            results.append(fn(shard))
+            phases.record_shard(shard.index, phase, time.perf_counter() - started)
         return results
 
     def place(self, admitted) -> None:
@@ -363,11 +326,6 @@ class _FactoredBackend(ClockBackend):
             for c in shard.campaigns
         )
 
-    def close(self) -> None:
-        if self._own_pool is not None:
-            self._own_pool.shutdown()
-            self._own_pool = None
-
     def export_live(self) -> tuple[list[tuple[_LiveCampaign, dict | None]], dict]:
         entries = [
             (c.live, generator_state(c.rng))
@@ -393,7 +351,7 @@ class _FactoredBackend(ClockBackend):
 
 
 class ShardedEngine(EngineBase):
-    """Multi-shard marketplace engine: same semantics, parallel campaigns.
+    """Multi-shard marketplace engine: same semantics, partitioned campaigns.
 
     Parameters
     ----------
@@ -402,28 +360,17 @@ class ShardedEngine(EngineBase):
     acceptance:
         The marketplace's ``p(c)`` model.
     num_shards:
-        Worker shards to partition the campaign set over.
+        Worker shards to partition the campaign set over.  The shard
+        count never changes results (see the module docstring).
     router:
         Arrival-choice model supplying the per-tick fractions; defaults
         like :class:`~repro.engine.engine.MarketplaceEngine`.
     cache:
-        Shared policy cache (admission runs on the coordinator, so the
-        cache needs no locking).  Session-scoped, as in the unsharded
-        engine.
+        Shared policy cache (admission runs on the coordinator).
+        Session-scoped, as in the unsharded engine.
     planning, planning_means, truncation_eps:
         Forwarded to the shared :class:`CampaignPlanner` — identical
         meaning to the unsharded engine.
-    executor:
-        ``"serial"``, ``"thread"``, ``"process"``, or any
-        ``concurrent.futures.Executor`` instance (e.g. a pre-warmed
-        thread pool).  The executor choice never changes results, only
-        wall-clock.  ``"process"`` gives each shard its own persistent
-        worker process (:mod:`repro.engine.procpool`) that owns the
-        shard's campaigns, generators, and tick loop end-to-end and
-        exchanges only per-tick aggregates — the executor that actually
-        escapes the GIL.  ``concurrent.futures.ProcessPoolExecutor``
-        *instances* remain unsupported (a stateless pool cannot own
-        mutable shard state; use ``executor="process"`` instead).
     """
 
     def __init__(
@@ -436,26 +383,13 @@ class ShardedEngine(EngineBase):
         planning: str = "stationary",
         planning_means: np.ndarray | None = None,
         truncation_eps: float | None = 1e-9,
-        executor: str | concurrent.futures.Executor = "thread",
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if isinstance(executor, str) and executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS} or an Executor instance, "
-                f"got {executor!r}"
-            )
-        if isinstance(executor, concurrent.futures.ProcessPoolExecutor):
-            raise ValueError(
-                "process pools are not supported: shards mutate shared state"
-                " (use executor='process' for the shard-owning worker "
-                "processes instead)"
-            )
         self.acceptance = acceptance
         self.num_shards = num_shards
         self.router = router if router is not None else default_router(acceptance)
         self.cache = cache if cache is not None else PolicyCache()
-        self.executor = executor
         planner = CampaignPlanner(
             acceptance=acceptance,
             cache=self.cache,
@@ -477,38 +411,4 @@ class ShardedEngine(EngineBase):
                 "ShardedEngine derives per-campaign generators from the seed; "
                 "pass seed= instead of a Generator"
             )
-        if self.executor == "process":
-            # Imported lazily: procpool pulls _Shard/_campaign_rng from
-            # this module, so a top-level import would be circular.
-            from repro.engine.procpool import _ProcessBackend
-
-            return _ProcessBackend(
-                self.stream, self.router, self.num_shards, seed
-            )
-        return _FactoredBackend(
-            self.stream, self.router, self.num_shards, seed, self.executor
-        )
-
-    def run(
-        self,
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
-        *,
-        keep_outcomes: bool = True,
-        outcomes_path=None,
-    ) -> EngineResult:
-        """Run the clock until every submitted campaign has retired.
-
-        The result is bit-identical for any ``num_shards`` and executor:
-        same seed, same per-campaign outcomes (see module docstring).
-        The outcome sink lives in the coordinating process — shards hand
-        back per-tick retirement batches, never whole-run lists — so
-        ``keep_outcomes``/``outcomes_path`` stream exactly as they do
-        unsharded.
-        """
-        return super().run(
-            seed=seed,
-            rng=rng,
-            keep_outcomes=keep_outcomes,
-            outcomes_path=outcomes_path,
-        )
+        return _FactoredBackend(self.stream, self.router, self.num_shards, seed)

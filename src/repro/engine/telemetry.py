@@ -19,7 +19,7 @@ re-planned.  :class:`Telemetry` collects exactly that:
 Telemetry is **deterministic**: every field is computed from
 shard-layout-invariant engine state (sorted live listings, coordinator
 counters), never from wall-clock, so a fixed-seed scenario produces
-bit-identical telemetry across shard counts, executors, and
+bit-identical telemetry across shard counts and
 checkpoint/resume boundaries — the golden-trace and fuzz suites assert
 this.  It serializes to JSON (:meth:`Telemetry.to_dict` /
 :meth:`Telemetry.from_dict`, :meth:`Telemetry.save` /

@@ -10,9 +10,9 @@ answers operational questions without stopping the run:
 ``GET /healthz``        Liveness: the process answers, with the clock and
                         occupancy it currently stands at.
 ``GET /readyz``         Admission-readiness: 200 only while the session is
-                        open, every frontier queue has headroom, every shard
-                        worker process is alive, and the event-log writer
-                        is keeping up; 503 otherwise, with per-check detail.
+                        open, every frontier queue has headroom, and the
+                        event-log writer is keeping up; 503 otherwise, with
+                        per-check detail.
 ``GET /tenants``        Per-tenant live/quota/deficit/admission state from
                         the :class:`~repro.serve.tenants.TenantLedger`, the
                         fair-scheduler queues, and the drain tallies.
@@ -199,25 +199,6 @@ class OpsServer:
                 else f"frontier queue(s) {full} at their depth bound"
             ),
         }
-        shard_health = None
-        if core is not None:
-            probe = getattr(core.backend, "shard_health", None)
-            shard_health = probe() if probe is not None else None
-        if shard_health is None:
-            checks["shards"] = {
-                "ok": True, "workers": None,
-                "detail": "no shard worker processes (in-process executor)",
-            }
-        else:
-            dead = [w for w in shard_health if not w["alive"]]
-            checks["shards"] = {
-                "ok": not dead,
-                "workers": shard_health,
-                "detail": (
-                    f"{len(shard_health)} shard workers alive" if not dead
-                    else f"{len(dead)} shard worker(s) dead"
-                ),
-            }
         if self.event_log is None:
             checks["event_log"] = {
                 "ok": True, "backlog": None, "detail": "no event log wired",

@@ -10,7 +10,7 @@ timeline tick by tick, collecting per-tick
 :class:`~repro.engine.telemetry.Telemetry`.
 
 The subsystem's contract is **determinism**: a scenario with a fixed seed
-produces bit-identical telemetry across shard counts, executors, and
+produces bit-identical telemetry across shard counts and
 checkpoint/resume boundaries (see ``docs/scenarios.md``).
 
 Quick use::

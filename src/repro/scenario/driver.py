@@ -21,7 +21,7 @@ multiplier array is installed on the session once at :meth:`start` (and
 travels inside checkpoint bundles).
 
 The driver is engine-agnostic — pooled :class:`MarketplaceEngine` or
-:class:`ShardedEngine` at any shard count/executor — and checkpointable:
+:class:`ShardedEngine` at any shard count — and checkpointable:
 :meth:`save` snapshots the engine session *plus* the scenario cursor and
 telemetry into one bundle, and :meth:`resume` reopens it mid-scenario,
 bit-identical to never having stopped.
@@ -290,7 +290,7 @@ class ScenarioDriver:
     def run(self) -> EngineResult:
         """Drive the scenario to exhaustion and return the session result.
 
-        The engine's executor resources are released, but the session
+        The session's outcome spill file is released, but the session
         stays readable (``driver.core.result()``, telemetry intact).
         """
         if not self._started:

@@ -14,7 +14,7 @@ deterministic tick loop keeps running underneath:
   Queueing consumes no randomness, so a served run's per-campaign
   outcomes are **bit-identical** to the same submissions issued directly
   against the engine — the serving determinism contract
-  (``docs/serving.md``), asserted across shard counts, executors, and
+  (``docs/serving.md``), asserted across shard counts and
   checkpoint/resume boundaries.
 * **Admission control backpressures instead of dropping.**  A bounded
   request queue rejects offers beyond its depth, and a live-campaign
@@ -910,7 +910,7 @@ class Gateway:
         gateway right before their arrival tick's boundary, so the same
         trace always produces the same admission batches — and therefore
         per-campaign outcomes and telemetry bit-identical across shard
-        counts, executors, and checkpoint/resume boundaries.  When the
+        counts and checkpoint/resume boundaries.  When the
         engine goes idle with trace left, requests up to and including
         the next submission are delivered early to wake the clock
         (queueing consumes no randomness; the submission still admits at

@@ -24,7 +24,10 @@ to the engine:
     with a trailing window of the per-tick series.
 
 Every request answers with a :class:`Response`.  Requests are pure data:
-frozen dataclasses that round-trip through JSON dicts
+frozen dataclasses that validate their fields on construction (a field
+the gateway cannot serve raises a :class:`ValueError` naming it, so a
+bad request is rejected where it is built rather than crashing the
+session later) and round-trip through JSON dicts
 (:func:`request_to_dict` / :func:`request_from_dict`), which is what lets
 a :class:`RequestTrace` — a deterministic, replayable recording of timed
 client traffic — be saved, loaded, merged, and carried inside checkpoint
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
+import os
 import pathlib
 from typing import Iterable
 
@@ -67,6 +72,11 @@ __all__ = [
 DEFAULT_TENANT = "default"
 
 
+def _check_spec(spec) -> None:
+    if not isinstance(spec, CampaignSpec):
+        raise ValueError(f"spec must be a CampaignSpec, got {spec!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SubmitCampaign:
     """Submit one campaign for admission at its spec's submit interval.
@@ -80,6 +90,9 @@ class SubmitCampaign:
     """
 
     spec: CampaignSpec
+
+    def __post_init__(self) -> None:
+        _check_spec(self.spec)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +121,9 @@ class Quote:
     spec: CampaignSpec
     solve_on_miss: bool = False
 
+    def __post_init__(self) -> None:
+        _check_spec(self.spec)
+
 
 @dataclasses.dataclass(frozen=True)
 class Cancel:
@@ -131,10 +147,22 @@ class QueryTelemetry:
     ----------
     last:
         Also return the most recent ``last`` ticks of every per-tick
-        series (0 = summary only).
+        series (0 = summary only).  Any integer ``>= 0`` (numpy ints
+        included, stored as ``int``).
     """
 
     last: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.last) is not int:
+            try:
+                object.__setattr__(self, "last", int(operator.index(self.last)))
+            except TypeError:
+                raise ValueError(
+                    f"last must be an integer, got {self.last!r}"
+                ) from None
+        if self.last < 0:
+            raise ValueError(f"last must be non-negative, got {self.last}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,9 +173,23 @@ class Snapshot:
     *after* every request that arrived before it — the bundle then
     carries the still-queued later requests in its extras, and a resumed
     gateway finishes them bit-identically.
+
+    ``path`` accepts any ``str`` or :class:`os.PathLike` and is stored as
+    ``str``, so the request serializes to JSON.
     """
 
     path: str
+
+    def __post_init__(self) -> None:
+        if type(self.path) is not str:
+            path = self.path
+            if isinstance(path, os.PathLike):
+                path = os.fspath(path)
+            if not isinstance(path, str):
+                raise ValueError(
+                    f"path must be a str or os.PathLike path, got {self.path!r}"
+                )
+            object.__setattr__(self, "path", path)
 
 
 #: Request type tag -> class, the JSON serialization registry.
@@ -190,15 +232,40 @@ def request_to_dict(request) -> dict:
     return {"type": tag, **data}
 
 
+def _check_fields(what: str, cls, data: dict) -> None:
+    """Raise a ``ValueError`` naming unknown or missing fields of ``cls``."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(unknown)}")
+    missing = [
+        f.name for f in fields
+        if f.name not in data and f.default is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{what} is missing field(s) {', '.join(missing)}")
+
+
 def request_from_dict(data: dict) -> object:
-    """Rebuild a request from its :func:`request_to_dict` form."""
+    """Rebuild a request from its :func:`request_to_dict` form.
+
+    Malformed input — an unknown type tag, an unknown or missing field, a
+    field value the request type rejects — raises a ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"request must be a dict, got {data!r}")
     tag = data.get("type")
     cls = REQUEST_TYPES.get(tag)
     if cls is None:
         raise ValueError(f"unknown request type {tag!r}")
     kwargs = {k: v for k, v in data.items() if k != "type"}
+    _check_fields(f"{tag} request", cls, kwargs)
     if "spec" in kwargs:
-        kwargs["spec"] = CampaignSpec(**kwargs["spec"])
+        spec = kwargs["spec"]
+        if not isinstance(spec, dict):
+            raise ValueError(f"spec must be a dict, got {spec!r}")
+        _check_fields("spec", CampaignSpec, spec)
+        kwargs["spec"] = CampaignSpec(**spec)
     return cls(**kwargs)
 
 
@@ -289,7 +356,7 @@ class RequestTrace:
     by arrival tick (stable, so same-tick arrival order is preserved),
     JSON round-trippable, and — replayed through
     :meth:`~repro.serve.gateway.Gateway.replay` — bit-identical across
-    shard counts, executors, and checkpoint/resume boundaries.
+    shard counts and checkpoint/resume boundaries.
 
     Attributes
     ----------

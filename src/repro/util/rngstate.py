@@ -1,10 +1,9 @@
 """Serialize/restore :class:`numpy.random.Generator` bit-generator state.
 
-Shared by the checkpoint layer (:mod:`repro.engine.checkpoint`, which
-persists states into a bundle) and the process shard executor
-(:mod:`repro.engine.procpool`, which ships states across the worker
-pipe at restore/export time).  State round-trips exactly: a restored
-generator continues the stream bit-for-bit from where the source stopped.
+Used by the checkpoint layer (:mod:`repro.engine.checkpoint`), which
+persists every generator of a session into a bundle.  State round-trips
+exactly: a restored generator continues the stream bit-for-bit from where
+the source stopped.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The acceptance contract: a session snapshotted at *any* tick boundary and
 restored from disk must finish bit-identically to the uninterrupted
 same-seed run — same outcomes (costs, completions, cache_hit, num_solves),
 same counters, same per-session cache/batch stats — for both engine
-front-ends, multiple shard counts, serial and thread executors, with
-adaptive campaigns in the mix.  Only wall-clock may differ.
+front-ends and multiple shard counts, with adaptive campaigns in the
+mix.  Only wall-clock may differ.
 """
 
 from __future__ import annotations
@@ -60,15 +60,11 @@ ENGINES = {
     ),
     "sharded-1-serial": lambda: ShardedEngine(
         make_stream(), paper_acceptance_model(), num_shards=1,
-        executor="serial", planning="stationary",
+        planning="stationary",
     ),
     "sharded-3-serial": lambda: ShardedEngine(
         make_stream(), paper_acceptance_model(), num_shards=3,
-        executor="serial", planning="stationary",
-    ),
-    "sharded-3-thread": lambda: ShardedEngine(
-        make_stream(), paper_acceptance_model(), num_shards=3,
-        executor="thread", planning="stationary",
+        planning="stationary",
     ),
 }
 
@@ -265,19 +261,36 @@ class TestBundleContract:
             save_checkpoint(engine, tmp_path / "ck")
         engine.close()
 
-    def test_executor_instance_rejected_at_save(self, tmp_path):
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            engine = ShardedEngine(
-                make_stream(), paper_acceptance_model(), num_shards=2,
-                executor=pool, planning="stationary",
-            )
-            engine.submit(workload())
-            engine.start(seed=SEED)
-            with pytest.raises(CheckpointError, match="executor"):
-                save_checkpoint(engine, tmp_path / "ck")
-            engine.close()
+    @pytest.mark.parametrize(
+        "legacy", ["serial", "thread", "process", pytest.param(None, id="absent")]
+    )
+    def test_legacy_sharded_bundle_restores(self, legacy, tmp_path):
+        """Bundles written while sharded engines could run their shards on
+        a thread pool or worker processes recorded that choice as
+        ``config["executor"]``; new bundles omit it.  Restore ignores the
+        key whatever it names, and a bundle without it resumes too."""
+        base = run_uninterrupted("sharded-3-serial")
+        engine = ENGINES["sharded-3-serial"]()
+        engine.submit(workload())
+        core = engine.start(seed=SEED)
+        for _ in range(7):
+            core.tick()
+        bundle = save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if legacy is None:
+            manifest["config"].pop("executor", None)
+        else:
+            manifest["config"]["executor"] = legacy
+        manifest_path.write_text(json.dumps(manifest))
+        restored = restore_engine(bundle)
+        try:
+            assert restored.num_shards == 3
+            result = restored.run_to_completion()
+        finally:
+            restored.close()
+        assert strip_timing(result) == strip_timing(base)
 
     def test_uniform_router_round_trips(self, tmp_path):
         model = paper_acceptance_model()

@@ -1,12 +1,11 @@
-"""The differential executor/kernel matrix: every cell, bit-identical.
+"""The differential shard/kernel matrix: every cell, bit-identical.
 
-This is the proof obligation for the process executor and the compiled
-kernels: the engine's behaviour is a function of ``(workload, scenario,
-seed)`` and **nothing else**.  The sweep runs the canonical golden
-scenario through every cell of
+This is the proof obligation for sharding and the compiled kernels: the
+engine's behaviour is a function of ``(workload, scenario, seed)`` and
+**nothing else**.  The sweep runs the canonical golden scenario through
+every cell of
 
     {pooled, sharded x {1, 3, 5} shards}
-  x {serial, thread, process} executors
   x {numpy, numba} kernel backends           (tests/kernel_modes.py)
   x {uninterrupted, checkpoint/resume at a fuzzed tick}
   x {materialized, streaming}                 (lazy source + spill sink)
@@ -23,9 +22,9 @@ The sharded/pooled baselines are additionally pinned to the committed
 golden traces, so a matrix-wide drift (all cells equal, all wrong)
 cannot slip through.
 
-Note for single-core CI: these tests assert *invariance*, not scaling —
-the process executor must produce identical bits even when its workers
-time-slice one core.  Throughput claims live in ``benchmarks/``.
+Sharded engines run their shards in one serial loop; the ``serial``
+component of the sharded cell ids names it.  These tests assert
+*invariance*, not scaling; throughput claims live in ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from tests.golden.cases import (
 from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
 SHARD_COUNTS = (1, 3, 5)
-EXECUTORS = ("serial", "thread", "process")
 #: "stream"/"stream-resume" rerun the cell with a lazy ListSource feeding
 #: the same specs and a streaming (keep=False, JSONL-spill) sink — the
 #: payload's outcome block is rebuilt from the spill, so these cells prove
@@ -70,9 +68,8 @@ def cell_id(*parts) -> str:
 
 
 SHARDED_CELLS = [
-    pytest.param(s, e, k, m, id=cell_id(s, e, k, m))
+    pytest.param(s, k, m, id=cell_id(s, "serial", k, m))
     for s in SHARD_COUNTS
-    for e in EXECUTORS
     for k in KERNEL_MODES
     for m in RUN_MODES
 ]
@@ -94,13 +91,13 @@ def resume_tick(cell: str) -> int:
 
 
 def build_matrix_driver(
-    num_shards: int, executor: str, streaming: bool = False, spill=None
+    num_shards: int, streaming: bool = False, spill=None
 ) -> ScenarioDriver:
     """The golden-case workload + scenario on an arbitrary engine shape."""
     if num_shards:
         engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
             make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            executor=executor, planning="stationary",
+            planning="stationary",
         )
     else:
         engine = MarketplaceEngine(
@@ -131,12 +128,10 @@ def finish(driver: ScenarioDriver, spill=None) -> dict:
     }))
 
 
-def run_cell(num_shards, executor, mode, cell, tmp_path) -> dict:
+def run_cell(num_shards, mode, cell, tmp_path) -> dict:
     streaming = mode.startswith("stream")
     spill = tmp_path / f"{cell}.jsonl" if streaming else None
-    driver = build_matrix_driver(
-        num_shards, executor, streaming=streaming, spill=spill
-    )
+    driver = build_matrix_driver(num_shards, streaming=streaming, spill=spill)
     if mode in ("full", "stream"):
         return finish(driver, spill=spill)
     # Checkpoint/resume cell: pause at the fuzzed tick, snapshot, abandon
@@ -162,13 +157,13 @@ def normalized(payload: dict) -> dict:
 @pytest.fixture(scope="module")
 def sharded_baseline():
     with kernel_mode("numpy"):
-        return finish(build_matrix_driver(3, "serial"))
+        return finish(build_matrix_driver(3))
 
 
 @pytest.fixture(scope="module")
 def pooled_baseline():
     with kernel_mode("numpy"):
-        return finish(build_matrix_driver(0, "serial"))
+        return finish(build_matrix_driver(0))
 
 
 class TestBaselines:
@@ -193,19 +188,16 @@ class TestBaselines:
 
 
 class TestShardedMatrix:
-    @pytest.mark.parametrize(
-        "num_shards,executor,kernels_name,mode", SHARDED_CELLS
-    )
+    @pytest.mark.parametrize("num_shards,kernels_name,mode", SHARDED_CELLS)
     def test_cell_matches_baseline(
-        self, num_shards, executor, kernels_name, mode, sharded_baseline,
-        tmp_path,
+        self, num_shards, kernels_name, mode, sharded_baseline, tmp_path
     ):
-        cell = cell_id("sharded", num_shards, executor, kernels_name, mode)
+        cell = cell_id("sharded", num_shards, "serial", kernels_name, mode)
         with kernel_mode(kernels_name):
-            payload = run_cell(num_shards, executor, mode, cell, tmp_path)
+            payload = run_cell(num_shards, mode, cell, tmp_path)
         assert payload["result"]["num_shards"] == num_shards
         assert normalized(payload) == normalized(sharded_baseline), (
-            f"cell {cell} diverged from the serial/numpy baseline"
+            f"cell {cell} diverged from the 3-shard/numpy baseline"
         )
 
 
@@ -216,7 +208,7 @@ class TestPooledMatrix:
     ):
         cell = cell_id("pooled", kernels_name, mode)
         with kernel_mode(kernels_name):
-            payload = run_cell(0, "serial", mode, cell, tmp_path)
+            payload = run_cell(0, mode, cell, tmp_path)
         assert normalized(payload) == normalized(pooled_baseline), (
             f"cell {cell} diverged from the pooled baseline"
         )
@@ -229,12 +221,14 @@ class TestGoldenTraceInvariance:
     here it gates every PR.
     """
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
-    def test_sharded_golden_invariant(self, executor, kernels_name):
+    @pytest.mark.parametrize(
+        "kernels_name",
+        [pytest.param(k, id=f"{k}-serial") for k in KERNEL_MODES],
+    )
+    def test_sharded_golden_invariant(self, kernels_name):
         golden = json.loads(trace_path("sharded3_small").read_text())
         with kernel_mode(kernels_name):
-            assert run_case("sharded3_small", executor=executor) == golden
+            assert run_case("sharded3_small") == golden
 
     @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
     def test_pooled_golden_invariant_under_kernels(self, kernels_name):

@@ -42,7 +42,6 @@ def make_engine(kind: str, stream: SharedArrivalStream | None = None,
             stream,
             paper_acceptance_model(),
             num_shards=3,
-            executor="serial",
             planning="stationary",
             planning_means=planning_means,
         )
@@ -106,7 +105,6 @@ class TestRateModulation:
                 stream,
                 paper_acceptance_model(),
                 num_shards=shards,
-                executor="serial",
                 planning="stationary",
             )
             engine.submit(generate_workload(12, NUM_INTERVALS, seed=5))

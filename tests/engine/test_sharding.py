@@ -1,9 +1,9 @@
 """Shard determinism and the factored arrival split.
 
-The contract under test: sharding is a pure throughput lever.  The same
-seed must produce identical per-campaign outcomes for one shard, many
-shards, serial or threaded execution — because every random decision is
-keyed by campaign, not by shard layout.
+The contract under test: the shard count never changes results.  The
+same seed must produce identical per-campaign outcomes for one shard or
+many — because every random decision is keyed by campaign, not by shard
+layout.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def stream() -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def run_sharded(stream, num_shards, executor="serial", router=None, seed=5):
+def run_sharded(stream, num_shards, router=None, seed=5):
     engine = ShardedEngine(
         stream,
         paper_acceptance_model(),
@@ -38,7 +38,6 @@ def run_sharded(stream, num_shards, executor="serial", router=None, seed=5):
         router=router,
         cache=PolicyCache(max_entries=256),
         planning="stationary",
-        executor=executor,
     )
     engine.submit(generate_workload(36, stream.num_intervals, seed=17))
     return engine.run(seed=seed)
@@ -67,11 +66,6 @@ class TestShardDeterminism:
         assert one.total_completed == three.total_completed
         assert one.total_arrivals == three.total_arrivals == five.total_arrivals
         assert one.total_accepted == three.total_accepted
-
-    def test_executor_choice_never_changes_results(self, stream):
-        serial = run_sharded(stream, 4, executor="serial")
-        threaded = run_sharded(stream, 4, executor="thread")
-        assert outcome_key(serial) == outcome_key(threaded)
 
     def test_same_seed_reproducible(self, stream):
         assert outcome_key(run_sharded(stream, 2)) == outcome_key(
@@ -138,33 +132,6 @@ class TestValidation:
         acceptance = paper_acceptance_model()
         with pytest.raises(ValueError, match="num_shards"):
             ShardedEngine(stream, acceptance, num_shards=0)
-        with pytest.raises(ValueError, match="executor"):
-            ShardedEngine(stream, acceptance, executor="rocket")
-        import concurrent.futures
-
-        with pytest.raises(ValueError, match="process pools"):
-            ShardedEngine(
-                stream,
-                acceptance,
-                executor=concurrent.futures.ProcessPoolExecutor(max_workers=1),
-            )
-
-    def test_external_executor_instance_accepted(self, stream):
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            a = run_sharded(stream, 2)
-            engine = ShardedEngine(
-                stream,
-                paper_acceptance_model(),
-                num_shards=2,
-                cache=PolicyCache(max_entries=256),
-                planning="stationary",
-                executor=pool,
-            )
-            engine.submit(generate_workload(36, stream.num_intervals, seed=17))
-            b = engine.run(seed=5)
-        assert outcome_key(a) == outcome_key(b)
 
 
 class TestRouterFractions:

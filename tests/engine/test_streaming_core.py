@@ -50,8 +50,7 @@ def make_engine(sharded: bool = False, n: int = 48, **kwargs):
     stream = make_stream(n)
     if sharded:
         return ShardedEngine(
-            stream, paper_acceptance_model(), planning="stationary",
-            executor="serial", **kwargs,
+            stream, paper_acceptance_model(), planning="stationary", **kwargs,
         )
     return MarketplaceEngine(
         stream, paper_acceptance_model(), planning="stationary", **kwargs

@@ -81,16 +81,10 @@ def make_stream() -> SharedArrivalStream:
 
 def build_driver(
     case: str,
-    executor: str = "serial",
     streaming: bool = False,
     outcomes_path: pathlib.Path | None = None,
 ) -> ScenarioDriver:
     """Construct one canonical case's engine + driver (not yet started).
-
-    ``executor`` overrides the sharded cases' executor (the committed
-    traces are pinned under ``"serial"``; the executor-matrix suite and
-    the regen guard re-run them under the others to prove invariance).
-    Pooled cases have no executor and ignore the override.
 
     ``streaming=True`` feeds the same workload through a lazy
     ``ListSource`` and runs with a streaming outcome sink (no
@@ -101,7 +95,7 @@ def build_driver(
     if num_shards:
         engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
             make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            executor=executor, planning="stationary",
+            planning="stationary",
         )
     else:
         engine = MarketplaceEngine(
@@ -157,7 +151,7 @@ def result_to_dict(result: EngineResult, outcomes=None) -> dict:
     }
 
 
-def run_case(case: str, executor: str = "serial", streaming: bool = False) -> dict:
+def run_case(case: str, streaming: bool = False) -> dict:
     """Run one canonical case and return its JSON-normalized golden payload.
 
     ``streaming=True`` runs the case with a lazy source and a streaming
@@ -170,9 +164,7 @@ def run_case(case: str, executor: str = "serial", streaming: bool = False) -> di
 
         with tempfile.TemporaryDirectory() as td:
             spill = pathlib.Path(td) / "outcomes.jsonl"
-            driver = build_driver(
-                case, executor=executor, streaming=True, outcomes_path=spill
-            )
+            driver = build_driver(case, streaming=True, outcomes_path=spill)
             result = driver.run()
             outcomes = list(replay_outcomes(spill))
         assert result.outcomes == ()  # nothing was materialized
@@ -183,7 +175,7 @@ def run_case(case: str, executor: str = "serial", streaming: bool = False) -> di
             "telemetry": driver.telemetry.to_dict(),
         }
         return json.loads(json.dumps(payload))
-    driver = build_driver(case, executor=executor)
+    driver = build_driver(case)
     result = driver.run()
     payload = {
         "case": case,
@@ -230,7 +222,7 @@ def build_serve_gateway(
     if num_shards:
         engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
             make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            executor="serial", planning="stationary",
+            planning="stationary",
         )
     else:
         engine = MarketplaceEngine(

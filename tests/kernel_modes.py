@@ -11,10 +11,6 @@ helper makes the ``"numba"`` cell runnable on *every* environment:
   its loop arithmetic are differentially tested against numpy even
   where the compiler is absent, and the suite proves the fallback
   machinery green rather than silently skipping.
-
-Because the process executor's workers inherit the coordinator's module
-state under ``fork`` (and skip re-resolving when it already matches),
-the substitution crosses the process boundary too.
 """
 
 from __future__ import annotations

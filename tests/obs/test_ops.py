@@ -120,8 +120,7 @@ class TestHealth:
         body = body_of(reply)
         assert body["ready"] is True
         assert all(check["ok"] for check in body["checks"].values())
-        # In-process executor: the shard check degrades to a no-op.
-        assert body["checks"]["shards"]["workers"] is None
+        assert sorted(body["checks"]) == ["event_log", "queue", "session"]
 
     def test_readyz_full_queue_is_503(self):
         gateway = started_gateway(max_queue=2)

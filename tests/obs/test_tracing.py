@@ -15,14 +15,14 @@ from repro.sim.stream import SharedArrivalStream
 NUM_INTERVALS = 24
 
 
-def make_engine(num_shards: int = 0, executor: str = "serial"):
+def make_engine(num_shards: int = 0):
     means = 700.0 + 150.0 * np.sin(
         np.linspace(0.0, 2.0 * np.pi, NUM_INTERVALS)
     )
     if num_shards:
         return ShardedEngine(
             SharedArrivalStream(means), paper_acceptance_model(),
-            num_shards=num_shards, executor=executor, planning="stationary",
+            num_shards=num_shards, planning="stationary",
         )
     return MarketplaceEngine(
         SharedArrivalStream(means), paper_acceptance_model(),
@@ -184,18 +184,17 @@ class TestEnginePhaseTimings:
 
 
 class TestShardPhaseTimings:
-    """Per-shard phase attribution — every executor, including procpool.
+    """Per-shard phase attribution from the serial shard loop.
 
-    The aggregate ``price``/``split``/``observe`` timers include
-    coordination and IPC wait; ``shard_totals`` must isolate each
-    shard's own compute, which for ``executor="process"`` means the
-    worker measures itself and ships the elapsed seconds back inside
-    its normal reply.
+    The aggregate ``price``/``split``/``observe`` timers include the
+    coordinator's share; ``shard_totals`` must isolate each shard's own
+    slice of the work.
     """
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_every_executor_attributes_all_shard_phases(self, executor):
-        engine = make_engine(num_shards=2, executor=executor)
+    # The one-element parametrization keeps the ``[serial]`` test id.
+    @pytest.mark.parametrize("shard_loop", ["serial"])
+    def test_every_executor_attributes_all_shard_phases(self, shard_loop):
+        engine = make_engine(num_shards=2)
         engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
         core = engine.start(seed=5)
         timings = core.enable_phase_timings()
@@ -210,7 +209,7 @@ class TestShardPhaseTimings:
 
     def test_shard_metrics_series_per_shard_and_phase(self):
         registry = MetricsRegistry()
-        engine = make_engine(num_shards=2, executor="process")
+        engine = make_engine(num_shards=2)
         engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
         core = engine.start(seed=5)
         core.enable_phase_timings(PhaseTimings(metrics=registry))
@@ -229,7 +228,7 @@ class TestShardPhaseTimings:
         import dataclasses
 
         def run(enable):
-            engine = make_engine(num_shards=2, executor="process")
+            engine = make_engine(num_shards=2)
             engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
             core = engine.start(seed=5)
             if enable:

@@ -42,7 +42,7 @@ def make_engine(kind: str):
     stream = SharedArrivalStream(means)
     if kind == "sharded":
         return ShardedEngine(stream, paper_acceptance_model(), num_shards=3,
-                             executor="serial", planning="stationary")
+                             planning="stationary")
     return MarketplaceEngine(stream, paper_acceptance_model(),
                              planning="stationary")
 

@@ -17,18 +17,13 @@ def make_stream(num_intervals: int = NUM_INTERVALS) -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def make_engine(
-    num_shards: int = 0,
-    executor: str = "serial",
-    num_intervals: int = NUM_INTERVALS,
-):
+def make_engine(num_shards: int = 0, num_intervals: int = NUM_INTERVALS):
     """A pooled engine (``num_shards=0``) or a ShardedEngine."""
     if num_shards:
         return ShardedEngine(
             make_stream(num_intervals),
             paper_acceptance_model(),
             num_shards=num_shards,
-            executor=executor,
             planning="stationary",
         )
     return MarketplaceEngine(

@@ -43,6 +43,21 @@ def test_serve_bad_trace_file_exits_2(tmp_path, capsys):
     assert main(["engine", "serve", "--trace", str(mangled), *FAST]) == 2
 
 
+def test_serve_trace_with_unservable_field_exits_2_at_load(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({
+        "name": "bad",
+        "requests": [
+            {"tick": 0, "client": "c",
+             "request": {"type": "snapshot", "path": None}},
+        ],
+    }))
+    assert main(["engine", "serve", "--trace", str(trace_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "could not load request trace" in err
+    assert "path" in err
+
+
 def test_serve_flag_validation_exits_2(capsys):
     assert main([
         "engine", "serve", "--canned", "flash-crowd", "--shards", "-1", *FAST,
@@ -65,7 +80,7 @@ def test_serve_trace_with_telemetry_out_and_shards(tmp_path, capsys):
     telemetry_path = tmp_path / "telemetry.json"
     assert main([
         "engine", "serve", "--trace", str(trace_path), *FAST,
-        "--shards", "3", "--executor", "serial",
+        "--shards", "3",
         "--telemetry-out", str(telemetry_path),
     ]) == 0
     telemetry = GatewayTelemetry.load(telemetry_path)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.engine.campaign import CampaignSpec
@@ -41,6 +45,76 @@ def test_request_round_trips_through_dict(request_):
     data = request_to_dict(request_)
     assert isinstance(data["type"], str)
     assert request_from_dict(data) == request_
+
+
+def test_valid_requests_keep_their_serialized_bytes():
+    # Digest of the encoder's output before field validation existed:
+    # validation must not move one byte of a well-formed request.
+    encoded = "\n".join(json.dumps(request_to_dict(r)) for r in ALL_REQUESTS)
+    assert hashlib.sha256(encoded.encode()).hexdigest() == (
+        "cdee406db1c1dcb5625deae6186e1dd6eeef43ba20b3a9d3ee2e3438a86d21df"
+    )
+
+
+class TestFieldValidation:
+    """A field the gateway cannot serve is rejected where the request is
+    built, with a ``ValueError`` naming the field, instead of crashing the
+    serving session when the request is applied."""
+
+    @pytest.mark.parametrize(
+        "path", [None, 5, b"/tmp/bundle"], ids=["none", "int", "bytes"]
+    )
+    def test_snapshot_path_must_be_a_path(self, path):
+        with pytest.raises(ValueError, match="path"):
+            Snapshot(path)
+
+    def test_snapshot_path_like_is_stored_as_str(self, tmp_path):
+        request = Snapshot(tmp_path / "bundle")
+        assert type(request.path) is str
+        assert request.path == str(tmp_path / "bundle")
+        assert json.loads(json.dumps(request_to_dict(request)))["path"] == (
+            request.path
+        )
+
+    @pytest.mark.parametrize(
+        "last", [2.5, "x", None, -1], ids=["float", "str", "none", "negative"]
+    )
+    def test_query_window_must_be_a_non_negative_integer(self, last):
+        with pytest.raises(ValueError, match="last"):
+            QueryTelemetry(last=last)
+
+    def test_query_window_accepts_numpy_ints_as_int(self):
+        request = QueryTelemetry(last=np.int64(3))
+        assert type(request.last) is int and request.last == 3
+
+    @pytest.mark.parametrize("build", [SubmitCampaign, Quote])
+    @pytest.mark.parametrize(
+        "bad", [None, {"campaign_id": "a"}], ids=["none", "dict"]
+    )
+    def test_spec_must_be_a_campaign_spec(self, build, bad):
+        with pytest.raises(ValueError, match="spec"):
+            build(bad)
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"type": "cancel", "campaign_id": "a", "bogus": 1}, "bogus"),
+        ({"type": "cancel"}, "campaign_id"),
+        ({"type": "quote", "spec": {"bogus": 1}}, "bogus"),
+        ({"type": "quote", "spec": None}, "spec"),
+        ({"type": "snapshot", "path": None}, "path"),
+        ({"type": "query-telemetry", "last": 2.5}, "last"),
+        (["cancel", "a"], "dict"),
+    ],
+    ids=[
+        "unknown-key", "missing-key", "unknown-spec-key", "spec-not-a-dict",
+        "snapshot-null-path", "fractional-window", "not-a-dict",
+    ],
+)
+def test_request_from_dict_rejects_malformed_input(data, field):
+    with pytest.raises(ValueError, match=field):
+        request_from_dict(data)
 
 
 def test_mutating_split():

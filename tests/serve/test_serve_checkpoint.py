@@ -18,6 +18,7 @@ import shutil
 import pytest
 
 from repro.engine.checkpoint import CheckpointError, load_extras
+from repro.obs import EventLog
 from repro.serve import (
     Cancel,
     Gateway,
@@ -147,6 +148,28 @@ def test_double_hop_resume(tmp_path):
     hop2.resume_replay()
     assert hop2.telemetry == uninterrupted.telemetry
     assert outcome_map(hop2.core) == outcome_map(uninterrupted.core)
+
+
+def test_path_like_snapshot_with_an_event_log_is_answered(tmp_path):
+    """A ``pathlib.Path`` snapshot target is logged and saved like a str."""
+    log = EventLog(tmp_path / "events.sqlite")
+    gateway = Gateway(make_engine(), event_log=log)
+    gateway.start(seed=SEED)
+    gateway.offer(SubmitCampaign(BASE_TRACE.requests[0].request.spec))
+    snapshot = gateway.offer(Snapshot(tmp_path / "bundle"))
+    assert gateway.step() is not None
+    assert gateway.step() is not None
+    log.flush()
+    assert log.healthy
+    log.close()
+    assert snapshot.response.status == "ok"
+    assert (tmp_path / "bundle" / "manifest.json").is_file()
+    logged = [
+        e.payload["request"]
+        for e in EventLog.read(tmp_path / "events.sqlite").events()
+        if e.payload.get("request", {}).get("type") == "snapshot"
+    ]
+    assert logged == [{"type": "snapshot", "path": str(tmp_path / "bundle")}]
 
 
 def test_snapshot_to_an_unwritable_path_answers_error(tmp_path):

@@ -1,6 +1,6 @@
 """Property-based arrival-splitting invariants (hypothesis).
 
-Two guarantees underpin the executor matrix's bit-identical contract:
+Two guarantees underpin the shard matrix's bit-identical contract:
 
 * **Stream level** — :meth:`SharedArrivalStream.split` is a faithful
   Poisson split: for arbitrary mean vectors and shard counts, the
@@ -13,10 +13,9 @@ Two guarantees underpin the executor matrix's bit-identical contract:
   Poisson draws per live campaign per tick from that campaign's private
   generator**, whatever the routed fractions (including zero-mass edge
   cases) and however campaigns are laid out across shards.  This draw
-  discipline is *why* the executor choice can never shift any random
-  stream: workers re-derive the same per-campaign generators and consume
-  them at the same rate, so shard layout and process boundaries are
-  invisible.  Extends the PR 3 counting-generator pattern from the
+  discipline is *why* the shard layout can never shift any random
+  stream: every layout derives the same per-campaign generators and
+  consumes them at the same rate.  Extends the PR 3 counting-generator pattern from the
   router to the shard tick.
 """
 

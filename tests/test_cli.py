@@ -166,32 +166,6 @@ class TestEngineCommand:
         assert code == 2
         assert "fits" in capsys.readouterr().err
 
-    def test_run_process_executor_matches_serial(self, capsys):
-        workload = [
-            "engine", "run",
-            "--campaigns", "6",
-            "--horizon-hours", "12",
-            "--interval-minutes", "30",
-            "--shards", "2",
-            "--seed", "3",
-        ]
-        assert main([*workload, "--executor", "serial"]) == 0
-        serial = capsys.readouterr().out
-        assert main([*workload, "--executor", "process"]) == 0
-        process = capsys.readouterr().out
-        assert "shards=2 (process)" in process
-
-        def deterministic_report(out: str) -> list[str]:
-            # Drop the serving header (names the executor) and the
-            # wall-clock line; everything left must be bit-identical.
-            return [
-                line
-                for line in out.split("serving")[1].splitlines()[1:]
-                if "campaigns/sec" not in line
-            ]
-
-        assert deterministic_report(serial) == deterministic_report(process)
-
     def test_run_kernels_flag(self, capsys, recwarn):
         from repro.core.batch import kernels
 

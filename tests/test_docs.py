@@ -80,12 +80,9 @@ class TestBenchRecord:
     def test_shard_scaling_fields(self, record):
         scaling = record["shard_scaling"]
         assert scaling["interleaved"] is True
-        arms = {(a["shards"], a["executor"]) for a in scaling["arms"]}
-        assert {(1, "serial"), (4, "thread"), (4, "process")} <= arms
+        assert {a["shards"] for a in scaling["arms"]} == {1, 2, 4}
         completed = {a["completed"] for a in scaling["arms"]}
-        assert len(completed) == 1, (
-            "shard count or executor changed the outcome"
-        )
+        assert len(completed) == 1, "shard count changed the outcome"
         floor = scaling["required_min_campaigns_per_second"]
         assert all(
             a["campaigns_per_second"] >= floor for a in scaling["arms"]
