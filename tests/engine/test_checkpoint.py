@@ -27,6 +27,7 @@ from repro.engine import (
     generate_workload,
     restore_engine,
     save_checkpoint,
+    shard_of,
 )
 from repro.engine.routing import ArrivalRouter
 from repro.market.acceptance import paper_acceptance_model
@@ -64,6 +65,16 @@ ENGINES = {
     ),
     "sharded-3-serial": lambda: ShardedEngine(
         make_stream(), paper_acceptance_model(), num_shards=3,
+        planning="stationary",
+    ),
+    "sharded-4-serial": lambda: ShardedEngine(
+        make_stream(), paper_acceptance_model(), num_shards=4,
+        planning="stationary",
+    ),
+    # More shards than campaigns: half the shards are empty at every save
+    # and must stay empty (and correctly indexed) across the restore.
+    "sharded-16-serial": lambda: ShardedEngine(
+        make_stream(), paper_acceptance_model(), num_shards=16,
         planning="stationary",
     ),
 }
@@ -291,6 +302,43 @@ class TestBundleContract:
         finally:
             restored.close()
         assert strip_timing(result) == strip_timing(base)
+
+    def test_new_bundles_omit_the_executor_key(self, tmp_path):
+        engine = ENGINES["sharded-3-serial"]()
+        engine.submit(workload())
+        engine.start(seed=SEED)
+        bundle = save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["engine"] == "sharded"
+        assert manifest["config"]["num_shards"] == 3
+        assert "executor" not in manifest["config"]
+
+    @pytest.mark.parametrize("num_shards", [3, 16])
+    def test_restore_places_each_campaign_in_its_hash_shard(
+        self, num_shards, tmp_path
+    ):
+        engine = ENGINES[f"sharded-{num_shards}-serial"]()
+        engine.submit(workload())
+        core = engine.start(seed=SEED)
+        for _ in range(7):
+            core.tick()
+        live = sorted(cid for cid, *_ in core.backend.live_stats())
+        bundle = save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        restored = restore_engine(bundle)
+        try:
+            shards = restored.core.backend.shards
+            assert [shard.index for shard in shards] == list(range(num_shards))
+            placed = []
+            for shard in shards:
+                for c in shard.campaigns:
+                    cid = c.live.spec.campaign_id
+                    assert shard_of(cid, num_shards) == shard.index
+                    placed.append(cid)
+        finally:
+            restored.close()
+        assert live and sorted(placed) == live
 
     def test_uniform_router_round_trips(self, tmp_path):
         model = paper_acceptance_model()

@@ -5,7 +5,7 @@ engine's behaviour is a function of ``(workload, scenario, seed)`` and
 **nothing else**.  The sweep runs the canonical golden scenario through
 every cell of
 
-    {pooled, sharded x {1, 3, 5} shards}
+    {pooled, sharded x {1, 2, 3, 4, 5} shards}
   x {numpy, numba} kernel backends           (tests/kernel_modes.py)
   x {uninterrupted, checkpoint/resume at a fuzzed tick}
   x {materialized, streaming}                 (lazy source + spill sink)
@@ -55,7 +55,9 @@ from tests.golden.cases import (
 )
 from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
-SHARD_COUNTS = (1, 3, 5)
+#: 2 and 4 are the layouts the shard-scaling benchmark times, so the
+#: counts it reports throughput for are proven outcome-invariant here.
+SHARD_COUNTS = (1, 2, 3, 4, 5)
 #: "stream"/"stream-resume" rerun the cell with a lazy ListSource feeding
 #: the same specs and a streaming (keep=False, JSONL-spill) sink — the
 #: payload's outcome block is rebuilt from the spill, so these cells prove

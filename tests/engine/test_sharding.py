@@ -67,6 +67,17 @@ class TestShardDeterminism:
         assert one.total_arrivals == three.total_arrivals == five.total_arrivals
         assert one.total_accepted == three.total_accepted
 
+    # 2 and 4 are the shard-scaling benchmark's layouts; 64 shards over 36
+    # campaigns leaves most shards empty on every tick.
+    @pytest.mark.parametrize("num_shards", [2, 4, 8, 64])
+    def test_every_shard_count_matches_one_shard(self, stream, num_shards):
+        one = run_sharded(stream, 1)
+        many = run_sharded(stream, num_shards)
+        assert outcome_key(many) == outcome_key(one)
+        assert many.total_arrivals == one.total_arrivals
+        assert many.total_considered == one.total_considered
+        assert many.total_accepted == one.total_accepted
+
     def test_same_seed_reproducible(self, stream):
         assert outcome_key(run_sharded(stream, 2)) == outcome_key(
             run_sharded(stream, 2)
@@ -103,6 +114,32 @@ class TestShardAssignment:
         with pytest.raises(ValueError, match="num_shards"):
             shard_of("x", 0)
 
+    @pytest.mark.parametrize("num_shards", [1, 3, 64])
+    def test_live_campaigns_sit_in_their_hash_shard(self, stream, num_shards):
+        engine = ShardedEngine(
+            stream, paper_acceptance_model(), num_shards=num_shards,
+            planning="stationary",
+        )
+        engine.submit(generate_workload(36, stream.num_intervals, seed=17))
+        core = engine.start(seed=5)
+        seen_live = False
+        while not core.done:
+            core.tick()
+            shards = core.backend.shards
+            assert [shard.index for shard in shards] == list(range(num_shards))
+            placed = []
+            for shard in shards:
+                for c in shard.campaigns:
+                    cid = c.live.spec.campaign_id
+                    assert shard_of(cid, num_shards) == shard.index
+                    placed.append(cid)
+            # Every live campaign is in exactly one shard.
+            live = [cid for cid, *_ in core.backend.live_stats()]
+            assert sorted(placed) == live
+            seen_live = seen_live or bool(placed)
+        engine.close()
+        assert seen_live
+
 
 class TestValidation:
     def test_submit_checks_match_the_unsharded_engine(self, stream):
@@ -132,6 +169,44 @@ class TestValidation:
         acceptance = paper_acceptance_model()
         with pytest.raises(ValueError, match="num_shards"):
             ShardedEngine(stream, acceptance, num_shards=0)
+
+
+class TestLifecycle:
+    def make_engine(self, stream):
+        engine = ShardedEngine(
+            stream, paper_acceptance_model(), num_shards=3,
+            planning="stationary",
+        )
+        engine.submit(generate_workload(12, stream.num_intervals, seed=17))
+        return engine
+
+    def test_close_is_idempotent(self, stream):
+        engine = self.make_engine(stream)
+        engine.close()  # no session yet
+        core = engine.start(seed=5)
+        core.tick()
+        engine.close()
+        engine.close()
+        assert engine.core is None
+
+    def test_tick_after_close_is_rejected(self, stream):
+        engine = self.make_engine(stream)
+        engine.start(seed=5)
+        engine.tick()
+        engine.close()
+        with pytest.raises(RuntimeError, match="no active serving session"):
+            engine.tick()
+
+    def test_run_after_a_closed_session_matches_a_fresh_engine(self, stream):
+        engine = self.make_engine(stream)
+        core = engine.start(seed=5)
+        for _ in range(6):
+            core.tick()
+        engine.close()
+        again = engine.run(seed=5)
+        fresh = self.make_engine(stream).run(seed=5)
+        assert outcome_key(again) == outcome_key(fresh)
+        assert again.total_arrivals == fresh.total_arrivals
 
 
 class TestRouterFractions:

@@ -122,6 +122,20 @@ class TestHealth:
         assert all(check["ok"] for check in body["checks"].values())
         assert sorted(body["checks"]) == ["event_log", "queue", "session"]
 
+    def test_readyz_sharded_gateway_needs_no_shard_check(self):
+        # Shards run inside the serving process, so a sharded engine is
+        # ready on exactly the checks a pooled one is.
+        gateway = Gateway(make_engine(num_shards=3))
+        gateway.start(seed=3)
+        gateway.offer(SubmitCampaign(spec("a")))
+        gateway.step()
+        reply = OpsServer(gateway).handle("/readyz")
+        assert reply[0] == 200
+        body = body_of(reply)
+        assert body["ready"] is True
+        assert sorted(body["checks"]) == ["event_log", "queue", "session"]
+        assert all(check["ok"] for check in body["checks"].values())
+
     def test_readyz_full_queue_is_503(self):
         gateway = started_gateway(max_queue=2)
         gateway.offer(SubmitCampaign(spec("a")))

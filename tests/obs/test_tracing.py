@@ -207,6 +207,30 @@ class TestShardPhaseTimings:
             for phase, seconds in totals.items():
                 assert seconds > 0.0, f"shard {shard} {phase} never timed"
 
+    # 8 shards over the 6-campaign workload leaves some shards empty: the
+    # loop still visits (and times) every shard, in index order.
+    @pytest.mark.parametrize("num_shards", [1, 3, 8])
+    def test_shard_ledger_covers_every_shard_within_phase_totals(
+        self, num_shards
+    ):
+        engine = make_engine(num_shards=num_shards)
+        engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
+        core = engine.start(seed=5)
+        timings = core.enable_phase_timings()
+        while not core.done:
+            core.tick()
+        engine.close()
+        assert sorted(timings.shard_totals) == list(range(num_shards))
+        for phase in PhaseTimings.SHARD_PHASES:
+            per_shard = [
+                timings.shard_totals[shard][phase]
+                for shard in range(num_shards)
+            ]
+            assert all(seconds >= 0.0 for seconds in per_shard)
+            # Each shard's slice is timed inside the aggregate phase timer,
+            # which also carries the coordinator's share.
+            assert sum(per_shard) <= timings.totals[phase] + 1e-9, phase
+
     def test_shard_metrics_series_per_shard_and_phase(self):
         registry = MetricsRegistry()
         engine = make_engine(num_shards=2)

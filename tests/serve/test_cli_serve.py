@@ -58,6 +58,44 @@ def test_serve_trace_with_unservable_field_exits_2_at_load(tmp_path, capsys):
     assert "path" in err
 
 
+SPEC = {
+    "campaign_id": "c-0", "kind": "deadline", "num_tasks": 10,
+    "submit_interval": 0, "horizon_intervals": 6,
+}
+
+
+@pytest.mark.parametrize(
+    "request_,field",
+    [
+        ({"type": "query-telemetry", "last": 2.5}, "last"),
+        ({"type": "submit-campaign", "spec": None}, "spec"),
+        ({"type": "quote", "spec": None}, "spec"),
+        ({"type": "submit-campaign", "spec": SPEC, "priority": 1}, "priority"),
+    ],
+    ids=["fractional-window", "null-submit-spec", "null-quote-spec",
+         "unknown-key"],
+)
+def test_serve_trace_rejects_each_unservable_request_at_load(
+    request_, field, tmp_path, capsys
+):
+    # The replay must refuse the trace before serving its first tick,
+    # never die mid-replay with a traceback.
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({
+        "name": "bad",
+        "requests": [
+            {"tick": 0, "client": "c",
+             "request": {"type": "submit-campaign", "spec": SPEC}},
+            {"tick": 2, "client": "c", "request": request_},
+        ],
+    }))
+    assert main(["engine", "serve", "--trace", str(trace_path), *FAST]) == 2
+    captured = capsys.readouterr()
+    assert "could not load request trace" in captured.err
+    assert field in captured.err
+    assert "serving       :" not in captured.out
+
+
 def test_serve_flag_validation_exits_2(capsys):
     assert main([
         "engine", "serve", "--canned", "flash-crowd", "--shards", "-1", *FAST,
@@ -86,6 +124,21 @@ def test_serve_trace_with_telemetry_out_and_shards(tmp_path, capsys):
     telemetry = GatewayTelemetry.load(telemetry_path)
     assert telemetry.num_ticks > 0
     assert "telemetry     : written to" in capsys.readouterr().out
+
+
+def test_serve_telemetry_is_shard_count_invariant(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    LoadGenerator(18, seed=3, rate=2.0).trace("open").save(trace_path)
+    telemetry = {}
+    for shards in ("1", "4"):
+        out = tmp_path / f"telemetry-{shards}.json"
+        assert main([
+            "engine", "serve", "--trace", str(trace_path), *FAST,
+            "--shards", shards, "--telemetry-out", str(out),
+        ]) == 0
+        telemetry[shards] = json.loads(out.read_text())
+    assert "shards=4" in capsys.readouterr().out
+    assert telemetry["1"] == telemetry["4"]
 
 
 def test_serve_stop_resume_round_trip(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -166,6 +168,33 @@ class TestEngineCommand:
         assert code == 2
         assert "fits" in capsys.readouterr().err
 
+    def test_run_shard_count_never_changes_the_report(self, capsys):
+        workload = [
+            "engine", "run",
+            "--campaigns", "6",
+            "--horizon-hours", "12",
+            "--interval-minutes", "30",
+            "--per-campaign",
+            "--seed", "3",
+        ]
+        reports = {}
+        for shards in ("1", "4"):
+            assert main([*workload, "--shards", shards]) == 0
+            reports[shards] = capsys.readouterr().out
+        assert "serving       : shards=4," in reports["4"]
+
+        def deterministic_report(out: str) -> list[str]:
+            # Drop the serving header (names the shard count) and the
+            # wall-clock line; everything left must be bit-identical.
+            return [
+                line for line in out.splitlines()
+                if line.split(":")[0].strip() not in ("serving", "throughput")
+            ]
+
+        assert deterministic_report(reports["1"]) == deterministic_report(
+            reports["4"]
+        )
+
     def test_run_kernels_flag(self, capsys, recwarn):
         from repro.core.batch import kernels
 
@@ -236,6 +265,33 @@ class TestEngineCheckpointCLI:
             ]
         assert body(resumed) == body(uninterrupted)
 
+    def test_sharded_kill_and_resume_matches_uninterrupted(
+        self, tmp_path, capsys
+    ):
+        sharded = [*self.WORKLOAD, "--shards", "3"]
+        assert main(["engine", "run", *sharded]) == 0
+        uninterrupted = capsys.readouterr().out
+
+        bundle = tmp_path / "ck"
+        assert main(
+            ["engine", "run", *sharded,
+             "--stop-after", "6", "--checkpoint-path", str(bundle)]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["config"]["num_shards"] == 3
+
+        assert main(["engine", "run", "--resume", str(bundle)]) == 0
+        resumed = capsys.readouterr().out
+
+        def body(text):
+            return [
+                line for line in text.splitlines()
+                if line.split(":")[0].strip()
+                not in ("stream", "serving", "resume", "throughput")
+            ]
+        assert body(resumed) == body(uninterrupted)
+
     def test_periodic_checkpoints_leave_a_bundle(self, tmp_path, capsys):
         bundle = tmp_path / "ck"
         code = main(
@@ -266,6 +322,17 @@ class TestParser:
         args = build_parser().parse_args(["solve-deadline"])
         assert args.num_tasks == 200
         assert args.horizon_hours == 24.0
+
+    def test_executor_flag_is_gone(self, capsys):
+        # Shards always run in one serial loop; the engine commands reject
+        # the removed executor choice instead of silently ignoring it.
+        for command in (["run"], ["scenario", "run"], ["serve"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["engine", *command, "--executor", "thread"]
+                )
+            assert exc.value.code == 2
+            assert "--executor" in capsys.readouterr().err
 
     def test_engine_defaults(self):
         args = build_parser().parse_args(["engine", "run"])
