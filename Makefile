@@ -15,12 +15,14 @@ test:
 	$(PYTEST) -x -q
 
 ## Engine benchmarks: cache ablation, batch-vs-scalar solve speedup,
-## shard scaling.  Regenerates BENCH_engine.json at the repo root.
+## factored-arrivals throughput.  Regenerates BENCH_engine.json at the
+## repo root.
 bench:
 	$(PYTEST) benchmarks/bench_engine.py -q -p no:cacheprovider
 
-## Engine bench smoke (CI): the same benchmarks with a tiny shard-scaling
-## workload and a hang-guard floor; never rewrites BENCH_engine.json.
+## Engine bench smoke (CI): the same benchmarks with a tiny
+## factored-arrivals workload and a hang-guard floor; never rewrites
+## BENCH_engine.json.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_engine.py -q -p no:cacheprovider
 
@@ -37,7 +39,8 @@ kernels-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_kernels.py -q -p no:cacheprovider
 
 ## Scenario-engine benchmarks: driver overhead vs the raw clock, and
-## stress throughput under churn + shock + cancellation at 1/3 shards.
+## stress throughput under churn + shock + cancellation under both
+## arrival models.
 ## CI runs this with REPRO_BENCH_SMOKE=1 (tiny horizon, same code paths).
 bench-scenario:
 	$(PYTEST) benchmarks/bench_scenario.py -q -p no:cacheprovider
@@ -108,7 +111,7 @@ golden-check: regen-golden
 docs-check:
 	$(PYTEST) tests/test_docs.py tests/test_documentation.py -q
 
-## Durability drill: run each engine flavour, kill it at a mid-run tick,
+## Durability drill: run each arrival model, kill it at a mid-run tick,
 ## resume from the checkpoint bundle, and require the stitched run to be
 ## bit-identical to an uninterrupted one.
 checkpoint-smoke:

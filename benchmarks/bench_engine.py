@@ -1,4 +1,4 @@
-"""Engine throughput benchmarks: the cache, the batch fast path, sharding.
+"""Engine throughput benchmarks: the cache, the batch fast path, arrivals.
 
 Three tracked surfaces:
 
@@ -10,18 +10,13 @@ Three tracked surfaces:
   to :func:`~repro.core.batch.deadline.solve_deadline_batch`; the
   acceptance bar is a >= 3x policy-solve throughput win for the batch
   kernel.
-* **Shard scaling** — the same workload through
-  :class:`~repro.engine.sharding.ShardedEngine` at 1/2/4 shards, each
-  running its shards in the engine's serial loop.  The arms are timed
-  **interleaved**, best-of-``SHARD_REPEATS`` each (like
-  ``bench_obs.py``), so CPU-frequency drift and cache warmth hit every
-  arm equally instead of flattering whichever ran last.  Outcomes are
-  asserted identical across every arm (the determinism contract), and
-  every arm must clear a ratcheted ``campaigns_per_second`` floor; the
-  spread between arms is the cost of the shard partition itself,
-  reported as measured, never asserted.
+* **Factored arrivals** — a 120-campaign workload through the engine
+  under ``arrivals="factored"`` (per-campaign Poisson draws), timed
+  best-of-``FACTORED_REPEATS``; it must clear a ratcheted
+  ``campaigns_per_second`` floor, and the record keeps its completed-task
+  count as an outcome fingerprint.
 
-Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the shard-scaling workload
+Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the factored-arrivals workload
 and loosens the throughput floor (a contended single-core CI runner
 resolves invariance, not throughput); the committed ``BENCH_engine.json``
 is only rewritten by full runs.
@@ -44,29 +39,22 @@ import pytest
 from repro.core.batch import solve_deadline_batch
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
 from repro.core.deadline.vectorized import solve_deadline
-from repro.engine import (
-    MarketplaceEngine,
-    PolicyCache,
-    ShardedEngine,
-    generate_workload,
-)
+from repro.engine import MarketplaceEngine, PolicyCache, generate_workload
 from repro.engine.engine import EngineResult
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
 
-#: CI smoke mode: tiny shard-scaling workload, same code paths.
+#: CI smoke mode: tiny factored-arrivals workload, same code paths.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 NUM_CAMPAIGNS = 50
 NUM_INTERVALS = 96
 SEED = 21
 
-#: Shard-scaling arms: shard counts, every one run by the serial loop.
-SHARD_ARMS = (1, 2, 4)
-SHARD_CAMPAIGNS = 24 if SMOKE else 120
-SHARD_REPEATS = 2 if SMOKE else 3
-#: Ratcheted floor: every arm's best-of campaigns/sec must clear it in
-#: full mode (raise when the engine gets faster, never lower).  Smoke
+FACTORED_CAMPAIGNS = 24 if SMOKE else 120
+FACTORED_REPEATS = 2 if SMOKE else 3
+#: Ratcheted floor: the factored arm's best-of campaigns/sec must clear it
+#: in full mode (raise when the engine gets faster, never lower).  Smoke
 #: mode only guards against pathological hangs.
 REQUIRED_MIN_CPS = 0.5 if SMOKE else 300.0
 
@@ -126,16 +114,18 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def run_sharded(stream: SharedArrivalStream, num_shards: int) -> EngineResult:
-    """One ShardedEngine run of the shard-scaling workload on one arm."""
-    engine = ShardedEngine(
+def run_factored(stream: SharedArrivalStream) -> EngineResult:
+    """One run of the factored-arrivals workload."""
+    engine = MarketplaceEngine(
         stream,
         paper_acceptance_model(),
-        num_shards=num_shards,
         cache=PolicyCache(max_entries=256),
         planning="stationary",
+        arrivals="factored",
     )
-    engine.submit(generate_workload(SHARD_CAMPAIGNS, NUM_INTERVALS, seed=SEED))
+    engine.submit(
+        generate_workload(FACTORED_CAMPAIGNS, NUM_INTERVALS, seed=SEED)
+    )
     return engine.run(seed=SEED)
 
 
@@ -176,7 +166,7 @@ def test_engine_report(stream, emit):
 
 
 def test_engine_fastpath_report(stream, emit):
-    """Batch-vs-scalar solve throughput and shard scaling -> BENCH_engine.json.
+    """Batch-vs-scalar solve and factored throughput -> BENCH_engine.json.
 
     The acceptance bar: the batched kernel must deliver at least 3x the
     policy-solve throughput of the scalar path on the 64-campaign solve
@@ -199,28 +189,16 @@ def test_engine_fastpath_report(stream, emit):
         f"batch fast path delivered only {speedup:.1f}x over scalar solves"
     )
 
-    # Shard-scaling arms, timed interleaved (every arm once per round, so
-    # machine drift is shared) with best-of-SHARD_REPEATS per arm.  Round
-    # zero doubles as the warm-up and the invariance check: every arm
-    # must produce the bit-identical outcome aggregate.
-    arm_results: dict[int, EngineResult] = {}
-    arm_best: dict[int, float] = {arm: float("inf") for arm in SHARD_ARMS}
-    for _ in range(SHARD_REPEATS):
-        for arm in SHARD_ARMS:
-            t0 = time.perf_counter()
-            result = run_sharded(stream, arm)
-            arm_best[arm] = min(arm_best[arm], time.perf_counter() - t0)
-            arm_results.setdefault(arm, result)
-    baseline = arm_results[1]
-    for arm, result in arm_results.items():  # sharding: pure throughput lever
-        assert result.total_completed == baseline.total_completed, arm
-        assert result.total_cost == pytest.approx(baseline.total_cost), arm
-    arm_cps = {
-        arm: SHARD_CAMPAIGNS / seconds for arm, seconds in arm_best.items()
-    }
-    slowest = min(arm_cps, key=arm_cps.get)
-    assert arm_cps[slowest] >= REQUIRED_MIN_CPS, (
-        f"{slowest}-shard arm delivered {arm_cps[slowest]:.1f} campaigns/sec "
+    # Factored-arrivals arm, best of FACTORED_REPEATS; the first run
+    # doubles as the warm-up.
+    factored_seconds = float("inf")
+    for _ in range(FACTORED_REPEATS):
+        t0 = time.perf_counter()
+        factored = run_factored(stream)
+        factored_seconds = min(factored_seconds, time.perf_counter() - t0)
+    factored_cps = FACTORED_CAMPAIGNS / factored_seconds
+    assert factored_cps >= REQUIRED_MIN_CPS, (
+        f"factored arm delivered {factored_cps:.1f} campaigns/sec "
         f"(ratcheted floor: {REQUIRED_MIN_CPS})"
     )
 
@@ -234,13 +212,10 @@ def test_engine_fastpath_report(stream, emit):
         f"({len(problems) / batch_seconds:7.1f} solves/sec)",
         f"speedup: {speedup:7.1f}x policy-solve throughput (bar: 3x)",
         "",
-        f"shard scaling ({SHARD_CAMPAIGNS} campaigns, interleaved "
-        f"best-of-{SHARD_REPEATS}, identical outcomes per arm):",
-    ]
-    lines += [
-        f"  {n} shard{'s' if n > 1 else ' '}: {arm_best[n]:6.2f}s  "
-        f"({arm_cps[n]:6.1f} campaigns/sec)"
-        for n in SHARD_ARMS
+        f"factored arrivals ({FACTORED_CAMPAIGNS} campaigns, "
+        f"best-of-{FACTORED_REPEATS}): {factored_seconds:6.2f}s  "
+        f"({factored_cps:6.1f} campaigns/sec, "
+        f"{factored.total_completed} tasks completed)",
     ]
 
     if not SMOKE:
@@ -248,7 +223,7 @@ def test_engine_fastpath_report(stream, emit):
         record["workload"] = {
             "solve_instances": len(problems),
             "shapes": [list(s) for s in SOLVE_SHAPES],
-            "sharded_campaigns": SHARD_CAMPAIGNS,
+            "factored_campaigns": FACTORED_CAMPAIGNS,
             "stream_intervals": NUM_INTERVALS,
             "seed": SEED,
         }
@@ -260,24 +235,18 @@ def test_engine_fastpath_report(stream, emit):
             "speedup": round(speedup, 2),
             "required_speedup": 3.0,
         }
-        record["shard_scaling"] = {
-            "campaigns": SHARD_CAMPAIGNS,
-            "repeats": SHARD_REPEATS,
-            "interleaved": True,
+        record.pop("shard_scaling", None)
+        record["factored_arrivals"] = {
+            "campaigns": FACTORED_CAMPAIGNS,
+            "repeats": FACTORED_REPEATS,
             "required_min_campaigns_per_second": REQUIRED_MIN_CPS,
-            "arms": [
-                {
-                    "shards": n,
-                    "seconds": round(arm_best[n], 3),
-                    "campaigns_per_second": round(arm_cps[n], 1),
-                    "completed": arm_results[n].total_completed,
-                }
-                for n in SHARD_ARMS
-            ],
+            "seconds": round(factored_seconds, 3),
+            "campaigns_per_second": round(factored_cps, 1),
+            "completed": factored.total_completed,
         }
         record["cache"] = {
-            "hit_rate": round(baseline.cache_stats.hit_rate, 4),
-            "misses": baseline.cache_stats.misses,
+            "hit_rate": round(factored.cache_stats.hit_rate, 4),
+            "misses": factored.cache_stats.misses,
         }
         BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
         lines.append(f"[written to {BENCH_JSON}]")

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.engine import MarketplaceEngine, ShardedEngine
+from repro.engine import MarketplaceEngine
 from repro.engine.campaign import CampaignSpec
 from repro.market.acceptance import paper_acceptance_model
 from repro.serve import (
@@ -69,16 +69,10 @@ FAIRNESS_P99_FACTOR = 2.0
 BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
-def make_engine(num_shards: int = 0):
+def make_engine():
     means = 1200.0 + 400.0 * np.sin(
         np.linspace(0.0, 4.0 * np.pi, NUM_INTERVALS)
     )
-    if num_shards:
-        return ShardedEngine(
-            SharedArrivalStream(means), paper_acceptance_model(),
-            num_shards=num_shards,
-            planning="stationary",
-        )
     return MarketplaceEngine(
         SharedArrivalStream(means), paper_acceptance_model(),
         planning="stationary",

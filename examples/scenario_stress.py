@@ -4,15 +4,15 @@ The engine examples so far run *static* workloads — every campaign known
 up front.  This one runs the serving layer the way a real marketplace
 gets hit:
 
-1. build a two-day shared arrival stream and a sharded engine,
+1. build a two-day shared arrival stream and an engine whose campaigns
+   each draw from their own worker stream (factored arrivals),
 2. declare a scenario: campaigns churning in every 90 minutes, a 2.5x
    flash-crowd surge mid-run, and one requester cancelling mid-flight,
 3. drive the engine tick-by-tick through the timeline, collecting
    per-tick telemetry,
-4. demonstrate the determinism contract: re-run at a different shard
-   count and compare the telemetry bit-for-bit,
-5. checkpoint mid-scenario, resume from the bundle, and show the
-   stitched run matches too.
+4. demonstrate the determinism contract: checkpoint mid-scenario, resume
+   from the bundle, and compare the stitched run's telemetry
+   bit-for-bit with the uninterrupted one.
 
 Run:  python examples/scenario_stress.py
 """
@@ -27,7 +27,7 @@ REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 if str(REPO_SRC) not in sys.path:  # allow running without an install step
     sys.path.insert(0, str(REPO_SRC))
 
-from repro.engine import ShardedEngine, generate_workload  # noqa: E402
+from repro.engine import MarketplaceEngine, generate_workload  # noqa: E402
 from repro.market.acceptance import paper_acceptance_model  # noqa: E402
 from repro.market.tracker import SyntheticTrackerTrace  # noqa: E402
 from repro.scenario import (  # noqa: E402
@@ -76,18 +76,16 @@ def build_scenario() -> Scenario:
     )
 
 
-def run_once(num_shards: int) -> ScenarioDriver:
-    """One full scenario run on a fresh engine at the given shard count."""
-    engine = ShardedEngine(
+def build_driver() -> ScenarioDriver:
+    """A fresh factored engine with the base workload, not yet started."""
+    engine = MarketplaceEngine(
         build_stream(),
         paper_acceptance_model(),
-        num_shards=num_shards,
         planning="stationary",
+        arrivals="factored",
     )
     engine.submit(generate_workload(10, NUM_INTERVALS, seed=SEED))
-    driver = ScenarioDriver(engine, build_scenario())
-    driver.run()
-    return driver
+    return ScenarioDriver(engine, build_scenario())
 
 
 def main() -> None:
@@ -97,7 +95,8 @@ def main() -> None:
     for event in scenario.events:
         print(f"  - {event}")
 
-    driver = run_once(num_shards=3)
+    driver = build_driver()
+    driver.run()
     result = driver.core.result()
     print()
     print(result.summary())
@@ -113,18 +112,8 @@ def main() -> None:
 
     print()
     print("determinism contract:")
-    other = run_once(num_shards=1)
-    print(f"  1 shard == 3 shards     : {other.telemetry == driver.telemetry}")
-
     with tempfile.TemporaryDirectory() as tmp:
-        interrupted = ScenarioDriver(
-            ShardedEngine(
-                build_stream(), paper_acceptance_model(), num_shards=3,
-                planning="stationary",
-            ),
-            scenario,
-        )
-        interrupted.engine.submit(generate_workload(10, NUM_INTERVALS, seed=SEED))
+        interrupted = build_driver()
         interrupted.start()
         for _ in range(50):
             interrupted.step()

@@ -7,8 +7,8 @@ arriving against a running clock:
 1. build an engine and wrap it in a ``Gateway``,
 2. draw a seeded open-arrival request trace (submissions, quotes,
    cancellations, telemetry reads) and replay it deterministically,
-3. demonstrate the serving determinism contract: the same trace on a
-   3-shard engine produces bit-identical serving telemetry,
+3. demonstrate the serving determinism contract: snapshot mid-replay,
+   resume from the bundle, and get bit-identical serving telemetry,
 4. tighten the live-campaign budget and watch backpressure reject
    deterministically instead of dropping,
 5. run a *live* closed-loop loadtest — real asyncio client sessions
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,7 +31,7 @@ if str(REPO_SRC) not in sys.path:  # allow running without an install step
 
 import numpy as np  # noqa: E402
 
-from repro.engine import MarketplaceEngine, ShardedEngine  # noqa: E402
+from repro.engine import MarketplaceEngine  # noqa: E402
 from repro.market.acceptance import paper_acceptance_model  # noqa: E402
 from repro.serve import ClientMix, Gateway, LoadGenerator  # noqa: E402
 from repro.sim.stream import SharedArrivalStream  # noqa: E402
@@ -39,25 +40,31 @@ NUM_INTERVALS = 48  # one simulated day at 30-minute ticks
 SEED = 11
 
 
-def make_engine(num_shards: int = 0):
+def make_engine():
     """A fresh engine over the same diurnal-ish stream every time."""
     means = 900.0 + 300.0 * np.sin(np.linspace(0.0, 2.0 * np.pi, NUM_INTERVALS))
-    if num_shards:
-        return ShardedEngine(
-            SharedArrivalStream(means), paper_acceptance_model(),
-            num_shards=num_shards, planning="stationary",
-        )
     return MarketplaceEngine(
         SharedArrivalStream(means), paper_acceptance_model(),
         planning="stationary",
     )
 
 
-def serve_trace(trace, num_shards=0, max_live=None):
-    """Replay one trace through a fresh gateway; returns the gateway."""
-    gateway = Gateway(make_engine(num_shards), max_live=max_live)
+def serve_trace(trace, stop_at=None, bundle=None):
+    """Replay one trace through a fresh gateway; returns the gateway.
+
+    With ``stop_at``, the replay snapshots to ``bundle`` at that tick and
+    stops there, the way a crashed server leaves its last checkpoint.
+    """
+    gateway = Gateway(make_engine())
     gateway.start(seed=SEED)
-    gateway.replay(trace)
+
+    def snapshot(gw):
+        if stop_at is not None and gw.clock >= stop_at:
+            gw.save(bundle)
+            return False
+        return None
+
+    gateway.replay(trace, on_tick=snapshot)
     return gateway
 
 
@@ -73,11 +80,13 @@ def main() -> int:
     print(pooled.core.result().summary())
     print(pooled.telemetry.summary())
 
-    print("\n--- determinism: the same trace on a 3-shard engine ---")
-    sharded = serve_trace(trace, num_shards=3)
-    one_shard = serve_trace(trace, num_shards=1)
-    assert one_shard.telemetry == sharded.telemetry
-    print("1-shard vs 3-shard serving telemetry bit-identical: yes")
+    print("\n--- determinism: snapshot at tick 20, resume, finish ---")
+    with tempfile.TemporaryDirectory() as tmp:
+        serve_trace(trace, stop_at=20, bundle=tmp).engine.close()
+        resumed = Gateway.resume(tmp)
+        resumed.resume_replay()
+    assert resumed.telemetry == pooled.telemetry
+    print("resumed vs uninterrupted serving telemetry bit-identical: yes")
 
     print("\n--- backpressure: a 6-campaign live budget ---")
     tight = Gateway(make_engine(), max_live=6)

@@ -1,7 +1,7 @@
 """Checkpoint/resume smoke drill: run, kill mid-run, resume, compare.
 
-This is the ``make checkpoint-smoke`` target (wired into CI): for each
-engine flavour it runs a workload to completion, then re-runs it with a
+This is the ``make checkpoint-smoke`` target (wired into CI): under each
+arrival model it runs a workload to completion, then re-runs it with a
 simulated kill at a mid-run tick — snapshotting to a bundle, discarding
 the engine, restoring from disk, and finishing — and requires the
 stitched result to be **bit-identical** to the uninterrupted run (same
@@ -26,8 +26,8 @@ if str(REPO_SRC) not in sys.path:  # allow running without an install step
     sys.path.insert(0, str(REPO_SRC))
 
 from repro.engine import (  # noqa: E402  (path bootstrap above)
+    ARRIVAL_MODELS,
     MarketplaceEngine,
-    ShardedEngine,
     generate_workload,
     restore_engine,
     save_checkpoint,
@@ -39,28 +39,16 @@ SEED = 11
 NUM_INTERVALS = 60
 STOP_TICKS = (3, 17)
 
-FLAVOURS = {
-    "marketplace": lambda: MarketplaceEngine(
-        _stream(), paper_acceptance_model(), planning="stationary"
-    ),
-    "sharded-1": lambda: ShardedEngine(
-        _stream(), paper_acceptance_model(), num_shards=1,
-        planning="stationary",
-    ),
-    "sharded-3": lambda: ShardedEngine(
-        _stream(), paper_acceptance_model(), num_shards=3,
-        planning="stationary",
-    ),
-}
-
-
 def _stream() -> SharedArrivalStream:
     means = 1300.0 + 450.0 * np.sin(np.linspace(0.0, 4.0 * np.pi, NUM_INTERVALS))
     return SharedArrivalStream(means)
 
 
-def _build(flavour: str):
-    engine = FLAVOURS[flavour]()
+def _build(arrivals: str):
+    engine = MarketplaceEngine(
+        _stream(), paper_acceptance_model(), planning="stationary",
+        arrivals=arrivals,
+    )
     engine.submit(
         generate_workload(14, NUM_INTERVALS, seed=3, adaptive_fraction=0.4)
     )
@@ -72,12 +60,12 @@ def _strip(result):
 
 
 def main() -> int:
-    """Run the drill over every flavour; return a process exit code."""
+    """Run the drill under every arrival model; return a process exit code."""
     failures = 0
-    for flavour in FLAVOURS:
-        baseline = _build(flavour).run(seed=SEED)
+    for arrivals in ARRIVAL_MODELS:
+        baseline = _build(arrivals).run(seed=SEED)
         for stop in STOP_TICKS:
-            engine = _build(flavour)
+            engine = _build(arrivals)
             core = engine.start(seed=SEED)
             for _ in range(stop):
                 if core.done:
@@ -92,12 +80,12 @@ def main() -> int:
                 result = resumed.run_to_completion()
                 resumed.close()
             if _strip(result) == _strip(baseline):
-                print(f"ok    {flavour:<18} kill@tick {stop:>3}: "
+                print(f"ok    {arrivals:<18} kill@tick {stop:>3}: "
                       f"{result.num_campaigns} campaigns, "
                       f"{result.total_completed} tasks — bit-identical")
             else:
                 failures += 1
-                print(f"FAIL  {flavour:<18} kill@tick {stop:>3}: "
+                print(f"FAIL  {arrivals:<18} kill@tick {stop:>3}: "
                       "resumed run diverged from the uninterrupted run")
     if failures:
         print(f"\ncheckpoint smoke FAILED: {failures} divergent resume(s)")

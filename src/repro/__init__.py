@@ -42,13 +42,14 @@ the marketplace engine (``repro engine run`` on the command line)::
     result = engine.run(seed=7)
     print(result.summary())          # completions, spend, cache hit rate
 
-At scale, partition the campaign set over worker shards — the outcome is
-identical for any shard count under one seed (``repro engine run
---shards 4`` on the command line)::
+To give every campaign its own worker stream ``lambda_t * p(c)``, the
+paper's per-campaign model, pick the factored arrival model
+(``repro engine run --arrivals factored`` on the command line)::
 
-    from repro import ShardedEngine
-
-    engine = ShardedEngine(stream, paper_acceptance_model(), num_shards=4)
+    engine = MarketplaceEngine(
+        stream, paper_acceptance_model(), planning="stationary",
+        arrivals="factored",
+    )
 
 Subpackages
 -----------
@@ -58,11 +59,12 @@ Subpackages
   vectorized fast path solving many instances per array pass.
 * :mod:`repro.sim` — Monte-Carlo marketplace and live-experiment simulators.
 * :mod:`repro.engine` — the multi-campaign marketplace engine: concurrent
-  campaign lifecycles, shared-stream routing, policy caching, batched
-  admission, sharding, re-planning, per-tick telemetry.
+  campaign lifecycles, shared-stream routing under a pooled or factored
+  arrival model, policy caching, batched admission, re-planning,
+  per-tick telemetry.
 * :mod:`repro.scenario` — declarative stress scenarios (churn, demand
   shocks, cancellations) driven tick-by-tick with a determinism
-  contract across shard counts and checkpoints.
+  contract across checkpoints.
 * :mod:`repro.serve` — the serving gateway: an async request frontier
   (submissions, quotes, cancellations, telemetry reads) over one engine
   session, with tick-boundary admission batching, backpressure, a seeded
@@ -103,7 +105,6 @@ from repro.engine import (
     LogitRouter,
     MarketplaceEngine,
     PolicyCache,
-    ShardedEngine,
     UniformRouter,
     generate_workload,
 )
@@ -149,7 +150,6 @@ __all__ = [
     "AdaptiveRepricer",
     "AdaptiveRatePredictor",
     "MarketplaceEngine",
-    "ShardedEngine",
     "EngineResult",
     "CampaignSpec",
     "CampaignOutcome",

@@ -8,8 +8,8 @@ Four commands cover the library's day-to-day uses:
 * ``solve-budget`` — run Algorithm 3 for a fixed-budget batch.
 * ``engine`` — run the multi-campaign marketplace engine: many concurrent
   campaigns priced against one shared worker stream, with policy caching,
-  batched solving, optional sharding (``--shards N``), and durable
-  checkpoint/resume (``--checkpoint-every``/``--resume``).  ``engine
+  batched solving, a choice of arrival model (``--arrivals``), and
+  durable checkpoint/resume (``--checkpoint-every``/``--resume``).  ``engine
   run`` drives a *static* workload (every campaign known up front);
   ``engine scenario run`` drives a *declarative stress scenario* — churn,
   demand shocks, cancellations — with per-tick telemetry
@@ -26,15 +26,16 @@ Examples::
         --penalty 200 --save policy.npz
     python -m repro solve-budget --num-tasks 200 --budget-cents 2500
     python -m repro engine run --campaigns 60 --planning stationary
-    python -m repro engine run --campaigns 200 --shards 4
+    python -m repro engine run --campaigns 200 --arrivals factored
     python -m repro engine run --checkpoint-every 24 --checkpoint-path ck/
     python -m repro engine run --resume ck/
-    python -m repro engine scenario run --canned black-friday --shards 3
+    python -m repro engine scenario run --canned black-friday \
+        --arrivals factored
     python -m repro engine scenario run --spec my_scenario.json \
         --telemetry-out telemetry.json
     python -m repro engine scenario run --list-scenarios
     python -m repro engine serve --canned flash-crowd --max-live 32
-    python -m repro engine serve --trace requests.json --shards 3
+    python -m repro engine serve --trace requests.json --arrivals factored
     python -m repro engine loadtest --clients 8 --requests 24
 """
 
@@ -54,7 +55,7 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
 
     ``engine run``, ``engine scenario run``, ``engine serve``, and
     ``engine loadtest`` all construct the same synthetic-trace stream and
-    engine front-end; defining the flags once keeps the four commands'
+    engine; defining the flags once keeps the four commands'
     serving surface from drifting.
     """
     parser.add_argument("--horizon-hours", type=float, default=48.0)
@@ -72,10 +73,10 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="policy-cache capacity; 0 disables memoization",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="partition campaigns across N worker shards (ShardedEngine); "
-        "0 = classic single-loop engine.  Results are identical for any "
-        "N >= 1 under the same seed",
+        "--arrivals", choices=["pooled", "factored"], default="pooled",
+        help="arrival model: one marketplace draw per tick split across "
+        "campaigns (pooled), or a private Poisson stream per campaign "
+        "(factored, the paper's per-campaign model)",
     )
     parser.add_argument(
         "--kernels", choices=["auto", "numpy", "numba"], default=None,
@@ -277,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
             "shocks, cancellations) use 'engine scenario run'.  "
             "The report surfaces the routing choice (the 'stream' line), the "
             "policy-cache hit rate (the 'policy cache' line), the batched-"
-            "solver utilization, and campaign throughput.  --shards N "
-            "partitions campaigns across N parallel worker shards; shard "
-            "count never changes the outcome, only wall-clock.  "
+            "solver utilization, and campaign throughput.  --arrivals "
+            "picks the arrival model (pooled or factored).  "
             "--checkpoint-every N snapshots the run every N ticks and "
             "--resume P finishes an interrupted run bit-identically."
         ),
@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
             "retiring campaigns early — while recording per-tick telemetry "
             "(live campaigns, routed arrivals, cache hits, adaptive "
             "re-plans).  A scenario with a fixed seed is bit-identical "
-            "across shard counts and checkpoint/resume "
-            "boundaries; see docs/scenarios.md for the spec schema."
+            "across checkpoint/resume boundaries; see docs/scenarios.md "
+            "for the spec schema."
         ),
     )
     scenario_run.add_argument(
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
             "declarative scenario lowered into one (--canned/--spec).  A "
             "served run is deterministic: the same trace and seed produce "
             "per-campaign outcomes and telemetry bit-identical to the "
-            "offline run, across shard counts and checkpoint/resume "
+            "offline run, across checkpoint/resume "
             "boundaries; see docs/serving.md."
         ),
     )
@@ -740,8 +740,6 @@ class _CliError(Exception):
 
 def _check_serving_flags(args: argparse.Namespace) -> None:
     """Validate the flags shared by every serving command."""
-    if args.shards < 0:
-        raise _CliError(f"--shards must be >= 0, got {args.shards}")
     checkpoint_every = getattr(args, "checkpoint_every", 0)
     stop_after = getattr(args, "stop_after", 0)
     if checkpoint_every < 0 or stop_after < 0:
@@ -761,7 +759,7 @@ def _make_serving_engine(
     run``, ``engine serve``, and ``engine loadtest``: the synthetic-trace
     arrival stream comes from the common stream flags
     (``--horizon-hours``/``--interval-minutes``/``--start-day``) and the
-    engine front-end from the common serving flags (``--shards``/
+    engine from the common serving flags (``--arrivals``/
     ``--planning``/``--cache-size``), so the
     commands can never diverge on what an engine *is*.  ``surge`` scales
     realized arrivals while planning keeps the unscaled forecast;
@@ -782,7 +780,7 @@ def _make_serving_engine(
 
 def _build_engine(args: argparse.Namespace, router=None, surge: float = 1.0):
     """Construct the stream + engine (see :func:`_make_serving_engine`)."""
-    from repro.engine import MarketplaceEngine, PolicyCache, ShardedEngine
+    from repro.engine import MarketplaceEngine, PolicyCache
     from repro.market.acceptance import paper_acceptance_model
     from repro.market.tracker import SyntheticTrackerTrace
     from repro.sim.stream import SharedArrivalStream
@@ -794,20 +792,15 @@ def _build_engine(args: argparse.Namespace, router=None, surge: float = 1.0):
         num_intervals,
         start_hour=args.start_day * 24.0,
     )
-    common = dict(
+    engine = MarketplaceEngine(
         stream=forecast.scaled(surge),
         acceptance=paper_acceptance_model(),
+        router=router,
         cache=PolicyCache(max_entries=args.cache_size),
         planning=args.planning,
         planning_means=forecast.arrival_means,
+        arrivals=args.arrivals,
     )
-    if router is not None:
-        common["router"] = router
-    engine: MarketplaceEngine | ShardedEngine
-    if args.shards > 0:
-        engine = ShardedEngine(num_shards=args.shards, **common)
-    else:
-        engine = MarketplaceEngine(**common)
     return num_intervals, engine
 
 
@@ -878,11 +871,11 @@ def _cmd_engine_run(args: argparse.Namespace) -> int:
             keep_outcomes=args.keep_outcomes or args.per_campaign,
             outcomes_path=args.outcomes_out,
         )
-        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         print(f"stream        : {num_intervals} x {args.interval_minutes:.0f}min "
               f"intervals from trace day {args.start_day}; router={args.router}, "
               f"planning={args.planning}, surge={args.surge:g}")
-        print(f"serving       : {sharding}, cache capacity {args.cache_size}")
+        print(f"serving       : arrivals={args.arrivals}, "
+              f"cache capacity {args.cache_size}")
     # One shared stepping loop drives plain runs, periodic checkpointing,
     # and the simulated-kill path alike.
     ticks = 0
@@ -921,16 +914,38 @@ def _cmd_engine_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_scenario(args: argparse.Namespace) -> int:
+def _resolve_scenario(args: argparse.Namespace, num_intervals: int):
+    """The scenario ``--spec FILE`` or ``--canned NAME`` names.
+
+    ``--seed`` overrides the scenario's own seed.  A missing or malformed
+    spec file surfaces as one :class:`_CliError` line naming the file.
+    """
     import dataclasses
 
+    from repro.scenario import Scenario, canned_scenario
+
+    if args.spec is None:
+        try:
+            return canned_scenario(
+                args.canned, num_intervals,
+                seed=args.seed if args.seed is not None else 0,
+            )
+        except (KeyError, ValueError) as exc:
+            raise _CliError(str(exc)) from exc
+    try:
+        scenario = Scenario.load(args.spec)
+    except (OSError, ValueError) as exc:
+        raise _CliError(
+            f"could not load scenario spec {args.spec}: {exc}"
+        ) from exc
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    return scenario
+
+
+def _cmd_engine_scenario(args: argparse.Namespace) -> int:
     from repro.engine import CheckpointError, generate_workload
-    from repro.scenario import (
-        Scenario,
-        ScenarioDriver,
-        canned_scenario,
-        list_scenarios,
-    )
+    from repro.scenario import ScenarioDriver, list_scenarios
 
     if args.list_scenarios:
         width = max(len(name) for name, _ in list_scenarios())
@@ -963,18 +978,7 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
         num_intervals = int(
             round(args.horizon_hours * 60.0 / args.interval_minutes)
         )
-        try:
-            if args.spec is not None:
-                scenario = Scenario.load(args.spec)
-                if args.seed is not None:
-                    scenario = dataclasses.replace(scenario, seed=args.seed)
-            else:
-                scenario = canned_scenario(
-                    args.canned, num_intervals,
-                    seed=args.seed if args.seed is not None else 0,
-                )
-        except (OSError, KeyError, ValueError) as exc:
-            raise _CliError(str(exc)) from exc
+        scenario = _resolve_scenario(args, num_intervals)
         num_intervals, engine = _make_serving_engine(args)
         try:
             if args.base_campaigns:
@@ -989,7 +993,6 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
         driver.start()
-        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         print(f"scenario      : {scenario.name!r} seed={scenario.seed}, "
               f"{len(scenario.events)} events, "
               f"{driver.timeline.num_campaigns} timeline campaigns "
@@ -997,7 +1000,8 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
         print(f"stream        : {num_intervals} x {args.interval_minutes:.0f}min "
               f"intervals from trace day {args.start_day}; "
               f"planning={args.planning}")
-        print(f"serving       : {sharding}, cache capacity {args.cache_size}")
+        print(f"serving       : arrivals={args.arrivals}, "
+              f"cache capacity {args.cache_size}")
     ticks = 0
     while not driver.done:
         driver.step()
@@ -1046,9 +1050,6 @@ def _serve_scenario_inputs(args: argparse.Namespace, num_intervals: int):
     file, unknown canned name, malformed JSON) surfaces as
     :class:`_CliError`.
     """
-    import dataclasses
-
-    from repro.scenario import Scenario, canned_scenario
     from repro.serve import RequestTrace
 
     sources = [s for s in (args.trace, args.canned, args.spec) if s is not None]
@@ -1060,24 +1061,16 @@ def _serve_scenario_inputs(args: argparse.Namespace, num_intervals: int):
     if args.trace is not None:
         try:
             trace = RequestTrace.load(args.trace)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise _CliError(
                 f"could not load request trace {args.trace}: {exc}"
             ) from exc
         return trace, None, args.seed if args.seed is not None else 0
+    scenario = _resolve_scenario(args, num_intervals)
     try:
-        if args.spec is not None:
-            scenario = Scenario.load(args.spec)
-            if args.seed is not None:
-                scenario = dataclasses.replace(scenario, seed=args.seed)
-        else:
-            scenario = canned_scenario(
-                args.canned, num_intervals,
-                seed=args.seed if args.seed is not None else 0,
-            )
         trace = RequestTrace.from_scenario(scenario, num_intervals)
         multipliers = scenario.compile(num_intervals).rate_multipliers
-    except (OSError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc)) from exc
     return trace, multipliers, scenario.seed
 
@@ -1172,7 +1165,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
             **tenant_kwargs,
         )
         gateway.start(seed=seed, rate_multipliers=multipliers)
-        sharding = f"shards={args.shards}" if args.shards > 0 else "unsharded"
         front = (
             f"gateway with {args.gateways} frontiers"
             if args.gateways > 1
@@ -1180,7 +1172,7 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
         )
         print(f"serving       : trace {trace.name!r} "
               f"({trace.num_requests} requests), seed={seed}, "
-              f"{sharding}, {front}")
+              f"arrivals={args.arrivals}, {front}")
         print(f"admission     : max-live "
               f"{args.max_live if args.max_live else 'unlimited'}, "
               f"queue depth {args.max_queue if args.max_queue else 'unbounded'}")
@@ -1292,7 +1284,7 @@ def _cmd_engine_loadtest(args: argparse.Namespace) -> int:
     gateway.start(seed=args.seed)
     print(f"loadtest      : mode={args.mode}, {args.clients} clients, "
           f"loadgen seed {args.loadgen_seed}, engine seed {args.seed}, "
-          f"{num_intervals} intervals")
+          f"{num_intervals} intervals, arrivals={args.arrivals}")
     ops = _start_ops(args, gateway, metrics, event_log)
     started = time.perf_counter()
     try:

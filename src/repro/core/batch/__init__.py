@@ -19,7 +19,7 @@ around the array layout instead:
   all outstanding campaign signatures of a tick are solved in one array
   pass instead of one-by-one.
 * :mod:`repro.core.batch.kernels` — the compiled twins of the hottest
-  inner loops (deadline layer, budget hull, shard tick) behind the
+  inner loops (deadline layer, budget hull, completion pass) behind the
   ``REPRO_KERNELS`` flag, falling back to the numpy reference when numba
   is absent.  Exact-equality-tested, so selection never changes results.
 

@@ -2,8 +2,8 @@
 
 The engine's three hottest inner loops — the batched deadline
 value-iteration layer (:func:`deadline_layer`), the budget solver's lower
-convex hull (:func:`lower_hull_indices`), and the sharded tick's
-completion application (:func:`shard_tick`) — each exist twice here:
+convex hull (:func:`lower_hull_indices`), and the factored tick's
+completion pass (:func:`apply_completions`) — each exist twice here:
 
 * a **numpy** implementation (the reference: exactly the arithmetic the
   vectorized solvers have always performed, in the same operation order),
@@ -61,6 +61,7 @@ __all__ = [
     "KERNELS",
     "active",
     "active_kernels",
+    "apply_completions",
     "available",
     "available_kernels",
     "deadline_layer",
@@ -69,7 +70,6 @@ __all__ = [
     "jit_layers",
     "lower_hull_indices",
     "set_kernels",
-    "shard_tick",
     "use_kernels",
 ]
 
@@ -529,9 +529,9 @@ def lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Kernel 3: the sharded tick's completion application
+# Kernel 3: the factored tick's completion application
 # ----------------------------------------------------------------------
-def _shard_tick_numpy(
+def _apply_completions_numpy(
     accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference completion pass: cap at open tasks, charge posted price."""
@@ -539,10 +539,10 @@ def _shard_tick_numpy(
     return done, done * prices
 
 
-def _shard_tick_loops(
+def _apply_completions_loops(
     accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Loop form of :func:`_shard_tick_numpy` (the numba source)."""
+    """Loop form of :func:`_apply_completions_numpy` (the numba source)."""
     n = accepted.shape[0]
     done = np.empty(n, dtype=np.int64)
     cost = np.empty(n)
@@ -556,12 +556,14 @@ def _shard_tick_loops(
 
 
 if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
-    _shard_tick_jit = numba.njit(cache=True, nogil=True)(_shard_tick_loops)
+    _apply_completions_jit = numba.njit(cache=True, nogil=True)(
+        _apply_completions_loops
+    )
 else:
-    _shard_tick_jit = None
+    _apply_completions_jit = None
 
 
-def shard_tick(
+def apply_completions(
     accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one tick's accepted draws to per-campaign open-task counts.
@@ -572,6 +574,6 @@ def shard_tick(
     payment ``done * price`` per campaign (semi-static budget campaigns
     are charged by the caller through their price sequence instead).
     """
-    if _shard_tick_jit is not None and active() == "numba":
-        return _shard_tick_jit(accepted, remaining, prices)
-    return _shard_tick_numpy(accepted, remaining, prices)
+    if _apply_completions_jit is not None and active() == "numba":
+        return _apply_completions_jit(accepted, remaining, prices)
+    return _apply_completions_numpy(accepted, remaining, prices)

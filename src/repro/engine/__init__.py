@@ -14,22 +14,19 @@ subpackage is that serving layer:
   stream across live campaigns (:class:`LogitRouter` generalizing Eq. 3 to
   multi-campaign choice; :class:`UniformRouter` as the attention-limited
   baseline).
-* :mod:`repro.engine.planning` — the :class:`CampaignPlanner` shared by
-  both engine front-ends: forecast slices, problem construction, and
-  cache-mediated admission (scalar or batched through
+* :mod:`repro.engine.planning` — the :class:`CampaignPlanner`: forecast
+  slices, problem construction, and cache-mediated admission (scalar or batched through
   :mod:`repro.core.batch`).
 * :mod:`repro.engine.clock` — the **one** engine clock
   (:class:`EngineCore`): the admission → pricing → routing → completion →
-  retirement tick loop both front-ends share, with explicit
+  retirement tick loop, with explicit
   :meth:`~repro.engine.clock.EngineCore.tick` stepping and mid-flight
   submission between ticks.
-* :mod:`repro.engine.engine` — :class:`MarketplaceEngine`, the pooled
-  front-end: one generator draws realized arrivals and the router splits
-  them across live campaigns.
-* :mod:`repro.engine.sharding` — :class:`ShardedEngine`, partitioning the
-  campaign set over worker shards (run in one serial loop) while splitting
-  the arrival stream deterministically (same seed, any shard count, same
-  outcomes).
+* :mod:`repro.engine.engine` — :class:`MarketplaceEngine` and its two
+  arrival models (:data:`ARRIVAL_MODELS`): ``"pooled"``, where one
+  generator draws realized arrivals and the router splits them across
+  live campaigns, and ``"factored"``, where each campaign draws from its
+  own Poisson stream ``lambda_t * p(c)`` under a private generator.
 * :mod:`repro.engine.checkpoint` — durable serving state:
   :func:`save_checkpoint` / :func:`restore_engine` snapshot a session
   mid-flight to a versioned JSON+npz bundle and resume it bit-identically
@@ -79,7 +76,12 @@ from repro.engine.clock import (
     EngineCore,
     TickReport,
 )
-from repro.engine.engine import EngineResult, MarketplaceEngine, PLANNING_MODES
+from repro.engine.engine import (
+    ARRIVAL_MODELS,
+    PLANNING_MODES,
+    EngineResult,
+    MarketplaceEngine,
+)
 from repro.engine.outcomes import (
     OutcomeAggregate,
     OutcomeSink,
@@ -95,7 +97,6 @@ from repro.engine.source import (
     source_from_dict,
 )
 from repro.engine.routing import ArrivalRouter, LogitRouter, UniformRouter
-from repro.engine.sharding import ShardedEngine, shard_of
 from repro.engine.telemetry import CampaignRecord, Telemetry
 from repro.engine.workload import (
     CampaignTemplate,
@@ -105,7 +106,7 @@ from repro.engine.workload import (
 
 __all__ = [
     "MarketplaceEngine",
-    "ShardedEngine",
+    "ARRIVAL_MODELS",
     "CampaignPlanner",
     "EngineBase",
     "EngineCore",
@@ -119,7 +120,6 @@ __all__ = [
     "load_extras",
     "Telemetry",
     "CampaignRecord",
-    "shard_of",
     "CampaignSpec",
     "CampaignOutcome",
     "CampaignTemplate",

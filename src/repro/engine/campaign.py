@@ -154,8 +154,7 @@ def validate_submission(
 ) -> None:
     """Reject duplicate ids, horizon overruns, and unaffordable budgets.
 
-    Shared by every engine front-end's ``submit`` so the validation rules
-    cannot drift between them.  ``planner`` is the engine's
+    Backs the engine's ``submit``.  ``planner`` is the engine's
     :class:`~repro.engine.planning.CampaignPlanner` (its acceptance model
     prices the budget check).  Mutates ``known_ids`` as specs are
     accepted (so duplicates *within* ``new_specs`` are caught too).

@@ -10,8 +10,8 @@ to a versioned **JSON + npz bundle**, and restores it such that
 
     ``snapshot -> restore -> finish``  ==  an uninterrupted same-seed run
 
-bit-for-bit (same outcomes, same counters, same per-run stats), for both
-engine front-ends and any shard count.
+bit-for-bit (same outcomes, same counters, same per-run stats), under
+both arrival models.
 
 Bundle layout (a directory)::
 
@@ -40,9 +40,11 @@ Two design points worth knowing:
 * **Only declarative configuration is checkpointable.**  Acceptance
   models (:class:`LogitAcceptance` / :class:`EmpiricalAcceptance`) and
   built-in routers round-trip; a custom router class cannot be
-  serialized and raises :class:`CheckpointError` at save time.  Sharded
-  bundles from older builds carry one more config key, naming a
-  shard-loop mode that no longer exists; restore ignores it.
+  serialized and raises :class:`CheckpointError` at save time.  Bundles
+  record the arrival model as ``config["arrivals"]`` (absent means
+  pooled).  Older builds wrote factored sessions as ``"engine":
+  "sharded"`` bundles with a shard count and, earlier, a shard-loop
+  executor; those restore as factored sessions and both keys are ignored.
 
 CLI: ``repro engine run --checkpoint-every N --checkpoint-path P`` saves
 periodic bundles, and ``repro engine run --resume P`` finishes an
@@ -73,7 +75,6 @@ from repro.engine.outcomes import (
 )
 from repro.engine.source import source_from_dict
 from repro.engine.routing import LogitRouter, UniformRouter
-from repro.engine.sharding import ShardedEngine
 from repro.market.acceptance import (
     AcceptanceModel,
     EmpiricalAcceptance,
@@ -261,18 +262,13 @@ def save_checkpoint(
     }
     if core.rate_multipliers is not None:
         arrays["rate_multipliers"] = core.rate_multipliers
-    backend = core.backend
-    if isinstance(engine, ShardedEngine):
-        kind = "sharded"
-        config["num_shards"] = engine.num_shards
-    elif isinstance(engine, MarketplaceEngine):
-        kind = "marketplace"
-    else:
+    if not isinstance(engine, MarketplaceEngine):
         raise CheckpointError(
             f"engine {type(engine).__name__} is not checkpointable"
         )
+    config["arrivals"] = engine.arrivals
     try:
-        exported, rng_state = backend.export_live()
+        exported, rng_state = core.backend.export_live()
     except NotImplementedError as exc:
         raise CheckpointError(str(exc)) from exc
     live_entries = [
@@ -297,7 +293,7 @@ def save_checkpoint(
             ) from exc
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "engine": kind,
+        "engine": "marketplace",
         "seed": core.seed,
         "config": config,
         "specs": [dataclasses.asdict(s) for s in engine._specs],
@@ -369,15 +365,13 @@ def save_checkpoint(
 # ----------------------------------------------------------------------
 # Restore
 # ----------------------------------------------------------------------
-def load_extras(path: str | pathlib.Path) -> dict | None:
-    """Read the extras dict a bundle was saved with (``None`` if none).
+def _read_manifest(bundle: pathlib.Path) -> dict:
+    """Parse a bundle's manifest, or raise :class:`CheckpointError`.
 
-    The cheap companion to :func:`restore_engine`: it only parses the
-    manifest, letting layers above the engine (the scenario driver)
-    recover their cursor/telemetry without touching engine state.  Raises
-    :class:`CheckpointError` when the bundle is missing or unreadable.
+    The one reader behind :func:`restore_engine` and :func:`load_extras`:
+    a missing, unreadable or non-JSON manifest, and one whose JSON is not
+    an object, all surface as :class:`CheckpointError`.
     """
-    bundle = pathlib.Path(path)
     manifest_path = bundle / _MANIFEST
     if not manifest_path.is_file():
         raise CheckpointError(f"no checkpoint bundle at {bundle}")
@@ -387,7 +381,23 @@ def load_extras(path: str | pathlib.Path) -> dict | None:
         raise CheckpointError(
             f"corrupt or unreadable checkpoint bundle at {bundle}: {exc}"
         ) from exc
-    return manifest.get("extras")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"corrupt checkpoint bundle at {bundle}: the manifest is a JSON "
+            f"{type(manifest).__name__}, not an object"
+        )
+    return manifest
+
+
+def load_extras(path: str | pathlib.Path) -> dict | None:
+    """Read the extras dict a bundle was saved with (``None`` if none).
+
+    The cheap companion to :func:`restore_engine`: it only parses the
+    manifest, letting layers above the engine (the scenario driver)
+    recover their cursor/telemetry without touching engine state.  Raises
+    :class:`CheckpointError` when the bundle is missing or unreadable.
+    """
+    return _read_manifest(pathlib.Path(path)).get("extras")
 
 
 def _restore_adaptive(runtime, meta: dict, cid: str, arrays) -> None:
@@ -413,7 +423,7 @@ def _restore_adaptive(runtime, meta: dict, cid: str, arrays) -> None:
     )
 
 
-def restore_engine(path: str | pathlib.Path) -> MarketplaceEngine | ShardedEngine:
+def restore_engine(path: str | pathlib.Path) -> MarketplaceEngine:
     """Rebuild an engine from a bundle, mid-flight session included.
 
     The returned engine has an active serving session positioned exactly
@@ -430,17 +440,14 @@ def restore_engine(path: str | pathlib.Path) -> MarketplaceEngine | ShardedEngin
         return _restore(bundle)
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(
             f"corrupt or unreadable checkpoint bundle at {bundle}: {exc}"
         ) from exc
 
 
-def _restore(bundle: pathlib.Path) -> MarketplaceEngine | ShardedEngine:
-    manifest_path = bundle / _MANIFEST
-    if not manifest_path.is_file():
-        raise CheckpointError(f"no checkpoint bundle at {bundle}")
-    manifest = json.loads(manifest_path.read_text())
+def _restore(bundle: pathlib.Path) -> MarketplaceEngine:
+    manifest = _read_manifest(bundle)
     if manifest.get("version") not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint version {manifest.get('version')!r} is not supported "
@@ -450,7 +457,15 @@ def _restore(bundle: pathlib.Path) -> MarketplaceEngine | ShardedEngine:
         bundle / manifest.get("arrays", _ARRAYS), allow_pickle=False
     )
     cfg = manifest["config"]
-    common = dict(
+    kind = manifest["engine"]
+    if kind == "sharded":
+        # Legacy: older builds partitioned factored sessions over shards.
+        arrivals = "factored"
+    elif kind == "marketplace":
+        arrivals = cfg.get("arrivals", "pooled")
+    else:
+        raise CheckpointError(f"unknown engine kind {kind!r}")
+    engine = MarketplaceEngine(
         stream=SharedArrivalStream(arrays["stream_means"]),
         acceptance=_acceptance_from_dict(cfg["acceptance"]),
         router=_router_from_dict(cfg["router"]),
@@ -458,14 +473,8 @@ def _restore(bundle: pathlib.Path) -> MarketplaceEngine | ShardedEngine:
         planning=cfg["planning"],
         planning_means=arrays["planning_means"],
         truncation_eps=cfg["truncation_eps"],
+        arrivals=arrivals,
     )
-    engine: MarketplaceEngine | ShardedEngine
-    if manifest["engine"] == "sharded":
-        engine = ShardedEngine(num_shards=cfg["num_shards"], **common)
-    elif manifest["engine"] == "marketplace":
-        engine = MarketplaceEngine(**common)
-    else:
-        raise CheckpointError(f"unknown engine kind {manifest['engine']!r}")
     specs = [CampaignSpec(**d) for d in manifest["specs"]]
     # Bypass submit(): these specs were validated when first submitted.
     engine._specs = list(specs)

@@ -1,12 +1,11 @@
-"""The unified engine clock: one tick loop behind every engine front-end.
+"""The engine clock: the one tick loop behind the marketplace engine.
 
-Both engine front-ends — :class:`~repro.engine.engine.MarketplaceEngine`
-and :class:`~repro.engine.sharding.ShardedEngine` — advance the same
-discrete clock over the shared arrival stream: drain newly-due campaign
-submissions, gather the live campaigns' posted rewards, split the
-interval's worker arrivals, apply completions and adaptive observations,
-and retire finished campaigns.  Historically each front-end carried its
-own ~100-line copy of that loop; this module owns it **once**.
+:class:`~repro.engine.engine.MarketplaceEngine` advances a discrete clock
+over the shared arrival stream: drain newly-due campaign submissions,
+gather the live campaigns' posted rewards, split the interval's worker
+arrivals, apply completions and adaptive observations, and retire
+finished campaigns.  This module owns that loop; the engine supplies
+only how one interval's arrivals are realized.
 
 The pieces:
 
@@ -19,14 +18,13 @@ The pieces:
   *between ticks* (validated against the remaining horizon), which is
   what a long-lived serving deployment needs.
 * :class:`ClockBackend` — the strategy interface hiding what differs
-  between the front-ends: how live campaigns are stored and how one
+  between the arrival models: how live campaigns are stored and how one
   interval's arrivals are realized (one pooled generator splitting
-  realized workers, vs. per-campaign factored Poisson draws mapped over
-  shards).  The clock itself never branches on the engine flavour.
-* :class:`EngineBase` — the shared front-end surface (``submit`` /
-  ``start`` / ``tick`` / ``run`` / ``run_to_completion``) both engines
-  inherit, so submission validation and session lifecycle cannot drift
-  between them.
+  realized workers, vs. per-campaign factored Poisson draws).  The clock
+  itself never branches on the arrival model.
+* :class:`EngineBase` — the front-end surface (``submit`` / ``start`` /
+  ``tick`` / ``run`` / ``run_to_completion``): submission validation and
+  session lifecycle, independent of the arrival model.
 * :class:`EngineResult` — the aggregate outcome of one session.
 
 Sessions are *checkpointable*: :mod:`repro.engine.checkpoint` serializes
@@ -107,8 +105,6 @@ class EngineResult:
     batch_stats:
         Batch-solver counters for this session (``None`` only on results
         built by hand).
-    num_shards:
-        Worker shards the run was partitioned over (1 = unsharded).
     aggregate:
         The session's incrementally folded :class:`OutcomeAggregate` —
         what every aggregate property reads from in O(1) instead of
@@ -127,7 +123,6 @@ class EngineResult:
     cache_stats: CacheStats
     elapsed_seconds: float
     batch_stats: BatchSolveStats | None = None
-    num_shards: int = 1
     aggregate: OutcomeAggregate | None = None
 
     def _agg(self) -> OutcomeAggregate:
@@ -218,11 +213,10 @@ class EngineResult:
                 f"array passes (widest {b.largest_batch}, "
                 f"mean {b.mean_batch_size:.1f}/pass)"
             )
-        shards = f" across {self.num_shards} shards" if self.num_shards > 1 else ""
         lines.append(
             f"throughput    : {self.num_campaigns} campaigns in "
             f"{self.elapsed_seconds:.2f}s "
-            f"({self.campaigns_per_second:,.1f} campaigns/sec{shards})"
+            f"({self.campaigns_per_second:,.1f} campaigns/sec)"
         )
         return "\n".join(lines)
 
@@ -242,30 +236,15 @@ class PhaseTimings:
     Purely observational wall-clock, like ``elapsed_seconds``: never
     serialized into checkpoints or deterministic telemetry.  When a
     metrics registry is given, each recording also feeds a
-    ``engine_tick_phase_seconds`` histogram labelled by phase, and each
-    per-shard recording an ``engine_shard_phase_seconds`` histogram
-    labelled by shard and phase.
-
-    Sharded backends additionally break the ``price``/``split``/
-    ``observe`` phases down **per shard** (:meth:`record_shard`): the
-    serial shard loop times each shard's slice of the work, so the
-    aggregate phases include the coordinator's share while
-    :attr:`shard_totals` isolates where the per-shard work ran (the
-    "which shard is slow" question the ops plane answers).
+    ``engine_tick_phase_seconds`` histogram labelled by phase.
     """
 
     PHASES = ("admission", "price", "split", "observe", "retire")
 
-    #: Phases a sharded backend can attribute to a single shard.
-    SHARD_PHASES = ("price", "split", "observe")
-
     def __init__(self, metrics=None) -> None:
         self.totals = {phase: 0.0 for phase in self.PHASES}
         self.last = {phase: 0.0 for phase in self.PHASES}
-        #: shard index -> {phase -> total seconds} (sharded backends only).
-        self.shard_totals: dict[int, dict[str, float]] = {}
         self.ticks = 0
-        self._metrics = metrics
         if metrics is not None:
             self._histograms = {
                 phase: metrics.histogram(
@@ -277,7 +256,6 @@ class PhaseTimings:
             }
         else:
             self._histograms = None
-        self._shard_histograms: dict = {}
 
     def record(self, phase: str, seconds: float) -> None:
         """Add ``seconds`` to ``phase`` for the tick in progress."""
@@ -289,33 +267,6 @@ class PhaseTimings:
         self.last[phase] += seconds
         if self._histograms is not None:
             self._histograms[phase].observe(seconds)
-
-    def record_shard(self, shard: int, phase: str, seconds: float) -> None:
-        """Attribute ``seconds`` of ``phase`` work to one shard.
-
-        Supplements :meth:`record` (which carries the aggregate); the
-        per-shard ledger only covers the backend phases a shard owns.
-        """
-        if phase not in self.SHARD_PHASES:
-            raise ValueError(
-                f"unknown shard phase {phase!r}; expected one of "
-                f"{self.SHARD_PHASES}"
-            )
-        ledger = self.shard_totals.setdefault(
-            shard, {p: 0.0 for p in self.SHARD_PHASES}
-        )
-        ledger[phase] += seconds
-        if self._metrics is not None:
-            key = (shard, phase)
-            histogram = self._shard_histograms.get(key)
-            if histogram is None:
-                histogram = self._metrics.histogram(
-                    "engine_shard_phase_seconds",
-                    "Wall-clock seconds of per-shard phase compute",
-                    labels={"shard": str(shard), "phase": phase},
-                )
-                self._shard_histograms[key] = histogram
-            histogram.observe(seconds)
 
     def tick_done(self) -> dict:
         """Close the tick in progress; returns its per-phase seconds."""
@@ -331,22 +282,12 @@ class PhaseTimings:
         return {phase: total / self.ticks for phase, total in self.totals.items()}
 
     def to_dict(self) -> dict:
-        """JSON-ready summary: tick count, per-phase totals and means.
-
-        The ``shards`` key appears only when per-shard work was recorded
-        (sharded backends), keeping the unsharded form unchanged.
-        """
-        data = {
+        """JSON-ready summary: tick count, per-phase totals and means."""
+        return {
             "ticks": self.ticks,
             "totals": dict(self.totals),
             "mean": self.mean_seconds(),
         }
-        if self.shard_totals:
-            data["shards"] = {
-                str(shard): dict(ledger)
-                for shard, ledger in sorted(self.shard_totals.items())
-            }
-        return data
 
     def summary(self) -> str:
         """One line per phase: total and mean milliseconds."""
@@ -356,15 +297,6 @@ class PhaseTimings:
             lines.append(
                 f"  {phase:<9}: {1e3 * self.totals[phase]:9.2f}ms total, "
                 f"{1e3 * mean[phase]:7.3f}ms/tick"
-            )
-        for shard, ledger in sorted(self.shard_totals.items()):
-            total = sum(ledger.values())
-            breakdown = ", ".join(
-                f"{phase} {1e3 * ledger[phase]:.2f}ms"
-                for phase in self.SHARD_PHASES
-            )
-            lines.append(
-                f"  shard {shard:<4}: {1e3 * total:9.2f}ms total ({breakdown})"
             )
         return "\n".join(lines)
 
@@ -409,14 +341,10 @@ class ClockBackend(abc.ABC):
     """Per-tick campaign mechanics behind the shared clock.
 
     A backend owns the live-campaign storage and the arrival realization
-    for one engine flavour; :class:`EngineCore` drives it through four
+    for one arrival model; :class:`EngineCore` drives it through four
     calls per tick (place / num_live / step / retire) and never needs to
-    know whether arrivals are pooled or factored, serial or sharded.
-    Implementations set :attr:`num_shards` (1 for unsharded backends).
+    know whether arrivals are pooled or factored.
     """
-
-    #: Worker shards the backend partitions campaigns over.
-    num_shards: int = 1
 
     #: Optional :class:`PhaseTimings` sink; when set (by
     #: :meth:`EngineCore.enable_phase_timings`) the backend's ``step``
@@ -439,7 +367,7 @@ class ClockBackend(abc.ABC):
         demand shocks and day/night schedules); backends must apply it to
         the *rate* before drawing, never to realized counts, so the
         modulated process stays Poisson and remains splittable across
-        shards.  Feeds adaptive campaigns their observation of the
+        campaigns.  Feeds adaptive campaigns their observation of the
         realized marketplace arrivals, then returns the tick's
         ``(arrived, considered, accepted)`` totals.
         """
@@ -456,16 +384,15 @@ class ClockBackend(abc.ABC):
         no terminal penalty) or ``None`` when no such campaign is live.
         Cancellation consumes no randomness, so the surviving campaigns'
         draws are unaffected — on the factored backend the cancelled
-        campaign's private generator simply stops being used, which keeps
-        the run shard-layout invariant.
+        campaign's private generator simply stops being used.
         """
 
     @abc.abstractmethod
     def live_stats(self) -> list[tuple[str, int, int, bool]]:
         """Per-live-campaign ``(campaign_id, remaining, num_solves, adaptive)``.
 
-        Sorted by campaign id so the listing is independent of the shard
-        layout; telemetry builds its per-tick series from this.
+        Sorted by campaign id so the listing is independent of storage
+        order; telemetry builds its per-tick series from this.
         """
 
     # ------------------------------------------------------------------
@@ -505,9 +432,9 @@ class ClockBackend(abc.ABC):
 class EngineCore:
     """One serving session of the engine clock, steppable tick by tick.
 
-    Create a session through an engine front-end's
-    :meth:`EngineBase.start` rather than directly — the front-end wires
-    up the right :class:`ClockBackend` and resets the session-scoped
+    Create a session through the engine's :meth:`EngineBase.start`
+    rather than directly — the engine wires up the :class:`ClockBackend`
+    of its arrival model and resets the session-scoped
     policy-cache/batch-solver counters.
 
     Parameters
@@ -518,7 +445,7 @@ class EngineCore:
         The :class:`~repro.engine.planning.CampaignPlanner` admissions
         are resolved through.
     backend:
-        The engine flavour's per-tick mechanics.
+        The arrival model's per-tick mechanics.
     specs:
         Campaigns submitted before the session started.
     seed:
@@ -810,8 +737,8 @@ class EngineCore:
         planning against the unmodulated forecast and only adaptive ones
         notice the shift, through their realized-arrival observations.
         Scaling applies to the *rate*, so the modulated stream stays
-        Poisson and the sharded engine's per-campaign factorization — and
-        therefore shard-count invariance — is preserved.  Pass ``None``
+        Poisson and the factored model's per-campaign split still holds.
+        Pass ``None``
         to clear.  The array must cover every stream interval and be
         finite and non-negative.
         """
@@ -1055,7 +982,6 @@ class EngineCore:
             batch_stats=self.planner.batch_solver.stats.since(
                 self._batch_baseline
             ),
-            num_shards=self.backend.num_shards,
         )
 
     def close(self) -> None:
@@ -1065,12 +991,12 @@ class EngineCore:
 
 
 class EngineBase(abc.ABC):
-    """Shared serving surface of the engine front-ends.
+    """The engine's serving surface, independent of its arrival model.
 
-    Subclasses build their stream / planner / router in ``__init__`` and
-    implement :meth:`_make_backend`; everything else — submission
-    validation, session lifecycle, the batch ``run()`` — lives here once,
-    so the front-ends cannot drift apart.
+    :class:`~repro.engine.engine.MarketplaceEngine` builds its stream /
+    planner / router in ``__init__`` and implements :meth:`_make_backend`;
+    everything else — submission validation, session lifecycle, the batch
+    ``run()`` — lives here.
 
     Two ways to drive the clock:
 
@@ -1195,7 +1121,7 @@ class EngineBase(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _make_backend(self, seed: int, rng: np.random.Generator | None) -> ClockBackend:
-        """Build this engine flavour's per-tick mechanics for one session."""
+        """Build the arrival model's per-tick mechanics for one session."""
 
     def start(
         self,

@@ -1,14 +1,12 @@
-"""Campaign planning and admission, shared by both engine front-ends.
+"""Campaign planning and admission for the marketplace engine.
 
 :class:`CampaignPlanner` owns everything that happens between "a campaign
 was submitted" and "a campaign is live with a pricing runtime": building
 the forecast slice the campaign plans against, constructing its
 :class:`~repro.core.deadline.model.DeadlineProblem` or budget request, and
 resolving the policy through the shared
-:class:`~repro.engine.cache.PolicyCache`.  Both
-:class:`~repro.engine.engine.MarketplaceEngine` and
-:class:`~repro.engine.sharding.ShardedEngine` admit through one planner,
-so they price campaigns identically.
+:class:`~repro.engine.cache.PolicyCache`.  Admission is independent of
+the engine's arrival model, so both models price campaigns identically.
 
 Every static campaign resolves under its cache signature, which
 :meth:`CampaignPlanner.cache_signature` memoizes per planning shape, so a
@@ -68,8 +66,7 @@ def resolve_planning_means(
 ) -> np.ndarray:
     """Default the planning forecast to the stream and check its shape.
 
-    Shared by every engine front-end so the forecast contract (one entry
-    per stream interval) cannot drift between them.
+    The forecast contract: one entry per stream interval.
     """
     if planning_means is None:
         return stream_means

@@ -39,8 +39,8 @@ def _logit_weights(model: LogitAcceptance, price_arr: np.ndarray) -> np.ndarray:
     The single choice-weight computation shared by
     :meth:`LogitRouter.split` and :meth:`LogitRouter.fractions`, so the
     realized-split and factored-fraction paths can never disagree on the
-    weights (the :class:`~repro.engine.sharding.ShardedEngine` invariance
-    proof relies on both using the same ``e_i``).
+    weights: the pooled and factored arrival models realize the same
+    choice model.
     """
     utilities = np.clip(price_arr / model.s - model.b, None, 700.0)
     return np.exp(utilities)
@@ -84,9 +84,9 @@ class ArrivalRouter(abc.ABC):
         These fractions are what makes the stream *splittable*: thinning a
         Poisson arrival stream by independent per-worker choices yields
         **independent** Poisson streams with means ``lambda_t * accept[i]``
-        (the classical Poisson-splitting property), which is how
-        :class:`~repro.engine.sharding.ShardedEngine` lets each shard draw
-        its own campaigns' acceptances without simulating the others.
+        (the classical Poisson-splitting property), which is how the
+        engine's factored arrival model lets each campaign draw its own
+        acceptances without simulating the others.
         """
 
     @staticmethod

@@ -17,10 +17,9 @@ re-planned.  :class:`Telemetry` collects exactly that:
   accounting for cancelled campaigns.
 
 Telemetry is **deterministic**: every field is computed from
-shard-layout-invariant engine state (sorted live listings, coordinator
+storage-order-invariant engine state (sorted live listings, clock
 counters), never from wall-clock, so a fixed-seed scenario produces
-bit-identical telemetry across shard counts and
-checkpoint/resume boundaries — the golden-trace and fuzz suites assert
+bit-identical telemetry across checkpoint/resume boundaries — the golden-trace and fuzz suites assert
 this.  It serializes to JSON (:meth:`Telemetry.to_dict` /
 :meth:`Telemetry.from_dict`, :meth:`Telemetry.save` /
 :meth:`Telemetry.load`) and rides inside checkpoint bundles through

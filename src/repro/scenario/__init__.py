@@ -5,22 +5,23 @@ campaign up front against a fixed NHPP stream; this subpackage makes the
 workload itself a *timeline*.  A :class:`Scenario` declares events —
 campaign churn, demand shocks, day/night rate schedules, mid-flight
 cancellations — as pure JSON-serializable data; a
-:class:`ScenarioDriver` steps any engine front-end through the compiled
+:class:`ScenarioDriver` steps a marketplace engine through the compiled
 timeline tick by tick, collecting per-tick
 :class:`~repro.engine.telemetry.Telemetry`.
 
 The subsystem's contract is **determinism**: a scenario with a fixed seed
-produces bit-identical telemetry across shard counts and
-checkpoint/resume boundaries (see ``docs/scenarios.md``).
+produces bit-identical telemetry across checkpoint/resume boundaries
+(see ``docs/scenarios.md``).
 
 Quick use::
 
-    from repro.engine import ShardedEngine
+    from repro.engine import MarketplaceEngine
     from repro.scenario import ScenarioDriver, canned_scenario
 
     scenario = canned_scenario("black-friday", stream.num_intervals, seed=7)
-    driver = ScenarioDriver(ShardedEngine(stream, acceptance, num_shards=3),
-                            scenario)
+    engine = MarketplaceEngine(stream, acceptance, planning="stationary",
+                               arrivals="factored")
+    driver = ScenarioDriver(engine, scenario)
     result = driver.run()
     print(result.summary())
     print(driver.telemetry.summary())

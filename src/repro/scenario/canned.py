@@ -20,8 +20,8 @@ stresses):
   exercises planning-vs-realized drift, tick after tick.
 * ``black-friday`` — churn plus a demand shock plus a mid-flight
   cancellation: the everything-at-once drill the determinism contract is
-  asserted on (bit-identical telemetry across shard counts and
-  checkpoint/resume).
+  asserted on (bit-identical telemetry under both arrival models and
+  across checkpoint/resume).
 """
 
 from __future__ import annotations

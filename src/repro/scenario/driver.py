@@ -20,8 +20,8 @@ Rate modulation needs no per-tick driving: the compiled timeline's
 multiplier array is installed on the session once at :meth:`start` (and
 travels inside checkpoint bundles).
 
-The driver is engine-agnostic — pooled :class:`MarketplaceEngine` or
-:class:`ShardedEngine` at any shard count — and checkpointable:
+The driver runs a :class:`MarketplaceEngine` under either arrival model
+and is checkpointable:
 :meth:`save` snapshots the engine session *plus* the scenario cursor and
 telemetry into one bundle, and :meth:`resume` reopens it mid-scenario,
 bit-identical to never having stopped.
@@ -103,8 +103,8 @@ class ScenarioDriver:
     Parameters
     ----------
     engine:
-        Any engine front-end (:class:`MarketplaceEngine` or
-        :class:`ShardedEngine`).  Submit a base workload *before*
+        The :class:`MarketplaceEngine` to drive, under either arrival
+        model.  Submit a base workload *before*
         :meth:`start` if the scenario should run on top of static
         traffic; churn waves arrive on top through the timeline.
     scenario:

@@ -28,6 +28,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.util.validation import require_fields
+
 __all__ = [
     "CampaignChurn",
     "DemandShock",
@@ -110,8 +112,9 @@ class DemandShock:
 
     Every interval in ``[start, stop)`` has its arrival *rate* multiplied
     by ``factor`` (>1 surge, <1 drought).  Scaling the rate keeps the
-    modulated stream Poisson, so the sharded engine's split invariance is
-    untouched.  Overlapping modulation events compose multiplicatively.
+    modulated stream Poisson, so the factored arrival model's
+    per-campaign split still holds.  Overlapping modulation events
+    compose multiplicatively.
     """
 
     start: int
@@ -226,6 +229,10 @@ def event_to_dict(event) -> dict:
 
 def event_from_dict(data: dict) -> object:
     """Rebuild an event from its :func:`event_to_dict` form."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"scenario event must be a JSON object, got {type(data).__name__}"
+        )
     payload = dict(data)
     tag = payload.pop("type", None)
     cls = EVENT_TYPES.get(tag)
@@ -233,6 +240,7 @@ def event_from_dict(data: dict) -> object:
         raise ValueError(
             f"unknown scenario event type {tag!r} (known: {sorted(EVENT_TYPES)})"
         )
+    require_fields(f"{tag} event", payload, cls)
     for field in dataclasses.fields(cls):
         if field.name in payload and isinstance(payload[field.name], list):
             payload[field.name] = tuple(payload[field.name])

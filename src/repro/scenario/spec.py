@@ -4,7 +4,7 @@ A :class:`Scenario` bundles a name, a seed, and a tuple of events
 (:mod:`repro.scenario.events`) into one declarative description of a
 stress workload.  It is pure data: everything random about a scenario is
 derived from its seed, so the same spec always yields the same campaigns,
-the same shocks, and — run through any engine flavour — the same
+the same shocks, and — run on the same engine configuration — the same
 telemetry (the determinism contract in ``docs/scenarios.md``).
 
 ``Scenario.compile(num_intervals)`` lowers the events onto a concrete
@@ -50,6 +50,7 @@ from repro.scenario.events import (
     event_from_dict,
     event_to_dict,
 )
+from repro.util.validation import require_fields, require_list
 
 __all__ = ["Scenario", "Timeline", "churn_specs"]
 
@@ -221,11 +222,30 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """Rebuild a scenario from its :meth:`to_dict` form."""
+        """Rebuild a scenario from its :meth:`to_dict` form.
+
+        Malformed input raises a ``ValueError`` naming the field.
+        """
+        require_fields("scenario", data, cls)
+        events = []
+        for i, entry in enumerate(
+            require_list("scenario field 'events'", data.get("events", []))
+        ):
+            try:
+                events.append(event_from_dict(entry))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"scenario events[{i}]: {exc}") from exc
+        try:
+            seed = int(data.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"scenario field 'seed' must be an integer, got "
+                f"{data['seed']!r}"
+            ) from None
         return cls(
             name=data["name"],
-            seed=int(data.get("seed", 0)),
-            events=tuple(event_from_dict(e) for e in data.get("events", [])),
+            seed=seed,
+            events=tuple(events),
             description=data.get("description", ""),
         )
 

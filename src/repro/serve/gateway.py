@@ -1,8 +1,7 @@
 """The serving gateway: an async request frontier over one engine session.
 
-:class:`Gateway` turns any :class:`~repro.engine.clock.EngineBase` — the
-pooled :class:`~repro.engine.engine.MarketplaceEngine` or the
-:class:`~repro.engine.sharding.ShardedEngine` at any shard count — into a
+:class:`Gateway` turns a :class:`~repro.engine.engine.MarketplaceEngine`
+— under either arrival model — into a
 long-lived service that many concurrent client sessions talk to while the
 deterministic tick loop keeps running underneath:
 
@@ -14,7 +13,7 @@ deterministic tick loop keeps running underneath:
   Queueing consumes no randomness, so a served run's per-campaign
   outcomes are **bit-identical** to the same submissions issued directly
   against the engine — the serving determinism contract
-  (``docs/serving.md``), asserted across shard counts and
+  (``docs/serving.md``), asserted under both arrival models and across
   checkpoint/resume boundaries.
 * **Admission control backpressures instead of dropping.**  A bounded
   request queue rejects offers beyond its depth, and a live-campaign
@@ -62,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import time
+import zlib
 
 import numpy as np
 
@@ -76,7 +76,6 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.clock import EngineBase, EngineCore, PhaseTimings, TickReport
 from repro.engine.outcomes import outcome_from_record, outcome_record
-from repro.engine.sharding import shard_of
 from repro.obs.tracing import trace_id_for_seq
 from repro.scenario.driver import apply_cancellation
 from repro.serve.admission import AdmissionQueue, Ticket
@@ -148,7 +147,8 @@ class Gateway:
     Parameters
     ----------
     engine:
-        Any engine front-end.  The gateway owns its serving session:
+        The marketplace engine to serve, under either arrival model.
+        The gateway owns its serving session:
         call :meth:`start` (not ``engine.start``) and drive ticks through
         :meth:`step`/:meth:`serve`.
     frontiers:
@@ -349,7 +349,9 @@ class Gateway:
         count = len(self._frontiers)
         if count == 1:
             return 0
-        return shard_of(tenant if tenant != DEFAULT_TENANT else client, count)
+        # CRC rather than hash(): string hashing is salted per process.
+        key = tenant if tenant != DEFAULT_TENANT else client
+        return zlib.crc32(key.encode()) % count
 
     @property
     def done(self) -> bool:
@@ -909,8 +911,8 @@ class Gateway:
         The deterministic serving mode: requests are offered to the
         gateway right before their arrival tick's boundary, so the same
         trace always produces the same admission batches — and therefore
-        per-campaign outcomes and telemetry bit-identical across shard
-        counts and checkpoint/resume boundaries.  When the
+        per-campaign outcomes and telemetry bit-identical under both
+        arrival models and across checkpoint/resume boundaries.  When the
         engine goes idle with trace left, requests up to and including
         the next submission are delivered early to wake the clock
         (queueing consumes no randomness; the submission still admits at

@@ -46,6 +46,7 @@ import pathlib
 from typing import Iterable
 
 from repro.engine.campaign import CampaignSpec
+from repro.util.validation import require_fields, require_list
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -232,20 +233,6 @@ def request_to_dict(request) -> dict:
     return {"type": tag, **data}
 
 
-def _check_fields(what: str, cls, data: dict) -> None:
-    """Raise a ``ValueError`` naming unknown or missing fields of ``cls``."""
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(data) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"{what} has unknown field(s) {', '.join(unknown)}")
-    missing = [
-        f.name for f in fields
-        if f.name not in data and f.default is dataclasses.MISSING
-    ]
-    if missing:
-        raise ValueError(f"{what} is missing field(s) {', '.join(missing)}")
-
-
 def request_from_dict(data: dict) -> object:
     """Rebuild a request from its :func:`request_to_dict` form.
 
@@ -259,12 +246,9 @@ def request_from_dict(data: dict) -> object:
     if cls is None:
         raise ValueError(f"unknown request type {tag!r}")
     kwargs = {k: v for k, v in data.items() if k != "type"}
-    _check_fields(f"{tag} request", cls, kwargs)
+    require_fields(f"{tag} request", kwargs, cls)
     if "spec" in kwargs:
-        spec = kwargs["spec"]
-        if not isinstance(spec, dict):
-            raise ValueError(f"spec must be a dict, got {spec!r}")
-        _check_fields("spec", CampaignSpec, spec)
+        spec = require_fields("spec", kwargs["spec"], CampaignSpec)
         kwargs["spec"] = CampaignSpec(**spec)
     return cls(**kwargs)
 
@@ -356,7 +340,7 @@ class RequestTrace:
     by arrival tick (stable, so same-tick arrival order is preserved),
     JSON round-trippable, and — replayed through
     :meth:`~repro.serve.gateway.Gateway.replay` — bit-identical across
-    shard counts and checkpoint/resume boundaries.
+    checkpoint/resume boundaries.
 
     Attributes
     ----------
@@ -458,19 +442,36 @@ class RequestTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RequestTrace":
-        """Rebuild a trace from its :meth:`to_dict` form."""
-        return cls(
-            name=data["name"],
-            requests=tuple(
-                TimedRequest(
-                    tick=int(r["tick"]),
-                    client=r["client"],
-                    request=request_from_dict(r["request"]),
-                    tenant=r.get("tenant", DEFAULT_TENANT),
+        """Rebuild a trace from its :meth:`to_dict` form.
+
+        Malformed input raises a ``ValueError`` naming the field.
+        """
+        require_fields("trace", data, cls)
+        requests = []
+        for i, entry in enumerate(
+            require_list("trace field 'requests'", data["requests"])
+        ):
+            where = f"trace requests[{i}]"
+            require_fields(where, entry, TimedRequest)
+            try:
+                tick = int(entry["tick"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where} field 'tick' must be an integer, got "
+                    f"{entry['tick']!r}"
+                ) from None
+            try:
+                requests.append(
+                    TimedRequest(
+                        tick=tick,
+                        client=entry["client"],
+                        request=request_from_dict(entry["request"]),
+                        tenant=entry.get("tenant", DEFAULT_TENANT),
+                    )
                 )
-                for r in data.get("requests", [])
-            ),
-        )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        return cls(name=data["name"], requests=tuple(requests))
 
     def with_tenant(self, tenant: str) -> "RequestTrace":
         """The same trace with every request re-tagged to ``tenant``.

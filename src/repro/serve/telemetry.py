@@ -15,8 +15,8 @@ the engine's per-tick :class:`~repro.engine.telemetry.Telemetry`:
   offer→response seconds with p50/p95/p99 summaries.  Latency is
   *deliberately excluded* from the serialized form: everything
   :meth:`GatewayTelemetry.to_dict` emits is deterministic under a fixed
-  trace and seed (bit-identical across shard counts and
-  checkpoint/resume boundaries — the golden serve trace asserts it),
+  trace and seed (bit-identical across checkpoint/resume boundaries —
+  the golden serve trace asserts it),
   while wall-clock never is.
 """
 

@@ -92,26 +92,6 @@ class SharedArrivalStream:
             raise ValueError(f"factor must be non-negative, got {factor}")
         return SharedArrivalStream(self.arrival_means * factor)
 
-    def split(self, num_shards: int) -> list["SharedArrivalStream"]:
-        """Split the stream into ``num_shards`` independent thinned streams.
-
-        Uniformly thinning a Poisson process into ``num_shards`` parts
-        yields *independent* Poisson processes, each with mean
-        ``lambda_t / num_shards`` per interval (the classical
-        Poisson-splitting property), and their superposition is
-        distributed exactly like the original stream.  This is the
-        stream-level form of the splitting primitive; note that
-        :class:`~repro.engine.sharding.ShardedEngine` does **not** call
-        it — it applies the same property one level finer, thinning by
-        the router's per-campaign choice fractions
-        (:meth:`~repro.engine.routing.ArrivalRouter.fractions`) so each
-        campaign draws its own acceptances directly.
-        """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        thinned = self.arrival_means / num_shards
-        return [SharedArrivalStream(thinned.copy()) for _ in range(num_shards)]
-
     def __repr__(self) -> str:
         return (
             f"SharedArrivalStream({self.num_intervals} intervals, "

@@ -21,11 +21,11 @@ import pytest
 from repro.core.batch import kernels, solve_budget_batch, solve_deadline_batch
 from repro.core.batch.budget import BudgetRequest
 from repro.core.batch.kernels import (
+    _apply_completions_loops,
+    _apply_completions_numpy,
     _deadline_layer_loops,
     _deadline_layer_numpy,
     _lower_hull_loops,
-    _shard_tick_loops,
-    _shard_tick_numpy,
 )
 from repro.market.acceptance import LogitAcceptance
 from repro.util.convexhull import lower_convex_hull
@@ -180,7 +180,7 @@ class TestHullKernel:
         assert ref == out
 
 
-class TestShardTickKernel:
+class TestApplyCompletionsKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_loops_match_numpy_exactly(self, seed):
         rng = np.random.default_rng(seed)
@@ -188,11 +188,23 @@ class TestShardTickKernel:
         accepted = rng.integers(0, 30, n)
         remaining = rng.integers(0, 30, n)
         prices = rng.uniform(0.5, 20.0, n)
-        ref_done, ref_cost = _shard_tick_numpy(accepted, remaining, prices)
-        loop_done, loop_cost = _shard_tick_loops(accepted, remaining, prices)
+        ref_done, ref_cost = _apply_completions_numpy(accepted, remaining, prices)
+        loop_done, loop_cost = _apply_completions_loops(accepted, remaining, prices)
         assert np.array_equal(ref_done, loop_done)
         assert np.array_equal(ref_cost, loop_cost)
         assert np.all(ref_done <= remaining)
+
+    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
+    def test_dispatcher_matches_the_reference(self, kernels_name):
+        rng = np.random.default_rng(99)
+        accepted = rng.integers(0, 30, 40)
+        remaining = rng.integers(0, 30, 40)
+        prices = rng.uniform(0.5, 20.0, 40)
+        ref_done, ref_cost = _apply_completions_numpy(accepted, remaining, prices)
+        with kernel_mode(kernels_name):
+            done, cost = kernels.apply_completions(accepted, remaining, prices)
+        assert np.array_equal(done, ref_done)
+        assert np.array_equal(cost, ref_cost)
 
 
 class TestKernelFlag:

@@ -3,9 +3,8 @@
 The acceptance contract: a session snapshotted at *any* tick boundary and
 restored from disk must finish bit-identically to the uninterrupted
 same-seed run — same outcomes (costs, completions, cache_hit, num_solves),
-same counters, same per-session cache/batch stats — for both engine
-front-ends and multiple shard counts, with adaptive campaigns in the
-mix.  Only wall-clock may differ.
+same counters, same per-session cache/batch stats — under both arrival
+models, with adaptive campaigns in the mix.  Only wall-clock may differ.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -22,15 +23,16 @@ from repro.engine import (
     CheckpointError,
     EngineResult,
     MarketplaceEngine,
-    ShardedEngine,
     UniformRouter,
     generate_workload,
+    load_extras,
     restore_engine,
     save_checkpoint,
-    shard_of,
 )
 from repro.engine.routing import ArrivalRouter
 from repro.market.acceptance import paper_acceptance_model
+from repro.scenario import ScenarioDriver
+from repro.serve import Gateway
 from repro.sim.stream import SharedArrivalStream
 
 SEED = 9
@@ -59,25 +61,20 @@ ENGINES = {
     "market": lambda: MarketplaceEngine(
         make_stream(), paper_acceptance_model(), planning="stationary"
     ),
-    "sharded-1-serial": lambda: ShardedEngine(
-        make_stream(), paper_acceptance_model(), num_shards=1,
-        planning="stationary",
-    ),
-    "sharded-3-serial": lambda: ShardedEngine(
-        make_stream(), paper_acceptance_model(), num_shards=3,
-        planning="stationary",
-    ),
-    "sharded-4-serial": lambda: ShardedEngine(
-        make_stream(), paper_acceptance_model(), num_shards=4,
-        planning="stationary",
-    ),
-    # More shards than campaigns: half the shards are empty at every save
-    # and must stay empty (and correctly indexed) across the restore.
-    "sharded-16-serial": lambda: ShardedEngine(
-        make_stream(), paper_acceptance_model(), num_shards=16,
-        planning="stationary",
+    "factored": lambda: MarketplaceEngine(
+        make_stream(), paper_acceptance_model(), planning="stationary",
+        arrivals="factored",
     ),
 }
+
+#: A bundle committed from commit 48708aa, the last build that partitioned
+#: factored sessions over shards: :func:`workload` with seed :data:`SEED`
+#: on its 3-shard engine (stationary planning), saved after 18 ticks as
+#: ``"engine": "sharded"`` with ``config["num_shards"] == 3`` and its live
+#: campaigns in shard order rather than id order.
+LEGACY_SHARDED_BUNDLE = (
+    pathlib.Path(__file__).parent / "fixtures" / "sharded3_v2"
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,7 +110,7 @@ class TestRoundTrip:
         resumed = run_interrupted(flavour, stop_tick, tmp_path / "ck")
         assert strip_timing(resumed) == strip_timing(base)
 
-    @pytest.mark.parametrize("flavour", ["market", "sharded-3-serial"])
+    @pytest.mark.parametrize("flavour", ["market", "factored"])
     def test_every_tick_is_a_valid_checkpoint(self, flavour, tmp_path):
         """Property sweep: snapshot at *each* tick of a short run."""
         base = run_uninterrupted(flavour)
@@ -276,12 +273,79 @@ class TestBundleContract:
         "legacy", ["serial", "thread", "process", pytest.param(None, id="absent")]
     )
     def test_legacy_sharded_bundle_restores(self, legacy, tmp_path):
-        """Bundles written while sharded engines could run their shards on
-        a thread pool or worker processes recorded that choice as
-        ``config["executor"]``; new bundles omit it.  Restore ignores the
-        key whatever it names, and a bundle without it resumes too."""
-        base = run_uninterrupted("sharded-3-serial")
-        engine = ENGINES["sharded-3-serial"]()
+        """A committed bundle from a build that partitioned factored
+        sessions over shards (``"engine": "sharded"``, ``num_shards``)
+        restores as a factored session and finishes exactly like the
+        uninterrupted factored run.  Still older builds also recorded a
+        shard-loop ``config["executor"]``; restore ignores the key
+        whatever it names, and a bundle without it resumes too."""
+        self._resume_legacy_bundle(tmp_path, "executor", legacy)
+
+    @pytest.mark.parametrize(
+        "num_shards", [1, 16, pytest.param(None, id="absent")]
+    )
+    def test_legacy_sharded_bundle_ignores_its_shard_count(
+        self, num_shards, tmp_path
+    ):
+        self._resume_legacy_bundle(tmp_path, "num_shards", num_shards)
+
+    @staticmethod
+    def _resume_legacy_bundle(tmp_path, key: str, value) -> None:
+        """Resume the committed legacy bundle with ``config[key]`` set to
+        ``value`` (dropped when ``None``); it must finish exactly like the
+        uninterrupted factored run."""
+        bundle = shutil.copytree(LEGACY_SHARDED_BUNDLE, tmp_path / "ck")
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["engine"] == "sharded"
+        assert manifest["config"]["num_shards"] == 3
+        if value is None:
+            manifest["config"].pop(key, None)
+        else:
+            manifest["config"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        restored = restore_engine(bundle)
+        try:
+            assert restored.arrivals == "factored"
+            assert restored.core.clock == 18
+            result = restored.run_to_completion()
+        finally:
+            restored.close()
+        base = run_uninterrupted("factored")
+        assert result.checksum == base.checksum
+        assert strip_timing(result) == strip_timing(base)
+
+    @pytest.mark.parametrize("order", ["reversed", "rotated", "evens-first"])
+    def test_factored_resume_ignores_live_entry_order(self, order, tmp_path):
+        """Every factored draw is keyed by campaign, so a bundle listing
+        its live campaigns in any order resumes to the same run."""
+        engine = ENGINES["factored"]()
+        engine.submit(workload())
+        core = engine.start(seed=SEED)
+        for _ in range(18):
+            core.tick()
+        bundle = save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        live = manifest["live"]
+        assert len(live) > 2
+        manifest["live"] = {
+            "reversed": live[::-1],
+            "rotated": live[1:] + live[:1],
+            "evens-first": live[::2] + live[1::2],
+        }[order]
+        assert manifest["live"] != live
+        manifest_path.write_text(json.dumps(manifest))
+        restored = restore_engine(bundle)
+        result = restored.run_to_completion()
+        restored.close()
+        assert strip_timing(result) == strip_timing(run_uninterrupted("factored"))
+
+    def test_factored_bundle_missing_a_campaign_generator_is_rejected(
+        self, tmp_path
+    ):
+        engine = ENGINES["factored"]()
         engine.submit(workload())
         core = engine.start(seed=SEED)
         for _ in range(7):
@@ -290,55 +354,78 @@ class TestBundleContract:
         engine.close()
         manifest_path = bundle / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        if legacy is None:
-            manifest["config"].pop("executor", None)
-        else:
-            manifest["config"]["executor"] = legacy
+        manifest["live"][0]["rng_state"] = None
         manifest_path.write_text(json.dumps(manifest))
-        restored = restore_engine(bundle)
-        try:
-            assert restored.num_shards == 3
-            result = restored.run_to_completion()
-        finally:
-            restored.close()
-        assert strip_timing(result) == strip_timing(base)
+        with pytest.raises(CheckpointError, match="lost the generator state"):
+            restore_engine(bundle)
 
-    def test_new_bundles_omit_the_executor_key(self, tmp_path):
-        engine = ENGINES["sharded-3-serial"]()
-        engine.submit(workload())
-        engine.start(seed=SEED)
-        bundle = save_checkpoint(engine, tmp_path / "ck")
-        engine.close()
-        manifest = json.loads((bundle / "manifest.json").read_text())
-        assert manifest["engine"] == "sharded"
-        assert manifest["config"]["num_shards"] == 3
-        assert "executor" not in manifest["config"]
-
-    @pytest.mark.parametrize("num_shards", [3, 16])
-    def test_restore_places_each_campaign_in_its_hash_shard(
-        self, num_shards, tmp_path
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("config", []),
+            ("arrivals", "sharded"),
+            ("live", 5),
+            ("admissions", 5),
+            ("clock", []),
+            ("stats", None),
+        ],
+        ids=["config-list", "unknown-arrivals", "live-number",
+             "admissions-number", "clock-list", "stats-null"],
+    )
+    def test_malformed_manifest_field_raises_checkpoint_error(
+        self, field, value, tmp_path
     ):
-        engine = ENGINES[f"sharded-{num_shards}-serial"]()
+        engine = ENGINES["market"]()
         engine.submit(workload())
         core = engine.start(seed=SEED)
         for _ in range(7):
             core.tick()
-        live = sorted(cid for cid, *_ in core.backend.live_stats())
         bundle = save_checkpoint(engine, tmp_path / "ck")
         engine.close()
-        restored = restore_engine(bundle)
-        try:
-            shards = restored.core.backend.shards
-            assert [shard.index for shard in shards] == list(range(num_shards))
-            placed = []
-            for shard in shards:
-                for c in shard.campaigns:
-                    cid = c.live.spec.campaign_id
-                    assert shard_of(cid, num_shards) == shard.index
-                    placed.append(cid)
-        finally:
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if field == "arrivals":
+            manifest["config"][field] = value
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="corrupt or unreadable"):
+            restore_engine(bundle)
+
+    def test_new_bundles_omit_the_executor_key(self, tmp_path):
+        """New bundles name the arrival model and nothing of the retired
+        shard partition, and both arrival values round-trip."""
+        for flavour, arrivals in (("market", "pooled"), ("factored", "factored")):
+            engine = ENGINES[flavour]()
+            engine.submit(workload())
+            engine.start(seed=SEED)
+            bundle = save_checkpoint(engine, tmp_path / flavour)
+            engine.close()
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            assert manifest["engine"] == "marketplace"
+            assert manifest["config"]["arrivals"] == arrivals
+            assert "num_shards" not in manifest["config"]
+            assert "executor" not in manifest["config"]
+            restored = restore_engine(bundle)
+            assert restored.arrivals == arrivals
             restored.close()
-        assert live and sorted(placed) == live
+
+    @pytest.mark.parametrize(
+        "manifest", [[], "x", None, 5], ids=["list", "string", "null", "number"]
+    )
+    @pytest.mark.parametrize(
+        "reader",
+        [restore_engine, load_extras, ScenarioDriver.resume, Gateway.resume],
+        ids=["restore_engine", "load_extras", "driver", "gateway"],
+    )
+    def test_non_object_manifest_raises_checkpoint_error(
+        self, reader, manifest, tmp_path
+    ):
+        bundle = tmp_path / "ck"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="not an object"):
+            reader(bundle)
 
     def test_uniform_router_round_trips(self, tmp_path):
         model = paper_acceptance_model()

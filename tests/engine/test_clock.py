@@ -26,7 +26,6 @@ from repro.engine import (
     DEADLINE,
     EngineResult,
     MarketplaceEngine,
-    ShardedEngine,
     TickReport,
     generate_workload,
 )
@@ -44,14 +43,10 @@ def make_stream(n: int = 48) -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def make_engine(sharded: bool = False, n: int = 48, **kwargs):
-    stream = make_stream(n)
-    if sharded:
-        return ShardedEngine(
-            stream, paper_acceptance_model(), planning="stationary", **kwargs,
-        )
+def make_engine(arrivals: str = "pooled", n: int = 48, **kwargs):
     return MarketplaceEngine(
-        stream, paper_acceptance_model(), planning="stationary", **kwargs
+        make_stream(n), paper_acceptance_model(), planning="stationary",
+        arrivals=arrivals, **kwargs,
     )
 
 
@@ -65,14 +60,16 @@ def deadline_spec(**overrides) -> CampaignSpec:
 
 
 class TestTickStepping:
-    @pytest.mark.parametrize("sharded", [False, True], ids=["market", "sharded"])
-    def test_tick_stepping_equals_run(self, sharded):
+    @pytest.mark.parametrize(
+        "arrivals", ["pooled", "factored"], ids=["market", "factored"]
+    )
+    def test_tick_stepping_equals_run(self, arrivals):
         specs = generate_workload(16, 48, seed=21, adaptive_fraction=0.3)
-        batch_engine = make_engine(sharded)
+        batch_engine = make_engine(arrivals)
         batch_engine.submit(specs)
         batch = batch_engine.run(seed=5)
 
-        step_engine = make_engine(sharded)
+        step_engine = make_engine(arrivals)
         step_engine.submit(specs)
         core = step_engine.start(seed=5)
         reports: list[TickReport] = []
@@ -135,19 +132,21 @@ class TestTickStepping:
 
 
 class TestMidFlightSubmission:
-    @pytest.mark.parametrize("sharded", [False, True], ids=["market", "sharded"])
-    def test_midflight_submit_matches_upfront(self, sharded):
+    @pytest.mark.parametrize(
+        "arrivals", ["pooled", "factored"], ids=["market", "factored"]
+    )
+    def test_midflight_submit_matches_upfront(self, arrivals):
         early = generate_workload(10, 48, seed=31)
         late = [
             deadline_spec(campaign_id=f"late-{i}", submit_interval=20,
                           horizon_intervals=14)
             for i in range(3)
         ]
-        upfront = make_engine(sharded)
+        upfront = make_engine(arrivals)
         upfront.submit(early + late)
         reference = upfront.run(seed=8)
 
-        streamed = make_engine(sharded)
+        streamed = make_engine(arrivals)
         streamed.submit(early)
         core = streamed.start(seed=8)
         for _ in range(12):  # still before the late submit interval
@@ -223,8 +222,8 @@ class TestSessionScopedStats:
             o.num_solves for o in first.outcomes
         ]
 
-    def test_sharded_reruns_also_scoped(self):
-        engine = make_engine(sharded=True, num_shards=3)
+    def test_factored_reruns_also_scoped(self):
+        engine = make_engine("factored")
         engine.submit(generate_workload(12, 48, seed=41))
         first = engine.run(seed=7)
         second = engine.run(seed=7)

@@ -1,30 +1,27 @@
-"""The differential shard/kernel matrix: every cell, bit-identical.
+"""The differential arrival/kernel matrix: every cell, bit-identical.
 
-This is the proof obligation for sharding and the compiled kernels: the
-engine's behaviour is a function of ``(workload, scenario, seed)`` and
-**nothing else**.  The sweep runs the canonical golden scenario through
-every cell of
+This is the proof obligation for the compiled kernels and the memory and
+checkpoint modes: the engine's behaviour is a function of ``(workload,
+scenario, seed, arrival model)`` and **nothing else**.  The sweep runs
+the canonical golden scenario through every cell of
 
-    {pooled, sharded x {1, 2, 3, 4, 5} shards}
+    {pooled, factored} arrival models
   x {numpy, numba} kernel backends           (tests/kernel_modes.py)
   x {uninterrupted, checkpoint/resume at a fuzzed tick}
   x {materialized, streaming}                 (lazy source + spill sink)
 
 and asserts the full JSON-normalized payload — deterministic
 ``EngineResult`` fields *and* per-tick telemetry — is equal across every
-cell of each family.  There are two baselines by design: pooled and
-sharded engines realize arrivals through different mechanisms (one
-marketplace draw vs. factored per-campaign draws), so their traces are
-not comparable to each other; within each family, every knob must be
+cell of each family.  There are two baselines by design: the pooled and
+factored models realize arrivals through different mechanisms (one
+marketplace draw vs. per-campaign draws), so their traces are not
+comparable to each other; within each family, every knob must be
 invisible.
 
-The sharded/pooled baselines are additionally pinned to the committed
-golden traces, so a matrix-wide drift (all cells equal, all wrong)
-cannot slip through.
-
-Sharded engines run their shards in one serial loop; the ``serial``
-component of the sharded cell ids names it.  These tests assert
-*invariance*, not scaling; throughput claims live in ``benchmarks/``.
+Both baselines are additionally pinned to the committed golden traces,
+so a matrix-wide drift (all cells equal, all wrong) cannot slip through.
+These tests assert *invariance*, not speed; throughput claims live in
+``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import pytest
 from repro.engine import (
     ListSource,
     MarketplaceEngine,
-    ShardedEngine,
     generate_workload,
     replay_outcomes,
 )
@@ -55,9 +51,6 @@ from tests.golden.cases import (
 )
 from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
-#: 2 and 4 are the layouts the shard-scaling benchmark times, so the
-#: counts it reports throughput for are proven outcome-invariant here.
-SHARD_COUNTS = (1, 2, 3, 4, 5)
 #: "stream"/"stream-resume" rerun the cell with a lazy ListSource feeding
 #: the same specs and a streaming (keep=False, JSONL-spill) sink — the
 #: payload's outcome block is rebuilt from the spill, so these cells prove
@@ -69,13 +62,7 @@ def cell_id(*parts) -> str:
     return "-".join(str(p) for p in parts)
 
 
-SHARDED_CELLS = [
-    pytest.param(s, k, m, id=cell_id(s, "serial", k, m))
-    for s in SHARD_COUNTS
-    for k in KERNEL_MODES
-    for m in RUN_MODES
-]
-POOLED_CELLS = [
+CELLS = [
     pytest.param(k, m, id=cell_id(k, m))
     for k in KERNEL_MODES
     for m in RUN_MODES
@@ -93,18 +80,13 @@ def resume_tick(cell: str) -> int:
 
 
 def build_matrix_driver(
-    num_shards: int, streaming: bool = False, spill=None
+    arrivals: str, streaming: bool = False, spill=None
 ) -> ScenarioDriver:
-    """The golden-case workload + scenario on an arbitrary engine shape."""
-    if num_shards:
-        engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
-            make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            planning="stationary",
-        )
-    else:
-        engine = MarketplaceEngine(
-            make_stream(), paper_acceptance_model(), planning="stationary"
-        )
+    """The golden-case workload + scenario under one arrival model."""
+    engine = MarketplaceEngine(
+        make_stream(), paper_acceptance_model(), planning="stationary",
+        arrivals=arrivals,
+    )
     specs = generate_workload(4, NUM_INTERVALS, seed=BASE_SEED)
     if streaming:
         engine.submit_source(ListSource(specs))
@@ -130,10 +112,10 @@ def finish(driver: ScenarioDriver, spill=None) -> dict:
     }))
 
 
-def run_cell(num_shards, mode, cell, tmp_path) -> dict:
+def run_cell(arrivals, mode, cell, tmp_path) -> dict:
     streaming = mode.startswith("stream")
     spill = tmp_path / f"{cell}.jsonl" if streaming else None
-    driver = build_matrix_driver(num_shards, streaming=streaming, spill=spill)
+    driver = build_matrix_driver(arrivals, streaming=streaming, spill=spill)
     if mode in ("full", "stream"):
         return finish(driver, spill=spill)
     # Checkpoint/resume cell: pause at the fuzzed tick, snapshot, abandon
@@ -149,88 +131,77 @@ def run_cell(num_shards, mode, cell, tmp_path) -> dict:
     return finish(ScenarioDriver.resume(bundle), spill=spill)
 
 
-def normalized(payload: dict) -> dict:
-    """Strip the one field that legitimately varies: the shard count."""
-    payload = json.loads(json.dumps(payload))
-    payload["result"].pop("num_shards")
-    return payload
-
-
 @pytest.fixture(scope="module")
-def sharded_baseline():
+def factored_baseline():
     with kernel_mode("numpy"):
-        return finish(build_matrix_driver(3))
+        return finish(build_matrix_driver("factored"))
 
 
 @pytest.fixture(scope="module")
 def pooled_baseline():
     with kernel_mode("numpy"):
-        return finish(build_matrix_driver(0))
+        return finish(build_matrix_driver("pooled"))
 
 
 class TestBaselines:
     """Anchor the in-memory baselines to the committed golden traces."""
 
-    def test_sharded_baseline_is_the_committed_golden(self, sharded_baseline):
-        golden = json.loads(trace_path("sharded3_small").read_text())
-        assert sharded_baseline["result"] == golden["result"]
-        assert sharded_baseline["telemetry"] == golden["telemetry"]
+    def test_factored_baseline_is_the_committed_golden(self, factored_baseline):
+        golden = json.loads(trace_path("factored_small").read_text())
+        assert factored_baseline["result"] == golden["result"]
+        assert factored_baseline["telemetry"] == golden["telemetry"]
 
     def test_pooled_baseline_is_the_committed_golden(self, pooled_baseline):
         golden = json.loads(trace_path("pooled_small").read_text())
         assert pooled_baseline["result"] == golden["result"]
         assert pooled_baseline["telemetry"] == golden["telemetry"]
 
-    def test_pooled_and_sharded_are_distinct_baselines(
-        self, pooled_baseline, sharded_baseline
+    def test_pooled_and_factored_are_distinct_baselines(
+        self, pooled_baseline, factored_baseline
     ):
         # Different arrival mechanisms: the two families are intentionally
         # separate equivalence classes, not one.
-        assert normalized(pooled_baseline) != normalized(sharded_baseline)
+        assert pooled_baseline != factored_baseline
 
 
-class TestShardedMatrix:
-    @pytest.mark.parametrize("num_shards,kernels_name,mode", SHARDED_CELLS)
+class TestFactoredMatrix:
+    @pytest.mark.parametrize("kernels_name,mode", CELLS)
     def test_cell_matches_baseline(
-        self, num_shards, kernels_name, mode, sharded_baseline, tmp_path
+        self, kernels_name, mode, factored_baseline, tmp_path
     ):
-        cell = cell_id("sharded", num_shards, "serial", kernels_name, mode)
+        cell = cell_id("factored", kernels_name, mode)
         with kernel_mode(kernels_name):
-            payload = run_cell(num_shards, mode, cell, tmp_path)
-        assert payload["result"]["num_shards"] == num_shards
-        assert normalized(payload) == normalized(sharded_baseline), (
-            f"cell {cell} diverged from the 3-shard/numpy baseline"
+            payload = run_cell("factored", mode, cell, tmp_path)
+        assert payload == factored_baseline, (
+            f"cell {cell} diverged from the factored baseline"
         )
 
 
 class TestPooledMatrix:
-    @pytest.mark.parametrize("kernels_name,mode", POOLED_CELLS)
+    @pytest.mark.parametrize("kernels_name,mode", CELLS)
     def test_cell_matches_baseline(
         self, kernels_name, mode, pooled_baseline, tmp_path
     ):
         cell = cell_id("pooled", kernels_name, mode)
         with kernel_mode(kernels_name):
-            payload = run_cell(0, mode, cell, tmp_path)
-        assert normalized(payload) == normalized(pooled_baseline), (
+            payload = run_cell("pooled", mode, cell, tmp_path)
+        assert payload == pooled_baseline, (
             f"cell {cell} diverged from the pooled baseline"
         )
 
 
 class TestGoldenTraceInvariance:
-    """The committed sharded golden byte-compares under every knob.
+    """The committed goldens byte-compare under every knob.
 
     ``make regen-golden`` runs the same check before writing anything;
     here it gates every PR.
     """
 
-    @pytest.mark.parametrize(
-        "kernels_name",
-        [pytest.param(k, id=f"{k}-serial") for k in KERNEL_MODES],
-    )
-    def test_sharded_golden_invariant(self, kernels_name):
-        golden = json.loads(trace_path("sharded3_small").read_text())
+    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
+    def test_factored_golden_invariant_under_kernels(self, kernels_name):
+        golden = json.loads(trace_path("factored_small").read_text())
         with kernel_mode(kernels_name):
-            assert run_case("sharded3_small") == golden
+            assert run_case("factored_small") == golden
 
     @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
     def test_pooled_golden_invariant_under_kernels(self, kernels_name):
@@ -238,7 +209,7 @@ class TestGoldenTraceInvariance:
         with kernel_mode(kernels_name):
             assert run_case("pooled_small") == golden
 
-    @pytest.mark.parametrize("case", ("pooled_small", "sharded3_small"))
+    @pytest.mark.parametrize("case", ("pooled_small", "factored_small"))
     def test_golden_invariant_under_streaming(self, case):
         # The committed traces byte-compare when the same workload is fed
         # lazily and the outcome block is replayed from a streaming spill.

@@ -156,7 +156,8 @@ class TestUniformRouterDrawDiscipline:
 class TestLogitWeightHelper:
     def test_split_and_fractions_share_the_same_weights(self, logit_router):
         """The realized split's choice law must equal the factored
-        fractions — the sharding invariance proof rests on it."""
+        fractions — the pooled and factored arrival models realize one
+        choice model through them."""
         prices = [4.0, 12.0, 27.0]
         accept, consider = logit_router.fractions(prices)
         arrived = 2_000_000

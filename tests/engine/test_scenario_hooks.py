@@ -1,11 +1,11 @@
 """Engine-level scenario hooks: rate modulation and mid-flight cancellation.
 
 These are the clock capabilities the scenario layer is built on, tested
-directly against both engine front-ends (no ScenarioDriver involved):
+directly under both arrival models (no ScenarioDriver involved):
 
 * ``set_rate_multipliers`` scales the *rate* each tick runs under —
   equivalent to running an unmodulated engine on a pre-scaled stream,
-  invariant to the shard layout, and validated for shape/finiteness.
+  and validated for shape/finiteness.
 * ``cancel`` retires a live campaign with partial utility (no terminal
   penalty), drops a pending one from the queue, raises on unknown ids,
   and never perturbs the surviving campaigns' random draws on the
@@ -20,7 +20,6 @@ import pytest
 from repro.engine import (
     CampaignSpec,
     MarketplaceEngine,
-    ShardedEngine,
     generate_workload,
 )
 from repro.market.acceptance import paper_acceptance_model
@@ -36,20 +35,12 @@ def make_stream() -> SharedArrivalStream:
 
 def make_engine(kind: str, stream: SharedArrivalStream | None = None,
                 planning_means=None):
-    stream = stream if stream is not None else make_stream()
-    if kind == "sharded":
-        return ShardedEngine(
-            stream,
-            paper_acceptance_model(),
-            num_shards=3,
-            planning="stationary",
-            planning_means=planning_means,
-        )
     return MarketplaceEngine(
-        stream,
+        stream if stream is not None else make_stream(),
         paper_acceptance_model(),
         planning="stationary",
         planning_means=planning_means,
+        arrivals="factored" if kind == "factored" else "pooled",
     )
 
 
@@ -65,7 +56,7 @@ def outcome_key(result):
 # Rate modulation
 # ----------------------------------------------------------------------
 class TestRateModulation:
-    @pytest.mark.parametrize("kind", ["marketplace", "sharded"])
+    @pytest.mark.parametrize("kind", ["marketplace", "factored"])
     def test_uniform_modulation_equals_scaled_stream(self, kind):
         """A flat 1.7x multiplier array == running on a 1.7x stream.
 
@@ -93,27 +84,6 @@ class TestRateModulation:
 
         assert outcome_key(result_mod) == outcome_key(result_scaled)
         assert result_mod.total_arrivals == result_scaled.total_arrivals
-
-    def test_modulation_is_shard_invariant(self):
-        """A windowed shock yields identical outcomes for 1 vs 4 shards."""
-        multipliers = np.ones(NUM_INTERVALS)
-        multipliers[10:20] = 2.5
-        results = []
-        for shards in (1, 4):
-            stream = make_stream()
-            engine = ShardedEngine(
-                stream,
-                paper_acceptance_model(),
-                num_shards=shards,
-                planning="stationary",
-            )
-            engine.submit(generate_workload(12, NUM_INTERVALS, seed=5))
-            core = engine.start(seed=9)
-            core.set_rate_multipliers(multipliers)
-            results.append(core.run_to_completion())
-            engine.close()
-        assert outcome_key(results[0]) == outcome_key(results[1])
-        assert results[0].total_arrivals == results[1].total_arrivals
 
     def test_default_is_unmodulated(self):
         engine = make_engine("marketplace")
@@ -160,7 +130,7 @@ def spec(cid: str, submit: int = 0, horizon: int = 12, tasks: int = 40):
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("kind", ["marketplace", "sharded"])
+    @pytest.mark.parametrize("kind", ["marketplace", "factored"])
     def test_cancel_live_reports_partial_utility(self, kind):
         engine = make_engine(kind)
         engine.submit([spec("keep"), spec("drop")])
@@ -179,7 +149,7 @@ class TestCancellation:
         # The survivor still pays its terminal penalty if it missed tasks.
         assert not ids["keep"].cancelled
 
-    @pytest.mark.parametrize("kind", ["marketplace", "sharded"])
+    @pytest.mark.parametrize("kind", ["marketplace", "factored"])
     def test_cancel_pending_frees_the_id(self, kind):
         engine = make_engine(kind)
         engine.submit([spec("now"), spec("later", submit=20, horizon=10)])
@@ -193,31 +163,32 @@ class TestCancellation:
         assert {o.spec.campaign_id for o in result.outcomes} == {"now", "later"}
 
     def test_cancel_unknown_or_retired_raises(self):
-        engine = make_engine("marketplace")
-        engine.submit([spec("only", horizon=3)])
-        engine.start(seed=4)
-        with pytest.raises(KeyError):
-            engine.cancel("ghost")
-        for _ in range(3):
-            engine.tick()
-        assert engine.core.done
-        with pytest.raises(KeyError):
-            engine.cancel("only")
-        engine.close()
+        for kind in ("marketplace", "factored"):
+            engine = make_engine(kind)
+            engine.submit([spec("only", horizon=3)])
+            engine.start(seed=4)
+            with pytest.raises(KeyError):
+                engine.cancel("ghost")
+            for _ in range(3):
+                engine.tick()
+            assert engine.core.done
+            with pytest.raises(KeyError):
+                engine.cancel("only")
+            engine.close()
 
     def test_cancel_requires_active_session(self):
         engine = make_engine("marketplace")
         with pytest.raises(RuntimeError):
             engine.cancel("anything")
 
-    def test_cancellation_does_not_perturb_survivors_when_sharded(self):
+    def test_cancellation_does_not_perturb_survivors_when_factored(self):
         """Factored draws are per-campaign: cancelling one campaign leaves
         every survivor's outcome exactly as in the run where the cancelled
         campaign simply never existed after that tick... i.e. identical to
         the uncancelled run for campaigns whose draws never depended on it.
         """
         # Run A: two campaigns, cancel one at tick 4.
-        engine_a = make_engine("sharded")
+        engine_a = make_engine("factored")
         engine_a.submit([spec("stays", tasks=500), spec("goes", tasks=500)])
         engine_a.start(seed=8)
         for _ in range(4):
@@ -225,7 +196,7 @@ class TestCancellation:
         engine_a.cancel("goes")
         result_a = engine_a.run_to_completion()
         # Run B: identical, never cancelled.
-        engine_b = make_engine("sharded")
+        engine_b = make_engine("factored")
         engine_b.submit([spec("stays", tasks=500), spec("goes", tasks=500)])
         result_b = engine_b.run(seed=8)
         # On the factored backend the survivor's private generator stream

@@ -1,9 +1,9 @@
-"""Shard determinism and the factored arrival split.
+"""The factored arrival model: determinism, validation, lifecycle.
 
-The contract under test: the shard count never changes results.  The
-same seed must produce identical per-campaign outcomes for one shard or
-many — because every random decision is keyed by campaign, not by shard
-layout.
+Under ``arrivals="factored"`` every random decision is keyed by campaign:
+each live campaign draws its acceptances from a private generator and a
+market generator draws the walk-away remainder, so the same seed must
+reproduce the same per-campaign outcomes.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import pytest
 from repro.engine import (
     CampaignSpec,
     LogitRouter,
+    MarketplaceEngine,
     PolicyCache,
-    ShardedEngine,
     UniformRouter,
     generate_workload,
-    shard_of,
 )
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
@@ -30,14 +29,14 @@ def stream() -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def run_sharded(stream, num_shards, router=None, seed=5):
-    engine = ShardedEngine(
+def run_factored(stream, seed=5, router=None):
+    engine = MarketplaceEngine(
         stream,
         paper_acceptance_model(),
-        num_shards=num_shards,
         router=router,
         cache=PolicyCache(max_entries=256),
         planning="stationary",
+        arrivals="factored",
     )
     engine.submit(generate_workload(36, stream.num_intervals, seed=17))
     return engine.run(seed=seed)
@@ -57,93 +56,31 @@ def outcome_key(result):
     ]
 
 
-class TestShardDeterminism:
-    def test_one_vs_many_shards_identical_outcomes(self, stream):
-        one = run_sharded(stream, 1)
-        three = run_sharded(stream, 3)
-        five = run_sharded(stream, 5)
-        assert outcome_key(one) == outcome_key(three) == outcome_key(five)
-        assert one.total_completed == three.total_completed
-        assert one.total_arrivals == three.total_arrivals == five.total_arrivals
-        assert one.total_accepted == three.total_accepted
-
-    # 2 and 4 are the shard-scaling benchmark's layouts; 64 shards over 36
-    # campaigns leaves most shards empty on every tick.
-    @pytest.mark.parametrize("num_shards", [2, 4, 8, 64])
-    def test_every_shard_count_matches_one_shard(self, stream, num_shards):
-        one = run_sharded(stream, 1)
-        many = run_sharded(stream, num_shards)
-        assert outcome_key(many) == outcome_key(one)
-        assert many.total_arrivals == one.total_arrivals
-        assert many.total_considered == one.total_considered
-        assert many.total_accepted == one.total_accepted
-
+class TestFactoredDeterminism:
     def test_same_seed_reproducible(self, stream):
-        assert outcome_key(run_sharded(stream, 2)) == outcome_key(
-            run_sharded(stream, 2)
+        assert outcome_key(run_factored(stream)) == outcome_key(
+            run_factored(stream)
         )
 
     def test_different_seeds_differ(self, stream):
-        assert outcome_key(run_sharded(stream, 2, seed=5)) != outcome_key(
-            run_sharded(stream, 2, seed=6)
+        assert outcome_key(run_factored(stream, seed=5)) != outcome_key(
+            run_factored(stream, seed=6)
         )
 
-    def test_uniform_router_is_also_shard_invariant(self, stream):
-        router = UniformRouter(paper_acceptance_model())
-        one = run_sharded(stream, 1, router=router)
-        four = run_sharded(stream, 4, router=router)
-        assert outcome_key(one) == outcome_key(four)
-        # Uniform attention considers more workers than it converts.
-        assert one.total_considered > one.total_accepted
-
-    def test_result_reports_shard_count(self, stream):
-        result = run_sharded(stream, 4)
-        assert result.num_shards == 4
-        assert "across 4 shards" in result.summary()
-
-
-class TestShardAssignment:
-    def test_stable_and_in_range(self):
-        ids = [f"camp-{i}" for i in range(200)]
-        first = [shard_of(cid, 7) for cid in ids]
-        assert first == [shard_of(cid, 7) for cid in ids]
-        assert set(first) <= set(range(7))
-        assert len(set(first)) > 1  # actually spreads
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            shard_of("x", 0)
-
-    @pytest.mark.parametrize("num_shards", [1, 3, 64])
-    def test_live_campaigns_sit_in_their_hash_shard(self, stream, num_shards):
-        engine = ShardedEngine(
-            stream, paper_acceptance_model(), num_shards=num_shards,
-            planning="stationary",
-        )
-        engine.submit(generate_workload(36, stream.num_intervals, seed=17))
-        core = engine.start(seed=5)
-        seen_live = False
-        while not core.done:
-            core.tick()
-            shards = core.backend.shards
-            assert [shard.index for shard in shards] == list(range(num_shards))
-            placed = []
-            for shard in shards:
-                for c in shard.campaigns:
-                    cid = c.live.spec.campaign_id
-                    assert shard_of(cid, num_shards) == shard.index
-                    placed.append(cid)
-            # Every live campaign is in exactly one shard.
-            live = [cid for cid, *_ in core.backend.live_stats()]
-            assert sorted(placed) == live
-            seen_live = seen_live or bool(placed)
-        engine.close()
-        assert seen_live
+    def test_uniform_router_considers_more_than_it_converts(self, stream):
+        # The declined draw lands in ``considered``: uniform attention
+        # spreads looks evenly, and many of them decline.
+        result = run_factored(stream, router=UniformRouter(paper_acceptance_model()))
+        assert result.total_considered > result.total_accepted > 0
+        assert result.total_arrivals >= result.total_considered
 
 
 class TestValidation:
-    def test_submit_checks_match_the_unsharded_engine(self, stream):
-        engine = ShardedEngine(stream, paper_acceptance_model(), num_shards=2)
+    def test_submit_checks_match_the_pooled_engine(self, stream):
+        engine = MarketplaceEngine(
+            stream, paper_acceptance_model(), planning="stationary",
+            arrivals="factored",
+        )
         spec = CampaignSpec(
             campaign_id="dl-0",
             kind="deadline",
@@ -167,15 +104,23 @@ class TestValidation:
 
     def test_bad_constructor_arguments(self, stream):
         acceptance = paper_acceptance_model()
-        with pytest.raises(ValueError, match="num_shards"):
-            ShardedEngine(stream, acceptance, num_shards=0)
+        for arrivals in ("sharded", "Pooled", "", None):
+            with pytest.raises(ValueError, match="arrivals must be one of"):
+                MarketplaceEngine(stream, acceptance, arrivals=arrivals)
+
+    def test_factored_sessions_take_a_seed_not_a_generator(self, stream):
+        engine = MarketplaceEngine(
+            stream, paper_acceptance_model(), arrivals="factored"
+        )
+        with pytest.raises(ValueError, match="pass seed="):
+            engine.start(seed=5, rng=np.random.default_rng(5))
 
 
 class TestLifecycle:
     def make_engine(self, stream):
-        engine = ShardedEngine(
-            stream, paper_acceptance_model(), num_shards=3,
-            planning="stationary",
+        engine = MarketplaceEngine(
+            stream, paper_acceptance_model(), planning="stationary",
+            arrivals="factored",
         )
         engine.submit(generate_workload(12, stream.num_intervals, seed=17))
         return engine
@@ -236,15 +181,3 @@ class TestRouterFractions:
         router = LogitRouter(paper_acceptance_model())
         accept, consider = router.fractions([])
         assert accept.size == 0 and consider.size == 0
-
-
-class TestStreamSplit:
-    def test_split_preserves_total_mean(self, stream):
-        shards = stream.split(4)
-        assert len(shards) == 4
-        total = sum(s.arrival_means for s in shards)
-        assert np.allclose(total, stream.arrival_means)
-
-    def test_split_validation(self, stream):
-        with pytest.raises(ValueError, match="num_shards"):
-            stream.split(0)

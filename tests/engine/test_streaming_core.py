@@ -4,7 +4,7 @@ Contracts under test:
 
 * A run fed by ``submit_source`` is **bit-identical** to submitting
   ``list(source)`` up front: same outcomes, same aggregate, same chained
-  checksum, same telemetry-visible counters — pooled or sharded, keeping
+  checksum, same telemetry-visible counters — pooled or factored, keeping
   or streaming, with or without a JSONL spill.
 * Cancelling a campaign the source has not materialized yet drops it
   exactly like cancelling a materialized pending spec.
@@ -30,7 +30,6 @@ from repro.engine import (
     ListSource,
     MarketplaceEngine,
     OutcomeAggregate,
-    ShardedEngine,
     StreamedWorkload,
     generate_workload,
     replay_outcomes,
@@ -46,14 +45,10 @@ def make_stream(n: int = 48) -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def make_engine(sharded: bool = False, n: int = 48, **kwargs):
-    stream = make_stream(n)
-    if sharded:
-        return ShardedEngine(
-            stream, paper_acceptance_model(), planning="stationary", **kwargs,
-        )
+def make_engine(arrivals: str = "pooled", n: int = 48, **kwargs):
     return MarketplaceEngine(
-        stream, paper_acceptance_model(), planning="stationary", **kwargs
+        make_stream(n), paper_acceptance_model(), planning="stationary",
+        arrivals=arrivals, **kwargs,
     )
 
 
@@ -67,34 +62,34 @@ def strip_timing(result: EngineResult) -> EngineResult:
     return dataclasses.replace(result, elapsed_seconds=0.0)
 
 
-SHARDED = pytest.mark.parametrize(
-    "sharded", [False, True], ids=["market", "sharded"]
+ARRIVALS = pytest.mark.parametrize(
+    "arrivals", ["pooled", "factored"], ids=["market", "factored"]
 )
 
 
 class TestStreamingEqualsMaterialized:
-    @SHARDED
-    def test_source_run_equals_list_run(self, sharded):
+    @ARRIVALS
+    def test_source_run_equals_list_run(self, arrivals):
         source = make_source()
-        materialized = make_engine(sharded)
+        materialized = make_engine(arrivals)
         materialized.submit(list(source))
         expected = materialized.run(seed=5)
 
-        streamed = make_engine(sharded)
+        streamed = make_engine(arrivals)
         streamed.submit_source(make_source())
         got = streamed.run(seed=5)
 
         assert strip_timing(got) == strip_timing(expected)
         assert got.checksum == expected.checksum
 
-    @SHARDED
-    def test_streaming_sink_matches_keeping_sink(self, sharded, tmp_path):
-        materialized = make_engine(sharded)
+    @ARRIVALS
+    def test_streaming_sink_matches_keeping_sink(self, arrivals, tmp_path):
+        materialized = make_engine(arrivals)
         materialized.submit(list(make_source()))
         expected = materialized.run(seed=5)
 
         spill = tmp_path / "outcomes.jsonl"
-        streamed = make_engine(sharded)
+        streamed = make_engine(arrivals)
         streamed.submit_source(make_source())
         got = streamed.run(seed=5, keep_outcomes=False, outcomes_path=spill)
 

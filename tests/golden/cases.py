@@ -17,7 +17,6 @@ import numpy as np
 from repro.engine import (
     ListSource,
     MarketplaceEngine,
-    ShardedEngine,
     generate_workload,
     replay_outcomes,
 )
@@ -40,10 +39,10 @@ NUM_INTERVALS = 28
 SCENARIO_SEED = 17
 BASE_SEED = 9
 
-#: Case name -> engine factory kwargs.
+#: Case name -> engine keyword arguments.
 CASES = {
-    "pooled_small": {"num_shards": 0},
-    "sharded3_small": {"num_shards": 3},
+    "pooled_small": {"arrivals": "pooled"},
+    "factored_small": {"arrivals": "factored"},
 }
 
 #: Served cases: a request trace replayed through the Gateway.
@@ -52,7 +51,7 @@ CASES = {
 #: the trace exercises admission backpressure as well as quotes, reads,
 #: and cancellations.
 SERVE_CASES = {
-    "serve_flash_crowd": {"num_shards": 0, "max_live": 8},
+    "serve_flash_crowd": {"arrivals": "pooled", "max_live": 8},
 }
 
 
@@ -91,16 +90,10 @@ def build_driver(
     materialized outcome list; full fidelity via the ``outcomes_path``
     spill) — the memory-mode arm of the invariance proof.
     """
-    num_shards = CASES[case]["num_shards"]
-    if num_shards:
-        engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
-            make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            planning="stationary",
-        )
-    else:
-        engine = MarketplaceEngine(
-            make_stream(), paper_acceptance_model(), planning="stationary"
-        )
+    engine = MarketplaceEngine(
+        make_stream(), paper_acceptance_model(), planning="stationary",
+        arrivals=CASES[case]["arrivals"],
+    )
     specs = generate_workload(4, NUM_INTERVALS, seed=BASE_SEED)
     if streaming:
         engine.submit_source(ListSource(specs))
@@ -121,7 +114,6 @@ def result_to_dict(result: EngineResult, outcomes=None) -> dict:
     if outcomes is None:
         outcomes = result.outcomes
     return {
-        "num_shards": result.num_shards,
         "intervals_run": result.intervals_run,
         "total_arrivals": result.total_arrivals,
         "total_considered": result.total_considered,
@@ -218,16 +210,10 @@ def build_serve_gateway(
     guard.
     """
     sinks = sinks or {}
-    num_shards = SERVE_CASES[case]["num_shards"]
-    if num_shards:
-        engine: MarketplaceEngine | ShardedEngine = ShardedEngine(
-            make_stream(), paper_acceptance_model(), num_shards=num_shards,
-            planning="stationary",
-        )
-    else:
-        engine = MarketplaceEngine(
-            make_stream(), paper_acceptance_model(), planning="stationary"
-        )
+    engine = MarketplaceEngine(
+        make_stream(), paper_acceptance_model(), planning="stationary",
+        arrivals=SERVE_CASES[case]["arrivals"],
+    )
     return Gateway(
         engine,
         frontiers=frontiers,

@@ -64,13 +64,15 @@ def test_trace_matches_committed_golden(case):
         )
 
 
-def test_pooled_and_sharded_traces_share_the_scenario():
-    """Both canonical cases run the same spec — only the engine differs."""
+def test_pooled_and_factored_traces_share_the_scenario():
+    """Both canonical cases run the same spec — only the arrival model
+    differs, and the goldens carry no trace of the retired shard count."""
     pooled = json.loads(trace_path("pooled_small").read_text())
-    sharded = json.loads(trace_path("sharded3_small").read_text())
-    assert pooled["scenario"] == sharded["scenario"]
-    assert pooled["result"]["num_shards"] == 1
-    assert sharded["result"]["num_shards"] == 3
+    factored = json.loads(trace_path("factored_small").read_text())
+    assert pooled["scenario"] == factored["scenario"]
+    assert pooled["result"] != factored["result"]
+    assert "num_shards" not in pooled["result"]
+    assert "num_shards" not in factored["result"]
 
 
 def test_golden_traces_exercise_all_three_stressors():

@@ -122,10 +122,10 @@ class TestHealth:
         assert all(check["ok"] for check in body["checks"].values())
         assert sorted(body["checks"]) == ["event_log", "queue", "session"]
 
-    def test_readyz_sharded_gateway_needs_no_shard_check(self):
-        # Shards run inside the serving process, so a sharded engine is
+    def test_readyz_factored_gateway_has_the_pooled_checks(self):
+        # The arrival model adds no readiness check: a factored engine is
         # ready on exactly the checks a pooled one is.
-        gateway = Gateway(make_engine(num_shards=3))
+        gateway = Gateway(make_engine("factored"))
         gateway.start(seed=3)
         gateway.offer(SubmitCampaign(spec("a")))
         gateway.step()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import MarketplaceEngine, ShardedEngine, generate_workload
+from repro.engine import MarketplaceEngine, generate_workload
 from repro.engine.clock import PhaseTimings
 from repro.market.acceptance import paper_acceptance_model
 from repro.obs import MetricsRegistry, Span, Tracer
@@ -15,18 +15,13 @@ from repro.sim.stream import SharedArrivalStream
 NUM_INTERVALS = 24
 
 
-def make_engine(num_shards: int = 0):
+def make_engine(arrivals: str = "pooled"):
     means = 700.0 + 150.0 * np.sin(
         np.linspace(0.0, 2.0 * np.pi, NUM_INTERVALS)
     )
-    if num_shards:
-        return ShardedEngine(
-            SharedArrivalStream(means), paper_acceptance_model(),
-            num_shards=num_shards, planning="stationary",
-        )
     return MarketplaceEngine(
         SharedArrivalStream(means), paper_acceptance_model(),
-        planning="stationary",
+        planning="stationary", arrivals=arrivals,
     )
 
 
@@ -136,9 +131,9 @@ class TestPhaseTimings:
 
 
 class TestEnginePhaseTimings:
-    @pytest.mark.parametrize("num_shards", [0, 2])
-    def test_tick_records_every_backend_phase(self, num_shards):
-        engine = make_engine(num_shards)
+    @pytest.mark.parametrize("arrivals", ["pooled", "factored"])
+    def test_tick_records_every_backend_phase(self, arrivals):
+        engine = make_engine(arrivals)
         engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
         core = engine.start(seed=5)
         timings = core.enable_phase_timings()
@@ -153,8 +148,8 @@ class TestEnginePhaseTimings:
         assert "admission" in summary and "observe" in summary
 
     def test_timings_do_not_change_results(self):
-        def run(enable):
-            engine = make_engine()
+        def run(enable, arrivals):
+            engine = make_engine(arrivals)
             engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
             core = engine.start(seed=5)
             if enable:
@@ -167,7 +162,8 @@ class TestEnginePhaseTimings:
 
             return dataclasses.replace(result, elapsed_seconds=0.0)
 
-        assert run(True) == run(False)
+        for arrivals in ("pooled", "factored"):
+            assert run(True, arrivals) == run(False, arrivals)
 
     def test_disable_detaches_backend_sink(self):
         engine = make_engine()
@@ -181,86 +177,3 @@ class TestEnginePhaseTimings:
         assert timings.ticks == ticks_before
         assert core.phase_timings is None
         engine.close()
-
-
-class TestShardPhaseTimings:
-    """Per-shard phase attribution from the serial shard loop.
-
-    The aggregate ``price``/``split``/``observe`` timers include the
-    coordinator's share; ``shard_totals`` must isolate each shard's own
-    slice of the work.
-    """
-
-    # The one-element parametrization keeps the ``[serial]`` test id.
-    @pytest.mark.parametrize("shard_loop", ["serial"])
-    def test_every_executor_attributes_all_shard_phases(self, shard_loop):
-        engine = make_engine(num_shards=2)
-        engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
-        core = engine.start(seed=5)
-        timings = core.enable_phase_timings()
-        while not core.done:
-            core.tick()
-        engine.close()
-        assert sorted(timings.shard_totals) == [0, 1]
-        for shard, totals in timings.shard_totals.items():
-            assert sorted(totals) == sorted(PhaseTimings.SHARD_PHASES)
-            for phase, seconds in totals.items():
-                assert seconds > 0.0, f"shard {shard} {phase} never timed"
-
-    # 8 shards over the 6-campaign workload leaves some shards empty: the
-    # loop still visits (and times) every shard, in index order.
-    @pytest.mark.parametrize("num_shards", [1, 3, 8])
-    def test_shard_ledger_covers_every_shard_within_phase_totals(
-        self, num_shards
-    ):
-        engine = make_engine(num_shards=num_shards)
-        engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
-        core = engine.start(seed=5)
-        timings = core.enable_phase_timings()
-        while not core.done:
-            core.tick()
-        engine.close()
-        assert sorted(timings.shard_totals) == list(range(num_shards))
-        for phase in PhaseTimings.SHARD_PHASES:
-            per_shard = [
-                timings.shard_totals[shard][phase]
-                for shard in range(num_shards)
-            ]
-            assert all(seconds >= 0.0 for seconds in per_shard)
-            # Each shard's slice is timed inside the aggregate phase timer,
-            # which also carries the coordinator's share.
-            assert sum(per_shard) <= timings.totals[phase] + 1e-9, phase
-
-    def test_shard_metrics_series_per_shard_and_phase(self):
-        registry = MetricsRegistry()
-        engine = make_engine(num_shards=2)
-        engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
-        core = engine.start(seed=5)
-        core.enable_phase_timings(PhaseTimings(metrics=registry))
-        while not core.done:
-            core.tick()
-        engine.close()
-        text = registry.to_prometheus()
-        for shard in ("0", "1"):
-            for phase in PhaseTimings.SHARD_PHASES:
-                assert (
-                    f'engine_shard_phase_seconds_count'
-                    f'{{phase="{phase}",shard="{shard}"}}'
-                ) in text
-
-    def test_worker_timing_does_not_change_results(self):
-        import dataclasses
-
-        def run(enable):
-            engine = make_engine(num_shards=2)
-            engine.submit(generate_workload(6, NUM_INTERVALS, seed=5))
-            core = engine.start(seed=5)
-            if enable:
-                core.enable_phase_timings()
-            while not core.done:
-                core.tick()
-            result = core.result()
-            engine.close()
-            return dataclasses.replace(result, elapsed_seconds=0.0)
-
-        assert run(True) == run(False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import MarketplaceEngine, ShardedEngine
+from repro.engine import MarketplaceEngine
 from repro.market.acceptance import paper_acceptance_model
 from repro.scenario import (
     CampaignChurn,
@@ -31,20 +31,19 @@ NUM_INTERVALS = 36
 CASES = [
     ("marketplace", 101),
     ("marketplace", 202),
-    ("sharded", 303),
-    ("sharded", 404),
-    ("sharded", 505),
+    ("factored", 303),
+    ("factored", 404),
+    ("factored", 505),
 ]
 
 
 def make_engine(kind: str):
     means = 850.0 + 300.0 * np.sin(np.linspace(0.0, 3.0 * np.pi, NUM_INTERVALS))
-    stream = SharedArrivalStream(means)
-    if kind == "sharded":
-        return ShardedEngine(stream, paper_acceptance_model(), num_shards=3,
-                             planning="stationary")
-    return MarketplaceEngine(stream, paper_acceptance_model(),
-                             planning="stationary")
+    return MarketplaceEngine(
+        SharedArrivalStream(means), paper_acceptance_model(),
+        planning="stationary",
+        arrivals="factored" if kind == "factored" else "pooled",
+    )
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:

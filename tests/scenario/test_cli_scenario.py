@@ -31,18 +31,19 @@ class TestScenarioRun:
         assert "telemetry     :" in out
         assert "campaigns     :" in out
 
-    def test_shard_count_never_changes_telemetry(self, capsys):
-        assert main(["engine", "scenario", "run", "--canned", "black-friday",
-                     *FAST, "--shards", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(["engine", "scenario", "run", "--canned", "black-friday",
-                     *FAST, "--shards", "3"]) == 0
-        three = capsys.readouterr().out
-        # Identical telemetry line; only the serving/throughput lines differ.
-        telemetry = [l for l in one.splitlines() if l.startswith("telemetry")]
-        assert telemetry and telemetry == [
-            l for l in three.splitlines() if l.startswith("telemetry")
+    def test_factored_arrivals_flag_reaches_the_engine(self, capsys):
+        runs = {}
+        for arrivals in ("pooled", "factored"):
+            assert main(["engine", "scenario", "run", "--canned",
+                         "black-friday", *FAST, "--arrivals", arrivals]) == 0
+            runs[arrivals] = capsys.readouterr().out
+        assert "serving       : arrivals=factored," in runs["factored"]
+        # Two random models: the realized arrivals differ.
+        arrivals_line = [
+            [l for l in out.splitlines() if l.startswith("intervals")]
+            for out in runs.values()
         ]
+        assert arrivals_line[0] != arrivals_line[1]
 
     def test_spec_file_and_seed_override(self, tmp_path, capsys):
         from repro.scenario import canned_scenario
@@ -115,3 +116,24 @@ class TestScenarioRun:
         assert main(["engine", "scenario", "run",
                      "--resume", str(tmp_path / "nope")]) == 2
         assert "no checkpoint bundle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ({"name": "s", "events": 5}, "field 'events'"),
+            ([{"name": "s"}], "scenario must be a JSON object"),
+            ({}, "missing field(s) name"),
+        ],
+        ids=["events-not-a-list", "top-level-list", "no-name"],
+    )
+    def test_malformed_spec_exits_2_naming_file_and_field(
+        self, spec, field, tmp_path, capsys
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        for command in (["scenario", "run"], ["serve"]):
+            assert main(["engine", *command, "--spec", str(path), *FAST]) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err
+            assert str(path) in err
+            assert field in err

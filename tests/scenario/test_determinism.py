@@ -4,7 +4,7 @@ A seeded scenario combining campaign churn, a demand shock, and a
 mid-flight cancellation must produce **bit-identical telemetry** (and
 outcomes):
 
-* across shard counts — ShardedEngine with 1 vs 2, 3, 4 and 8 shards;
+* across runs — the same scenario on a fresh factored engine;
 * across a checkpoint/resume boundary — stop mid-scenario, restore from
   the bundle, finish.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import ShardedEngine, generate_workload
+from repro.engine import MarketplaceEngine, generate_workload
 from repro.market.acceptance import paper_acceptance_model
 from repro.scenario import (
     CampaignChurn,
@@ -33,13 +33,13 @@ NUM_INTERVALS = 40
 SEED = 23
 
 
-def make_engine(num_shards: int) -> ShardedEngine:
+def make_engine() -> MarketplaceEngine:
     means = 1000.0 + 350.0 * np.sin(np.linspace(0.0, 4.0 * np.pi, NUM_INTERVALS))
-    return ShardedEngine(
+    return MarketplaceEngine(
         SharedArrivalStream(means),
         paper_acceptance_model(),
-        num_shards=num_shards,
         planning="stationary",
+        arrivals="factored",
     )
 
 
@@ -64,8 +64,8 @@ def scenario() -> Scenario:
     )
 
 
-def run_scenario(num_shards: int, scenario: Scenario):
-    engine = make_engine(num_shards)
+def run_scenario(scenario: Scenario):
+    engine = make_engine()
     engine.submit(generate_workload(6, NUM_INTERVALS, seed=4))
     driver = ScenarioDriver(engine, scenario)
     result = driver.run()
@@ -74,8 +74,8 @@ def run_scenario(num_shards: int, scenario: Scenario):
 
 @pytest.fixture(scope="module")
 def reference(scenario):
-    """The 1-shard run every variant must match bit-for-bit."""
-    return run_scenario(1, scenario)
+    """The run every variant must match bit-for-bit."""
+    return run_scenario(scenario)
 
 
 def test_scenario_actually_stresses_the_engine(reference):
@@ -88,17 +88,8 @@ def test_scenario_actually_stresses_the_engine(reference):
     assert any(r["adaptive"] for r in telemetry["campaigns"])
 
 
-# The ``serial`` id component names the shard loop; it keeps the test ids.
-# 2 and 4 are the benchmark's shard-scaling layouts; under 8 shards the
-# base workload fills only three, and churn places later arrivals into
-# shards that were empty until then.
-@pytest.mark.parametrize(
-    "num_shards", [pytest.param(n, id=f"serial-{n}") for n in (1, 2, 3, 4, 8)]
-)
-def test_bit_identical_across_shards_and_executors(
-    num_shards, scenario, reference
-):
-    telemetry, result = run_scenario(num_shards, scenario)
+def test_bit_identical_on_a_fresh_engine(scenario, reference):
+    telemetry, result = run_scenario(scenario)
     ref_telemetry, ref_result = reference
     assert telemetry == ref_telemetry
     assert [
@@ -118,7 +109,7 @@ def test_bit_identical_across_checkpoint_boundary(
 ):
     """Stop mid-scenario (before, inside, and after the shock window),
     resume from the bundle, finish: telemetry equals the uninterrupted run."""
-    engine = make_engine(3)
+    engine = make_engine()
     engine.submit(generate_workload(6, NUM_INTERVALS, seed=4))
     driver = ScenarioDriver(engine, scenario)
     driver.start()

@@ -9,7 +9,6 @@ from repro.engine import (
     CampaignSpec,
     CheckpointError,
     MarketplaceEngine,
-    ShardedEngine,
     generate_workload,
 )
 from repro.market.acceptance import paper_acceptance_model
@@ -27,12 +26,11 @@ NUM_INTERVALS = 32
 
 def make_engine(kind: str = "marketplace"):
     means = 800.0 + 250.0 * np.sin(np.linspace(0.0, 3.0 * np.pi, NUM_INTERVALS))
-    stream = SharedArrivalStream(means)
-    if kind == "sharded":
-        return ShardedEngine(stream, paper_acceptance_model(), num_shards=3,
-                             planning="stationary")
-    return MarketplaceEngine(stream, paper_acceptance_model(),
-                             planning="stationary")
+    return MarketplaceEngine(
+        SharedArrivalStream(means), paper_acceptance_model(),
+        planning="stationary",
+        arrivals="factored" if kind == "factored" else "pooled",
+    )
 
 
 def churn_scenario(**kwargs) -> Scenario:
@@ -189,7 +187,7 @@ class TestCancellations:
 
 
 class TestSaveResume:
-    @pytest.mark.parametrize("kind", ["marketplace", "sharded"])
+    @pytest.mark.parametrize("kind", ["marketplace", "factored"])
     def test_resume_is_bit_identical(self, kind, tmp_path):
         scenario = churn_scenario()
         reference = ScenarioDriver(make_engine(kind), scenario)

@@ -98,6 +98,34 @@ class TestJson:
         with pytest.raises(ValueError):
             Scenario(name="")
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({}, r"scenario is missing field\(s\) name"),
+            ({"name": "s", "events": 5},
+             "scenario field 'events' must be a JSON list"),
+            ({"name": "s", "events": "q"},
+             "scenario field 'events' must be a JSON list"),
+            ([{"name": "s"}], "scenario must be a JSON object"),
+            ({"name": "s", "events": [5]},
+             r"scenario events\[0\]: scenario event must be a JSON object"),
+            ({"name": "s", "events": [{"type": "demand-shock", "start": 1}]},
+             r"scenario events\[0\]: .*stop"),
+            ({"name": "s", "seed": None},
+             "scenario field 'seed' must be an integer"),
+            ({"name": "s", "events": [{"type": "meteor-strike"}]},
+             r"scenario events\[0\]: unknown scenario event type"),
+            ({"name": "s", "author": "me"},
+             r"scenario has unknown field\(s\) author"),
+        ],
+        ids=["no-name", "events-number", "events-string", "top-level-list",
+             "event-not-an-object", "event-missing-field", "null-seed",
+             "unknown-event-type", "unknown-key"],
+    )
+    def test_from_dict_names_the_malformed_field(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(data)
+
 
 class TestCanned:
     @pytest.mark.parametrize("name", sorted(CANNED_SCENARIOS))

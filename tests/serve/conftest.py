@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import MarketplaceEngine, ShardedEngine
+from repro.engine import MarketplaceEngine
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
 
@@ -17,16 +17,9 @@ def make_stream(num_intervals: int = NUM_INTERVALS) -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def make_engine(num_shards: int = 0, num_intervals: int = NUM_INTERVALS):
-    """A pooled engine (``num_shards=0``) or a ShardedEngine."""
-    if num_shards:
-        return ShardedEngine(
-            make_stream(num_intervals),
-            paper_acceptance_model(),
-            num_shards=num_shards,
-            planning="stationary",
-        )
+def make_engine(arrivals: str = "pooled", num_intervals: int = NUM_INTERVALS):
+    """A stationary-planning engine under the given arrival model."""
     return MarketplaceEngine(
         make_stream(num_intervals), paper_acceptance_model(),
-        planning="stationary",
+        planning="stationary", arrivals=arrivals,
     )

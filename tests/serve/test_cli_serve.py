@@ -98,9 +98,6 @@ def test_serve_trace_rejects_each_unservable_request_at_load(
 
 def test_serve_flag_validation_exits_2(capsys):
     assert main([
-        "engine", "serve", "--canned", "flash-crowd", "--shards", "-1", *FAST,
-    ]) == 2
-    assert main([
         "engine", "serve", "--canned", "flash-crowd", "--max-live", "-2",
         *FAST,
     ]) == 2
@@ -112,33 +109,50 @@ def test_serve_flag_validation_exits_2(capsys):
     assert "--checkpoint-path" in err
 
 
-def test_serve_trace_with_telemetry_out_and_shards(tmp_path, capsys):
+def test_serve_trace_with_telemetry_out_and_factored_arrivals(
+    tmp_path, capsys
+):
     trace_path = tmp_path / "trace.json"
     LoadGenerator(18, seed=3, rate=2.0).trace("open").save(trace_path)
     telemetry_path = tmp_path / "telemetry.json"
     assert main([
         "engine", "serve", "--trace", str(trace_path), *FAST,
-        "--shards", "3",
+        "--arrivals", "factored",
         "--telemetry-out", str(telemetry_path),
     ]) == 0
     telemetry = GatewayTelemetry.load(telemetry_path)
     assert telemetry.num_ticks > 0
-    assert "telemetry     : written to" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "arrivals=factored" in out
+    assert "telemetry     : written to" in out
 
 
-def test_serve_telemetry_is_shard_count_invariant(tmp_path, capsys):
+QUERY = {"type": "query-telemetry"}
+
+
+@pytest.mark.parametrize(
+    "trace,field",
+    [
+        ({"name": "t", "requests": [{"client": "c", "request": QUERY}]},
+         "missing field(s) tick"),
+        ({"name": "t", "requests": [{"tick": 0, "request": QUERY}]},
+         "missing field(s) client"),
+        ({"name": "t", "requests": "zz"}, "field 'requests'"),
+        ([{"tick": 0, "client": "c", "request": QUERY}],
+         "trace must be a JSON object"),
+    ],
+    ids=["no-tick", "no-client", "requests-not-a-list", "top-level-list"],
+)
+def test_serve_malformed_trace_exits_2_naming_file_and_field(
+    trace, field, tmp_path, capsys
+):
     trace_path = tmp_path / "trace.json"
-    LoadGenerator(18, seed=3, rate=2.0).trace("open").save(trace_path)
-    telemetry = {}
-    for shards in ("1", "4"):
-        out = tmp_path / f"telemetry-{shards}.json"
-        assert main([
-            "engine", "serve", "--trace", str(trace_path), *FAST,
-            "--shards", shards, "--telemetry-out", str(out),
-        ]) == 0
-        telemetry[shards] = json.loads(out.read_text())
-    assert "shards=4" in capsys.readouterr().out
-    assert telemetry["1"] == telemetry["4"]
+    trace_path.write_text(json.dumps(trace))
+    assert main(["engine", "serve", "--trace", str(trace_path), *FAST]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert str(trace_path) in err
+    assert field in err
 
 
 def test_serve_stop_resume_round_trip(tmp_path, capsys):
@@ -187,6 +201,16 @@ def test_loadtest_closed_mode(capsys):
     assert "loadtest      : mode=closed" in out
     assert "requests/sec" in out
     assert "latency" in out
+
+
+def test_loadtest_accepts_factored_arrivals(capsys):
+    assert main([
+        "engine", "loadtest", *FAST, "--clients", "3", "--requests", "5",
+        "--arrivals", "factored",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "arrivals=factored" in out
+    assert "requests/sec" in out
 
 
 def test_loadtest_open_mode_writes_a_replayable_trace(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Admission frontiers: N queues over one engine — the determinism contract.
 
 A tenant-tagged trace replayed through a :class:`Gateway` with 1, 2, or 3
-admission frontiers, over the pooled engine or a 3-shard one, produces
+admission frontiers, under either arrival model, produces
 engine outcomes and serialized telemetry **bit-identical** to each other
 and to the same mutations issued directly against the engine API — and a
 multi-frontier gateway checkpoints and resumes mid-replay exactly like a
@@ -12,12 +12,14 @@ one-frontier one.  Each test runs every frontier count in
 from __future__ import annotations
 
 import asyncio
+import types
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.serve.gateway as gateway_module
 from repro.engine.checkpoint import load_extras
-from repro.engine.sharding import shard_of
 from repro.serve import (
     Gateway,
     LoadGenerator,
@@ -40,9 +42,9 @@ TENANT_TRACE = LoadGenerator(
 
 
 def run_gateway(
-    trace: RequestTrace, num_shards: int, frontiers: int, **kwargs
+    trace: RequestTrace, arrivals: str, frontiers: int, **kwargs
 ) -> Gateway:
-    gateway = Gateway(make_engine(num_shards), frontiers=frontiers, **kwargs)
+    gateway = Gateway(make_engine(arrivals), frontiers=frontiers, **kwargs)
     gateway.start(seed=SEED)
     tickets = gateway.replay(trace)
     assert all(t.done for t in tickets)  # no request lost across frontiers
@@ -52,13 +54,13 @@ def run_gateway(
 # ----------------------------------------------------------------------
 # The determinism contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("num_shards", [0, 3], ids=["pooled", "sharded3"])
-def test_fleet_equals_single_gateway_and_direct(num_shards):
-    direct = run_direct(TENANT_TRACE, num_shards)
-    solo = run_gateway(TENANT_TRACE, num_shards, frontiers=1)
+@pytest.mark.parametrize("arrivals", ["pooled", "factored"])
+def test_fleet_equals_single_gateway_and_direct(arrivals):
+    direct = run_direct(TENANT_TRACE, arrivals)
+    solo = run_gateway(TENANT_TRACE, arrivals, frontiers=1)
     assert outcome_map(solo.core.result()) == outcome_map(direct)
     for frontiers in FRONTIERS[1:]:
-        split = run_gateway(TENANT_TRACE, num_shards, frontiers)
+        split = run_gateway(TENANT_TRACE, arrivals, frontiers)
         result = split.core.result()
         assert outcome_map(result) == outcome_map(direct), frontiers
         assert result.cache_stats == direct.cache_stats, frontiers
@@ -76,7 +78,7 @@ def test_fleet_invariant_across_member_counts():
     """
     by_count = {
         frontiers: run_gateway(
-            TENANT_TRACE, 0, frontiers,
+            TENANT_TRACE, "pooled", frontiers,
             tenant_weights={"acme": 3.0},
             tenant_quotas={"beta": TenantQuota(max_live=1)},
         ).telemetry.to_dict()
@@ -87,8 +89,8 @@ def test_fleet_invariant_across_member_counts():
 
 
 def test_fleet_replay_is_reproducible():
-    first = run_gateway(TENANT_TRACE, 3, frontiers=2)
-    second = run_gateway(TENANT_TRACE, 3, frontiers=2)
+    first = run_gateway(TENANT_TRACE, "factored", frontiers=2)
+    second = run_gateway(TENANT_TRACE, "factored", frontiers=2)
     assert first.telemetry.to_dict() == second.telemetry.to_dict()
     assert outcome_map(first.core.result()) == outcome_map(
         second.core.result()
@@ -98,17 +100,20 @@ def test_fleet_replay_is_reproducible():
 # ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
+def crc_frontier(key: str, frontiers: int) -> int:
+    """The documented routing rule: CRC-32 of the key, modulo frontiers."""
+    return zlib.crc32(key.encode()) % frontiers
+
+
 def test_tenant_routing_is_stable():
     for frontiers in FRONTIERS:
         gateway = Gateway(make_engine(), frontiers=frontiers)
         gateway.start(seed=SEED)
         owner = gateway.frontier_of("acme")
         assert all(gateway.frontier_of("acme") == owner for _ in range(5))
-        assert owner == (shard_of("acme", frontiers) if frontiers > 1 else 0)
+        assert owner == crc_frontier("acme", frontiers)
         # Untagged traffic partitions by client id instead.
-        assert gateway.frontier_of(client="c7") == (
-            shard_of("c7", frontiers) if frontiers > 1 else 0
-        )
+        assert gateway.frontier_of(client="c7") == crc_frontier("c7", frontiers)
         ticket = gateway.offer(SubmitCampaign(spec("a0")), tenant="acme")
         queue = gateway.queues[owner]
         assert queue.depth == 1
@@ -118,11 +123,25 @@ def test_tenant_routing_is_stable():
         assert ticket.response.status == "rejected"
 
 
+@settings(max_examples=100, deadline=None)
+@given(key=st.text(min_size=1, max_size=24), frontiers=st.integers(2, 9))
+def test_frontier_routing_is_crc32_modulo_frontiers(key, frontiers):
+    """Any tenant (or untagged client) lands on one stable, in-range
+    frontier: CRC-32 of its name modulo the frontier count."""
+    gateway = Gateway(make_engine(), frontiers=frontiers)
+    owner = gateway.frontier_of(key)
+    assert 0 <= owner < frontiers
+    assert owner == crc_frontier(key, frontiers)
+    assert gateway.frontier_of(client=key) == owner
+
+
 def test_one_frontier_offer_hashes_nothing(monkeypatch):
     def no_hashing(*_args):
         raise AssertionError("a one-frontier gateway hashed a routing key")
 
-    monkeypatch.setattr(gateway_module, "shard_of", no_hashing)
+    monkeypatch.setattr(
+        gateway_module, "zlib", types.SimpleNamespace(crc32=no_hashing)
+    )
     gateway = Gateway(make_engine())
     gateway.start(seed=SEED)
     gateway.offer(SubmitCampaign(spec("a0")), client="c1", tenant="acme")
@@ -146,7 +165,7 @@ def test_fleet_requires_a_started_session():
 def test_per_frontier_queue_bound_isolates_tenant_groups():
     """One frontier's full queue does not backpressure another's tenants."""
     acme, beta = "acme", "beta"
-    assert shard_of(acme, 2) != shard_of(beta, 2)
+    assert crc_frontier(acme, 2) != crc_frontier(beta, 2)
     gateway = Gateway(make_engine(), frontiers=2, max_queue=2)
     gateway.start(seed=SEED)
     flood = [
@@ -193,9 +212,9 @@ def test_fleet_quota_is_tenant_wide_and_settles_once():
 def test_fleet_checkpoint_resumes_mid_replay_bit_identically(tmp_path):
     for frontiers in FRONTIERS:
         bundle = tmp_path / f"bundle-{frontiers}"
-        uninterrupted = run_gateway(TENANT_TRACE, 3, frontiers)
+        uninterrupted = run_gateway(TENANT_TRACE, "factored", frontiers)
 
-        gateway = Gateway(make_engine(3), frontiers=frontiers)
+        gateway = Gateway(make_engine("factored"), frontiers=frontiers)
         gateway.start(seed=SEED)
 
         def snap_at_14(gw: Gateway):
@@ -295,7 +314,7 @@ def test_fleet_event_log_replays_bit_identically_through_a_solo_gateway(
     log_path = tmp_path / "fleet-events.sqlite"
     log = EventLog(log_path)
     run_gateway(
-        TENANT_TRACE, 0, frontiers=3,
+        TENANT_TRACE, "pooled", frontiers=3,
         event_log=log, tracer=Tracer(), metrics=MetricsRegistry(),
     )
     log.sync()
@@ -303,8 +322,8 @@ def test_fleet_event_log_replays_bit_identically_through_a_solo_gateway(
     reconstructed = reconstruct_trace(log_path)
     assert len(reconstructed.requests) == len(TENANT_TRACE.requests)
 
-    replayed = run_gateway(reconstructed, 0, frontiers=1)
-    solo = run_gateway(TENANT_TRACE, 0, frontiers=1)
+    replayed = run_gateway(reconstructed, "pooled", frontiers=1)
+    solo = run_gateway(TENANT_TRACE, "pooled", frontiers=1)
 
     assert replayed.telemetry.to_dict() == solo.telemetry.to_dict()
     assert outcome_map(replayed.core.result()) == outcome_map(

@@ -3,9 +3,8 @@
 A :class:`LoadGenerator` trace replayed through the :class:`Gateway`
 must produce per-campaign outcomes **bit-identical** to the same
 submissions and cancellations issued directly against the engine's
-``submit()``/``cancel()`` API — on the pooled engine and on a 3-shard
-:class:`ShardedEngine` — and the full serving telemetry must be
-bit-identical across shard counts and across replays.  Scenarios lowered
+``submit()``/``cancel()`` API — under both arrival models — and the
+full serving telemetry must be bit-identical across replays.  Scenarios lowered
 into request traces must reproduce the :class:`ScenarioDriver`'s engine
 telemetry exactly.
 """
@@ -34,17 +33,17 @@ CLOSED_TRACE = LoadGenerator(
 SEED = 5
 
 
-def run_served(trace: RequestTrace, num_shards: int) -> Gateway:
-    gateway = Gateway(make_engine(num_shards))
+def run_served(trace: RequestTrace, arrivals: str) -> Gateway:
+    gateway = Gateway(make_engine(arrivals))
     gateway.start(seed=SEED)
     tickets = gateway.replay(trace)
     assert all(t.done for t in tickets)  # no request lost
     return gateway
 
 
-def run_direct(trace: RequestTrace, num_shards: int):
+def run_direct(trace: RequestTrace, arrivals: str):
     """The offline equivalent: the same mutations via the engine API."""
-    engine = make_engine(num_shards)
+    engine = make_engine(arrivals)
     core = engine.start(seed=SEED)
     requests = trace.requests
     i = 0
@@ -95,10 +94,10 @@ def outcome_map(result):
 
 @pytest.mark.parametrize("trace", [TRACE, CLOSED_TRACE],
                          ids=["open", "closed"])
-@pytest.mark.parametrize("num_shards", [0, 3], ids=["pooled", "sharded3"])
-def test_served_equals_direct_bit_for_bit(trace, num_shards):
-    served = run_served(trace, num_shards)
-    direct = run_direct(trace, num_shards)
+@pytest.mark.parametrize("arrivals", ["pooled", "factored"])
+def test_served_equals_direct_bit_for_bit(trace, arrivals):
+    served = run_served(trace, arrivals)
+    direct = run_direct(trace, arrivals)
     result = served.core.result()
     assert outcome_map(result) == outcome_map(direct)
     assert result.total_arrivals == direct.total_arrivals
@@ -106,16 +105,9 @@ def test_served_equals_direct_bit_for_bit(trace, num_shards):
     assert result.cache_stats == direct.cache_stats
 
 
-def test_telemetry_invariant_across_shard_counts():
-    one = run_served(TRACE, 1)
-    three = run_served(TRACE, 3)
-    assert one.telemetry == three.telemetry
-    assert one.telemetry.to_dict() == three.telemetry.to_dict()
-
-
 def test_replay_is_reproducible():
-    first = run_served(TRACE, 0)
-    second = run_served(TRACE, 0)
+    first = run_served(TRACE, "pooled")
+    second = run_served(TRACE, "pooled")
     assert first.telemetry == second.telemetry
     assert outcome_map(first.core.result()) == outcome_map(second.core.result())
 
@@ -139,17 +131,17 @@ def test_backpressure_rejections_are_deterministic():
 
 
 @pytest.mark.parametrize("name", ["flash-crowd", "black-friday"])
-@pytest.mark.parametrize("num_shards", [0, 3], ids=["pooled", "sharded3"])
-def test_scenario_through_gateway_matches_driver(name, num_shards):
+@pytest.mark.parametrize("arrivals", ["pooled", "factored"])
+def test_scenario_through_gateway_matches_driver(name, arrivals):
     """A scenario served as a request trace == the ScenarioDriver run."""
     scenario = canned_scenario(name, NUM_INTERVALS, seed=13)
 
-    driver_engine = make_engine(num_shards)
+    driver_engine = make_engine(arrivals)
     driver_engine.submit(generate_workload(4, NUM_INTERVALS, seed=2))
     driver = ScenarioDriver(driver_engine, scenario)
     driver.run()
 
-    served_engine = make_engine(num_shards)
+    served_engine = make_engine(arrivals)
     served_engine.submit(generate_workload(4, NUM_INTERVALS, seed=2))
     timeline = scenario.compile(NUM_INTERVALS)
     gateway = Gateway(served_engine)

@@ -188,6 +188,43 @@ def test_trace_name_required():
         RequestTrace(name="", requests=())
 
 
+QUERY = {"type": "query-telemetry"}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"name": "t", "requests": [{"client": "c", "request": QUERY}]},
+         r"trace requests\[0\] is missing field\(s\) tick"),
+        ({"name": "t", "requests": [{"tick": 0, "request": QUERY}]},
+         r"trace requests\[0\] is missing field\(s\) client"),
+        ({"name": "t", "requests": "zz"},
+         "trace field 'requests' must be a JSON list"),
+        ([{"tick": 0, "client": "c", "request": QUERY}],
+         "trace must be a JSON object"),
+        ({"requests": []}, r"trace is missing field\(s\) name"),
+        ({"name": "t", "requests": [5]},
+         r"trace requests\[0\] must be a JSON object"),
+        ({"name": "t", "requests": [{"tick": "soon", "client": "c",
+                                     "request": QUERY}]},
+         r"trace requests\[0\] field 'tick' must be an integer"),
+        ({"name": "t", "requests": [
+            {"tick": 0, "client": "c", "request": QUERY},
+            {"tick": 1, "client": "c", "request": {"type": "frobnicate"}},
+        ]},
+         r"trace requests\[1\]: unknown request type 'frobnicate'"),
+        ({"name": "t", "requests": [], "owner": "me"},
+         r"trace has unknown field\(s\) owner"),
+    ],
+    ids=["no-tick", "no-client", "requests-not-a-list", "top-level-list",
+         "no-name", "entry-not-an-object", "non-integer-tick",
+         "bad-request-names-its-entry", "unknown-key"],
+)
+def test_trace_from_dict_names_the_malformed_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        RequestTrace.from_dict(data)
+
+
 def test_from_scenario_lowers_waves_and_cancellations():
     scenario = canned_scenario("black-friday", 48, seed=3)
     timeline = scenario.compile(48)

@@ -44,10 +44,10 @@ def outcome_map(core):
     }
 
 
-@pytest.mark.parametrize("num_shards", [0, 3], ids=["pooled", "sharded3"])
+@pytest.mark.parametrize("arrivals", ["pooled", "factored"])
 @pytest.mark.parametrize("snapshot_tick", [0, 14, 30])
 def test_snapshot_request_resumes_bit_identically(
-    tmp_path, num_shards, snapshot_tick
+    tmp_path, arrivals, snapshot_tick
 ):
     bundle = str(tmp_path / "bundle")
     trace = BASE_TRACE.merge(
@@ -56,7 +56,7 @@ def test_snapshot_request_resumes_bit_identically(
             (TimedRequest(snapshot_tick, "ops", Snapshot(bundle)),),
         )
     )
-    uninterrupted = Gateway(make_engine(num_shards))
+    uninterrupted = Gateway(make_engine(arrivals))
     uninterrupted.start(seed=SEED)
     tickets = uninterrupted.replay(trace)
     snapshot_response = next(

@@ -168,32 +168,47 @@ class TestEngineCommand:
         assert code == 2
         assert "fits" in capsys.readouterr().err
 
-    def test_run_shard_count_never_changes_the_report(self, capsys):
-        workload = [
-            "engine", "run",
-            "--campaigns", "6",
-            "--horizon-hours", "12",
-            "--interval-minutes", "30",
-            "--per-campaign",
-            "--seed", "3",
-        ]
-        reports = {}
-        for shards in ("1", "4"):
-            assert main([*workload, "--shards", shards]) == 0
-            reports[shards] = capsys.readouterr().out
-        assert "serving       : shards=4," in reports["4"]
-
-        def deterministic_report(out: str) -> list[str]:
-            # Drop the serving header (names the shard count) and the
-            # wall-clock line; everything left must be bit-identical.
-            return [
-                line for line in out.splitlines()
-                if line.split(":")[0].strip() not in ("serving", "throughput")
-            ]
-
-        assert deterministic_report(reports["1"]) == deterministic_report(
-            reports["4"]
+    def test_factored_run_equals_the_same_run_built_through_the_api(
+        self, capsys
+    ):
+        from repro.engine import (
+            LogitRouter,
+            MarketplaceEngine,
+            PolicyCache,
+            generate_workload,
         )
+        from repro.market.acceptance import paper_acceptance_model
+        from repro.market.tracker import SyntheticTrackerTrace
+        from repro.sim.stream import SharedArrivalStream
+
+        assert main([
+            "engine", "run", "--campaigns", "6", "--horizon-hours", "12",
+            "--interval-minutes", "30", "--seed", "3",
+            "--arrivals", "factored",
+        ]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert "serving       : arrivals=factored, cache capacity 256" in report
+
+        def api_report(arrivals: str) -> list[str]:
+            stream = SharedArrivalStream.from_rate_function(
+                SyntheticTrackerTrace().rate_function(), 12.0, 24,
+                start_hour=7 * 24.0,
+            )
+            acceptance = paper_acceptance_model()
+            engine = MarketplaceEngine(
+                stream, acceptance, router=LogitRouter(acceptance),
+                cache=PolicyCache(max_entries=256), planning="stationary",
+                arrivals=arrivals,
+            )
+            engine.submit(generate_workload(6, 24, seed=3))
+            summary = engine.run(seed=3).summary().splitlines()
+            # Everything but the wall-clock line is deterministic.
+            return [line for line in summary if not line.startswith("throughput")]
+
+        factored = api_report("factored")
+        assert all(line in report for line in factored)
+        # The flag picks the model: the pooled run of the same seed differs.
+        assert api_report("pooled") != factored
 
     def test_run_kernels_flag(self, capsys, recwarn):
         from repro.core.batch import kernels
@@ -265,21 +280,21 @@ class TestEngineCheckpointCLI:
             ]
         assert body(resumed) == body(uninterrupted)
 
-    def test_sharded_kill_and_resume_matches_uninterrupted(
+    def test_factored_kill_and_resume_matches_uninterrupted(
         self, tmp_path, capsys
     ):
-        sharded = [*self.WORKLOAD, "--shards", "3"]
-        assert main(["engine", "run", *sharded]) == 0
+        factored = [*self.WORKLOAD, "--arrivals", "factored"]
+        assert main(["engine", "run", *factored]) == 0
         uninterrupted = capsys.readouterr().out
 
         bundle = tmp_path / "ck"
         assert main(
-            ["engine", "run", *sharded,
+            ["engine", "run", *factored,
              "--stop-after", "6", "--checkpoint-path", str(bundle)]
         ) == 0
         capsys.readouterr()
         manifest = json.loads((bundle / "manifest.json").read_text())
-        assert manifest["config"]["num_shards"] == 3
+        assert manifest["config"]["arrivals"] == "factored"
 
         assert main(["engine", "run", "--resume", str(bundle)]) == 0
         resumed = capsys.readouterr().out
@@ -312,6 +327,21 @@ class TestEngineCheckpointCLI:
         assert code == 2
         assert "no checkpoint bundle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["scenario", "run"], ["serve"]],
+        ids=["run", "scenario-run", "serve"],
+    )
+    def test_resume_of_a_non_object_manifest_exits_2(
+        self, command, tmp_path, capsys
+    ):
+        bundle = tmp_path / "ck"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text("[]")
+        assert main(["engine", *command, "--resume", str(bundle)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "not an object" in err
+
 
 class TestParser:
     def test_command_required(self):
@@ -324,8 +354,8 @@ class TestParser:
         assert args.horizon_hours == 24.0
 
     def test_executor_flag_is_gone(self, capsys):
-        # Shards always run in one serial loop; the engine commands reject
-        # the removed executor choice instead of silently ignoring it.
+        # The engine commands reject the removed shard-loop executor
+        # choice instead of silently ignoring it.
         for command in (["run"], ["scenario", "run"], ["serve"]):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(
@@ -333,6 +363,22 @@ class TestParser:
                 )
             assert exc.value.code == 2
             assert "--executor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["scenario", "run"], ["serve"], ["loadtest"]],
+        ids=["run", "scenario-run", "serve", "loadtest"],
+    )
+    def test_arrivals_flag_replaces_shards(self, command, capsys):
+        parse = build_parser().parse_args
+        assert parse(["engine", *command]).arrivals == "pooled"
+        assert parse(
+            ["engine", *command, "--arrivals", "factored"]
+        ).arrivals == "factored"
+        for rejected in (["--shards", "3"], ["--arrivals", "sharded"]):
+            with pytest.raises(SystemExit) as exc:
+                parse(["engine", *command, *rejected])
+            assert exc.value.code == 2
+            assert rejected[0] in capsys.readouterr().err
 
     def test_engine_defaults(self):
         args = build_parser().parse_args(["engine", "run"])

@@ -56,6 +56,33 @@ def test_relative_links_resolve(source):
     assert not broken, f"{source} has broken relative links: {broken}"
 
 
+#: Markdown links into a heading: [text](page.md#anchor) or [text](#anchor).
+_ANCHORED_LINK = re.compile(r"\[[^\]]+\]\((?!https?://)([^)#\s]*)#([^)\s]+)\)")
+
+
+def _heading_anchors(markdown: str) -> set[str]:
+    """The GitHub-style anchors of a page's headings."""
+    anchors = set()
+    for line in markdown.splitlines():
+        if line.startswith("#"):
+            title = line.lstrip("#").strip().lower()
+            anchors.add(re.sub(r"[^\w\- ]", "", title).replace(" ", "-"))
+    return anchors
+
+
+@pytest.mark.parametrize(
+    "source", ["README.md", *DOCS_PAGES], ids=lambda p: str(p)
+)
+def test_link_anchors_name_a_heading(source):
+    path = REPO_ROOT / source
+    broken = []
+    for match in _ANCHORED_LINK.finditer(path.read_text()):
+        target = path.parent / match.group(1) if match.group(1) else path
+        if match.group(2) not in _heading_anchors(target.read_text()):
+            broken.append(f"{match.group(1)}#{match.group(2)}")
+    assert not broken, f"{source} links to missing headings: {broken}"
+
+
 class TestBenchRecord:
     @pytest.fixture(scope="class")
     def record(self):
@@ -77,16 +104,14 @@ class TestBenchRecord:
             assert field in solve
         assert solve["speedup"] >= solve["required_speedup"]
 
-    def test_shard_scaling_fields(self, record):
-        scaling = record["shard_scaling"]
-        assert scaling["interleaved"] is True
-        assert {a["shards"] for a in scaling["arms"]} == {1, 2, 4}
-        completed = {a["completed"] for a in scaling["arms"]}
-        assert len(completed) == 1, "shard count changed the outcome"
-        floor = scaling["required_min_campaigns_per_second"]
-        assert all(
-            a["campaigns_per_second"] >= floor for a in scaling["arms"]
-        )
+    def test_factored_arrivals_fields(self, record):
+        assert "shard_scaling" not in record
+        factored = record["factored_arrivals"]
+        assert factored["campaigns"] == record["workload"]["factored_campaigns"]
+        assert factored["completed"] > 0
+        floor = factored["required_min_campaigns_per_second"]
+        assert floor >= 300.0, "the ratcheted floor must never be lowered"
+        assert factored["campaigns_per_second"] >= floor
 
     def test_kernels_fields(self, record):
         kern = record["kernels"]

@@ -72,7 +72,6 @@ def test_public_members_documented(module):
 #: walk above covers them too, but these are load-bearing enough to name).
 PROMISED_API = [
     ("repro.engine", "MarketplaceEngine"),
-    ("repro.engine", "ShardedEngine"),
     ("repro.engine", "CampaignPlanner"),
     ("repro.engine", "PolicyCache"),
     ("repro.engine", "generate_workload"),
