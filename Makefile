@@ -124,4 +124,7 @@ checkpoint-smoke:
 perfbench-smoke:
 	$(PYTHON) perfbench/selftest.py
 
-all: test docs-check checkpoint-smoke
+## The local gate a refactor reports: tier-1 tests, the docs contract, and
+## the bit-identity drills (checkpoint/resume, goldens, bench checksums,
+## perfbench fingerprints).
+all: test docs-check checkpoint-smoke golden-check bench-smoke perfbench-smoke

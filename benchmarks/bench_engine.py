@@ -13,13 +13,15 @@ Three tracked surfaces:
 * **Factored arrivals** — a 120-campaign workload through the engine
   under ``arrivals="factored"`` (per-campaign Poisson draws), timed
   best-of-``FACTORED_REPEATS``; it must clear a ratcheted
-  ``campaigns_per_second`` floor, and the record keeps its completed-task
-  count as an outcome fingerprint.
+  ``campaigns_per_second`` floor and reproduce a committed outcome
+  checksum (the workload mixes budget, adaptive and static deadline
+  campaigns, so the checksum pins factored budget charging too).
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the factored-arrivals workload
 and loosens the throughput floor (a contended single-core CI runner
-resolves invariance, not throughput); the committed ``BENCH_engine.json``
-is only rewritten by full runs.
+resolves invariance, not throughput) but still checks the smaller
+workload's checksum; the committed ``BENCH_engine.json`` is only
+rewritten by full runs.
 
 Besides the human-readable blocks under ``benchmarks/results/``, the
 fast-path run updates ``BENCH_engine.json`` at the repository root — the
@@ -57,6 +59,15 @@ FACTORED_REPEATS = 2 if SMOKE else 3
 #: in full mode (raise when the engine gets faster, never lower).  Smoke
 #: mode only guards against pathological hangs.
 REQUIRED_MIN_CPS = 0.5 if SMOKE else 300.0
+
+#: The factored arm's outcome checksum and completed-task count, for the
+#: full (120-campaign) and smoke (24-campaign) workloads.  Either moves
+#: only if a retired byte does.
+EXPECTED_FACTORED = (
+    ("46f0da8623aad262fc52024eced364be290f712bcb01b443d5527987669ecff7", 990)
+    if SMOKE
+    else ("15543671547ac5fb08b466a2fd0a0e0aee7acdf90d98d75faf533d0dfca94384", 5046)
+)
 
 #: The 64-campaign solve workload for the batch-vs-scalar comparison:
 #: the four default template shapes, each at 16 distinct forecast levels.
@@ -197,6 +208,11 @@ def test_engine_fastpath_report(stream, emit):
         factored = run_factored(stream)
         factored_seconds = min(factored_seconds, time.perf_counter() - t0)
     factored_cps = FACTORED_CAMPAIGNS / factored_seconds
+    assert (factored.checksum, factored.total_completed) == EXPECTED_FACTORED, (
+        f"factored arm checksum {factored.checksum} "
+        f"({factored.total_completed} completed) != {EXPECTED_FACTORED}: "
+        "the retired outcome bytes changed"
+    )
     assert factored_cps >= REQUIRED_MIN_CPS, (
         f"factored arm delivered {factored_cps:.1f} campaigns/sec "
         f"(ratcheted floor: {REQUIRED_MIN_CPS})"
@@ -243,6 +259,7 @@ def test_engine_fastpath_report(stream, emit):
             "seconds": round(factored_seconds, 3),
             "campaigns_per_second": round(factored_cps, 1),
             "completed": factored.total_completed,
+            "checksum": factored.checksum,
         }
         record["cache"] = {
             "hit_rate": round(factored.cache_stats.hit_rate, 4),

@@ -8,8 +8,8 @@ interleaved best-of-``REPEATS`` like the other tracked benches:
   :func:`~repro.core.deadline.vectorized.solve_deadline` loop over the
   workload (the pre-batching reference point);
 * **kernel** — one :func:`~repro.core.batch.solve_deadline_batch` call
-  under the *resolved* kernel backend (``REPRO_KERNELS``/auto: numba
-  where installed, numpy otherwise).
+  under the *resolved* kernel backend (``REPRO_KERNELS``: numpy when
+  unset; ``numba`` or ``auto`` compile where numba is installed).
 
 The acceptance bar ratchets with the backend: with numba actually
 compiled the kernel path must deliver **>= 5x** the scalar policy-solve

@@ -13,7 +13,7 @@ recomputation.  A
 divergence means the engine change broke the determinism contract —
 regeneration would only bake the bug into the goldens — so the script
 refuses and points at the first differing cell instead (the matrix
-suite, ``tests/engine/test_executor_matrix.py``, localizes it further).
+suite, ``tests/engine/test_differential_matrix.py``, localizes it further).
 
 Usage::
 
@@ -60,7 +60,7 @@ def verify_invariance() -> str | None:
                     f"case {case!r} diverged under kernels="
                     f"{kernels_name!r}; the determinism contract is "
                     "broken — fix the engine (see tests/engine/"
-                    "test_executor_matrix.py) before regenerating goldens"
+                    "test_differential_matrix.py) before regenerating goldens"
                 )
         # Memory-mode arm: the same workload fed through a lazy source
         # into a streaming (aggregate + spill) sink must reproduce the

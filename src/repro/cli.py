@@ -81,9 +81,9 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernels", choices=["auto", "numpy", "numba"], default=None,
         help="compiled-kernel backend for the hot solve loops (default: "
-        "the REPRO_KERNELS env var, else auto); numba falls back to "
-        "numpy with a warning where the compiler is absent, and the "
-        "backend never changes results",
+        "the REPRO_KERNELS env var, else numpy); numba falls back to "
+        "numpy with a warning where the compiler is absent, auto picks "
+        "numba where installed, and the backend never changes results",
     )
 
 

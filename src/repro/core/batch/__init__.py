@@ -18,10 +18,11 @@ around the array layout instead:
   the engine's :class:`~repro.engine.cache.PolicyCache` drains on miss:
   all outstanding campaign signatures of a tick are solved in one array
   pass instead of one-by-one.
-* :mod:`repro.core.batch.kernels` — the compiled twins of the hottest
-  inner loops (deadline layer, budget hull, completion pass) behind the
-  ``REPRO_KERNELS`` flag, falling back to the numpy reference when numba
-  is absent.  Exact-equality-tested, so selection never changes results.
+* :mod:`repro.core.batch.kernels` — the compiled twins of the two
+  hottest solver loops (deadline layer, budget hull) behind the
+  ``REPRO_KERNELS`` flag, which selects the numpy reference unless set
+  (numba must be requested, and the numpy path runs where it is
+  absent).  Exact-equality-tested, so selection never changes results.
 
 Every batch kernel reproduces the corresponding scalar solver's tables
 (same truncation cut-offs, same tie-breaking toward lower prices); the

@@ -1,9 +1,8 @@
 """Compiled hot kernels behind the ``REPRO_KERNELS`` feature flag.
 
-The engine's three hottest inner loops — the batched deadline
-value-iteration layer (:func:`deadline_layer`), the budget solver's lower
-convex hull (:func:`lower_hull_indices`), and the factored tick's
-completion pass (:func:`apply_completions`) — each exist twice here:
+The engine's two hottest solver loops — the batched deadline
+value-iteration layer (:func:`deadline_layer`) and the budget solver's
+lower convex hull (:func:`lower_hull_indices`) — each exist twice here:
 
 * a **numpy** implementation (the reference: exactly the arithmetic the
   vectorized solvers have always performed, in the same operation order),
@@ -61,7 +60,6 @@ __all__ = [
     "KERNELS",
     "active",
     "active_kernels",
-    "apply_completions",
     "available",
     "available_kernels",
     "deadline_layer",
@@ -526,54 +524,3 @@ def lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     ):
         return [int(i) for i in _lower_hull_jit(xs, ys)]
     return lower_convex_hull(xs.tolist(), ys.tolist())
-
-
-# ----------------------------------------------------------------------
-# Kernel 3: the factored tick's completion application
-# ----------------------------------------------------------------------
-def _apply_completions_numpy(
-    accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference completion pass: cap at open tasks, charge posted price."""
-    done = np.minimum(accepted, remaining)
-    return done, done * prices
-
-
-def _apply_completions_loops(
-    accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop form of :func:`_apply_completions_numpy` (the numba source)."""
-    n = accepted.shape[0]
-    done = np.empty(n, dtype=np.int64)
-    cost = np.empty(n)
-    for i in range(n):
-        d = accepted[i]
-        if remaining[i] < d:
-            d = remaining[i]
-        done[i] = d
-        cost[i] = d * prices[i]
-    return done, cost
-
-
-if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
-    _apply_completions_jit = numba.njit(cache=True, nogil=True)(
-        _apply_completions_loops
-    )
-else:
-    _apply_completions_jit = None
-
-
-def apply_completions(
-    accepted: np.ndarray, remaining: np.ndarray, prices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one tick's accepted draws to per-campaign open-task counts.
-
-    ``accepted``/``remaining`` are int64 per-campaign arrays, ``prices``
-    the posted rewards; returns ``(done, cost)`` where ``done`` caps
-    acceptances at the open tasks and ``cost`` is the tick's deadline
-    payment ``done * price`` per campaign (semi-static budget campaigns
-    are charged by the caller through their price sequence instead).
-    """
-    if _apply_completions_jit is not None and active() == "numba":
-        return _apply_completions_jit(accepted, remaining, prices)
-    return _apply_completions_numpy(accepted, remaining, prices)

@@ -19,14 +19,16 @@ subpackage is that serving layer:
   :mod:`repro.core.batch`).
 * :mod:`repro.engine.clock` — the **one** engine clock
   (:class:`EngineCore`): the admission → pricing → routing → completion →
-  retirement tick loop, with explicit
-  :meth:`~repro.engine.clock.EngineCore.tick` stepping and mid-flight
-  submission between ticks.
-* :mod:`repro.engine.engine` — :class:`MarketplaceEngine` and its two
-  arrival models (:data:`ARRIVAL_MODELS`): ``"pooled"``, where one
-  generator draws realized arrivals and the router splits them across
-  live campaigns, and ``"factored"``, where each campaign draws from its
-  own Poisson stream ``lambda_t * p(c)`` under a private generator.
+  retirement tick loop over one list of live campaigns, with explicit
+  :meth:`~repro.engine.clock.EngineCore.tick` stepping.
+* :mod:`repro.engine.engine` — :class:`MarketplaceEngine`, the session
+  surface (submission, cancellation, mid-flight submission between
+  ticks, ``start``/``run``), and its two arrival models
+  (:data:`ARRIVAL_MODELS`): ``"pooled"``, where one generator draws
+  realized arrivals and the router splits them across live campaigns,
+  and ``"factored"``, where each campaign draws from its own Poisson
+  stream ``lambda_t * p(c)`` under a private generator.  Only the draw
+  differs between them.
 * :mod:`repro.engine.checkpoint` — durable serving state:
   :func:`save_checkpoint` / :func:`restore_engine` snapshot a session
   mid-flight to a versioned JSON+npz bundle and resume it bit-identically
@@ -70,12 +72,7 @@ from repro.engine.checkpoint import (
     restore_engine,
     save_checkpoint,
 )
-from repro.engine.clock import (
-    ClockBackend,
-    EngineBase,
-    EngineCore,
-    TickReport,
-)
+from repro.engine.clock import EngineCore, TickReport
 from repro.engine.engine import (
     ARRIVAL_MODELS,
     PLANNING_MODES,
@@ -108,9 +105,7 @@ __all__ = [
     "MarketplaceEngine",
     "ARRIVAL_MODELS",
     "CampaignPlanner",
-    "EngineBase",
     "EngineCore",
-    "ClockBackend",
     "TickReport",
     "EngineResult",
     "CHECKPOINT_VERSION",

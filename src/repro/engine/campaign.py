@@ -23,7 +23,6 @@ __all__ = [
     "DEADLINE",
     "BUDGET",
     "horizon_overrun",
-    "validate_submission",
 ]
 
 #: Campaign kind markers.
@@ -146,30 +145,6 @@ class CampaignSpec:
 _INTEGER_FIELDS = ("num_tasks", "submit_interval", "horizon_intervals", "resolve_every")
 
 
-def validate_submission(
-    new_specs: list["CampaignSpec"],
-    known_ids: set[str],
-    num_intervals: int,
-    planner,
-) -> None:
-    """Reject duplicate ids, horizon overruns, and unaffordable budgets.
-
-    Backs the engine's ``submit``.  ``planner`` is the engine's
-    :class:`~repro.engine.planning.CampaignPlanner` (its acceptance model
-    prices the budget check).  Mutates ``known_ids`` as specs are
-    accepted (so duplicates *within* ``new_specs`` are caught too).
-    """
-    for spec in new_specs:
-        if spec.campaign_id in known_ids:
-            raise ValueError(f"duplicate campaign_id {spec.campaign_id!r}")
-        problem = horizon_overrun(spec, num_intervals)
-        if problem is None:
-            problem = planner.budget_shortfall(spec)
-        if problem is not None:
-            raise ValueError(problem)
-        known_ids.add(spec.campaign_id)
-
-
 def horizon_overrun(spec: "CampaignSpec", num_intervals: int) -> str | None:
     """Why ``spec`` outruns a stream of ``num_intervals``, or ``None`` if it fits."""
     if spec.end_interval > num_intervals:
@@ -208,7 +183,7 @@ class CampaignOutcome:
         campaigns count every re-plan).
     cancelled:
         True when the campaign was retired early through
-        :meth:`~repro.engine.clock.EngineBase.cancel` instead of
+        :meth:`~repro.engine.engine.MarketplaceEngine.cancel` instead of
         finishing or reaching its horizon; ``completed``/``total_cost``
         then report the partial utility delivered up to cancellation.
     """

@@ -4,9 +4,10 @@ A long-lived marketplace deployment cannot afford to lose hours of
 campaign state to a crash, and operators need to pause/migrate a serving
 session without perturbing its outcomes.  This module serializes a
 running :class:`~repro.engine.clock.EngineCore` session — pending
-submissions, live-campaign runtime state (including adaptive repricer
-observations and solve caches), per-campaign generator states, counters —
-to a versioned **JSON + npz bundle**, and restores it such that
+submissions, the live list's runtime state (including adaptive repricer
+observations and solve caches), each factored campaign's generator
+state, the session generator, counters — to a versioned **JSON + npz
+bundle**, and restores it such that
 
     ``snapshot -> restore -> finish``  ==  an uninterrupted same-seed run
 
@@ -35,8 +36,8 @@ Two design points worth knowing:
   entry-for-entry (same contents, same LRU order) — then overwrites the
   cache/batch counters with the recorded values so per-session stats stay
   exact.  The round-trip guarantee therefore assumes the session started
-  from an empty cache, which :meth:`~repro.engine.clock.EngineBase.start`
-  guarantees.
+  from an empty cache, which
+  :meth:`~repro.engine.engine.MarketplaceEngine.start` guarantees.
 * **Only declarative configuration is checkpointable.**  Acceptance
   models (:class:`LogitAcceptance` / :class:`EmpiricalAcceptance`) and
   built-in routers round-trip; a custom router class cannot be
@@ -65,7 +66,7 @@ from repro.core.batch.solver import BatchSolveStats
 from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.engine.cache import CacheStats, PolicyCache
 from repro.engine.campaign import CampaignSpec
-from repro.engine.clock import EngineBase, EngineCore
+from repro.engine.clock import EngineCore
 from repro.engine.engine import MarketplaceEngine
 from repro.engine.outcomes import (
     OutcomeAggregate,
@@ -192,7 +193,7 @@ def _adaptive_key(cid: str, index: int) -> str:
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
-def _live_entry(live, rng_state: dict | None, arrays: dict) -> dict:
+def _live_entry(live, arrays: dict) -> dict:
     """Serialize one live campaign's mutable state (arrays filled in place)."""
     cid = live.spec.campaign_id
     entry = {
@@ -202,7 +203,8 @@ def _live_entry(live, rng_state: dict | None, arrays: dict) -> dict:
         "finished_interval": live.finished_interval,
         "cache_hit": live.cache_hit,
         "initial_solves": live.initial_solves,
-        "rng_state": rng_state,
+        # Factored campaigns' private generators; pooled ones have none.
+        "rng_state": None if live.rng is None else _generator_state(live.rng),
         "adaptive": None,
     }
     if isinstance(live.runtime, AdaptiveRepricer):
@@ -225,7 +227,7 @@ def _live_entry(live, rng_state: dict | None, arrays: dict) -> dict:
 
 
 def save_checkpoint(
-    engine: EngineBase,
+    engine: MarketplaceEngine,
     path: str | pathlib.Path,
     extras: dict | None = None,
 ) -> pathlib.Path:
@@ -255,6 +257,7 @@ def save_checkpoint(
         "cache_max_entries": engine.cache.max_entries,
         "acceptance": _acceptance_to_dict(engine.acceptance),
         "router": _router_to_dict(engine.router),
+        "arrivals": engine.arrivals,
     }
     arrays: dict = {
         "stream_means": engine.stream.arrival_means,
@@ -262,18 +265,7 @@ def save_checkpoint(
     }
     if core.rate_multipliers is not None:
         arrays["rate_multipliers"] = core.rate_multipliers
-    if not isinstance(engine, MarketplaceEngine):
-        raise CheckpointError(
-            f"engine {type(engine).__name__} is not checkpointable"
-        )
-    config["arrivals"] = engine.arrivals
-    try:
-        exported, rng_state = core.backend.export_live()
-    except NotImplementedError as exc:
-        raise CheckpointError(str(exc)) from exc
-    live_entries = [
-        _live_entry(lc, state, arrays) for lc, state in exported
-    ]
+    live_entries = [_live_entry(lc, arrays) for lc in core.live]
     # Make the spill durable through the snapshot's recorded offset, so a
     # resume that truncates back to it continues a fully-written file.
     sink = core.sink
@@ -327,7 +319,7 @@ def save_checkpoint(
             outcome_record(o, with_spec=False) for o in sink.outcomes
         ],
         "extras": extras,
-        "rng": rng_state,
+        "rng": _generator_state(core.rng),
         "stats": {
             "cache": list(engine.cache.counters()),
             "cache_baseline": dataclasses.asdict(core._cache_baseline),
@@ -493,7 +485,7 @@ def _restore(bundle: pathlib.Path) -> MarketplaceEngine:
     source_ids = {s.campaign_id for s in pulled}
     id2spec.update((s.campaign_id, s) for s in pulled)
     core._dropped = set(manifest.get("dropped", ()))
-    _replay_admissions(core, manifest, id2spec, arrays, engine, source_ids)
+    _replay_admissions(core, manifest, id2spec, arrays, source_ids)
     # Counters and clock position.
     c = manifest["clock"]
     core.clock = c["interval"]
@@ -546,10 +538,15 @@ def _replay_admissions(
     manifest: dict,
     id2spec: dict,
     arrays,
-    engine,
     source_ids: set | frozenset = frozenset(),
 ) -> None:
-    """Re-admit every previously admitted campaign, rebuilding cache + state."""
+    """Re-admit every previously admitted campaign, rebuilding cache + state.
+
+    The live list is re-installed in the session's order: the bundle's
+    (admission) order for pooled sessions, campaign-id order for factored
+    ones, whose bundles may come from older builds that stored another
+    order.
+    """
     admitted_order: list[str] = []
     live_map: dict = {}
     for t, ids in manifest["admissions"]:
@@ -572,8 +569,7 @@ def _replay_admissions(
     core._next_pending = n
     for cid in mat_admitted:
         core._pending_ids.discard(cid)
-    backend = core.backend
-    placed = []
+    live = []
     for entry in manifest["live"]:
         cid = entry["campaign_id"]
         if cid not in live_map:
@@ -589,10 +585,14 @@ def _replay_admissions(
         lc.initial_solves = entry["initial_solves"]
         if entry["adaptive"] is not None:
             _restore_adaptive(lc.runtime, entry["adaptive"], cid, arrays)
-        placed.append((lc, entry["rng_state"]))
-    try:
-        backend.restore_live(placed, manifest["rng"])
-    except NotImplementedError as exc:  # pragma: no cover - new backends
-        raise CheckpointError(str(exc)) from exc
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+        if core.factored:
+            if entry["rng_state"] is None:
+                raise CheckpointError(
+                    f"bundle lost the generator state of campaign {cid!r}"
+                )
+            lc.rng = _generator_from_state(entry["rng_state"])
+        live.append(lc)
+    if core.factored:
+        live.sort(key=lambda lc: lc.spec.campaign_id)
+    core.live = live
+    core.rng = _generator_from_state(manifest["rng"])

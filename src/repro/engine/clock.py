@@ -2,29 +2,24 @@
 
 :class:`~repro.engine.engine.MarketplaceEngine` advances a discrete clock
 over the shared arrival stream: drain newly-due campaign submissions,
-gather the live campaigns' posted rewards, split the interval's worker
+gather the live campaigns' posted rewards, draw the interval's worker
 arrivals, apply completions and adaptive observations, and retire
-finished campaigns.  This module owns that loop; the engine supplies
-only how one interval's arrivals are realized.
+finished campaigns.  This module owns that loop.
 
 The pieces:
 
 * :class:`EngineCore` — one *serving session* of the clock.  It owns the
-  pending-submission queue, the run counters, and the explicit stepping
-  API: :meth:`EngineCore.tick` advances one interval and returns a
-  :class:`TickReport`; :meth:`EngineCore.run_to_completion` loops it;
-  :meth:`EngineCore.result` aggregates the session into an
-  :class:`EngineResult` at any point.  New campaigns may be submitted
-  *between ticks* (validated against the remaining horizon), which is
-  what a long-lived serving deployment needs.
-* :class:`ClockBackend` — the strategy interface hiding what differs
-  between the arrival models: how live campaigns are stored and how one
-  interval's arrivals are realized (one pooled generator splitting
-  realized workers, vs. per-campaign factored Poisson draws).  The clock
-  itself never branches on the arrival model.
-* :class:`EngineBase` — the front-end surface (``submit`` / ``start`` /
-  ``tick`` / ``run`` / ``run_to_completion``): submission validation and
-  session lifecycle, independent of the arrival model.
+  pending-submission queue, the one list of live campaigns, the run
+  counters, and the explicit stepping API: :meth:`EngineCore.tick`
+  advances one interval and returns a :class:`TickReport`;
+  :meth:`EngineCore.run_to_completion` loops it; :meth:`EngineCore.result`
+  aggregates the session into an :class:`EngineResult` at any point.
+  New campaigns may be submitted *between ticks*, which is what a
+  long-lived serving deployment needs.  The two arrival models differ
+  only in how a tick's acceptances are drawn (one pooled generator
+  splitting realized workers, vs. per-campaign factored Poisson draws);
+  pricing, completions, observation and retirement are one code path.
+* :class:`PhaseTimings` — optional wall-clock per tick phase.
 * :class:`EngineResult` — the aggregate outcome of one session.
 
 Sessions are *checkpointable*: :mod:`repro.engine.checkpoint` serializes
@@ -40,38 +35,44 @@ cumulative counters across runs.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import time
+import zlib
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.batch.solver import BatchSolveStats
 from repro.engine.cache import CacheStats
-from repro.engine.campaign import (
-    CampaignOutcome,
-    CampaignSpec,
-    validate_submission,
-)
+from repro.engine.campaign import CampaignOutcome, CampaignSpec
 from repro.engine.outcomes import OutcomeAggregate, OutcomeSink
 from repro.engine.planning import CampaignPlanner, _LiveCampaign
+from repro.engine.routing import ArrivalRouter
 from repro.engine.source import WorkloadSource
 from repro.sim.stream import SharedArrivalStream
 
 __all__ = [
-    "ClockBackend",
-    "EngineBase",
     "EngineCore",
     "EngineResult",
     "PhaseTimings",
     "TickReport",
 ]
 
+# Sub-stream tag keeping every campaign's factored draws independent of
+# the market's walk-away draws under one run seed.
+_CAMPAIGN_STREAM = 0xCA4
+
 
 def _submission_key(spec: CampaignSpec) -> tuple[int, str]:
     """Admission order: by submit interval, ties broken by campaign id."""
     return (spec.submit_interval, spec.campaign_id)
+
+
+def _campaign_rng(seed: int, campaign_id: str) -> np.random.Generator:
+    """The private generator owning every random decision of one campaign."""
+    return np.random.default_rng(
+        [seed, _CAMPAIGN_STREAM, zlib.crc32(campaign_id.encode())]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,13 +226,11 @@ class PhaseTimings:
     """Wall-clock seconds per tick phase, accumulated across ticks.
 
     The tick loop has five phases worth timing separately: the admission
-    drain (due submissions through the planner into the backend), the
-    backend's price gathering, its arrival split (including completion
-    application), its adaptive observe pass, and retirement.  The core
-    times ``admission`` and ``retire`` itself; the backend records
-    ``price`` / ``split`` / ``observe`` through the :attr:`ClockBackend.phases`
-    handle :meth:`EngineCore.enable_phase_timings` installs (a backend
-    that never touches ``phases`` simply leaves those at zero).
+    drain (due submissions through the planner onto the live list), price
+    gathering, the arrival draw (the router's split or fractions and the
+    completions they deliver), the adaptive observe pass, and
+    retirement.  :class:`EngineCore` records all five into the instance
+    :meth:`EngineCore.enable_phase_timings` installs.
 
     Purely observational wall-clock, like ``elapsed_seconds``: never
     serialized into checkpoints or deterministic telemetry.  When a
@@ -337,105 +336,21 @@ class TickReport:
     idle: bool
 
 
-class ClockBackend(abc.ABC):
-    """Per-tick campaign mechanics behind the shared clock.
-
-    A backend owns the live-campaign storage and the arrival realization
-    for one arrival model; :class:`EngineCore` drives it through four
-    calls per tick (place / num_live / step / retire) and never needs to
-    know whether arrivals are pooled or factored.
-    """
-
-    #: Optional :class:`PhaseTimings` sink; when set (by
-    #: :meth:`EngineCore.enable_phase_timings`) the backend's ``step``
-    #: records its ``price`` / ``split`` / ``observe`` sub-phases into it.
-    phases: "PhaseTimings | None" = None
-
-    @abc.abstractmethod
-    def place(self, admitted: Sequence[_LiveCampaign]) -> None:
-        """Take ownership of newly admitted live campaigns."""
-
-    @abc.abstractmethod
-    def num_live(self) -> int:
-        """Number of currently live campaigns."""
-
-    @abc.abstractmethod
-    def step(self, t: int, rate_factor: float = 1.0) -> tuple[int, int, int]:
-        """Realize interval ``t``: price, split arrivals, apply completions.
-
-        ``rate_factor`` modulates the interval's arrival rate (scenario
-        demand shocks and day/night schedules); backends must apply it to
-        the *rate* before drawing, never to realized counts, so the
-        modulated process stays Poisson and remains splittable across
-        campaigns.  Feeds adaptive campaigns their observation of the
-        realized marketplace arrivals, then returns the tick's
-        ``(arrived, considered, accepted)`` totals.
-        """
-
-    @abc.abstractmethod
-    def retire(self, t: int) -> list[CampaignOutcome]:
-        """Drop campaigns that finished or expired at ``t``; return outcomes."""
-
-    @abc.abstractmethod
-    def cancel(self, campaign_id: str) -> CampaignOutcome | None:
-        """Retire one live campaign early, releasing its runtime state.
-
-        Returns the campaign's partial-utility outcome (``cancelled=True``,
-        no terminal penalty) or ``None`` when no such campaign is live.
-        Cancellation consumes no randomness, so the surviving campaigns'
-        draws are unaffected — on the factored backend the cancelled
-        campaign's private generator simply stops being used.
-        """
-
-    @abc.abstractmethod
-    def live_stats(self) -> list[tuple[str, int, int, bool]]:
-        """Per-live-campaign ``(campaign_id, remaining, num_solves, adaptive)``.
-
-        Sorted by campaign id so the listing is independent of storage
-        order; telemetry builds its per-tick series from this.
-        """
-
-    # ------------------------------------------------------------------
-    # Checkpoint surface (optional)
-    # ------------------------------------------------------------------
-    def export_live(self) -> tuple[list[tuple[_LiveCampaign, dict | None]], dict]:
-        """Snapshot live-campaign state for checkpointing.
-
-        Returns ``(entries, rng_state)``: ``entries`` is every live
-        campaign paired with its serialized private generator state
-        (``None`` for backends whose campaigns share one pooled
-        generator), in the backend's canonical storage order;
-        ``rng_state`` is the backend's own generator state.  Backends
-        that don't implement this pair are simply not checkpointable.
-        """
-        raise NotImplementedError(
-            f"backend {type(self).__name__} does not support checkpointing"
-        )
-
-    def restore_live(
-        self,
-        placed: list[tuple[_LiveCampaign, dict | None]],
-        rng_state: dict,
-    ) -> None:
-        """Re-install live campaigns and generator state from a snapshot.
-
-        The inverse of :meth:`export_live`: ``placed`` preserves the
-        exported order, and each entry's generator state (where the
-        backend keeps per-campaign generators) must continue the stream
-        bit-for-bit.
-        """
-        raise NotImplementedError(
-            f"backend {type(self).__name__} does not support checkpointing"
-        )
-
-
 class EngineCore:
     """One serving session of the engine clock, steppable tick by tick.
 
-    Create a session through the engine's :meth:`EngineBase.start`
-    rather than directly — the engine wires up the :class:`ClockBackend`
-    of its arrival model and resets the session-scoped
+    Create a session through
+    :meth:`MarketplaceEngine.start <repro.engine.engine.MarketplaceEngine.start>`
+    rather than directly — the engine builds the session generator of
+    its arrival model and resets the session-scoped
     policy-cache/batch-solver counters.
+
+    Live campaigns are one list, :attr:`live`.  Under pooled arrivals it
+    keeps admission order, which fixes the layout of the price vector the
+    router's multinomial draws over.  Under factored arrivals it is kept
+    sorted by campaign id, which fixes the order the router's fractions
+    are summed in and retirements are reported in, and each campaign
+    carries its private generator in ``rng``.
 
     Parameters
     ----------
@@ -444,13 +359,20 @@ class EngineCore:
     planner:
         The :class:`~repro.engine.planning.CampaignPlanner` admissions
         are resolved through.
-    backend:
-        The arrival model's per-tick mechanics.
+    router:
+        Splits realized workers across the live campaigns (pooled) or
+        answers their choice fractions (factored).
     specs:
         Campaigns submitted before the session started.
     seed:
-        The session's run seed (recorded for checkpoints; the backend
-        derives its generators from it).
+        The session's run seed (recorded for checkpoints; factored
+        sessions key each campaign's generator by it).
+    rng:
+        The session generator: it draws the realized arrivals and the
+        router's split under pooled arrivals, and the market's walk-aways
+        under factored ones.
+    factored:
+        Realize ticks under the factored arrival model.
     source:
         Optional lazy :class:`~repro.engine.source.WorkloadSource`; its
         specs are pulled just-in-time as the clock reaches their submit
@@ -470,16 +392,21 @@ class EngineCore:
         self,
         stream: SharedArrivalStream,
         planner: CampaignPlanner,
-        backend: ClockBackend,
+        router: ArrivalRouter,
         specs: Sequence[CampaignSpec],
         seed: int,
+        rng: np.random.Generator,
+        factored: bool = False,
         source: WorkloadSource | None = None,
         sink: OutcomeSink | None = None,
     ):
         self.stream = stream
         self.planner = planner
-        self.backend = backend
+        self.router = router
         self.seed = seed
+        self.rng = rng
+        self.factored = factored
+        self.live: list[_LiveCampaign] = []
         self.clock = 0
         self.sink = OutcomeSink() if sink is None else sink
         self.intervals_run = 0
@@ -532,7 +459,18 @@ class EngineCore:
     @property
     def num_live(self) -> int:
         """Currently live campaigns."""
-        return self.backend.num_live()
+        return len(self.live)
+
+    def live_stats(self) -> list[tuple[str, int, int, bool]]:
+        """Per-live-campaign ``(campaign_id, remaining, num_solves, adaptive)``.
+
+        Sorted by campaign id whatever the arrival model's live order;
+        telemetry builds its per-tick series from this.
+        """
+        return sorted(
+            (c.spec.campaign_id, c.remaining, c.num_solves(), c.spec.adaptive)
+            for c in self.live
+        )
 
     @property
     def outcomes(self) -> list[CampaignOutcome]:
@@ -609,21 +547,18 @@ class EngineCore:
         """Start per-phase tick timing; returns the active sink.
 
         Installs ``timings`` (a fresh :class:`PhaseTimings` by default) on
-        the session *and* on its backend, so both halves of a tick —
-        admission/retire in the core, price/split/observe in the backend —
-        land in one place.  Timing is runtime wiring like tick-boundary
+        the session; every phase of a tick records through that one
+        instance's ``record``.  Timing is runtime wiring like tick-boundary
         hooks: never checkpointed, re-enable after a resume.
         """
         if timings is None:
             timings = PhaseTimings()
         self.phase_timings = timings
-        self.backend.phases = timings
         return timings
 
     def disable_phase_timings(self) -> None:
         """Stop per-phase tick timing (the sink keeps its totals)."""
         self.phase_timings = None
-        self.backend.phases = None
 
     @property
     def done(self) -> bool:
@@ -637,7 +572,7 @@ class EngineCore:
         if self.clock >= self.stream.num_intervals:
             return True
         return (
-            self.backend.num_live() == 0
+            not self.live
             and not self._pending_ids
             and self._peek_source() is None
         )
@@ -781,12 +716,16 @@ class EngineCore:
         the id is unknown or already retired — except while a source is
         still streaming, where unknown and not-yet-materialized are
         indistinguishable, so any unrecognized id is tombstoned.
-        Cancellation consumes no randomness.
+        Cancellation consumes no randomness, so the surviving campaigns'
+        draws are unaffected (a cancelled factored campaign's private
+        generator simply stops being used).
         """
-        outcome = self.backend.cancel(campaign_id)
-        if outcome is not None:
-            self.sink.append(outcome)
-            return outcome
+        for i, campaign in enumerate(self.live):
+            if campaign.spec.campaign_id == campaign_id:
+                del self.live[i]
+                outcome = campaign.outcome(cancelled=True)
+                self.sink.append(outcome)
+                return outcome
         if campaign_id in self._pending_ids:
             self._pending_ids.discard(campaign_id)
             return None
@@ -838,21 +777,15 @@ class EngineCore:
     def submit(self, specs: Sequence[CampaignSpec]) -> None:
         """Queue campaigns mid-session (legal between ticks).
 
-        Each spec is validated against the *remaining* horizon: its
-        submit interval must not predate the current clock (the engine
-        cannot admit into the past), and — as at any submission — its
-        end interval must fit the stream.  Submitting a campaign before
-        its submit interval has been reached produces a run bit-identical
-        to having submitted it up front: queueing consumes no randomness.
+        The specs must already be validated, which
+        :meth:`MarketplaceEngine.submit <repro.engine.engine.MarketplaceEngine.submit>`
+        does — including that no submit interval predates the current
+        clock (the engine cannot admit into the past).  Submitting a
+        campaign before its submit interval has been reached produces a
+        run bit-identical to having submitted it up front: queueing
+        consumes no randomness.
         """
         batch = list(specs)
-        for spec in batch:
-            if spec.submit_interval < self.clock:
-                raise ValueError(
-                    f"campaign {spec.campaign_id!r} submits at interval "
-                    f"{spec.submit_interval}, but the engine clock is already "
-                    f"at {self.clock}"
-                )
         # Splicing the tail is already O(tail log tail); purging stale
         # husks of cancelled entries here is free and keeps a resubmitted
         # id from resurrecting its cancelled predecessor.
@@ -871,9 +804,8 @@ class EngineCore:
     def tick(self) -> TickReport:
         """Advance the clock by one interval and report what happened.
 
-        One tick = admission drain → price gathering → arrival split →
-        completion/observe → retirement, exactly the loop body both
-        engines historically duplicated.  Raises :class:`RuntimeError`
+        One tick = admission drain → price gathering → arrival draw and
+        completions → observe → retirement.  Raises :class:`RuntimeError`
         once the session is :attr:`done`.
         """
         if self.done:
@@ -915,11 +847,11 @@ class EngineCore:
                     due.append(head)
                 # else: stale husk of a cancelled entry — skip silently.
         if due:
-            self.backend.place(self.planner.admit_many(due))
+            self._place(self.planner.admit_many(due))
             self._admission_log.append((t, tuple(s.campaign_id for s in due)))
         if timings is not None:
             timings.record("admission", time.perf_counter() - started)
-        num_live = self.backend.num_live()
+        num_live = len(self.live)
         self.clock = t + 1
         if num_live == 0:
             # Marketplace idles until the next submission; no randomness
@@ -933,13 +865,20 @@ class EngineCore:
             )
         self.intervals_run += 1
         self.max_concurrent = max(self.max_concurrent, num_live)
-        arrived, considered, accepted = self.backend.step(t, self.rate_factor(t))
+        arrived, considered, accepted = self._step(t)
         self.total_arrivals += arrived
         self.total_considered += considered
         self.total_accepted += accepted
         if timings is not None:
             retire_started = time.perf_counter()
-        retired = tuple(self.backend.retire(t))
+        retired: list[CampaignOutcome] = []
+        still_live: list[_LiveCampaign] = []
+        for campaign in self.live:
+            if campaign.remaining == 0 or t + 1 >= campaign.spec.end_interval:
+                retired.append(campaign.outcome())
+            else:
+                still_live.append(campaign)
+        self.live = still_live
         self.sink.extend(retired)
         if timings is not None:
             timings.record("retire", time.perf_counter() - retire_started)
@@ -951,10 +890,91 @@ class EngineCore:
             arrived=arrived,
             considered=considered,
             accepted=accepted,
-            retired=retired,
-            num_live=self.backend.num_live(),
+            retired=tuple(retired),
+            num_live=len(self.live),
             idle=False,
         )
+
+    def _place(self, admitted: list[_LiveCampaign]) -> None:
+        """Put a tick's admitted campaigns live (see :attr:`live`'s order)."""
+        self.live.extend(admitted)
+        if self.factored:
+            for campaign in admitted:
+                campaign.rng = _campaign_rng(self.seed, campaign.spec.campaign_id)
+            self.live.sort(key=lambda c: c.spec.campaign_id)
+
+    def _step(self, t: int) -> tuple[int, int, int]:
+        """Realize interval ``t`` over the live list; return its totals.
+
+        Prices are gathered, acceptances drawn, completions applied and
+        adaptive campaigns shown the realized arrivals; only the draw
+        depends on the arrival model.  Pooled: the session generator
+        draws the interval's realized workers and the router splits them
+        across the live campaigns.  Factored: a worker arriving at rate
+        ``lambda_t`` accepts campaign ``i`` with the router's choice
+        fraction ``q_i``, and thinning a Poisson process by independent
+        choices yields independent Poisson processes, so each campaign
+        draws ``Pois(lambda_t * q_i)`` acceptances and its
+        considered-but-declined remainder from its own generator — two
+        draws per live tick whatever the fractions, so no campaign's
+        stream position depends on which others are live — while the
+        session generator draws the market's walk-aways.  The rate factor
+        scales the *rate* before any draw, so the modulated process stays
+        Poisson.  Returns ``(arrived, considered, accepted)``.
+        """
+        timings = self.phase_timings
+        if timings is not None:
+            phase_started = time.perf_counter()
+        live = self.live
+        prices = np.array(
+            [c.runtime.price(c.remaining, t - c.spec.submit_interval) for c in live],
+            dtype=float,
+        )
+        if timings is not None:
+            now = time.perf_counter()
+            timings.record("price", now - phase_started)
+            phase_started = now
+        if self.factored:
+            accept_q, consider_q = self.router.fractions(prices)
+            mean_t = self.stream.mean(t) * self.rate_factor(t)
+            walked = int(
+                self.rng.poisson(mean_t * max(1.0 - float(consider_q.sum()), 0.0))
+            )
+            accepted = []
+            declined = 0
+            for campaign, accept, consider in zip(
+                live, accept_q.tolist(), consider_q.tolist()
+            ):
+                accepted.append(int(campaign.rng.poisson(mean_t * accept)))
+                declined += int(
+                    campaign.rng.poisson(mean_t * max(consider - accept, 0.0))
+                )
+            accepted_total = sum(accepted)
+            considered = accepted_total + declined
+            arrived = walked + considered
+        else:
+            arrived = self.stream.sample(t, self.rng, scale=self.rate_factor(t))
+            considered_by, accepted_by = self.router.split(arrived, prices, self.rng)
+            considered = int(considered_by.sum())
+            accepted = accepted_by.tolist()
+            accepted_total = sum(accepted)
+        for campaign, taken, price in zip(live, accepted, prices.tolist()):
+            if taken:
+                campaign.charge(taken, price, t)
+        if timings is not None:
+            now = time.perf_counter()
+            timings.record("split", now - phase_started)
+            phase_started = now
+        # Adaptive campaigns observe the interval's realized marketplace
+        # arrivals (walk-aways included) after pricing it: no peeking at
+        # the future.
+        for campaign in live:
+            observe = getattr(campaign.runtime, "observe", None)
+            if observe is not None:
+                observe(t - campaign.spec.submit_interval, arrived)
+        if timings is not None:
+            timings.record("observe", time.perf_counter() - phase_started)
+        return arrived, considered, accepted_total
 
     def run_to_completion(self) -> EngineResult:
         """Tick until :attr:`done`, then return the session's result."""
@@ -988,231 +1008,3 @@ class EngineCore:
         """Release the outcome spill file (if any); the session's
         aggregates and kept outcomes stay readable."""
         self.sink.close()
-
-
-class EngineBase(abc.ABC):
-    """The engine's serving surface, independent of its arrival model.
-
-    :class:`~repro.engine.engine.MarketplaceEngine` builds its stream /
-    planner / router in ``__init__`` and implements :meth:`_make_backend`;
-    everything else — submission validation, session lifecycle, the batch
-    ``run()`` — lives here.
-
-    Two ways to drive the clock:
-
-    * **Batch**: ``engine.run(seed)`` — a fresh, self-contained serving
-      session run to completion.  Reruns are independent replays: the
-      policy cache is session-scoped (cleared at session start), so two
-      identical back-to-back runs report identical results *including*
-      cache and batch-solver stats.
-    * **Stepping**: ``core = engine.start(seed)`` then ``core.tick()``
-      (or ``engine.tick()``) — explicit intervals with mid-flight
-      ``submit()`` between ticks, checkpointable at any tick boundary via
-      :mod:`repro.engine.checkpoint`.
-    """
-
-    def __init__(self, stream: SharedArrivalStream, planner: CampaignPlanner):
-        self.stream = stream
-        self.planner = planner
-        self._specs: list[CampaignSpec] = []
-        self._known_ids: set[str] = set()
-        self._source: WorkloadSource | None = None
-        self._core: EngineCore | None = None
-
-    # ------------------------------------------------------------------
-    # Planner passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def planning(self) -> str:
-        """The planner's forecast mode (``"sliced"`` or ``"stationary"``)."""
-        return self.planner.planning
-
-    @property
-    def planning_means(self) -> np.ndarray:
-        """Per-interval forecast campaigns plan against."""
-        return self.planner.planning_means
-
-    @property
-    def truncation_eps(self) -> float | None:
-        """Poisson-truncation threshold handed to deadline instances."""
-        return self.planner.truncation_eps
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(self, specs: CampaignSpec | Sequence[CampaignSpec]) -> None:
-        """Queue campaigns for admission at their submit intervals.
-
-        Legal both before a session starts and *between ticks* of an
-        active one (mid-flight submission); in the latter case the specs
-        are additionally validated against the session's remaining
-        horizon.
-        """
-        batch = [specs] if isinstance(specs, CampaignSpec) else list(specs)
-        # The persistent id set replaces the per-call O(num_submitted)
-        # rebuild; validate_submission mutates it as it accepts, so a
-        # rejected batch must roll its accepted prefix back out.
-        try:
-            validate_submission(
-                batch, self._known_ids, self.stream.num_intervals, self.planner
-            )
-        except Exception:
-            retained = {s.campaign_id for s in self._specs}
-            for spec in batch:
-                if spec.campaign_id not in retained:
-                    self._known_ids.discard(spec.campaign_id)
-            raise
-        if self._core is not None:
-            self._core.submit(batch)
-        self._specs.extend(batch)
-
-    def submit_source(self, source: WorkloadSource) -> None:
-        """Attach a lazy workload source for the *next* serving session.
-
-        The streaming alternative to :meth:`submit`: specs materialize
-        only when the clock reaches their submit intervals, so memory
-        stays O(live) for arbitrarily large workloads.  One source per
-        engine, attached before :meth:`start`; its campaign ids must not
-        collide with statically submitted ones (lazy streams cannot be
-        validated against the id registry without materializing them —
-        use a distinct ``id_prefix``).
-        """
-        if self._core is not None:
-            raise RuntimeError(
-                "attach the workload source before start(): the active "
-                "session already fixed its admission stream"
-            )
-        if self._source is not None:
-            raise RuntimeError("a workload source is already attached")
-        self._source = source
-
-    @property
-    def source(self) -> WorkloadSource | None:
-        """The attached lazy workload source, if any."""
-        return self._source
-
-    @property
-    def num_submitted(self) -> int:
-        """Campaigns queued so far (statically; a lazy source not included)."""
-        return len(self._specs)
-
-    def cancel(self, campaign_id: str) -> CampaignOutcome | None:
-        """Cancel one campaign of the active session (between ticks).
-
-        See :meth:`EngineCore.cancel` for the live-vs-pending semantics.
-        When a still-pending campaign is cancelled its spec is forgotten
-        at the front-end too, so the id becomes reusable and checkpoint
-        bundles stay consistent with the submission queue.
-        """
-        if self._core is None:
-            raise RuntimeError(
-                "no active serving session: call start(seed) before cancel()"
-            )
-        outcome = self._core.cancel(campaign_id)
-        if outcome is None:
-            self._specs = [
-                s for s in self._specs if s.campaign_id != campaign_id
-            ]
-            self._known_ids.discard(campaign_id)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _make_backend(self, seed: int, rng: np.random.Generator | None) -> ClockBackend:
-        """Build the arrival model's per-tick mechanics for one session."""
-
-    def start(
-        self,
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
-        *,
-        keep_outcomes: bool = True,
-        outcomes_path=None,
-    ) -> EngineCore:
-        """Begin a fresh serving session and return its stepping core.
-
-        Any previous session is closed.  The policy cache and
-        batch-solver counters are reset: memoization is scoped to one
-        serving session (shared across all of its campaigns and ticks),
-        which is what makes every session an independent, reproducible
-        replay.
-
-        ``keep_outcomes=False`` runs the session in streaming mode: no
-        materialized outcome list, O(1) aggregates only.
-        ``outcomes_path`` additionally spills every retirement as one
-        JSON line (full-fidelity replay via
-        :func:`repro.engine.outcomes.replay_outcomes`); the two compose
-        freely.
-        """
-        self.close()
-        self.planner.cache.clear()
-        self.planner.batch_solver.reset()
-        backend = self._make_backend(seed, rng)
-        sink = OutcomeSink(keep=keep_outcomes, spill_path=outcomes_path)
-        self._core = EngineCore(
-            self.stream,
-            self.planner,
-            backend,
-            self._specs,
-            seed,
-            source=self._source,
-            sink=sink,
-        )
-        return self._core
-
-    @property
-    def core(self) -> EngineCore | None:
-        """The active serving session, or ``None`` outside one."""
-        return self._core
-
-    def tick(self) -> TickReport:
-        """Advance the active session's clock by one interval."""
-        if self._core is None:
-            raise RuntimeError(
-                "no active serving session: call start(seed) before tick()"
-            )
-        return self._core.tick()
-
-    def run_to_completion(self) -> EngineResult:
-        """Finish the active session (starting a fresh one if needed).
-
-        Like :meth:`run`, the session is over once this returns: the
-        engine holds no active core, so a later ``submit()`` queues for
-        the *next* session instead of being validated against the
-        finished session's clock.
-        """
-        core = self._core if self._core is not None else self.start()
-        try:
-            return core.run_to_completion()
-        finally:
-            core.close()
-            self._core = None
-
-    def run(
-        self,
-        seed: int = 0,
-        rng: np.random.Generator | None = None,
-        *,
-        keep_outcomes: bool = True,
-        outcomes_path=None,
-    ) -> EngineResult:
-        """Run a fresh session until every submitted campaign has retired."""
-        core = self.start(
-            seed=seed,
-            rng=rng,
-            keep_outcomes=keep_outcomes,
-            outcomes_path=outcomes_path,
-        )
-        try:
-            return core.run_to_completion()
-        finally:
-            core.close()
-            self._core = None
-
-    def close(self) -> None:
-        """End any active session, releasing its outcome spill file."""
-        if self._core is not None:
-            self._core.close()
-            self._core = None

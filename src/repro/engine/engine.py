@@ -13,16 +13,17 @@ once — by default all of a tick's cache misses are drained in one stacked
 array pass through the :mod:`repro.core.batch` kernels — (2) collects the
 reward every live campaign posts for the interval, (3) realizes the
 interval's marketplace arrivals from the shared
-:class:`~repro.sim.stream.SharedArrivalStream` and splits them across
-campaigns via a pluggable :class:`~repro.engine.routing.ArrivalRouter`,
-(4) feeds realized arrivals to adaptive campaigns
+:class:`~repro.sim.stream.SharedArrivalStream` across campaigns via a
+pluggable :class:`~repro.engine.routing.ArrivalRouter` and applies the
+completions, (4) feeds realized arrivals to adaptive campaigns
 (:class:`~repro.core.deadline.adaptive.AdaptiveRepricer`) so they re-plan
 mid-flight, and (5) retires campaigns that finished or hit their horizon.
 
-What this module adds on top of the shared clock is the two *arrival
-models* step (3) can run on, chosen with ``arrivals=``:
+Step (3) runs under one of two *arrival models*, chosen with
+``arrivals=``; they are two samplers of the same process and differ only
+in how a tick's acceptances are drawn:
 
-* ``"pooled"`` (the default): one run-level generator draws the
+* ``"pooled"`` (the default): one session generator draws the
   interval's realized worker count, and the router splits those realized
   workers across the live campaigns in one multinomial draw.
 * ``"factored"``: each campaign draws from its own worker stream
@@ -32,15 +33,16 @@ models* step (3) can run on, chosen with ``arrivals=``:
   and thinning a Poisson process by independent choices yields
   independent Poisson processes, so campaign ``i``'s acceptances are
   exactly ``Pois(lambda_t * q_i)``, drawn from a private generator keyed
-  by ``(seed, campaign_id)``.  A market generator draws the walk-away
+  by ``(seed, campaign_id)``.  The session generator draws the walk-away
   remainder, so the superposed arrivals are distributed like the pooled
   stream.
 
 The two models consume different random streams, so the same seed gives
 different (equally valid) runs under each; each is deterministic under
 its seed.  Beyond the batch ``run()``, the engine can be stepped tick by
-tick (``start()`` / ``tick()``), accepts mid-flight submissions between
-ticks, and checkpoints/resumes through :mod:`repro.engine.checkpoint`.
+tick (``start()`` / ``tick()``), accepts mid-flight submissions and
+cancellations between ticks, and checkpoints/resumes through
+:mod:`repro.engine.checkpoint`.
 
 Campaign *planning* can run in two modes: ``"sliced"`` plans each campaign
 against its own time-aligned slice of the forecast (maximum fidelity), and
@@ -53,28 +55,23 @@ campaigns recover the diurnal level online).
 
 from __future__ import annotations
 
-import time
-import zlib
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import kernels
-from repro.core.deadline.model import DeadlineProblem
 from repro.engine.cache import PolicyCache
-from repro.engine.campaign import CampaignOutcome, CampaignSpec
-from repro.engine.clock import ClockBackend, EngineBase, EngineResult
+from repro.engine.campaign import CampaignOutcome, CampaignSpec, horizon_overrun
+from repro.engine.clock import EngineCore, EngineResult, TickReport
+from repro.engine.outcomes import OutcomeSink
 from repro.engine.planning import (
     PLANNING_MODES,
     CampaignPlanner,
-    _LiveCampaign,
     resolve_planning_means,
 )
 from repro.engine.routing import ArrivalRouter, default_router
+from repro.engine.source import WorkloadSource
 from repro.market.acceptance import AcceptanceModel
-from repro.sim.policies import SemiStaticRuntime
 from repro.sim.stream import SharedArrivalStream
-from repro.util.rngstate import generator_from_state, generator_state
 
 __all__ = [
     "ARRIVAL_MODELS",
@@ -86,267 +83,26 @@ __all__ = [
 #: The arrival models :class:`MarketplaceEngine` can realize a tick with.
 ARRIVAL_MODELS = ("pooled", "factored")
 
-# Sub-stream tags keeping the market's walk-away draws independent of
-# every campaign's draws under one run seed.
+# Sub-stream tag keeping the market's walk-away draws independent of
+# every campaign's factored draws under one run seed.
 _MARKET_STREAM = 0x5EED
-_CAMPAIGN_STREAM = 0xCA4
 
 
-class _PooledBackend(ClockBackend):
-    """Pooled-arrival mechanics: one generator, router-split realized workers.
-
-    Live campaigns are kept in admission order (retired ones removed),
-    which fixes the order the price vector — and therefore the router's
-    multinomial draw — is laid out in, making runs reproducible under a
-    seed.
-    """
-
-    def __init__(
-        self,
-        stream: SharedArrivalStream,
-        router: ArrivalRouter,
-        rng: np.random.Generator,
-    ):
-        self.stream = stream
-        self.router = router
-        self.rng = rng
-        self.live: list[_LiveCampaign] = []
-
-    def place(self, admitted: Sequence[_LiveCampaign]) -> None:
-        self.live.extend(admitted)
-
-    def num_live(self) -> int:
-        return len(self.live)
-
-    def step(self, t: int, rate_factor: float = 1.0) -> tuple[int, int, int]:
-        phases = self.phases
-        if phases is not None:
-            phase_started = time.perf_counter()
-        live = self.live
-        prices = np.array(
-            [c.runtime.price(c.remaining, t - c.spec.submit_interval) for c in live]
-        )
-        if phases is not None:
-            now = time.perf_counter()
-            phases.record("price", now - phase_started)
-            phase_started = now
-        arrived = self.stream.sample(t, self.rng, scale=rate_factor)
-        considered, accepted = self.router.split(arrived, prices, self.rng)
-        accepted_total = 0
-        for campaign, taken, price in zip(live, accepted, prices):
-            accepted_total += int(taken)
-            done = min(int(taken), campaign.remaining)
-            if done == 0:
-                continue
-            campaign.total_cost += campaign.charge(done, float(price))
-            campaign.remaining -= done
-            if campaign.remaining == 0:
-                campaign.finished_interval = t
-        if phases is not None:
-            now = time.perf_counter()
-            phases.record("split", now - phase_started)
-            phase_started = now
-        # Adaptive campaigns observe the interval's realized marketplace
-        # arrivals after pricing it (no peeking at the future).
-        for campaign in live:
-            observe = getattr(campaign.runtime, "observe", None)
-            if observe is not None:
-                observe(t - campaign.spec.submit_interval, arrived)
-        if phases is not None:
-            phases.record("observe", time.perf_counter() - phase_started)
-        return arrived, int(considered.sum()), accepted_total
-
-    def retire(self, t: int) -> list[CampaignOutcome]:
-        outcomes: list[CampaignOutcome] = []
-        still_live: list[_LiveCampaign] = []
-        for campaign in self.live:
-            if campaign.remaining == 0 or t + 1 >= campaign.spec.end_interval:
-                outcomes.append(campaign.outcome())
-            else:
-                still_live.append(campaign)
-        self.live = still_live
-        return outcomes
-
-    def cancel(self, campaign_id: str) -> CampaignOutcome | None:
-        for i, campaign in enumerate(self.live):
-            if campaign.spec.campaign_id == campaign_id:
-                del self.live[i]
-                return campaign.outcome(cancelled=True)
-        return None
-
-    def live_stats(self) -> list[tuple[str, int, int, bool]]:
-        return sorted(
-            (c.spec.campaign_id, c.remaining, c.num_solves(), c.spec.adaptive)
-            for c in self.live
-        )
-
-    def export_live(self) -> tuple[list[tuple[_LiveCampaign, dict | None]], dict]:
-        return [(c, None) for c in self.live], generator_state(self.rng)
-
-    def restore_live(
-        self, placed: list[tuple[_LiveCampaign, dict | None]], rng_state: dict
-    ) -> None:
-        self.live = [lc for lc, _ in placed]
-        self.rng = generator_from_state(rng_state)
-
-
-def _campaign_rng(seed: int, campaign_id: str) -> np.random.Generator:
-    """The private generator owning every random decision of one campaign."""
-    return np.random.default_rng(
-        [seed, _CAMPAIGN_STREAM, zlib.crc32(campaign_id.encode())]
-    )
-
-
-def _by_campaign_id(entry: tuple[_LiveCampaign, np.random.Generator]) -> str:
-    return entry[0].spec.campaign_id
-
-
-class _FactoredBackend(ClockBackend):
-    """Factored-arrival mechanics: per-campaign Poisson draws.
-
-    Live campaigns are one flat list of ``(campaign, private generator)``
-    pairs kept sorted by campaign id, which fixes the order the router's
-    fractions (and the float sums behind them) are computed in and the
-    order retirements are reported in.  Every campaign makes the same two
-    draws per live tick from its own generator, so no campaign's stream
-    position depends on which others are live.
-    """
-
-    def __init__(self, stream: SharedArrivalStream, router: ArrivalRouter, seed: int):
-        self.stream = stream
-        self.router = router
-        self.seed = seed
-        self.live: list[tuple[_LiveCampaign, np.random.Generator]] = []
-        self.market_rng = np.random.default_rng([seed, _MARKET_STREAM])
-
-    def place(self, admitted: Sequence[_LiveCampaign]) -> None:
-        self.live.extend(
-            (c, _campaign_rng(self.seed, c.spec.campaign_id)) for c in admitted
-        )
-        self.live.sort(key=_by_campaign_id)
-
-    def num_live(self) -> int:
-        return len(self.live)
-
-    def step(self, t: int, rate_factor: float = 1.0) -> tuple[int, int, int]:
-        phases = self.phases
-        if phases is not None:
-            phase_started = time.perf_counter()
-        live = self.live
-        prices = np.array(
-            [
-                c.runtime.price(c.remaining, t - c.spec.submit_interval)
-                for c, _ in live
-            ]
-        )
-        accept_q, consider_q = self.router.fractions(prices)
-        # Modulation scales the *rate*, so every sub-stream below
-        # (per-campaign acceptances, market walk-aways) sees one scalar.
-        mean_t = self.stream.mean(t) * rate_factor
-        if phases is not None:
-            now = time.perf_counter()
-            phases.record("price", now - phase_started)
-            phase_started = now
-        walked = int(
-            self.market_rng.poisson(
-                mean_t * max(1.0 - float(consider_q.sum()), 0.0)
-            )
-        )
-        # Each campaign draws its acceptances and an independent
-        # considered-but-declined remainder; the draws walk private
-        # generators in Python, and applying them (capping at open tasks,
-        # charging the posted reward) runs through the exact-tested
-        # kernels.apply_completions.
-        n = len(live)
-        accepted = np.empty(n, dtype=np.int64)
-        remaining = np.empty(n, dtype=np.int64)
-        declined = 0
-        for i, (campaign, rng) in enumerate(live):
-            accept, consider = float(accept_q[i]), float(consider_q[i])
-            accepted[i] = rng.poisson(mean_t * accept)
-            declined += int(rng.poisson(mean_t * max(consider - accept, 0.0)))
-            remaining[i] = campaign.remaining
-        done, cost = kernels.apply_completions(accepted, remaining, prices)
-        for i, (campaign, _) in enumerate(live):
-            d = int(done[i])
-            if d == 0:
-                continue
-            # Semi-static budget campaigns pay through their per-completion
-            # price sequence, not the kernel's done * price product.
-            if isinstance(campaign.runtime, SemiStaticRuntime):
-                campaign.total_cost += campaign.charge(d, float(prices[i]))
-            else:
-                campaign.total_cost += float(cost[i])
-            campaign.remaining -= d
-            if campaign.remaining == 0:
-                campaign.finished_interval = t
-        accepted_total = int(accepted.sum())
-        considered = accepted_total + declined
-        arrived = walked + considered
-        if phases is not None:
-            now = time.perf_counter()
-            phases.record("split", now - phase_started)
-            phase_started = now
-        # Adaptive campaigns observe the realized marketplace arrivals
-        # (walk-aways included).
-        for campaign, _ in live:
-            observe = getattr(campaign.runtime, "observe", None)
-            if observe is not None:
-                observe(t - campaign.spec.submit_interval, arrived)
-        if phases is not None:
-            phases.record("observe", time.perf_counter() - phase_started)
-        return arrived, considered, accepted_total
-
-    def retire(self, t: int) -> list[CampaignOutcome]:
-        outcomes: list[CampaignOutcome] = []
-        still_live: list[tuple[_LiveCampaign, np.random.Generator]] = []
-        for entry in self.live:
-            campaign = entry[0]
-            if campaign.remaining == 0 or t + 1 >= campaign.spec.end_interval:
-                outcomes.append(campaign.outcome())
-            else:
-                still_live.append(entry)
-        self.live = still_live
-        return outcomes
-
-    def cancel(self, campaign_id: str) -> CampaignOutcome | None:
-        for i, (campaign, _) in enumerate(self.live):
-            if campaign.spec.campaign_id == campaign_id:
-                del self.live[i]
-                return campaign.outcome(cancelled=True)
-        return None
-
-    def live_stats(self) -> list[tuple[str, int, int, bool]]:
-        return [
-            (c.spec.campaign_id, c.remaining, c.num_solves(), c.spec.adaptive)
-            for c, _ in self.live
-        ]
-
-    def export_live(self) -> tuple[list[tuple[_LiveCampaign, dict | None]], dict]:
-        entries = [(c, generator_state(rng)) for c, rng in self.live]
-        return entries, generator_state(self.market_rng)
-
-    def restore_live(
-        self, placed: list[tuple[_LiveCampaign, dict | None]], rng_state: dict
-    ) -> None:
-        for lc, state in placed:
-            if state is None:
-                raise ValueError(
-                    f"bundle lost the generator state of campaign "
-                    f"{lc.spec.campaign_id!r}"
-                )
-        self.live = sorted(
-            ((lc, generator_from_state(state)) for lc, state in placed),
-            key=_by_campaign_id,
-        )
-        self.market_rng = generator_from_state(rng_state)
-
-
-class MarketplaceEngine(EngineBase):
+class MarketplaceEngine:
     """Discrete-time engine multiplexing campaigns over one worker stream.
 
     Each tick's policy-cache misses are solved in one stacked array pass
-    (:mod:`repro.core.batch`).
+    (:mod:`repro.core.batch`).  Two ways to drive the clock:
+
+    * **Batch**: ``engine.run(seed)`` — a fresh, self-contained serving
+      session run to completion.  Reruns are independent replays: the
+      policy cache is session-scoped (cleared at session start), so two
+      identical back-to-back runs report identical results *including*
+      cache and batch-solver stats.
+    * **Stepping**: ``core = engine.start(seed)`` then ``core.tick()``
+      (or ``engine.tick()``) — explicit intervals with mid-flight
+      ``submit()`` and ``cancel()`` between ticks, checkpointable at any
+      tick boundary via :mod:`repro.engine.checkpoint`.
 
     Parameters
     ----------
@@ -395,10 +151,11 @@ class MarketplaceEngine(EngineBase):
                 f"arrivals must be one of {ARRIVAL_MODELS}, got {arrivals!r}"
             )
         self.arrivals = arrivals
+        self.stream = stream
         self.acceptance = acceptance
         self.router = router if router is not None else default_router(acceptance)
         self.cache = cache if cache is not None else PolicyCache()
-        planner = CampaignPlanner(
+        self.planner = CampaignPlanner(
             acceptance=acceptance,
             cache=self.cache,
             planning=planning,
@@ -407,30 +164,202 @@ class MarketplaceEngine(EngineBase):
             ),
             truncation_eps=truncation_eps,
         )
-        super().__init__(stream, planner)
+        self._specs: list[CampaignSpec] = []
+        self._known_ids: set[str] = set()
+        self._source: WorkloadSource | None = None
+        self._core: EngineCore | None = None
 
     # ------------------------------------------------------------------
-    # Planning
+    # Submission
     # ------------------------------------------------------------------
-    def planning_slice(self, spec: CampaignSpec) -> np.ndarray:
-        """The per-interval arrival forecast ``spec`` plans against."""
-        return self.planner.planning_slice(spec)
+    def submit(self, specs: CampaignSpec | Sequence[CampaignSpec]) -> None:
+        """Queue campaigns for admission at their submit intervals.
 
-    def planning_problem(self, spec: CampaignSpec) -> DeadlineProblem:
-        """Build the deadline instance a campaign is solved against."""
-        return self.planner.planning_problem(spec)
+        Legal both before a session starts and *between ticks* of an
+        active one (mid-flight submission).  Every spec is checked before
+        any id is registered, so a rejected batch leaves no trace: ids
+        must be new (within the batch too), a mid-flight submit interval
+        must not predate the session clock (the engine cannot admit into
+        the past), the campaign must end within the stream, and a budget
+        must cover its tasks.  Raises :class:`ValueError` naming the
+        first offending spec.
+        """
+        batch = [specs] if isinstance(specs, CampaignSpec) else list(specs)
+        clock = 0 if self._core is None else self._core.clock
+        new_ids: set[str] = set()
+        for spec in batch:
+            cid = spec.campaign_id
+            if cid in self._known_ids or cid in new_ids:
+                raise ValueError(f"duplicate campaign_id {cid!r}")
+            if spec.submit_interval < clock:
+                raise ValueError(
+                    f"campaign {cid!r} submits at interval "
+                    f"{spec.submit_interval}, but the engine clock is already "
+                    f"at {clock}"
+                )
+            problem = horizon_overrun(spec, self.stream.num_intervals)
+            if problem is None:
+                problem = self.planner.budget_shortfall(spec)
+            if problem is not None:
+                raise ValueError(problem)
+            new_ids.add(cid)
+        self._known_ids |= new_ids
+        if self._core is not None:
+            self._core.submit(batch)
+        self._specs.extend(batch)
+
+    def submit_source(self, source: WorkloadSource) -> None:
+        """Attach a lazy workload source for the *next* serving session.
+
+        The streaming alternative to :meth:`submit`: specs materialize
+        only when the clock reaches their submit intervals, so memory
+        stays O(live) for arbitrarily large workloads.  One source per
+        engine, attached before :meth:`start`; its campaign ids must not
+        collide with statically submitted ones (lazy streams cannot be
+        validated against the id registry without materializing them —
+        use a distinct ``id_prefix``).
+        """
+        if self._core is not None:
+            raise RuntimeError(
+                "attach the workload source before start(): the active "
+                "session already fixed its admission stream"
+            )
+        if self._source is not None:
+            raise RuntimeError("a workload source is already attached")
+        self._source = source
+
+    @property
+    def source(self) -> WorkloadSource | None:
+        """The attached lazy workload source, if any."""
+        return self._source
+
+    @property
+    def num_submitted(self) -> int:
+        """Campaigns queued so far (statically; a lazy source not included)."""
+        return len(self._specs)
+
+    def cancel(self, campaign_id: str) -> CampaignOutcome | None:
+        """Cancel one campaign of the active session (between ticks).
+
+        See :meth:`EngineCore.cancel` for the live-vs-pending semantics.
+        When a still-pending campaign is cancelled its spec is forgotten
+        at the front-end too, so the id becomes reusable and checkpoint
+        bundles stay consistent with the submission queue.
+        """
+        if self._core is None:
+            raise RuntimeError(
+                "no active serving session: call start(seed) before cancel()"
+            )
+        outcome = self._core.cancel(campaign_id)
+        if outcome is None:
+            self._specs = [
+                s for s in self._specs if s.campaign_id != campaign_id
+            ]
+            self._known_ids.discard(campaign_id)
+        return outcome
 
     # ------------------------------------------------------------------
-    # The clock (shared EngineCore; this engine only supplies the backend)
+    # Session lifecycle
     # ------------------------------------------------------------------
-    def _make_backend(self, seed: int, rng: np.random.Generator | None) -> ClockBackend:
-        """One backend per session, for the engine's arrival model."""
-        if self.arrivals == "pooled":
+    def start(
+        self,
+        seed: int = 0,
+        rng: np.random.Generator | None = None,
+        *,
+        keep_outcomes: bool = True,
+        outcomes_path=None,
+    ) -> EngineCore:
+        """Begin a fresh serving session and return its stepping core.
+
+        Any previous session is closed.  The policy cache and
+        batch-solver counters are reset: memoization is scoped to one
+        serving session (shared across all of its campaigns and ticks),
+        which is what makes every session an independent, reproducible
+        replay.
+
+        ``rng`` replaces the pooled session generator (default
+        ``np.random.default_rng(seed)``); factored sessions derive every
+        generator from ``seed`` and reject it.
+        ``keep_outcomes=False`` runs the session in streaming mode: no
+        materialized outcome list, O(1) aggregates only.
+        ``outcomes_path`` additionally spills every retirement as one
+        JSON line (full-fidelity replay via
+        :func:`repro.engine.outcomes.replay_outcomes`); the two compose
+        freely.
+        """
+        self.close()
+        self.planner.cache.clear()
+        self.planner.batch_solver.reset()
+        factored = self.arrivals == "factored"
+        if not factored:
             rng = rng if rng is not None else np.random.default_rng(seed)
-            return _PooledBackend(self.stream, self.router, rng)
-        if rng is not None:
+        elif rng is not None:
             raise ValueError(
                 "factored arrivals derive per-campaign generators from the "
                 "seed; pass seed= instead of a Generator"
             )
-        return _FactoredBackend(self.stream, self.router, seed)
+        else:
+            rng = np.random.default_rng([seed, _MARKET_STREAM])
+        self._core = EngineCore(
+            self.stream,
+            self.planner,
+            self.router,
+            self._specs,
+            seed,
+            rng,
+            factored=factored,
+            source=self._source,
+            sink=OutcomeSink(keep=keep_outcomes, spill_path=outcomes_path),
+        )
+        return self._core
+
+    @property
+    def core(self) -> EngineCore | None:
+        """The active serving session, or ``None`` outside one."""
+        return self._core
+
+    def tick(self) -> TickReport:
+        """Advance the active session's clock by one interval."""
+        if self._core is None:
+            raise RuntimeError(
+                "no active serving session: call start(seed) before tick()"
+            )
+        return self._core.tick()
+
+    def run_to_completion(self) -> EngineResult:
+        """Finish the active session (starting a fresh one if needed).
+
+        Like :meth:`run`, the session is over once this returns: the
+        engine holds no active core, so a later ``submit()`` queues for
+        the *next* session instead of being validated against the
+        finished session's clock.
+        """
+        core = self._core if self._core is not None else self.start()
+        try:
+            return core.run_to_completion()
+        finally:
+            core.close()
+            self._core = None
+
+    def run(
+        self,
+        seed: int = 0,
+        rng: np.random.Generator | None = None,
+        *,
+        keep_outcomes: bool = True,
+        outcomes_path=None,
+    ) -> EngineResult:
+        """Run a fresh session until every submitted campaign has retired."""
+        self.start(
+            seed=seed,
+            rng=rng,
+            keep_outcomes=keep_outcomes,
+            outcomes_path=outcomes_path,
+        )
+        return self.run_to_completion()
+
+    def close(self) -> None:
+        """End any active session, releasing its outcome spill file."""
+        if self._core is not None:
+            self._core.close()
+            self._core = None

@@ -90,6 +90,7 @@ class _LiveCampaign:
         "finished_interval",
         "cache_hit",
         "initial_solves",
+        "rng",
     )
 
     def __init__(
@@ -106,6 +107,9 @@ class _LiveCampaign:
         self.finished_interval: int | None = None
         self.cache_hit = cache_hit
         self.initial_solves = initial_solves
+        # The campaign's private generator under factored arrivals (set
+        # when the clock puts it live); ``None`` under pooled arrivals.
+        self.rng: np.random.Generator | None = None
 
     def num_solves(self) -> int:
         """Solves attributable to this campaign (adaptive ones re-plan)."""
@@ -113,22 +117,30 @@ class _LiveCampaign:
             return self.runtime.num_solves
         return self.initial_solves
 
-    def charge(self, done: int, posted_price: float) -> float:
-        """Payment owed for ``done`` completions this tick.
+    def charge(self, accepted: int, posted_price: float, t: int) -> None:
+        """Apply ``accepted`` workers' completions at interval ``t``.
 
-        Deadline campaigns pay the posted reward per completion.  Budget
-        campaigns step through their semi-static price sequence one task
-        at a time (Definition 2 moves to the next price on *each*
-        completion), so realized spend can never exceed the allocation's
-        budget even when one interval delivers several completions.
+        Completions are capped at the open tasks.  Deadline campaigns pay
+        the posted reward per completion.  Budget campaigns step through
+        their semi-static price sequence one task at a time (Definition 2
+        moves to the next price on *each* completion), so realized spend
+        can never exceed the allocation's budget even when one interval
+        delivers several completions.
         """
+        done = min(accepted, self.remaining)
+        if done == 0:
+            return
         if isinstance(self.runtime, SemiStaticRuntime):
             completed = self.spec.num_tasks - self.remaining
             strategy = self.runtime.strategy
-            return float(
+            self.total_cost += float(
                 sum(strategy.price_at(completed + j) for j in range(done))
             )
-        return done * posted_price
+        else:
+            self.total_cost += done * posted_price
+        self.remaining -= done
+        if self.remaining == 0:
+            self.finished_interval = t
 
     def outcome(self, cancelled: bool = False) -> CampaignOutcome:
         """Freeze the final accounting.

@@ -4,7 +4,7 @@
 list in memory before the run starts — fine for hundreds of campaigns,
 fatal for millions.  A :class:`WorkloadSource` is the streaming
 alternative: an engine attaches one with
-:meth:`~repro.engine.clock.EngineBase.submit_source`, and the clock's
+:meth:`~repro.engine.engine.MarketplaceEngine.submit_source`, and the clock's
 pending frontier pulls specs from it **just in time** — each campaign
 exists in memory only from shortly before its submit tick until it
 retires into the :class:`~repro.engine.outcomes.OutcomeSink`.

@@ -222,7 +222,7 @@ class Telemetry:
         start.  Without this, the first recorded tick would absorb every
         earlier lookup into its delta.  (The scenario driver calls it at
         :meth:`~repro.scenario.driver.ScenarioDriver.start`; sessions
-        opened through ``EngineBase.start`` begin with cleared counters,
+        opened through ``MarketplaceEngine.start`` begin with cleared counters,
         so there it is a no-op by construction.)
         """
         cache = core.planner.cache.stats
@@ -230,7 +230,7 @@ class Telemetry:
         self._cache_misses_seen = cache.misses
         self._adaptive_solves_seen = self._departed_adaptive_solves + sum(
             solves
-            for _, _, solves, adaptive in core.backend.live_stats()
+            for _, _, solves, adaptive in core.live_stats()
             if adaptive
         )
 
@@ -252,7 +252,7 @@ class Telemetry:
             self._record_departure(outcome, report.interval)
         for outcome in report.retired:
             self._record_departure(outcome, report.interval)
-        live = core.backend.live_stats()
+        live = core.live_stats()
         cache = core.planner.cache.stats
         adaptive_total = self._departed_adaptive_solves + sum(
             solves for _, _, solves, adaptive in live if adaptive

@@ -2,7 +2,8 @@
 
 :class:`ScenarioDriver` is the conductor between a compiled
 :class:`~repro.scenario.spec.Scenario` and a live
-:class:`~repro.engine.clock.EngineBase` session.  Each :meth:`step`:
+:class:`~repro.engine.engine.MarketplaceEngine` session.  Each
+:meth:`step`:
 
 1. pushes submission waves whose tick has arrived through the engine's
    ordinary ``submit()`` path (and *wakes* an otherwise-done clock by
@@ -38,7 +39,8 @@ from repro.engine.checkpoint import (
     restore_engine,
     save_checkpoint,
 )
-from repro.engine.clock import EngineBase, EngineCore, EngineResult, TickReport
+from repro.engine.clock import EngineCore, EngineResult, TickReport
+from repro.engine.engine import MarketplaceEngine
 from repro.engine.telemetry import Telemetry
 from repro.scenario.spec import Scenario
 
@@ -49,7 +51,7 @@ _EXTRAS_KEY = "scenario_driver"
 
 
 def apply_cancellation(
-    engine: EngineBase, campaign_id: str, context: str = ""
+    engine: MarketplaceEngine, campaign_id: str, context: str = ""
 ) -> tuple[str, CampaignOutcome | None]:
     """Cancel one campaign with mid-run tolerance; returns ``(status, outcome)``.
 
@@ -120,9 +122,10 @@ class ScenarioDriver:
         tick path, flushed once per tick boundary.  Purely
         observational: the log never feeds back into the run.
     keep_outcomes:
-        Passed to :meth:`~repro.engine.clock.EngineBase.start`; ``False``
-        runs the session in streaming mode (no materialized outcome
-        list — memory stays O(live) however long the scenario runs).
+        Passed to :meth:`~repro.engine.engine.MarketplaceEngine.start`;
+        ``False`` runs the session in streaming mode (no materialized
+        outcome list — memory stays O(live) however long the scenario
+        runs).
     outcomes_path:
         Optional JSONL spill for every retirement (full-fidelity replay
         of a streaming run); also passed through to ``start``.
@@ -130,7 +133,7 @@ class ScenarioDriver:
 
     def __init__(
         self,
-        engine: EngineBase,
+        engine: MarketplaceEngine,
         scenario: Scenario,
         telemetry: Telemetry | None = None,
         event_log=None,

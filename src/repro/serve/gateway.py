@@ -74,7 +74,8 @@ from repro.engine.checkpoint import (
     restore_engine,
     save_checkpoint,
 )
-from repro.engine.clock import EngineBase, EngineCore, PhaseTimings, TickReport
+from repro.engine.clock import EngineCore, PhaseTimings, TickReport
+from repro.engine.engine import MarketplaceEngine
 from repro.engine.outcomes import outcome_from_record, outcome_record
 from repro.obs.tracing import trace_id_for_seq
 from repro.scenario.driver import apply_cancellation
@@ -201,7 +202,7 @@ class Gateway:
 
     def __init__(
         self,
-        engine: EngineBase,
+        engine: MarketplaceEngine,
         *,
         frontiers: int = 1,
         max_live: int | None = None,

@@ -21,8 +21,6 @@ import pytest
 from repro.core.batch import kernels, solve_budget_batch, solve_deadline_batch
 from repro.core.batch.budget import BudgetRequest
 from repro.core.batch.kernels import (
-    _apply_completions_loops,
-    _apply_completions_numpy,
     _deadline_layer_loops,
     _deadline_layer_numpy,
     _lower_hull_loops,
@@ -180,33 +178,6 @@ class TestHullKernel:
         assert ref == out
 
 
-class TestApplyCompletionsKernel:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_loops_match_numpy_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 60))
-        accepted = rng.integers(0, 30, n)
-        remaining = rng.integers(0, 30, n)
-        prices = rng.uniform(0.5, 20.0, n)
-        ref_done, ref_cost = _apply_completions_numpy(accepted, remaining, prices)
-        loop_done, loop_cost = _apply_completions_loops(accepted, remaining, prices)
-        assert np.array_equal(ref_done, loop_done)
-        assert np.array_equal(ref_cost, loop_cost)
-        assert np.all(ref_done <= remaining)
-
-    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
-    def test_dispatcher_matches_the_reference(self, kernels_name):
-        rng = np.random.default_rng(99)
-        accepted = rng.integers(0, 30, 40)
-        remaining = rng.integers(0, 30, 40)
-        prices = rng.uniform(0.5, 20.0, 40)
-        ref_done, ref_cost = _apply_completions_numpy(accepted, remaining, prices)
-        with kernel_mode(kernels_name):
-            done, cost = kernels.apply_completions(accepted, remaining, prices)
-        assert np.array_equal(done, ref_done)
-        assert np.array_equal(cost, ref_cost)
-
-
 class TestKernelFlag:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -219,6 +190,14 @@ class TestKernelFlag:
 
     def test_env_var_read_on_none(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNELS_ENV, "numpy")
+        with kernels.use_kernels(None):
+            assert kernels.active() == "numpy"
+
+    def test_unset_env_var_selects_numpy_even_with_numba(self, monkeypatch):
+        # The default is the numpy reference, not "auto": numba runs only
+        # when asked for, even where it is installed.
+        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
         with kernels.use_kernels(None):
             assert kernels.active() == "numpy"
 

@@ -166,8 +166,14 @@ class TestMidFlightSubmission:
             engine.submit(
                 deadline_spec(campaign_id="late", submit_interval=2)
             )
-        # The rejected spec must not have been half-registered.
+        # The rejected spec must not have been half-registered: its id
+        # stays free for the corrected resubmission.
         assert engine.num_submitted == 1
+        engine.submit(
+            deadline_spec(campaign_id="late", submit_interval=core.clock)
+        )
+        assert engine.num_submitted == 2
+        assert core.tick().admitted == 1
 
     def test_run_to_completion_ends_the_session_like_run(self):
         """Both completion paths must leave the engine sessionless, so a

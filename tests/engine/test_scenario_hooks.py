@@ -8,8 +8,8 @@ directly under both arrival models (no ScenarioDriver involved):
   and validated for shape/finiteness.
 * ``cancel`` retires a live campaign with partial utility (no terminal
   penalty), drops a pending one from the queue, raises on unknown ids,
-  and never perturbs the surviving campaigns' random draws on the
-  factored backend.
+  and never perturbs the surviving campaigns' random draws under
+  factored arrivals.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class TestCancellation:
         engine_b = make_engine("factored")
         engine_b.submit([spec("stays", tasks=500), spec("goes", tasks=500)])
         result_b = engine_b.run(seed=8)
-        # On the factored backend the survivor's private generator stream
+        # Under factored arrivals the survivor's private generator stream
         # is untouched by the cancellation (prices differ only through the
         # fractions, which the survivor's own draws absorb identically
         # only when routing is price-independent per campaign — so compare

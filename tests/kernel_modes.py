@@ -25,7 +25,6 @@ KERNEL_MODES = ("numpy", "numba")
 _JIT_SLOTS = (
     ("_deadline_layer_jit", "_deadline_layer_loops"),
     ("_lower_hull_jit", "_lower_hull_loops"),
-    ("_apply_completions_jit", "_apply_completions_loops"),
 )
 
 

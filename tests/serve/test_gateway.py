@@ -86,6 +86,23 @@ def test_submission_validation_rejects_deterministically():
     assert "duplicate" in duplicate.response.detail
 
 
+def test_submission_into_the_past_keeps_its_id_free():
+    gateway = started_gateway()
+    gateway.offer(SubmitCampaign(spec("anchor")))
+    for _ in range(4):
+        gateway.step()
+    late = gateway.offer(SubmitCampaign(
+        spec("late", submit=gateway.core.clock - 2)))
+    gateway.step()
+    assert late.response.status == "rejected"
+    assert "already" in late.response.detail
+    retry = gateway.offer(SubmitCampaign(
+        spec("late", submit=gateway.core.clock)))
+    report = gateway.step()
+    assert retry.response.status == "ok"
+    assert report.admitted == 1
+
+
 def test_live_campaign_budget_backpressure():
     gateway = started_gateway(max_live=2)
     tickets = [

@@ -1,10 +1,10 @@
 """Property-based draw discipline of the factored arrival model (hypothesis).
 
-The factored model's determinism rests on one guarantee: a factored tick
-(:meth:`repro.engine.engine._FactoredBackend.step`) consumes **exactly
-two Poisson draws per live campaign per tick from that campaign's
-private generator**, whatever the routed fractions (including zero-mass
-edge cases).  This draw discipline is *why* no campaign's random stream
+The factored model's determinism rests on one guarantee: a tick of a
+factored session (:meth:`repro.engine.clock.EngineCore.tick`) consumes
+**exactly two Poisson draws per live campaign per tick from that
+campaign's private generator**, whatever the routed fractions (including
+zero-mass edge cases).  This draw discipline is *why* no campaign's random stream
 can shift with what the other campaigns post: every campaign consumes
 its own generator at the same rate.  Extends the PR 3
 counting-generator pattern from the router to the factored tick.
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import CampaignSpec
-from repro.engine.engine import _FactoredBackend
+from repro.engine import CampaignSpec, MarketplaceEngine
 from repro.engine.planning import _LiveCampaign
+from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
 
 
@@ -50,19 +50,25 @@ class _FixedRouter:
         return self.answer
 
 
-def _backend_with(fractions, mean, num_tasks=1_000_000):
-    """A factored backend whose live campaigns draw through counters.
+def _session_with(fractions, mean, num_tasks=1_000_000):
+    """A started factored session whose live campaigns draw through counters.
 
     ``fractions`` maps campaign id to its routed ``(accept, consider)``;
-    ids are kept in sorted order, the order the backend stores them in.
+    ids are kept in sorted order, the order a factored session keeps its
+    live list in.  Returns the session, the live campaigns and their
+    counters.
     """
     cids = sorted(fractions)
     router = _FixedRouter(
         [fractions[cid][0] for cid in cids], [fractions[cid][1] for cid in cids]
     )
-    backend = _FactoredBackend(
-        SharedArrivalStream(np.full(64, mean)), router, seed=0
+    engine = MarketplaceEngine(
+        SharedArrivalStream(np.full(64, mean)),
+        paper_acceptance_model(),
+        router=router,
+        arrivals="factored",
     )
+    core = engine.start(seed=0)
     counters = {}
     for cid in cids:
         spec = CampaignSpec(
@@ -72,9 +78,9 @@ def _backend_with(fractions, mean, num_tasks=1_000_000):
         live = _LiveCampaign(
             spec, _InertRuntime(), cache_hit=False, initial_solves=0
         )
-        counters[cid] = _CountingPoisson(seed=hash(cid) & 0xFFFF)
-        backend.live.append((live, counters[cid]))
-    return backend, counters
+        counters[cid] = live.rng = _CountingPoisson(seed=hash(cid) & 0xFFFF)
+        core.live.append(live)
+    return core, list(core.live), counters
 
 
 fraction_pairs = st.lists(
@@ -101,9 +107,9 @@ class TestFactoredDrawDiscipline:
             f"prop-{i:02d}": (a, min(a + slack, 1.0))
             for i, (a, slack) in enumerate(pairs)
         }
-        backend, counters = _backend_with(fractions, mean)
-        for t in range(ticks):
-            backend.step(t)
+        core, _, counters = _session_with(fractions, mean)
+        for _ in range(ticks):
+            core.tick()
         for cid in fractions:
             assert counters[cid].calls == 2 * ticks, (
                 f"{cid}: draw discipline broken — random streams would "
@@ -120,26 +126,26 @@ class TestFactoredDrawDiscipline:
             f"acct-{i:02d}": (a, min(a + slack, 1.0))
             for i, (a, slack) in enumerate(pairs)
         }
-        backend, _ = _backend_with(fractions, mean, num_tasks=num_tasks)
-        arrived, considered, accepted = backend.step(0)
-        assert 0 <= accepted <= considered <= arrived
+        core, campaigns, _ = _session_with(fractions, mean, num_tasks=num_tasks)
+        report = core.tick()
+        assert 0 <= report.accepted <= report.considered <= report.arrived
         completed = 0
-        for campaign, _ in backend.live:
+        for campaign in campaigns:
             done = num_tasks - campaign.remaining
             completed += done
             assert 0 <= done <= num_tasks  # capped at the open tasks
             assert campaign.total_cost == done * 10.0  # the posted reward
             assert (campaign.finished_interval == 0) == (campaign.remaining == 0)
-        assert completed <= accepted
+        assert completed <= report.accepted
 
     def test_zero_fraction_campaign_still_draws_twice(self):
         # The regression this guards: skipping "pointless" zero-rate draws
         # would silently decorrelate runs that differ only in one
         # campaign's routed mass.
-        backend, counters = _backend_with(
+        core, _, counters = _session_with(
             {"zero": (0.0, 0.0), "busy": (0.2, 0.4)}, mean=2000.0
         )
-        arrived, considered, accepted = backend.step(0)
+        report = core.tick()
         assert counters["zero"].calls == 2
         assert counters["busy"].calls == 2
-        assert accepted <= considered <= arrived
+        assert report.accepted <= report.considered <= report.arrived
