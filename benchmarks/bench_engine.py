@@ -252,6 +252,7 @@ def test_engine_fastpath_report(stream, emit):
             "required_speedup": 3.0,
         }
         record.pop("shard_scaling", None)
+        record.pop("kernels", None)
         record["factored_arrivals"] = {
             "campaigns": FACTORED_CAMPAIGNS,
             "repeats": FACTORED_REPEATS,

@@ -5,15 +5,15 @@ engine-behaviour change (new draw order, different routing, changed
 accounting), then review the JSON diff like any other code change —
 unreviewed regeneration defeats the point of a golden trace.
 
-Before writing anything, the script verifies the kernel/memory
-invariance contract on the *candidate* traces: every case re-run under
-both kernel paths (numpy and numba), and in streaming mode (lazy source
-+ spill-backed sink), must be byte-identical to the materialized
-recomputation.  A
-divergence means the engine change broke the determinism contract —
-regeneration would only bake the bug into the goldens — so the script
-refuses and points at the first differing cell instead (the matrix
-suite, ``tests/engine/test_differential_matrix.py``, localizes it further).
+Before writing anything, the script verifies the invariance contract on
+the *candidate* traces: every case re-run in streaming mode (lazy source
++ spill-backed sink) must be byte-identical to the materialized
+recomputation, and every served case must hold under tenant tagging, two
+admission frontiers and a fully instrumented run.  A divergence means
+the engine change broke the determinism contract — regeneration would
+only bake the bug into the goldens — so the script refuses and points at
+the first differing case instead (the matrix suite,
+``tests/engine/test_differential_matrix.py``, localizes it further).
 
 Usage::
 
@@ -41,27 +41,16 @@ from tests.golden.cases import (  # noqa: E402
     run_serve_case,
     trace_path,
 )
-from tests.kernel_modes import kernel_mode  # noqa: E402
 
 
 def verify_invariance() -> str | None:
-    """Prove the candidate traces hold across kernels and memory modes.
+    """Prove the candidate traces hold across memory and serving modes.
 
     Returns ``None`` when every re-run is byte-identical, else a message
-    naming the first diverging (case, kernels) cell.
+    naming the first diverging case and mode.
     """
     for case in sorted(CASES):
         baseline = run_case(case)
-        for kernels_name in ("numpy", "numba"):
-            with kernel_mode(kernels_name):
-                candidate = run_case(case)
-            if candidate != baseline:
-                return (
-                    f"case {case!r} diverged under kernels="
-                    f"{kernels_name!r}; the determinism contract is "
-                    "broken — fix the engine (see tests/engine/"
-                    "test_differential_matrix.py) before regenerating goldens"
-                )
         # Memory-mode arm: the same workload fed through a lazy source
         # into a streaming (aggregate + spill) sink must reproduce the
         # trace byte-for-byte — goldens are only ever rewritten when
@@ -133,7 +122,7 @@ def main() -> int:
         print(f"refusing to regenerate: {failure}", file=sys.stderr)
         return 1
     print("invariance verified: traces byte-identical under "
-          "both kernel paths, streaming outcome mode, tenant tagging, "
+          "streaming outcome mode, tenant tagging, "
           "2 admission frontiers, and a fully-instrumented run with "
           "live ops scrapes")
     for case in sorted(CASES) + sorted(SERVE_CASES):

@@ -42,12 +42,38 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _finite_float(text: str, *, allow_zero: bool) -> float:
+    """Parse a finite float that is > 0, or >= 0 when ``allow_zero``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    in_range = value >= 0 if allow_zero else value > 0
+    if not (in_range and math.isfinite(value)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number {bound}, got {text!r}"
+        )
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (stream lengths and widths)."""
+    return _finite_float(text, allow_zero=False)
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite number >= 0 (``--surge``)."""
+    return _finite_float(text, allow_zero=True)
 
 
 def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -58,8 +84,10 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
     engine; defining the flags once keeps the four commands'
     serving surface from drifting.
     """
-    parser.add_argument("--horizon-hours", type=float, default=48.0)
-    parser.add_argument("--interval-minutes", type=float, default=20.0)
+    parser.add_argument("--horizon-hours", type=_positive_float, default=48.0)
+    parser.add_argument(
+        "--interval-minutes", type=_positive_float, default=20.0
+    )
     parser.add_argument(
         "--start-day", type=int, default=7, help="trace day the stream starts on"
     )
@@ -77,13 +105,6 @@ def _add_serving_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="arrival model: one marketplace draw per tick split across "
         "campaigns (pooled), or a private Poisson stream per campaign "
         "(factored, the paper's per-campaign model)",
-    )
-    parser.add_argument(
-        "--kernels", choices=["auto", "numpy", "numba"], default=None,
-        help="compiled-kernel backend for the hot solve loops (default: "
-        "the REPRO_KERNELS env var, else numpy); numba falls back to "
-        "numpy with a warning where the compiler is absent, auto picks "
-        "numba where installed, and the backend never changes results",
     )
 
 
@@ -236,8 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-deadline", help="solve a fixed-deadline pricing instance"
     )
     deadline.add_argument("--num-tasks", type=int, default=200)
-    deadline.add_argument("--horizon-hours", type=float, default=24.0)
-    deadline.add_argument("--interval-minutes", type=float, default=20.0)
+    deadline.add_argument("--horizon-hours", type=_positive_float, default=24.0)
+    deadline.add_argument(
+        "--interval-minutes", type=_positive_float, default=20.0
+    )
     deadline.add_argument("--max-price", type=int, default=50)
     deadline.add_argument("--penalty", type=float, default=200.0)
     deadline.add_argument(
@@ -301,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected fraction of deadline campaigns that re-plan online",
     )
     engine_run.add_argument(
-        "--surge", type=float, default=1.0,
+        "--surge", type=_non_negative_float, default=1.0,
         help="scale realized arrivals by this factor (planning keeps the "
         "unscaled forecast; adaptive campaigns compensate online)",
     )
@@ -769,10 +792,6 @@ def _make_serving_engine(
     """
     _check_serving_flags(args)
     try:
-        if getattr(args, "kernels", None):
-            from repro.core.batch import kernels
-
-            kernels.set_kernels(args.kernels)
         return _build_engine(args, router=router, surge=surge)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
@@ -1155,15 +1174,18 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
                 )
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
-        gateway = Gateway(
-            engine,
-            frontiers=args.gateways,
-            max_live=args.max_live or None,
-            max_queue=args.max_queue or None,
-            event_log=event_log,
-            metrics=metrics,
-            **tenant_kwargs,
-        )
+        try:
+            gateway = Gateway(
+                engine,
+                frontiers=args.gateways,
+                max_live=args.max_live or None,
+                max_queue=args.max_queue or None,
+                event_log=event_log,
+                metrics=metrics,
+                **tenant_kwargs,
+            )
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
         gateway.start(seed=seed, rate_multipliers=multipliers)
         front = (
             f"gateway with {args.gateways} frontiers"
@@ -1271,16 +1293,16 @@ def _cmd_engine_loadtest(args: argparse.Namespace) -> int:
             requests_per_client=args.requests,
             tenants=tenant_names,
         )
+        gateway = Gateway(
+            engine,
+            max_live=args.max_live or None,
+            max_queue=args.max_queue or None,
+            event_log=event_log,
+            metrics=metrics,
+            **tenant_kwargs,
+        )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    gateway = Gateway(
-        engine,
-        max_live=args.max_live or None,
-        max_queue=args.max_queue or None,
-        event_log=event_log,
-        metrics=metrics,
-        **tenant_kwargs,
-    )
     gateway.start(seed=args.seed)
     print(f"loadtest      : mode={args.mode}, {args.clients} clients, "
           f"loadgen seed {args.loadgen_seed}, engine seed {args.seed}, "

@@ -18,11 +18,9 @@ around the array layout instead:
   the engine's :class:`~repro.engine.cache.PolicyCache` drains on miss:
   all outstanding campaign signatures of a tick are solved in one array
   pass instead of one-by-one.
-* :mod:`repro.core.batch.kernels` — the compiled twins of the two
-  hottest solver loops (deadline layer, budget hull) behind the
-  ``REPRO_KERNELS`` flag, which selects the numpy reference unless set
-  (numba must be requested, and the numpy path runs where it is
-  absent).  Exact-equality-tested, so selection never changes results.
+* :mod:`repro.core.batch.kernels` — the deadline layer in two halves:
+  the layer-independent pmf and payment terms, computed for a block of
+  layers at once, and the per-layer continuation and argmin.
 
 Every batch kernel reproduces the corresponding scalar solver's tables
 (same truncation cut-offs, same tie-breaking toward lower prices); the
@@ -31,24 +29,12 @@ test suite asserts equality on randomized instances.
 
 from repro.core.batch.budget import BudgetRequest, solve_budget_batch
 from repro.core.batch.deadline import solve_deadline_batch
-from repro.core.batch.kernels import (
-    HAVE_NUMBA,
-    active_kernels,
-    available_kernels,
-    set_kernels,
-    use_kernels,
-)
 from repro.core.batch.solver import BatchPolicySolver, BatchSolveStats
 
 __all__ = [
     "BatchPolicySolver",
     "BatchSolveStats",
     "BudgetRequest",
-    "HAVE_NUMBA",
-    "active_kernels",
-    "available_kernels",
-    "set_kernels",
     "solve_budget_batch",
     "solve_deadline_batch",
-    "use_kernels",
 ]

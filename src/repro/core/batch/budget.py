@@ -19,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import kernels
 from repro.core.budget.static_lp import StaticAllocation, budget_signature
 from repro.market.acceptance import AcceptanceModel
-from repro.util.convexhull import hull_segment_for
+from repro.util.convexhull import hull_segment_for, lower_convex_hull
 
 __all__ = ["BudgetRequest", "solve_budget_batch"]
 
@@ -78,7 +77,7 @@ class _HullGroup:
             raise ValueError("no grid price has positive acceptance probability")
         self.grid = grid[viable]
         self.inv_p = 1.0 / probs[viable]
-        hull = kernels.lower_hull_indices(self.grid, self.inv_p)
+        hull = lower_convex_hull(self.grid.tolist(), self.inv_p.tolist())
         self.hull_prices = self.grid[hull]
         self.hull_inv_p = self.inv_p[hull]
 

@@ -24,8 +24,8 @@ tables are bitwise those of
 :func:`~repro.core.deadline.simple_dp.solve_deadline_simple` (the values
 differ from theirs only in the last bits, because the matmul sums in
 another order); the test suite asserts this on randomized instances.
-The hoisted sweep, a per-layer sweep and the compiled kernels give
-bitwise-identical tables, values included.
+The hoisted sweep and a per-layer sweep give bitwise-identical tables,
+values included.
 """
 
 from __future__ import annotations
@@ -59,14 +59,10 @@ def group_key(problem: DeadlineProblem) -> tuple:
 def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     """Solve one same-shaped group of instances as stacked tensors.
 
-    With the numpy kernels, the layer-independent terms (pmf tensor,
-    truncation, payment) are computed for a block of up to
-    :data:`_BLOCK_BYTES` worth of layers at once, and only
-    :func:`~repro.core.batch.kernels.deadline_layer_step` runs inside the
-    backward loop.  Under ``REPRO_KERNELS=numba`` each layer is one call
-    to :func:`~repro.core.batch.kernels.deadline_layer` and its compiled
-    kernel.  All paths are exact-equality-tested, so the selection never
-    changes the produced tables.
+    The layer-independent terms (pmf tensor, truncation, payment) are
+    computed for a block of up to :data:`_BLOCK_BYTES` worth of layers at
+    once, and only :func:`~repro.core.batch.kernels.deadline_layer_step`
+    runs inside the backward loop.
     """
     first = problems[0]
     n_tasks = first.num_tasks
@@ -82,28 +78,20 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     opt[:, :, n_intervals] = np.stack(
         [p.penalty.terminal_costs(n_tasks) for p in problems]
     )
-    if kernels.jit_layers():
-        for t in range(n_intervals - 1, -1, -1):
-            opt_t, best = kernels.deadline_layer(
-                lam[:, t], probs, prices, opt[:, :, t + 1], eps
+    lam_by_t = np.ascontiguousarray(lam.T)  # (T, B)
+    block = max(1, _BLOCK_BYTES // (8 * batch * first.num_prices * size))
+    for stop in range(n_intervals, 0, -block):
+        start = max(stop - block, 0)
+        means = lam_by_t[start:stop, :, None] * probs  # (L, B, C)
+        pmf, pay = kernels.deadline_layer_terms(
+            means, np.exp(-means), prices, eps, n_tasks
+        )
+        for t in range(stop - 1, start - 1, -1):
+            opt_t, best = kernels.deadline_layer_step(
+                pmf[t - start], pay[t - start], opt[:, :, t + 1]
             )
             opt[:, :, t] = opt_t
             price_index[:, 1:, t] = best[:, 1:]
-    else:
-        lam_by_t = np.ascontiguousarray(lam.T)  # (T, B)
-        block = max(1, _BLOCK_BYTES // (8 * batch * first.num_prices * size))
-        for stop in range(n_intervals, 0, -block):
-            start = max(stop - block, 0)
-            means = lam_by_t[start:stop, :, None] * probs  # (L, B, C)
-            pmf, pay = kernels.deadline_layer_terms(
-                means, np.exp(-means), prices, eps, n_tasks
-            )
-            for t in range(stop - 1, start - 1, -1):
-                opt_t, best = kernels.deadline_layer_step(
-                    pmf[t - start], pay[t - start], opt[:, :, t + 1]
-                )
-                opt[:, :, t] = opt_t
-                price_index[:, 1:, t] = best[:, 1:]
     return [
         DeadlinePolicy(
             problem=problem,

@@ -1,174 +1,39 @@
-"""Compiled hot kernels behind the ``REPRO_KERNELS`` feature flag.
+"""The deadline layer of the batched solver, in two halves.
 
-The engine's two hottest solver loops — the batched deadline
-value-iteration layer (:func:`deadline_layer`) and the budget solver's
-lower convex hull (:func:`lower_hull_indices`) — each exist twice here:
+One backward-induction layer of the batched deadline value iteration is
+the composition of
 
-* a **numpy** implementation (the reference: exactly the arithmetic the
-  vectorized solvers have always performed, in the same operation order),
-  and
-* a **numba**-compiled implementation of the same algorithm, written so
-  every floating-point operation happens in the same order as the numpy
-  path (sequential pmf recurrences, sequential cumulative sums, the
-  continuation product routed through the same BLAS ``dot``) — the
-  differential suite (``tests/core/batch/test_kernel_equivalence.py``)
-  asserts **exact** equality between the two over randomized shapes, and
-  the engine-level matrix suite asserts bit-identical
-  :class:`~repro.engine.clock.EngineResult` under either.
+* the layer-independent terms (:func:`deadline_layer_terms`: pmf,
+  truncation, payment), which the batched solver computes for a block
+  of layers at once, and
+* the per-layer :func:`deadline_layer_step` (continuation and argmin)
+  that runs inside its backward loop.
 
-The numpy deadline layer is the composition of two halves: the
-layer-independent terms (:func:`deadline_layer_terms`: pmf, truncation,
-payment), which the batched solver computes for a block of layers at
-once, and the per-layer :func:`deadline_layer_step` (continuation and
-argmin) that runs inside its backward loop.
-
-Selection is environmental, never structural: ``REPRO_KERNELS=numba``
-requests the compiled path, ``REPRO_KERNELS=numpy`` (or unset) pins the
-reference, and ``REPRO_KERNELS=auto`` compiles when :mod:`numba` is
-importable.  When numba is requested but **absent, the numpy path runs
-automatically** — the flag can therefore be exported fleet-wide without
-making numba a hard dependency (it is an optional extra:
-``pip install -e '.[kernels]'``).  Callers flip the selection at runtime
-with :func:`set_kernels` (the CLI's ``--kernels``) or scope it with
-:func:`use_kernels` (the test harness).
-
-Two fallbacks are built into the dispatchers themselves and are part of
-the exactness contract rather than exceptions to it:
-
-* deadline layers containing a Poisson mean at or above the log-space
-  switch (mean >= 700) run the numpy path even under ``numba`` — the
-  log-space pmf needs ``gammaln``, and routing those rare layers through
-  the identical numpy code is what keeps the two paths exactly equal;
-* the hull kernel requires strictly increasing x coordinates (always
-  true for a validated price grid) and delegates anything else to the
-  general python implementation in :mod:`repro.util.convexhull`.
+:func:`_deadline_layer_numpy` composes the two for a single layer; it is
+the per-layer reference the hoisted sweep is tested against
+(``tests/core/batch/test_batch_deadline.py``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
-import warnings
 
 import numpy as np
 
-from repro.util.convexhull import lower_convex_hull
-
-__all__ = [
-    "HAVE_NUMBA",
-    "KERNELS",
-    "active",
-    "active_kernels",
-    "available",
-    "available_kernels",
-    "deadline_layer",
-    "deadline_layer_step",
-    "deadline_layer_terms",
-    "jit_layers",
-    "lower_hull_indices",
-    "set_kernels",
-    "use_kernels",
-]
-
-#: Selectable kernel backends (``auto`` additionally accepted by the flag).
-KERNELS = ("numpy", "numba")
-
-#: Environment variable the default selection is read from.
-KERNELS_ENV = "REPRO_KERNELS"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the reference container has none
-    numba = None
-    HAVE_NUMBA = False
+__all__ = ["deadline_layer_step", "deadline_layer_terms"]
 
 #: Above this Poisson mean the pmf recurrence underflows at ``s = 0``; the
 #: scalar path (:func:`repro.util.poisson.poisson_pmf_vector`) switches to
-#: log-space there, and the batch kernels route the whole layer through
-#: the numpy implementation (see module docstring).
+#: log-space there, and so does :func:`deadline_layer_terms`.
 LOG_SPACE_MEAN = 700.0
 
-_active: str | None = None
+#: Largest state count ``N + 1`` whose Toeplitz gather index is cached:
+#: every campaign template and benchmark shape has ``N <= 80``.  Larger
+#: solves build their index per call, so the cache stays under 1.4 MiB
+#: whatever shapes clients submit.
+INDEX_CACHE_MAX_STATES = 81
 
 
-def available() -> tuple[str, ...]:
-    """Kernel backends usable in this environment (numpy always is)."""
-    return KERNELS if HAVE_NUMBA else ("numpy",)
-
-
-def _resolve(name: str | None) -> str:
-    """Map a requested backend name to the one that will actually run."""
-    requested = (name if name is not None else os.environ.get(KERNELS_ENV, "")).strip()
-    if requested in ("", "numpy"):
-        return "numpy"
-    if requested == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if requested == "numba":
-        if HAVE_NUMBA:
-            return "numba"
-        warnings.warn(
-            "REPRO_KERNELS=numba requested but numba is not importable; "
-            "falling back to the numpy kernels (results are identical)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "numpy"
-    raise ValueError(
-        f"unknown kernel backend {requested!r}; expected one of "
-        f"{KERNELS + ('auto',)}"
-    )
-
-
-def active() -> str:
-    """The kernel backend in effect: ``"numpy"`` or ``"numba"``."""
-    global _active
-    if _active is None:
-        _active = _resolve(None)
-    return _active
-
-
-def set_kernels(name: str | None) -> str:
-    """Select the kernel backend; returns what actually activated.
-
-    ``name=None`` re-reads :data:`KERNELS_ENV`; ``"numba"`` falls back to
-    ``"numpy"`` (with a warning) when numba is absent, so selection never
-    fails on a missing optional dependency.
-    """
-    global _active
-    _active = _resolve(name)
-    return _active
-
-
-#: Package-level aliases (``repro.core.batch.active_kernels()`` reads
-#: better than re-exporting the bare verbs).
-def active_kernels() -> str:
-    """Alias of :func:`active` for package-level import."""
-    return active()
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Alias of :func:`available` for package-level import."""
-    return available()
-
-
-@contextlib.contextmanager
-def use_kernels(name: str | None):
-    """Scope a kernel selection (test harness / benchmark arms)."""
-    global _active
-    previous = _active
-    set_kernels(name)
-    try:
-        yield active()
-    finally:
-        _active = previous
-
-
-# ----------------------------------------------------------------------
-# Kernel 1: one time layer of the batched deadline value iteration
-# ----------------------------------------------------------------------
 def deadline_layer_terms(
     means: np.ndarray,
     pmf0: np.ndarray,
@@ -237,11 +102,14 @@ def deadline_layer_step(
     # contiguous from a zero-padded copy: the continuation of every
     # (instance, price) is one batched matmul.  Contiguous matters: BLAS
     # output on a reversed strided view differs in the last ulp from the
-    # contiguous product, and the numba twin (plain 2-D ``np.dot``) can
-    # only match the contiguous one.
+    # contiguous product, which would move the solved values.
     padded = np.zeros((opt_next.shape[0], 2 * size - 1))
     padded[:, size - 1 :] = opt_next
-    toeplitz = np.take(padded, _toeplitz_index(size), axis=1)
+    if size <= INDEX_CACHE_MAX_STATES:
+        index = _toeplitz_index(size)
+    else:
+        index = _gather_index(size)
+    toeplitz = np.take(padded, index, axis=1)
     costs = pmf @ toeplitz  # (B, C, S)
     costs += pay
     costs[:, :, 0] = 0.0
@@ -252,14 +120,21 @@ def deadline_layer_step(
     return opt_t, best
 
 
-@functools.lru_cache(maxsize=64)
-def _toeplitz_index(size: int) -> np.ndarray:
-    """Gather index ``[s, n] -> n - s + size - 1`` into a zero-padded row.
-
-    Cached per state count and shared by every caller, so read-only.
-    """
+def _gather_index(size: int) -> np.ndarray:
+    """Gather index ``[s, n] -> n - s + size - 1`` into a zero-padded row."""
     n_range = np.arange(size)
-    index = n_range[None, :] - n_range[:, None] + size - 1
+    return n_range[None, :] - n_range[:, None] + size - 1
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE_MAX_STATES)
+def _toeplitz_index(size: int) -> np.ndarray:
+    """:func:`_gather_index`, cached per state count.
+
+    Called only for counts up to :data:`INDEX_CACHE_MAX_STATES`, so the
+    cache holds one entry per count and never evicts; shared by every
+    caller, so read-only.
+    """
+    index = _gather_index(size)
     index.flags.writeable = False
     return index
 
@@ -312,215 +187,3 @@ def _truncation_lengths(
     s0 = 1 + np.sum(1.0 - cums[..., : s_max] >= eps, axis=-1)
     s0 = np.clip(s0, 1, full)
     return np.where(full <= hi, full, s0)
-
-
-def _deadline_layer_loops(
-    means: np.ndarray,
-    pmf0: np.ndarray,
-    prices: np.ndarray,
-    opt_next: np.ndarray,
-    eps: float,
-    use_eps: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop form of :func:`_deadline_layer_numpy` (the numba source).
-
-    Every accumulation runs in the same order as the numpy reference —
-    the pmf recurrence left to right, the cumulative sums left to right,
-    the continuation through the same BLAS ``dot`` — so the jitted
-    function produces bit-identical layers.  Kept importable un-jitted so
-    the equivalence suite can prove the *algorithm* exact even where
-    numba is not installed.
-    """
-    batch, n_prices = means.shape
-    size = opt_next.shape[1]
-    n_tasks = size - 1
-    opt_t = np.empty((batch, size))
-    best = np.zeros((batch, size), dtype=np.int64)
-    pmf = np.empty((n_prices, size))
-    prob_cum = np.empty((n_prices, size))
-    paid_cum = np.empty((n_prices, size))
-    lengths = np.empty(n_prices, dtype=np.int64)
-    toeplitz = np.zeros((size, size))
-    costs = np.empty((n_prices, size))
-    for b in range(batch):
-        for s in range(size):
-            for n in range(s, size):
-                toeplitz[s, n] = opt_next[b, n - s]
-        for c in range(n_prices):
-            m = means[b, c]
-            pmf[c, 0] = pmf0[b, c]
-            for s in range(1, size):
-                pmf[c, s] = pmf[c, s - 1] * m / s
-            if use_eps:
-                hi = int(np.floor(m + 12.0 * np.sqrt(m) + 20.0))
-                if size <= hi:
-                    length = size
-                else:
-                    count = 0
-                    cum = 0.0
-                    for s in range(n_tasks):
-                        cum = cum + pmf[c, s]
-                        if 1.0 - cum >= eps:
-                            count += 1
-                    s0 = 1 + count
-                    if s0 < 1:
-                        s0 = 1
-                    if s0 > size:
-                        s0 = size
-                    length = s0
-            else:
-                length = size
-            lengths[c] = length
-            for s in range(length, size):
-                pmf[c, s] = 0.0
-            cum_p = 0.0
-            cum_paid = 0.0
-            for s in range(size):
-                cum_p = cum_p + pmf[c, s]
-                cum_paid = cum_paid + pmf[c, s] * s
-                prob_cum[c, s] = cum_p
-                paid_cum[c, s] = cum_paid
-        conv = np.dot(pmf, toeplitz)  # same BLAS call as the batched matmul
-        for c in range(n_prices):
-            length = lengths[c]
-            price = prices[b, c]
-            costs[c, 0] = 0.0
-            for n in range(1, size):
-                k = n - 1
-                if length - 1 < k:
-                    k = length - 1
-                if k >= 0:
-                    head_prob = prob_cum[c, k]
-                    head_paid = paid_cum[c, k]
-                else:
-                    head_prob = 0.0
-                    head_paid = 0.0
-                tail = 1.0 - head_prob
-                if tail < 0.0:
-                    tail = 0.0
-                costs[c, n] = price * (head_paid + n * tail) + conv[c, n]
-        for n in range(size):
-            best_c = 0
-            best_cost = costs[0, n]
-            for c in range(1, n_prices):
-                if costs[c, n] < best_cost:  # strict: first minimum wins
-                    best_cost = costs[c, n]
-                    best_c = c
-            best[b, n] = best_c
-            opt_t[b, n] = best_cost
-        opt_t[b, 0] = 0.0
-    return opt_t, best
-
-
-if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
-    _deadline_layer_jit = numba.njit(cache=True, nogil=True)(
-        _deadline_layer_loops
-    )
-else:
-    _deadline_layer_jit = None
-
-
-def jit_layers() -> bool:
-    """True when deadline layers run the compiled kernel (numba active).
-
-    Layers with log-space means still take the numpy path inside
-    :func:`deadline_layer`.
-    """
-    return _deadline_layer_jit is not None and active() == "numba"
-
-
-def deadline_layer(
-    lam_t: np.ndarray,
-    probs: np.ndarray,
-    prices: np.ndarray,
-    opt_next: np.ndarray,
-    eps: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward-induction layer of the batched deadline solve.
-
-    Parameters
-    ----------
-    lam_t:
-        ``(B,)`` forecast arrivals for the layer's interval.
-    probs:
-        ``(B, C)`` acceptance probabilities per price.
-    prices:
-        ``(B, C)`` price grids.
-    opt_next:
-        ``(B, S)`` next layer's value vectors (``S = num_tasks + 1``).
-    eps:
-        Poisson truncation threshold (``None`` disables truncation).
-
-    Returns
-    -------
-    (opt_t, best):
-        The layer's ``(B, S)`` value vectors and ``(B, S)`` price indices.
-    """
-    means = lam_t[:, None] * probs
-    pmf0 = np.exp(-means)
-    if jit_layers() and not np.any(means >= LOG_SPACE_MEAN):
-        return _deadline_layer_jit(
-            np.ascontiguousarray(means),
-            np.ascontiguousarray(pmf0),
-            np.ascontiguousarray(prices),
-            np.ascontiguousarray(opt_next),
-            eps if eps is not None else 0.0,
-            eps is not None,
-        )
-    return _deadline_layer_numpy(means, pmf0, prices, opt_next, eps)
-
-
-# ----------------------------------------------------------------------
-# Kernel 2: the budget solver's lower convex hull
-# ----------------------------------------------------------------------
-def _lower_hull_loops(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Monotone-chain lower hull over strictly increasing ``xs``.
-
-    The cross-product expression is written identically to
-    :func:`repro.util.convexhull._cross`, so vertex selection — including
-    the ``<= 0`` collinear-drop rule — matches the python hull exactly.
-    """
-    n = xs.shape[0]
-    hull = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        while top >= 2:
-            o = hull[top - 2]
-            a = hull[top - 1]
-            cross = (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (
-                xs[i] - xs[o]
-            )
-            if cross <= 0.0:
-                top -= 1
-            else:
-                break
-        hull[top] = i
-        top += 1
-    return hull[:top].copy()
-
-
-if HAVE_NUMBA:  # pragma: no cover - compiled only where numba is installed
-    _lower_hull_jit = numba.njit(cache=True, nogil=True)(_lower_hull_loops)
-else:
-    _lower_hull_jit = None
-
-
-def lower_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Lower-convex-hull vertex indices of ``(xs, ys)``.
-
-    Drop-in for :func:`repro.util.convexhull.lower_convex_hull`; the
-    compiled path handles the strictly-increasing-x case (what a
-    validated price grid always is) and anything else delegates to the
-    general python implementation.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if (
-        _lower_hull_jit is not None
-        and active() == "numba"
-        and xs.ndim == 1
-        and xs.size > 0
-        and bool(np.all(np.diff(xs) > 0))
-    ):
-        return [int(i) for i in _lower_hull_jit(xs, ys)]
-    return lower_convex_hull(xs.tolist(), ys.tolist())

@@ -35,6 +35,7 @@ serialized form.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import deque
 from typing import Mapping
 
@@ -166,18 +167,19 @@ class AdmissionQueue:
     ):
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
-        if not default_weight > 0:
+        if not 0 < default_weight < math.inf:
             raise ValueError(
-                f"default_weight must be > 0, got {default_weight}"
+                f"default_weight must be finite and > 0, got {default_weight}"
             )
         self.max_depth = max_depth
         self.weights: dict[str, float] = (
             {str(t): float(w) for t, w in weights.items()} if weights else {}
         )
         for tenant, weight in self.weights.items():
-            if not weight > 0:
+            if not 0 < weight < math.inf:
                 raise ValueError(
-                    f"tenant {tenant!r} weight must be > 0, got {weight}"
+                    f"tenant {tenant!r} weight must be finite and > 0, "
+                    f"got {weight}"
                 )
         self.default_weight = float(default_weight)
         # Quanta are weights normalized so the smallest possible quantum
@@ -190,6 +192,15 @@ class AdmissionQueue:
         # every-quantum->=-1.0 invariant and starving that tenant for a
         # rotation.
         self._quantum_floor = min([*self.weights.values(), self.default_weight])
+        # An infinite quantum would let its tenant drain forever, so the
+        # largest weight must stay finite once divided by the smallest.
+        for tenant, weight in [*self.weights.items(), (None, self.default_weight)]:
+            if not math.isfinite(weight / self._quantum_floor):
+                name = "default" if tenant is None else f"tenant {tenant!r}"
+                raise ValueError(
+                    f"{name} weight {weight} over the smallest weight "
+                    f"{self._quantum_floor} gives an infinite drain quantum"
+                )
         # Per-tenant FIFO subqueues; deques for O(1) popleft.  A tenant
         # is present iff it has queued tickets, and then appears exactly
         # once in the DRR rotation.

@@ -28,6 +28,7 @@ never enters, so quota decisions replay bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Mapping
 
 from repro.serve.requests import DEFAULT_TENANT
@@ -254,8 +255,10 @@ def parse_tenant_weights(
             weight = float(value)
         except ValueError as exc:
             raise ValueError(f"--weights entry {value!r} is not a number") from exc
-        if not weight > 0:
-            raise ValueError(f"tenant {name!r} weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(
+                f"tenant {name!r} weight must be finite and > 0, got {weight}"
+            )
         parsed[name] = weight
     return parsed
 

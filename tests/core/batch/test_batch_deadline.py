@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import solve_deadline_batch
+from repro.core.batch import kernels, solve_deadline_batch
 from repro.core.batch import deadline as batch_deadline
 from repro.core.batch.deadline import group_key, solve_deadline_single
 from repro.core.batch.kernels import _deadline_layer_numpy
@@ -196,6 +196,25 @@ class TestHoistedSweep:
                 assert np.array_equal(solved.price_index, price_index[b])
             scalar = solve_deadline(problems[b])
             assert np.array_equal(policy.price_index, scalar.price_index)
+
+
+class TestGatherIndexCache:
+    def test_large_solve_leaves_the_cache_unchanged(self):
+        # A state count past INDEX_CACHE_MAX_STATES builds its gather
+        # index per call, so client-chosen task counts cannot grow the
+        # process-wide cache; the table is still the scalar solver's.
+        (problem,) = shape_group(1, num_tasks=300, num_prices=6, horizon=3)
+        before = kernels._toeplitz_index.cache_info().currsize
+        policy = solve_deadline_single(problem)
+        assert kernels._toeplitz_index.cache_info().currsize == before
+        assert problem.num_tasks + 1 > kernels.INDEX_CACHE_MAX_STATES
+        assert_same_policy(solve_deadline(problem), policy)
+
+    def test_every_template_shape_is_cached(self):
+        from repro.engine import DEFAULT_TEMPLATES
+
+        largest = max(template.num_tasks for template in DEFAULT_TEMPLATES)
+        assert largest + 1 <= kernels.INDEX_CACHE_MAX_STATES
 
 
 class TestAgainstAlgorithm1:

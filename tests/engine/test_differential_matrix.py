@@ -1,13 +1,12 @@
-"""The differential arrival/kernel matrix: every cell, bit-identical.
+"""The differential arrival/memory/checkpoint matrix: every cell, bit-identical.
 
-This is the proof obligation for the compiled kernels and the memory and
-checkpoint modes: the engine's behaviour is a function of ``(workload,
-scenario, seed, arrival model)`` and **nothing else**.  The sweep runs
-the canonical golden scenario through every cell of
+This is the proof obligation for the memory and checkpoint modes: the
+engine's behaviour is a function of ``(workload, scenario, seed, arrival
+model)`` and **nothing else**.  The sweep runs the canonical golden
+scenario through every cell of
 
     {pooled, factored} arrival models
-  x {numpy, numba} kernel backends           (tests/kernel_modes.py)
-  x {uninterrupted, checkpoint/resume at a fuzzed tick}
+  x {uninterrupted, checkpoint/resume at two fuzzed ticks}
   x {materialized, streaming}                 (lazy source + spill sink)
 
 and asserts the full JSON-normalized payload — deterministic
@@ -49,24 +48,20 @@ from tests.golden.cases import (
     run_case,
     trace_path,
 )
-from tests.kernel_modes import KERNEL_MODES, kernel_mode
 
-#: "stream"/"stream-resume" rerun the cell with a lazy ListSource feeding
+#: "stream"/"stream-resume" cells rerun with a lazy ListSource feeding
 #: the same specs and a streaming (keep=False, JSONL-spill) sink — the
 #: payload's outcome block is rebuilt from the spill, so these cells prove
-#: the memory mode changes no bit of the trace.
-RUN_MODES = ("full", "resume", "stream", "stream-resume")
+#: the memory mode changes no bit of the trace.  Each resume mode runs
+#: under two cut keys, so every family resumes at four fuzzed ticks.
+CUT_KEYS = ("a", "b")
+RUN_MODES = ("full", "stream") + tuple(
+    f"{mode}-{cut}" for mode in ("resume", "stream-resume") for cut in CUT_KEYS
+)
 
 
 def cell_id(*parts) -> str:
     return "-".join(str(p) for p in parts)
-
-
-CELLS = [
-    pytest.param(k, m, id=cell_id(k, m))
-    for k in KERNEL_MODES
-    for m in RUN_MODES
-]
 
 
 def resume_tick(cell: str) -> int:
@@ -116,7 +111,7 @@ def run_cell(arrivals, mode, cell, tmp_path) -> dict:
     streaming = mode.startswith("stream")
     spill = tmp_path / f"{cell}.jsonl" if streaming else None
     driver = build_matrix_driver(arrivals, streaming=streaming, spill=spill)
-    if mode in ("full", "stream"):
+    if "resume" not in mode:
         return finish(driver, spill=spill)
     # Checkpoint/resume cell: pause at the fuzzed tick, snapshot, abandon
     # the original session, and finish from the bundle.  The payload must
@@ -133,14 +128,12 @@ def run_cell(arrivals, mode, cell, tmp_path) -> dict:
 
 @pytest.fixture(scope="module")
 def factored_baseline():
-    with kernel_mode("numpy"):
-        return finish(build_matrix_driver("factored"))
+    return finish(build_matrix_driver("factored"))
 
 
 @pytest.fixture(scope="module")
 def pooled_baseline():
-    with kernel_mode("numpy"):
-        return finish(build_matrix_driver("pooled"))
+    return finish(build_matrix_driver("pooled"))
 
 
 class TestBaselines:
@@ -165,49 +158,43 @@ class TestBaselines:
 
 
 class TestFactoredMatrix:
-    @pytest.mark.parametrize("kernels_name,mode", CELLS)
-    def test_cell_matches_baseline(
-        self, kernels_name, mode, factored_baseline, tmp_path
-    ):
-        cell = cell_id("factored", kernels_name, mode)
-        with kernel_mode(kernels_name):
-            payload = run_cell("factored", mode, cell, tmp_path)
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_cell_matches_baseline(self, mode, factored_baseline, tmp_path):
+        cell = cell_id("factored", mode)
+        payload = run_cell("factored", mode, cell, tmp_path)
         assert payload == factored_baseline, (
             f"cell {cell} diverged from the factored baseline"
         )
 
 
 class TestPooledMatrix:
-    @pytest.mark.parametrize("kernels_name,mode", CELLS)
-    def test_cell_matches_baseline(
-        self, kernels_name, mode, pooled_baseline, tmp_path
-    ):
-        cell = cell_id("pooled", kernels_name, mode)
-        with kernel_mode(kernels_name):
-            payload = run_cell("pooled", mode, cell, tmp_path)
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_cell_matches_baseline(self, mode, pooled_baseline, tmp_path):
+        cell = cell_id("pooled", mode)
+        payload = run_cell("pooled", mode, cell, tmp_path)
         assert payload == pooled_baseline, (
             f"cell {cell} diverged from the pooled baseline"
         )
 
 
+class TestCutPoints:
+    def test_each_family_resumes_at_four_distinct_ticks(self):
+        for family in ("factored", "pooled"):
+            ticks = [
+                resume_tick(cell_id(family, mode))
+                for mode in RUN_MODES
+                if "resume" in mode
+            ]
+            assert len(ticks) == 4
+            assert len(set(ticks)) == len(ticks), (family, ticks)
+
+
 class TestGoldenTraceInvariance:
-    """The committed goldens byte-compare under every knob.
+    """The committed goldens byte-compare when the workload streams.
 
     ``make regen-golden`` runs the same check before writing anything;
     here it gates every PR.
     """
-
-    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
-    def test_factored_golden_invariant_under_kernels(self, kernels_name):
-        golden = json.loads(trace_path("factored_small").read_text())
-        with kernel_mode(kernels_name):
-            assert run_case("factored_small") == golden
-
-    @pytest.mark.parametrize("kernels_name", KERNEL_MODES)
-    def test_pooled_golden_invariant_under_kernels(self, kernels_name):
-        golden = json.loads(trace_path("pooled_small").read_text())
-        with kernel_mode(kernels_name):
-            assert run_case("pooled_small") == golden
 
     @pytest.mark.parametrize("case", ("pooled_small", "factored_small"))
     def test_golden_invariant_under_streaming(self, case):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import AdmissionQueue, Cancel
@@ -115,6 +116,32 @@ def test_no_tenant_starves_under_any_weight_vector(weights, backlog):
         f"tenants {set(tenants) - served} starved in a "
         f"{rotation_bound}-drain window under weights {quanta}"
     )
+
+
+@pytest.mark.parametrize(
+    "weights, default_weight",
+    [
+        ([1.0, math.inf], 1.0),
+        ([1e-300, 1e300], 1.0),
+        ([1.0, 1e300], 1e-300),
+    ],
+    ids=["infinite-weight", "infinite-quantum", "infinite-quantum-via-default"],
+)
+def test_non_finite_weight_or_quantum_is_rejected(weights, default_weight):
+    """A tenant with an infinite quantum would drain forever.
+
+    The other tenants would then starve, and ``scheduler_state()`` would
+    hold infinite deficits, which strict JSON refuses.  Both the weight
+    and the weight over the smallest weight must be finite.
+    """
+    with pytest.raises(ValueError, match="tenant 't1'"):
+        AdmissionQueue(
+            max_depth=None,
+            weights={TENANTS[i]: w for i, w in enumerate(weights)},
+            default_weight=default_weight,
+        )
+    with pytest.raises(ValueError, match="default_weight"):
+        AdmissionQueue(default_weight=math.inf)
 
 
 def test_floor_weight_quantum_is_exactly_one():

@@ -210,40 +210,16 @@ class TestEngineCommand:
         # The flag picks the model: the pooled run of the same seed differs.
         assert api_report("pooled") != factored
 
-    def test_run_kernels_flag(self, capsys, recwarn):
-        from repro.core.batch import kernels
-
+    def test_loadtest_rejects_an_infinite_tenant_weight(self, capsys):
+        # An infinite weight would starve every other tenant; the CLI
+        # answers with one line naming the tenant instead of running.
         code = main(
-            [
-                "engine", "run",
-                "--campaigns", "5",
-                "--horizon-hours", "12",
-                "--interval-minutes", "30",
-                "--kernels", "numpy",
-            ]
+            ["engine", "loadtest", "--tenants", "a,b", "--weights", "1,inf"]
         )
-        assert code == 0
-        assert kernels.active() == "numpy"
-        kernels.set_kernels(None)  # restore env/auto resolution
-
-    def test_run_kernels_numba_falls_back_when_absent(self, capsys):
-        from repro.core.batch import kernels
-
-        if kernels.HAVE_NUMBA:
-            pytest.skip("numba is installed here")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            code = main(
-                [
-                    "engine", "run",
-                    "--campaigns", "5",
-                    "--horizon-hours", "12",
-                    "--interval-minutes", "30",
-                    "--kernels", "numba",
-                ]
-            )
-        assert code == 0
-        assert kernels.active() == "numpy"
-        kernels.set_kernels(None)
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "tenant 'b'" in err
 
 
 class TestEngineCheckpointCLI:
@@ -343,7 +319,38 @@ class TestEngineCheckpointCLI:
         assert "not an object" in err
 
 
+#: Every command that builds a synthetic arrival stream.
+STREAM_COMMANDS = {
+    "run": ["engine", "run"],
+    "scenario-run": ["engine", "scenario", "run"],
+    "serve": ["engine", "serve"],
+    "loadtest": ["engine", "loadtest"],
+    "solve-deadline": ["solve-deadline"],
+}
+
+#: Stream flag values no run can use: each must exit 2 naming the flag.
+BAD_STREAM_FLAGS = [
+    pytest.param([*command, flag, value], id=f"{name}-{flag[2:]}-{value}")
+    for name, command in STREAM_COMMANDS.items()
+    for flag, value in (("--interval-minutes", "0"), ("--horizon-hours", "inf"))
+] + [
+    pytest.param(["engine", "run", "--surge", value], id=f"run-surge-{value}")
+    for value in ("nan", "inf")
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv", BAD_STREAM_FLAGS)
+    def test_bad_stream_flag_exits_2_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {argv[-2]}: must be a finite number" in (
+            err.strip().splitlines()[-1]
+        )
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -94,6 +94,8 @@ class TestBenchRecord:
         return json.loads(path.read_text())
 
     def test_policy_solve_fields(self, record):
+        # The scalar-vs-batch solve comparison is recorded here only.
+        assert "kernels" not in record
         solve = record["policy_solve"]
         for field in (
             "scalar_seconds",
@@ -112,18 +114,6 @@ class TestBenchRecord:
         floor = factored["required_min_campaigns_per_second"]
         assert floor >= 300.0, "the ratcheted floor must never be lowered"
         assert factored["campaigns_per_second"] >= floor
-
-    def test_kernels_fields(self, record):
-        kern = record["kernels"]
-        for field in (
-            "backend",
-            "scalar_seconds",
-            "batch_seconds",
-            "speedup",
-            "required_speedup",
-        ):
-            assert field in kern
-        assert kern["speedup"] >= kern["required_speedup"]
 
     def test_serve_fields(self, record):
         serve = record["serve"]
