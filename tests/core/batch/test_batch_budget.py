@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BudgetRequest, solve_budget_batch
+from repro.core.batch import budget as batch_budget
 from repro.core.budget.static_lp import solve_budget_hull
 from repro.market.acceptance import LogitAcceptance, paper_acceptance_model
 
@@ -56,6 +57,38 @@ class TestEquivalence:
                 request.price_grid,
             )
             assert allocation == scalar  # dataclass equality: exact match
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_hull_serves_a_shared_marketplace(self, seed, monkeypatch):
+        # Requests over one (acceptance, grid) build a single hull, and
+        # every budget from barely feasible to saturating still gets the
+        # scalar allocation from it.
+        rng = np.random.default_rng(200 + seed)
+        acceptance = LogitAcceptance(
+            s=float(rng.uniform(2.0, 8.0)),
+            b=float(rng.uniform(-1.0, 2.0)),
+            m=float(rng.uniform(100.0, 1500.0)),
+        )
+        grid = np.arange(1.0, float(rng.integers(6, 20)))
+        requests = []
+        for per_task in rng.uniform(grid[0], grid[-1] + 2.0, 6):
+            num_tasks = int(rng.integers(1, 40))
+            requests.append(
+                BudgetRequest(num_tasks, num_tasks * per_task, acceptance, grid)
+            )
+        builds = []
+        hull = batch_budget.lower_convex_hull
+        monkeypatch.setattr(
+            batch_budget, "lower_convex_hull",
+            lambda xs, ys: builds.append(1) or hull(xs, ys),
+        )
+        batch = solve_budget_batch(requests)
+        assert len(builds) == 1
+        for request, allocation in zip(requests, batch):
+            assert allocation == solve_budget_hull(
+                request.num_tasks, request.budget, acceptance, grid
+            )
+        assert any(len(allocation.prices) == 2 for allocation in batch)
 
     def test_mixed_marketplaces_in_one_batch(self):
         paper = paper_acceptance_model()

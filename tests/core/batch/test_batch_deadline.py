@@ -5,9 +5,10 @@ these property tests draw randomized instances (sizes, horizons, grids,
 acceptance parameters, penalties, truncation settings) and assert the
 stacked kernel reproduces ``solve_deadline`` (and, on small instances,
 the literal Algorithm 1 of ``solve_deadline_simple``) — identical price
-tables, values within float tolerance.  Against its own per-layer
-reference (one ``_deadline_layer_numpy`` call per layer) the hoisted
-sweep is bitwise equal.
+tables, values within float tolerance.  One layer alone reproduces the
+scalar solver's layer costs.  Against its own per-layer reference (one
+``_deadline_layer_numpy`` call per layer) the hoisted sweep is bitwise
+equal, and it computes the layer-independent terms once per block.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.core.batch.deadline import group_key, solve_deadline_single
 from repro.core.batch.kernels import _deadline_layer_numpy
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
 from repro.core.deadline.simple_dp import solve_deadline_simple
-from repro.core.deadline.vectorized import solve_deadline
+from repro.core.deadline.vectorized import _layer_costs, solve_deadline
 from repro.market.acceptance import LogitAcceptance, paper_acceptance_model
+from repro.util.poisson import poisson_pmf_vector
 
 
 def random_problem(rng: np.random.Generator, *, small: bool = False) -> DeadlineProblem:
@@ -47,6 +49,37 @@ def random_problem(rng: np.random.Generator, *, small: bool = False) -> Deadline
         ),
         truncation_eps=eps,
     )
+
+
+def random_layer(rng: np.random.Generator) -> tuple[list[DeadlineProblem], np.ndarray]:
+    """Same-shaped one-interval instances and a random next-layer value table.
+
+    Each instance has its own acceptance curve, price grid and arrival
+    mean; the truncation threshold ranges from exact (``None``) to coarse,
+    and past 20 tasks small means get their pmf cut.
+    """
+    batch = int(rng.integers(1, 5))
+    num_tasks = int(rng.integers(1, 64))
+    num_prices = int(rng.integers(1, 14))
+    eps = [None, 1e-9, 1e-6, 1e-2][int(rng.integers(4))]
+    problems = [
+        DeadlineProblem(
+            num_tasks=num_tasks,
+            arrival_means=rng.uniform(0.0, 150.0, 1),
+            acceptance=LogitAcceptance(
+                s=float(rng.uniform(2.0, 10.0)),
+                b=float(rng.uniform(-1.0, 3.0)),
+                m=float(rng.uniform(1.0, 2000.0)),
+            ),
+            price_grid=np.sort(rng.uniform(0.5, 30.0, num_prices)),
+            penalty=PenaltyScheme(per_task=100.0),
+            truncation_eps=eps,
+        )
+        for _ in range(batch)
+    ]
+    opt_next = rng.uniform(0.0, 500.0, (batch, num_tasks + 1))
+    opt_next[:, 0] = 0.0
+    return problems, opt_next
 
 
 def shape_group(
@@ -180,6 +213,60 @@ class TestAgainstVectorizedSolver:
         assert_same_policy(solve_deadline(problem), policy)
 
 
+class TestLayer:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_layer_matches_the_scalar_layer_costs(self, seed):
+        # One stacked layer against the scalar solver's per-price
+        # convolutions: the same lowest-cost price at every state, the
+        # same minimum cost to float tolerance.
+        problems, opt_next = random_layer(np.random.default_rng(seed))
+        lam_t = np.array([p.arrival_means[0] for p in problems])
+        means = lam_t[:, None] * np.stack(
+            [p.acceptance_probabilities() for p in problems]
+        )
+        prices = np.stack([p.price_grid for p in problems])
+        opt_t, best = _deadline_layer_numpy(
+            means, np.exp(-means), prices, opt_next,
+            problems[0].truncation_eps,
+        )
+        for b, problem in enumerate(problems):
+            costs = _layer_costs(problem, float(lam_t[b]), opt_next[b])
+            assert np.array_equal(best[b, 1:], np.argmin(costs, axis=0)[1:])
+            assert opt_t[b, 0] == 0.0
+            assert np.allclose(opt_t[b], costs.min(axis=0), rtol=1e-9, atol=1e-8)
+
+    def test_single_price_single_task_edge(self):
+        # Nobody accepts (probability exp(-3)): carry on at opt_next[1];
+        # otherwise the one task completes and pays the one price.
+        means = np.array([[3.0]])
+        opt_t, best = _deadline_layer_numpy(
+            means, np.exp(-means), np.array([[2.0]]),
+            np.array([[0.0, 7.0]]), 1e-9,
+        )
+        stay = np.exp(-3.0)
+        assert best.tolist() == [[0, 0]]
+        assert opt_t[0, 0] == 0.0
+        assert opt_t[0, 1] == pytest.approx(7.0 * stay + 2.0 * (1.0 - stay), rel=1e-14)
+
+    def test_log_space_means_take_the_log_space_pmf(self):
+        # exp(-mean) underflows to zero past LOG_SPACE_MEAN, so the
+        # recurrence alone would leave those pmf rows all zero; the terms
+        # switch to the log-space pmf there, as the scalar pmf does.
+        n_tasks = 1000
+        row = np.array([650.0, kernels.LOG_SPACE_MEAN, 900.0])
+        means = row[None, :]
+        assert np.exp(-row[-1]) == 0.0
+        pmf, _ = kernels.deadline_layer_terms(
+            means, np.exp(-means), np.array([[1.0, 2.0, 3.0]]), None, n_tasks
+        )
+        for j, mean in enumerate(row):
+            assert pmf[0, j].max() > 0.01  # the head covers the mode
+            assert np.allclose(
+                pmf[0, j], poisson_pmf_vector(n_tasks, float(mean)),
+                rtol=1e-12, atol=0.0,
+            )
+
+
 class TestHoistedSweep:
     @pytest.mark.parametrize("case", sorted(HOISTING_CASES))
     def test_bitwise_equal_to_the_per_layer_sweep(self, case):
@@ -196,6 +283,41 @@ class TestHoistedSweep:
                 assert np.array_equal(solved.price_index, price_index[b])
             scalar = solve_deadline(problems[b])
             assert np.array_equal(policy.price_index, scalar.price_index)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_mixes_equal_the_per_layer_sweep(self, seed):
+        # Mixed shapes split into groups, two of them stacked: each
+        # instance still gets its per-layer sweep's tables exactly.
+        rng = np.random.default_rng(100 + seed)
+        problems = [random_problem(rng) for _ in range(4)]
+        problems += [
+            p.with_penalty(PenaltyScheme(per_task=33.0)) for p in problems[:2]
+        ]
+        for problem, policy in zip(problems, solve_deadline_batch(problems)):
+            opt, price_index = layer_by_layer([problem])
+            assert np.array_equal(policy.opt, opt[0])  # exact
+            assert np.array_equal(policy.price_index, price_index[0])
+
+    @pytest.mark.parametrize("case", sorted(HOISTING_CASES))
+    def test_terms_run_once_per_block_and_the_step_once_per_layer(
+        self, case, monkeypatch
+    ):
+        problems = HOISTING_CASES[case]()
+        first = problems[0]
+        calls = {"deadline_layer_terms": 0, "deadline_layer_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(kernels, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        solve_deadline_batch(problems)
+        per_layer = 8 * len(problems) * first.num_prices * (first.num_tasks + 1)
+        block = max(1, batch_deadline._BLOCK_BYTES // per_layer)
+        blocks = -(-first.num_intervals // block)
+        assert calls["deadline_layer_step"] == first.num_intervals
+        assert calls["deadline_layer_terms"] == blocks
+        assert 2 <= blocks < first.num_intervals  # crosses a block boundary
 
 
 class TestGatherIndexCache:

@@ -387,6 +387,18 @@ class TestParser:
             assert exc.value.code == 2
             assert rejected[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["scenario", "run"], ["serve"], ["loadtest"]],
+        ids=["run", "scenario-run", "serve", "loadtest"],
+    )
+    def test_kernels_flag_is_gone(self, command, capsys):
+        # One solve backend: the engine commands reject the removed
+        # backend choice instead of silently ignoring it.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["engine", *command, "--kernels", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernels" in capsys.readouterr().err
+
     def test_engine_defaults(self):
         args = build_parser().parse_args(["engine", "run"])
         assert args.campaigns == 60

@@ -10,6 +10,25 @@ from hypothesis import strategies as st
 from repro.util.convexhull import hull_segment_for, lower_convex_hull
 
 
+def hull_by_definition(xs, ys) -> list[int]:
+    """Lower-hull vertices as defined: strictly below every chord over them.
+
+    O(n^3) over all spanning pairs, in increasing ``x``; assumes distinct
+    ``x``.  The first and last points span nothing and are always kept.
+    """
+
+    def below_every_chord(i: int) -> bool:
+        return all(
+            (xs[i] - xs[j]) * (ys[k] - ys[j]) - (ys[i] - ys[j]) * (xs[k] - xs[j]) > 0
+            for j in range(len(xs)) if xs[j] < xs[i]
+            for k in range(len(xs)) if xs[k] > xs[i]
+        )
+
+    return sorted(
+        (i for i in range(len(xs)) if below_every_chord(i)), key=lambda i: xs[i]
+    )
+
+
 class TestLowerConvexHull:
     def test_line_keeps_endpoints_only(self):
         xs = [0.0, 1.0, 2.0, 3.0]
@@ -32,6 +51,22 @@ class TestLowerConvexHull:
         hull = lower_convex_hull(xs, ys)
         assert 2 in hull  # the y=-1 point
         assert 1 not in hull
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_hull_by_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.permutation(np.unique(rng.uniform(0.0, 50.0, int(rng.integers(1, 40)))))
+        # ys on a grid: on a coarse one, equal lowest heights put exactly
+        # collinear runs on the hull, which the strict-corner rule drops.
+        step = [0.1, 2.5, 5.0][seed % 3]
+        ys = np.round(rng.uniform(0.0, 20.0, xs.size) / step) * step
+        xs, ys = xs.tolist(), ys.tolist()
+        assert lower_convex_hull(xs, ys) == hull_by_definition(xs, ys)
+
+    def test_unsorted_input_returns_indices_in_x_order(self):
+        # x order is 1, 2, 0; the middle point (2.0, 0.5) lies below the
+        # chord from (1.0, 5.0) to (3.0, 1.0), so all three are vertices.
+        assert lower_convex_hull([3.0, 1.0, 2.0], [1.0, 5.0, 0.5]) == [1, 2, 0]
 
     def test_single_point(self):
         assert lower_convex_hull([3.0], [7.0]) == [0]
