@@ -698,7 +698,11 @@ def _cmd_solve_deadline(args: argparse.Namespace) -> int:
         start_day=args.start_day,
         penalty_per_task=args.penalty,
     )
-    problem = setting.problem()
+    try:
+        problem = setting.problem()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     policy = solve_deadline(problem)
     outcome = policy.evaluate()
     print(f"instance      : N={args.num_tasks}, T={args.horizon_hours}h, "
@@ -801,10 +805,11 @@ def _build_engine(args: argparse.Namespace, router=None, surge: float = 1.0):
     """Construct the stream + engine (see :func:`_make_serving_engine`)."""
     from repro.engine import MarketplaceEngine, PolicyCache
     from repro.market.acceptance import paper_acceptance_model
+    from repro.market.nhpp import interval_count
     from repro.market.tracker import SyntheticTrackerTrace
     from repro.sim.stream import SharedArrivalStream
 
-    num_intervals = int(round(args.horizon_hours * 60.0 / args.interval_minutes))
+    num_intervals = interval_count(args.horizon_hours, args.interval_minutes)
     forecast = SharedArrivalStream.from_rate_function(
         SyntheticTrackerTrace().rate_function(),
         args.horizon_hours,
@@ -994,11 +999,8 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
                 "pick exactly one scenario source: --spec FILE or "
                 "--canned NAME (--list-scenarios shows the library)"
             )
-        num_intervals = int(
-            round(args.horizon_hours * 60.0 / args.interval_minutes)
-        )
-        scenario = _resolve_scenario(args, num_intervals)
         num_intervals, engine = _make_serving_engine(args)
+        scenario = _resolve_scenario(args, num_intervals)
         try:
             if args.base_campaigns:
                 engine.submit(generate_workload(

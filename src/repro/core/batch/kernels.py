@@ -16,8 +16,6 @@ the per-layer reference the hoisted sweep is tested against
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = ["deadline_layer_step", "deadline_layer_terms"]
@@ -26,12 +24,6 @@ __all__ = ["deadline_layer_step", "deadline_layer_terms"]
 #: scalar path (:func:`repro.util.poisson.poisson_pmf_vector`) switches to
 #: log-space there, and so does :func:`deadline_layer_terms`.
 LOG_SPACE_MEAN = 700.0
-
-#: Largest state count ``N + 1`` whose Toeplitz gather index is cached:
-#: every campaign template and benchmark shape has ``N <= 80``.  Larger
-#: solves build their index per call, so the cache stays under 1.4 MiB
-#: whatever shapes clients submit.
-INDEX_CACHE_MAX_STATES = 81
 
 
 def deadline_layer_terms(
@@ -97,19 +89,22 @@ def deadline_layer_step(
     layer's values; returns ``(opt_t, best)`` as
     :func:`_deadline_layer_numpy` does.
     """
-    size = opt_next.shape[1]
-    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s), gathered
-    # contiguous from a zero-padded copy: the continuation of every
-    # (instance, price) is one batched matmul.  Contiguous matters: BLAS
-    # output on a reversed strided view differs in the last ulp from the
-    # contiguous product, which would move the solved values.
-    padded = np.zeros((opt_next.shape[0], 2 * size - 1))
+    batch, size = opt_next.shape
+    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s): a view
+    # into a zero-padded copy that steps one element back per state s,
+    # copied contiguous so the continuation of every (instance, price) is
+    # one batched matmul.  Contiguous matters: BLAS output on the strided
+    # view differs in the last ulp from the contiguous product, which
+    # would move the solved values.
+    padded = np.zeros((batch, 2 * size - 1))
     padded[:, size - 1 :] = opt_next
-    if size <= INDEX_CACHE_MAX_STATES:
-        index = _toeplitz_index(size)
-    else:
-        index = _gather_index(size)
-    toeplitz = np.take(padded, index, axis=1)
+    step = padded.itemsize
+    toeplitz = np.ndarray(
+        (batch, size, size),
+        buffer=padded,
+        offset=(size - 1) * step,
+        strides=(padded.strides[0], -step, step),
+    ).copy()
     costs = pmf @ toeplitz  # (B, C, S)
     costs += pay
     costs[:, :, 0] = 0.0
@@ -118,25 +113,6 @@ def deadline_layer_step(
     opt_t = costs.min(axis=1)
     opt_t[:, 0] = 0.0
     return opt_t, best
-
-
-def _gather_index(size: int) -> np.ndarray:
-    """Gather index ``[s, n] -> n - s + size - 1`` into a zero-padded row."""
-    n_range = np.arange(size)
-    return n_range[None, :] - n_range[:, None] + size - 1
-
-
-@functools.lru_cache(maxsize=INDEX_CACHE_MAX_STATES)
-def _toeplitz_index(size: int) -> np.ndarray:
-    """:func:`_gather_index`, cached per state count.
-
-    Called only for counts up to :data:`INDEX_CACHE_MAX_STATES`, so the
-    cache holds one entry per count and never evicts; shared by every
-    caller, so read-only.
-    """
-    index = _gather_index(size)
-    index.flags.writeable = False
-    return index
 
 
 def _deadline_layer_numpy(

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
 from repro.market.acceptance import LogitAcceptance, paper_acceptance_model
+from repro.market.nhpp import interval_count
 from repro.market.rates import RateFunction
 from repro.market.tracker import SyntheticTrackerTrace
 
@@ -75,7 +76,7 @@ class PaperSetting:
     @property
     def num_intervals(self) -> int:
         """Number of decision intervals over the horizon."""
-        return int(round(self.horizon_hours * 60.0 / self.interval_minutes))
+        return interval_count(self.horizon_hours, self.interval_minutes)
 
     @property
     def start_hour(self) -> float:
@@ -109,7 +110,7 @@ class PaperSetting:
     ) -> DeadlineProblem:
         """Assemble the deadline instance, with per-experiment overrides."""
         horizon = horizon_hours if horizon_hours is not None else self.horizon_hours
-        num_intervals = int(round(horizon * 60.0 / self.interval_minutes))
+        num_intervals = interval_count(horizon, self.interval_minutes)
         return DeadlineProblem.from_rate_function(
             num_tasks=num_tasks if num_tasks is not None else self.num_tasks,
             rate=rate if rate is not None else self.rate_function(),

@@ -4,7 +4,7 @@ The number of worker arrivals in any window ``[S, T]`` is Poisson with mean
 ``Lambda(S, T) = ∫_S^T lambda(t) dt`` (Eq. 1).  This module provides
 
 * :func:`interval_means` — the per-interval means ``lambda_t`` of Eq. 4 that
-  the deadline MDP consumes,
+  the deadline MDP consumes, over :func:`interval_count` intervals,
 * :class:`NHPP` — exact sampling of arrival *times* (needed by the
   event-driven simulator), via the classic two-step recipe: draw the count
   in each bin, then place the arrival times by the order-statistics
@@ -16,6 +16,7 @@ The number of worker arrivals in any window ``[S, T]`` is Poisson with mean
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,25 @@ import numpy as np
 from repro.market.rates import PiecewiseConstantRate, RateFunction, ScaledRate
 from repro.util.validation import require_in_range, require_positive
 
-__all__ = ["NHPP", "interval_means"]
+__all__ = ["NHPP", "interval_count", "interval_means"]
+
+
+def interval_count(horizon_hours: float, interval_minutes: float) -> int:
+    """How many ``interval_minutes`` intervals cover ``horizon_hours``, rounded.
+
+    Raises ``ValueError`` unless the count is finite and at least 1: each
+    length can be finite and positive while their ratio overflows
+    (``1e308`` hours) or rounds to zero (a horizon under half an interval).
+    """
+    ratio = math.nan
+    if interval_minutes > 0:
+        ratio = horizon_hours * 60.0 / interval_minutes
+    if not (math.isfinite(ratio) and round(ratio) >= 1):
+        raise ValueError(
+            f"a {horizon_hours:g} h horizon in {interval_minutes:g} min "
+            f"intervals gives {ratio:g} intervals; need a finite count >= 1"
+        )
+    return int(round(ratio))
 
 
 def interval_means(

@@ -15,7 +15,8 @@ The queue enforces the serving layer's ordering/robustness invariants
   quantum proportional to its weight and spends one unit per drained
   request; any tenant with positive weight is served at least once per
   full rotation (quanta are normalized so the smallest is 1.0), so no
-  tenant starves under any weight vector.
+  tenant starves under any weight vector the queue accepts (every
+  quantum finite and below :data:`MAX_QUANTUM`).
 * **No loss, no duplication**: every offered request is drained exactly
   once or rejected exactly once at offer time — a :class:`Ticket` tracks
   each request until its :class:`~repro.serve.requests.Response` arrives.
@@ -42,6 +43,11 @@ from typing import Mapping
 from repro.serve.requests import DEFAULT_TENANT, Response
 
 __all__ = ["AdmissionQueue", "QueueStats", "Ticket"]
+
+#: Every drain quantum must stay below this.  A deficit is at most one
+#: quantum plus a leftover under 1.0, and ``deficit - 1.0`` is exact only
+#: below 2**53.
+MAX_QUANTUM = 2.0**52
 
 
 class Ticket:
@@ -192,14 +198,16 @@ class AdmissionQueue:
         # every-quantum->=-1.0 invariant and starving that tenant for a
         # rotation.
         self._quantum_floor = min([*self.weights.values(), self.default_weight])
-        # An infinite quantum would let its tenant drain forever, so the
-        # largest weight must stay finite once divided by the smallest.
+        # pop() spends a deficit one unit at a time, and from 2**53 on
+        # ``deficit - 1.0`` rounds back to ``deficit``: a quantum past
+        # MAX_QUANTUM (or infinite) would let its tenant drain forever.
         for tenant, weight in [*self.weights.items(), (None, self.default_weight)]:
-            if not math.isfinite(weight / self._quantum_floor):
+            if not weight / self._quantum_floor < MAX_QUANTUM:
                 name = "default" if tenant is None else f"tenant {tenant!r}"
                 raise ValueError(
                     f"{name} weight {weight} over the smallest weight "
-                    f"{self._quantum_floor} gives an infinite drain quantum"
+                    f"{self._quantum_floor} gives a drain quantum at or "
+                    f"above 2**52, where deficit steps stop being exact"
                 )
         # Per-tenant FIFO subqueues; deques for O(1) popleft.  A tenant
         # is present iff it has queued tickets, and then appears exactly

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import AdmissionQueue, Cancel
+from repro.serve.admission import MAX_QUANTUM
 
 #: Tenant names the strategies draw from.
 TENANTS = ("t0", "t1", "t2", "t3")
@@ -123,16 +124,22 @@ def test_no_tenant_starves_under_any_weight_vector(weights, backlog):
     [
         ([1.0, math.inf], 1.0),
         ([1e-300, 1e300], 1.0),
-        ([1.0, 1e300], 1e-300),
+        ([2e-300, 1e300], 1e-300),
+        ([1.0, 1e16], 1.0),
+        ([1.0, 2.0**52], 1.0),
     ],
-    ids=["infinite-weight", "infinite-quantum", "infinite-quantum-via-default"],
+    ids=[
+        "infinite-weight", "infinite-quantum", "infinite-quantum-via-default",
+        "quantum-past-exact-deficit-steps", "quantum-at-the-bound",
+    ],
 )
 def test_non_finite_weight_or_quantum_is_rejected(weights, default_weight):
-    """A tenant with an infinite quantum would drain forever.
+    """A tenant with an infinite or huge quantum would drain forever.
 
-    The other tenants would then starve, and ``scheduler_state()`` would
-    hold infinite deficits, which strict JSON refuses.  Both the weight
-    and the weight over the smallest weight must be finite.
+    The other tenants would then starve.  An infinite deficit is one
+    ``scheduler_state()`` strict JSON refuses; from 2**53 on a finite one
+    no longer shrinks when ``pop()`` spends a unit of it.  The weight must
+    be finite and the weight over the smallest weight below 2**52.
     """
     with pytest.raises(ValueError, match="tenant 't1'"):
         AdmissionQueue(
@@ -142,6 +149,16 @@ def test_non_finite_weight_or_quantum_is_rejected(weights, default_weight):
         )
     with pytest.raises(ValueError, match="default_weight"):
         AdmissionQueue(default_weight=math.inf)
+
+
+def test_deficit_steps_stay_exact_just_below_the_bound():
+    """The largest accepted quantum still loses exactly 1.0 per serve."""
+    queue = build_queue([1.0, MAX_QUANTUM - 1.0])
+    for seq in range(3):
+        queue.offer("c1", Cancel(str(seq)), tenant=TENANTS[1])
+    queue.pop()
+    queue.pop()
+    assert queue.scheduler_state()["deficits"] == {TENANTS[1]: MAX_QUANTUM - 3.0}
 
 
 def test_floor_weight_quantum_is_exactly_one():

@@ -210,11 +210,15 @@ class TestEngineCommand:
         # The flag picks the model: the pooled run of the same seed differs.
         assert api_report("pooled") != factored
 
-    def test_loadtest_rejects_an_infinite_tenant_weight(self, capsys):
-        # An infinite weight would starve every other tenant; the CLI
-        # answers with one line naming the tenant instead of running.
+    @pytest.mark.parametrize("weights", ["1,inf", "1,1e16"])
+    def test_loadtest_rejects_a_weight_that_starves_the_others(
+        self, weights, capsys
+    ):
+        # An infinite weight, or one whose quantum is past exact deficit
+        # steps, would starve every other tenant; the CLI answers with
+        # one line naming the tenant instead of running.
         code = main(
-            ["engine", "loadtest", "--tenants", "a,b", "--weights", "1,inf"]
+            ["engine", "loadtest", "--tenants", "a,b", "--weights", weights]
         )
         assert code == 2
         err = capsys.readouterr().err.strip()
@@ -322,34 +326,56 @@ class TestEngineCheckpointCLI:
 #: Every command that builds a synthetic arrival stream.
 STREAM_COMMANDS = {
     "run": ["engine", "run"],
-    "scenario-run": ["engine", "scenario", "run"],
+    "scenario-run": ["engine", "scenario", "run", "--canned", "flash-crowd"],
     "serve": ["engine", "serve"],
     "loadtest": ["engine", "loadtest"],
     "solve-deadline": ["solve-deadline"],
 }
 
-#: Stream flag values no run can use: each must exit 2 naming the flag.
+#: Stream flag values no run can use, with the one stderr line each must
+#: exit 2 with.  The first two fail the flag's own type; the others pass
+#: it, but the horizon over the interval is no usable interval count.
+BAD_STREAM_VALUES = (
+    ("--interval-minutes", "0", "argument --interval-minutes: must be a finite"),
+    ("--horizon-hours", "inf", "argument --horizon-hours: must be a finite"),
+    ("--horizon-hours", "1e308", "gives inf intervals; need a finite count"),
+    ("--interval-minutes", "1e-320", "gives inf intervals; need a finite count"),
+    ("--horizon-hours", "0.1", "gives 0.3 intervals; need a finite count >= 1"),
+)
+
 BAD_STREAM_FLAGS = [
-    pytest.param([*command, flag, value], id=f"{name}-{flag[2:]}-{value}")
+    pytest.param(
+        [*command, flag, value], message, id=f"{name}-{flag[2:]}-{value}"
+    )
     for name, command in STREAM_COMMANDS.items()
-    for flag, value in (("--interval-minutes", "0"), ("--horizon-hours", "inf"))
+    for flag, value, message in BAD_STREAM_VALUES
 ] + [
-    pytest.param(["engine", "run", "--surge", value], id=f"run-surge-{value}")
+    pytest.param(
+        ["engine", "run", "--surge", value],
+        "argument --surge: must be a finite",
+        id=f"run-surge-{value}",
+    )
     for value in ("nan", "inf")
 ]
 
 
+def exit_code(argv) -> int:
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
-    @pytest.mark.parametrize("argv", BAD_STREAM_FLAGS)
-    def test_bad_stream_flag_exits_2_naming_the_flag(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("argv, message", BAD_STREAM_FLAGS)
+    def test_bad_stream_flag_exits_2_naming_the_flag(
+        self, argv, message, capsys
+    ):
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert f"argument {argv[-2]}: must be a finite number" in (
-            err.strip().splitlines()[-1]
-        )
+        assert message in err.strip().splitlines()[-1]
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
