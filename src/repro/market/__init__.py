@@ -37,7 +37,7 @@ from repro.market.estimation import (
     fit_logit_acceptance,
     fit_wage_workload_regression,
 )
-from repro.market.nhpp import NHPP, interval_count, interval_means
+from repro.market.nhpp import NHPP, interval_means
 from repro.market.rates import (
     ConstantRate,
     PeriodicRate,
@@ -56,7 +56,6 @@ __all__ = [
     "ScaledRate",
     "SummedRate",
     "NHPP",
-    "interval_count",
     "interval_means",
     "ChoiceSetting",
     "conditional_logit_probabilities",
