@@ -7,8 +7,7 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test bench bench-smoke bench-scenario \
 	bench-serve serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
-	regen-golden golden-check docs-check checkpoint-smoke perfbench-smoke \
-	lint-docs all
+	regen-golden golden-check docs-check checkpoint-smoke perfbench-smoke all
 
 ## Tier-1 test suite (what CI gates on).
 test:

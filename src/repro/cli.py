@@ -1025,7 +1025,11 @@ def _cmd_engine_scenario(args: argparse.Namespace) -> int:
               f"cache capacity {args.cache_size}")
     ticks = 0
     while not driver.done:
-        driver.step()
+        try:
+            driver.step()
+        except ValueError as exc:  # a timeline event the engine refuses
+            driver.engine.close()
+            raise _CliError(str(exc)) from exc
         ticks += 1
         if args.checkpoint_every and ticks % args.checkpoint_every == 0:
             driver.save(args.checkpoint_path)

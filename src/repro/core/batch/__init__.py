@@ -13,11 +13,12 @@ around the array layout instead:
   ``np.convolve`` calls with one batched matrix product per time layer.
 * :mod:`repro.core.batch.budget` — :func:`solve_budget_batch` groups
   fixed-budget instances by their ``(acceptance, grid)`` and reuses one
-  convex hull across every instance in a group.
+  :class:`~repro.core.budget.static_lp.BudgetHull` across every instance
+  in a group.
 * :mod:`repro.core.batch.solver` — :class:`BatchPolicySolver`, the façade
   the engine's :class:`~repro.engine.cache.PolicyCache` drains on miss:
   all outstanding campaign signatures of a tick are solved in one array
-  pass instead of one-by-one.
+  pass, however few there are.
 * :mod:`repro.core.batch.kernels` — the deadline layer in two halves:
   the layer-independent pmf and payment terms, computed for a block of
   layers at once, and the per-layer continuation and argmin.

@@ -106,8 +106,8 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
 def solve_deadline_single(problem: DeadlineProblem) -> DeadlinePolicy:
     """Solve one instance with the batched kernel, as a batch of one.
 
-    The engine's one-instance solves (adaptive suffix re-solves,
-    single-campaign admissions, gateway quotes) call this in place of
+    The engine's one-instance solves (adaptive suffix re-solves and
+    ``solve_on_miss`` quotes) call this in place of
     :func:`~repro.core.deadline.vectorized.solve_deadline`: same price
     table, several times faster per instance.
     """

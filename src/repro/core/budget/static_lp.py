@@ -22,7 +22,13 @@ from repro.core.budget.semi_static import SemiStaticStrategy
 from repro.market.acceptance import AcceptanceModel
 from repro.util.convexhull import hull_segment_for, lower_convex_hull
 
-__all__ = ["StaticAllocation", "budget_signature", "solve_budget_hull"]
+__all__ = [
+    "BudgetHull",
+    "StaticAllocation",
+    "budget_signature",
+    "check_budget_instance",
+    "solve_budget_hull",
+]
 
 
 def budget_signature(
@@ -105,80 +111,102 @@ class StaticAllocation:
         return strategy
 
 
+def check_budget_instance(
+    num_tasks: int, budget: float, price_grid: Sequence[float]
+) -> np.ndarray:
+    """Algorithm 3's input check; returns the price grid as a float array.
+
+    ``N`` must be positive, ``B`` finite (NaN has no hull segment) and
+    non-negative, and the grid non-empty, 1-D and strictly ascending.
+    Raises :class:`ValueError` naming the field.
+    """
+    if num_tasks <= 0:
+        raise ValueError(f"num_tasks must be positive, got {num_tasks}")
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"budget must be finite and non-negative, got {budget}")
+    grid = np.asarray(price_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("price_grid must be a non-empty 1-D array")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("price_grid must be strictly ascending")
+    return grid
+
+
+class BudgetHull:
+    """Algorithm 3's hull over one ``(acceptance, grid)``, for any ``(N, B)``.
+
+    Keeps the viable prices (``p(c) > 0``: no other price can appear in a
+    finite-``E[W]`` solution) and the lower convex hull of their points
+    ``(c, 1/p(c))``; :meth:`allocate` does the per-instance split.  The
+    grid is one :func:`check_budget_instance` returned.  Raises
+    :class:`ValueError` if no grid price is viable.
+    """
+
+    def __init__(self, acceptance: AcceptanceModel, grid: np.ndarray):
+        probs = acceptance.probabilities(grid)
+        viable = probs > 0
+        if not np.any(viable):
+            raise ValueError("no grid price has positive acceptance probability")
+        self.grid = grid[viable]
+        self.inv_p = 1.0 / probs[viable]
+        hull = lower_convex_hull(self.grid.tolist(), self.inv_p.tolist())
+        self.hull_prices = self.grid[hull]
+        self.hull_inv_p = self.inv_p[hull]
+
+    def allocate(self, num_tasks: int, budget: float) -> StaticAllocation:
+        """Split ``N`` tasks across the hull segment straddling ``B/N``.
+
+        Raises :class:`ValueError` if the budget cannot cover ``N`` tasks
+        at the cheapest viable price.
+        """
+        if budget < num_tasks * self.grid[0]:
+            raise ValueError(
+                f"budget {budget} cannot cover {num_tasks} tasks even at the "
+                f"cheapest viable price {self.grid[0]}"
+            )
+        per_task = budget / num_tasks
+        i1, i2 = hull_segment_for(self.hull_prices.tolist(), per_task)
+        if i1 == i2:
+            # Budget at/beyond a hull endpoint: one price for everything.
+            price = float(self.hull_prices[i1])
+            ew = num_tasks * float(self.hull_inv_p[i1])
+            return StaticAllocation(
+                prices=(price,),
+                counts=(num_tasks,),
+                expected_arrivals=ew,
+                total_cost=num_tasks * price,
+                rounding_gap_bound=0.0,
+            )
+        c1, c2 = float(self.hull_prices[i1]), float(self.hull_prices[i2])
+        # n1 = ceil((c2 N - B) / (c2 - c1)) cheap-side tasks keeps cost <= B.
+        n1 = math.ceil((c2 * num_tasks - budget) / (c2 - c1))
+        n1 = min(max(n1, 0), num_tasks)
+        n2 = num_tasks - n1
+        ew = n1 * float(self.hull_inv_p[i1]) + n2 * float(self.hull_inv_p[i2])
+        exact = (c2 * num_tasks - budget) / (c2 - c1)
+        gap = 0.0 if exact == n1 else float(self.hull_inv_p[i1] - self.hull_inv_p[i2])
+        return StaticAllocation(
+            prices=(c1, c2),
+            counts=(n1, n2),
+            expected_arrivals=ew,
+            total_cost=n1 * c1 + n2 * c2,
+            rounding_gap_bound=gap,
+        )
+
+
 def solve_budget_hull(
     num_tasks: int,
     budget: float,
     acceptance: AcceptanceModel,
     price_grid: Sequence[float],
 ) -> StaticAllocation:
-    """Run Algorithm 3: find the near-optimal static allocation.
+    """Run Algorithm 3: the near-optimal static allocation of ``N`` tasks.
 
-    Parameters
-    ----------
-    num_tasks:
-        Batch size ``N``.
-    budget:
-        Total budget ``B`` in price units; must afford at least the cheapest
-        viable grid price per task.
-    acceptance:
-        The ``p(c)`` model; prices with ``p(c) = 0`` are excluded from the
-        hull (they can never appear in a finite-``E[W]`` solution).
-    price_grid:
-        Candidate prices, ascending (integer cents in the paper).
-
-    Raises
-    ------
-    ValueError
-        If the budget cannot cover ``N`` tasks at the cheapest viable price.
+    ``budget`` is ``B`` in price units and ``price_grid`` the candidate
+    prices, ascending (integer cents in the paper).  Raises
+    :class:`ValueError` if an input fails :func:`check_budget_instance`,
+    no price is viable, or ``B`` cannot cover ``N`` tasks at the cheapest
+    viable price.
     """
-    if num_tasks <= 0:
-        raise ValueError(f"num_tasks must be positive, got {num_tasks}")
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    grid = np.asarray(price_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("price_grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("price_grid must be strictly ascending")
-    probs = acceptance.probabilities(grid)
-    viable = probs > 0
-    if not np.any(viable):
-        raise ValueError("no grid price has positive acceptance probability")
-    grid = grid[viable]
-    inv_p = 1.0 / probs[viable]
-    if budget < num_tasks * grid[0]:
-        raise ValueError(
-            f"budget {budget} cannot cover {num_tasks} tasks even at the "
-            f"cheapest viable price {grid[0]}"
-        )
-    hull = lower_convex_hull(grid.tolist(), inv_p.tolist())
-    hull_prices = grid[hull]
-    hull_inv_p = inv_p[hull]
-    per_task = budget / num_tasks
-    i1, i2 = hull_segment_for(hull_prices.tolist(), per_task)
-    if i1 == i2:
-        # Budget at/beyond a hull endpoint: one price for everything.
-        price = float(hull_prices[i1])
-        ew = num_tasks * float(hull_inv_p[i1])
-        return StaticAllocation(
-            prices=(price,),
-            counts=(num_tasks,),
-            expected_arrivals=ew,
-            total_cost=num_tasks * price,
-            rounding_gap_bound=0.0,
-        )
-    c1, c2 = float(hull_prices[i1]), float(hull_prices[i2])
-    # n1 = ceil((c2 N - B) / (c2 - c1)) cheap-side tasks keeps cost <= B.
-    n1 = math.ceil((c2 * num_tasks - budget) / (c2 - c1))
-    n1 = min(max(n1, 0), num_tasks)
-    n2 = num_tasks - n1
-    ew = n1 * float(hull_inv_p[i1]) + n2 * float(hull_inv_p[i2])
-    exact = (c2 * num_tasks - budget) / (c2 - c1)
-    gap = 0.0 if exact == n1 else float(hull_inv_p[i1] - hull_inv_p[i2])
-    return StaticAllocation(
-        prices=(c1, c2),
-        counts=(n1, n2),
-        expected_arrivals=ew,
-        total_cost=n1 * c1 + n2 * c2,
-        rounding_gap_bound=gap,
-    )
+    grid = check_budget_instance(num_tasks, budget, price_grid)
+    return BudgetHull(acceptance, grid).allocate(num_tasks, budget)

@@ -11,6 +11,7 @@ means ``lambda_t * p(c)`` every solver iterates over.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,10 +46,15 @@ class PenaltyScheme:
     existence: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.per_task < 0:
-            raise ValueError(f"per_task penalty must be non-negative, got {self.per_task}")
-        if self.existence < 0:
-            raise ValueError(f"existence penalty must be non-negative, got {self.existence}")
+        # Chained comparisons are False for NaN, so NaN and inf fail too.
+        if not 0 <= self.per_task < math.inf:
+            raise ValueError(
+                f"per_task penalty must be finite and non-negative, got {self.per_task}"
+            )
+        if not 0 <= self.existence < math.inf:
+            raise ValueError(
+                f"existence penalty must be finite and non-negative, got {self.existence}"
+            )
 
     def terminal_cost(self, remaining: int) -> float:
         """Return ``cost{(n, N_T)}`` for ``n = remaining`` unfinished tasks."""

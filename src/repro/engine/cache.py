@@ -90,23 +90,6 @@ class PolicyCache:
         self._misses = 0
         self._evictions = 0
 
-    def get_or_solve(
-        self, signature: Hashable, solve: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """Return ``(policy, was_hit)``, calling ``solve()`` only on a miss."""
-        if signature in self._entries:
-            self._entries.move_to_end(signature)
-            self._hits += 1
-            return self._entries[signature], True
-        self._misses += 1
-        policy = solve()
-        if self.max_entries > 0:
-            self._entries[signature] = policy
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return policy, False
-
     def get_or_solve_many(
         self,
         items: Sequence[tuple[Hashable, Any]],
@@ -116,12 +99,12 @@ class PolicyCache:
 
         Cached signatures are answered immediately; every remaining
         *distinct* signature is collected and handed to ``solve_many`` as
-        one request list — the batch-solve fast path — then stored.  A
+        one request list — the batch-solve path — then stored.  A
         signature repeated within ``items`` is solved once and counted as
-        one miss plus hits, exactly as sequential ``get_or_solve`` calls
-        would have scored it.  With the cache disabled (``max_entries=0``)
-        nothing is deduplicated: every item misses and gets its own solve,
-        again matching the sequential semantics.
+        one miss plus hits, exactly as resolving the items one call at a
+        time would have scored it.  With the cache disabled
+        (``max_entries=0``) nothing is deduplicated: every item misses and
+        gets its own solve, again matching the one-at-a-time semantics.
 
         Parameters
         ----------
@@ -183,12 +166,13 @@ class PolicyCache:
     def peek(self, signature: Hashable):
         """Return the cached policy for ``signature``, or ``None`` — read-only.
 
-        Unlike :meth:`get_or_solve`, a peek counts no hit or miss and does
-        not refresh the entry's LRU position, so observing the cache this
-        way is side-effect free.  The serving gateway answers ``Quote``
-        requests through it: quoting a price must never perturb the
-        admission path's per-tick hit/miss telemetry, or a served run
-        would stop being bit-identical to its offline replay.
+        Unlike :meth:`get_or_solve_many`, a peek counts no hit or miss and
+        does not refresh the entry's LRU position, so observing the cache
+        this way is side-effect free.  Quotes
+        (:meth:`~repro.engine.planning.CampaignPlanner.quote`) go through
+        it: quoting a price must never perturb the admission path's
+        per-tick hit/miss telemetry, or a served run would stop being
+        bit-identical to its offline replay.
         """
         return self._entries.get(signature)
 

@@ -12,6 +12,7 @@ retires.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import operator
 
@@ -105,13 +106,17 @@ class CampaignSpec:
             )
         if self.max_price < 1:
             raise ValueError(f"max_price must be at least 1, got {self.max_price}")
-        if self.penalty_per_task < 0:
+        # Chained comparisons are False for NaN, so NaN and inf fail too.
+        if not 0 <= self.penalty_per_task < math.inf:
             raise ValueError(
-                f"penalty_per_task must be non-negative, got {self.penalty_per_task}"
+                "penalty_per_task must be finite and non-negative, got "
+                f"{self.penalty_per_task}"
             )
         if self.kind == BUDGET:
-            if self.budget is None or self.budget <= 0:
-                raise ValueError("budget campaigns need a positive budget")
+            if self.budget is None or not 0 < self.budget < math.inf:
+                raise ValueError(
+                    f"budget campaigns need a finite positive budget, got {self.budget}"
+                )
             if self.adaptive:
                 raise ValueError("adaptive re-planning applies to deadline campaigns only")
         if self.resolve_every < 1:

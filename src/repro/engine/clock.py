@@ -584,9 +584,11 @@ class EngineCore:
         """The next not-yet-consumed source spec (pulling lazily), or None.
 
         Tombstoned specs (cancelled before materializing) are consumed
-        and discarded on the way; order violations and horizon overruns
-        fail loudly — a silently reordered source would desynchronize
-        the admission order determinism hangs off.
+        and discarded on the way; order violations fail loudly — a
+        silently reordered source would desynchronize the admission order
+        determinism hangs off — and so does a spec the planner refuses
+        (:meth:`~repro.engine.planning.CampaignPlanner.refusal`), with
+        the text a submission of it would get.
         """
         while self._source_next is None and not self._source_done:
             spec = next(self._source_iter, None)
@@ -602,12 +604,9 @@ class EngineCore:
                     "campaign_id) order)"
                 )
             self._source_last_key = key
-            if spec.end_interval > self.stream.num_intervals:
-                raise ValueError(
-                    f"source campaign {spec.campaign_id!r} runs through "
-                    f"interval {spec.end_interval}, past the stream horizon "
-                    f"({self.stream.num_intervals})"
-                )
+            problem = self.planner.refusal(spec)
+            if problem is not None:
+                raise ValueError(problem)
             if spec.campaign_id in self._dropped:
                 self._dropped.discard(spec.campaign_id)
                 self._source_cursor += 1

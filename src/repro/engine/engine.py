@@ -9,7 +9,7 @@ The engine advances the discrete clock owned by
 :class:`~repro.engine.clock.EngineCore`.  Each tick it (1) admits
 newly-submitted campaigns, solving their policies through a
 :class:`~repro.engine.cache.PolicyCache` so identical instances are solved
-once — by default all of a tick's cache misses are drained in one stacked
+once — all of a tick's cache misses are drained in one stacked
 array pass through the :mod:`repro.core.batch` kernels — (2) collects the
 reward every live campaign posts for the interval, (3) realizes the
 interval's marketplace arrivals from the shared
@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.cache import PolicyCache
-from repro.engine.campaign import CampaignOutcome, CampaignSpec, horizon_overrun
+from repro.engine.campaign import CampaignOutcome, CampaignSpec
 from repro.engine.clock import EngineCore, EngineResult, TickReport
 from repro.engine.outcomes import OutcomeSink
 from repro.engine.planning import (
@@ -180,9 +180,11 @@ class MarketplaceEngine:
         any id is registered, so a rejected batch leaves no trace: ids
         must be new (within the batch too), a mid-flight submit interval
         must not predate the session clock (the engine cannot admit into
-        the past), the campaign must end within the stream, and a budget
-        must cover its tasks.  Raises :class:`ValueError` naming the
-        first offending spec.
+        the past), and the planner must not refuse the campaign
+        (:meth:`~repro.engine.planning.CampaignPlanner.refusal`: its
+        shape within bounds, its horizon within the stream, its budget
+        covering its tasks).  Raises :class:`ValueError` naming the first
+        offending spec.
         """
         batch = [specs] if isinstance(specs, CampaignSpec) else list(specs)
         clock = 0 if self._core is None else self._core.clock
@@ -197,9 +199,7 @@ class MarketplaceEngine:
                     f"{spec.submit_interval}, but the engine clock is already "
                     f"at {clock}"
                 )
-            problem = horizon_overrun(spec, self.stream.num_intervals)
-            if problem is None:
-                problem = self.planner.budget_shortfall(spec)
+            problem = self.planner.refusal(spec)
             if problem is not None:
                 raise ValueError(problem)
             new_ids.add(cid)
@@ -232,6 +232,15 @@ class MarketplaceEngine:
     def source(self) -> WorkloadSource | None:
         """The attached lazy workload source, if any."""
         return self._source
+
+    def is_known(self, campaign_id: str) -> bool:
+        """Whether ``campaign_id`` was submitted through :meth:`submit`.
+
+        The id registry holds in every sink mode; a pending campaign
+        cancelled before admission leaves it, and ids a workload source
+        streams are never in it.
+        """
+        return campaign_id in self._known_ids
 
     @property
     def num_submitted(self) -> int:

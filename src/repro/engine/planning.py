@@ -1,8 +1,9 @@
 """Campaign planning and admission for the marketplace engine.
 
 :class:`CampaignPlanner` owns everything that happens between "a campaign
-was submitted" and "a campaign is live with a pricing runtime": building
-the forecast slice the campaign plans against, constructing its
+was submitted" and "a campaign is live with a pricing runtime": deciding
+whether the engine can serve it at all, building the forecast slice the
+campaign plans against, constructing its
 :class:`~repro.core.deadline.model.DeadlineProblem` or budget request, and
 resolving the policy through the shared
 :class:`~repro.engine.cache.PolicyCache`.  Admission is independent of
@@ -11,20 +12,19 @@ the engine's arrival model, so both models price campaigns identically.
 Every static campaign resolves under its cache signature, which
 :meth:`CampaignPlanner.cache_signature` memoizes per planning shape, so a
 cache hit costs a memo lookup and a cache lookup and builds no planning
-problem.
-Admission has two paths:
+problem.  Each question about a campaign has one path:
 
-* :meth:`CampaignPlanner.admit` — one campaign: one cache lookup, one
-  solve on miss (a deadline instance through the batched kernel as a
-  batch of one, :func:`~repro.core.batch.deadline.solve_deadline_single`;
-  a budget instance through ``solve_budget_hull``).
-* :meth:`CampaignPlanner.admit_many` — the batch fast path: all of one
-  tick's cache misses are drained into a
+* :meth:`CampaignPlanner.refusal` — may the engine serve it?  Submission,
+  quotes and source pulls all ask, so they refuse with the same text.
+* :meth:`CampaignPlanner.admit_many` — admission: all of one tick's cache
+  misses, however few, are drained into a
   :class:`~repro.core.batch.solver.BatchPolicySolver` and solved in one
   stacked array pass (see :mod:`repro.core.batch`).
+* :meth:`CampaignPlanner.quote` — the price from the cache, or from a
+  solve outside it (:func:`solve_deadline` or :func:`solve_budget_hull`).
 
-Both produce the price tables of the vectorized scalar solver, which
-stays the test oracle (``tests/engine/test_batch_solver.py``).
+Every solve produces the price tables of the vectorized scalar solver,
+which stays the test oracle (``tests/engine/test_batch_solver.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme, deadline_signature
 from repro.core.deadline.policy import DeadlinePolicy
 from repro.engine.cache import PolicyCache
-from repro.engine.campaign import BUDGET, DEADLINE, CampaignOutcome, CampaignSpec
+from repro.engine.campaign import (
+    BUDGET, DEADLINE, CampaignOutcome, CampaignSpec, horizon_overrun,
+)
 from repro.market.acceptance import AcceptanceModel
 from repro.sim.policies import PricingRuntime, SemiStaticRuntime, TablePolicyRuntime
 
@@ -59,6 +61,20 @@ _CHEAPEST_MEMO_CAP = 1024
 #: Planning shapes whose cache signature the planner remembers; shapes are
 #: client-chosen too, so this memo is bounded the same way.
 _SIGNATURE_MEMO_CAP = 1024
+
+# Shape bounds, checked by CampaignPlanner.refusal before anything is
+# sized by a (client-chosen) spec.  The largest shape the repository
+# submits is the 10,000-task, 2-price, 96-interval keepalive campaign of
+# benchmarks/bench_serve.py.
+
+#: Most tasks per campaign: a deadline solve copies an (N+1) x (N+1)
+#: float Toeplitz per layer (763 MiB here); a budget one expands N prices.
+MAX_NUM_TASKS = 10_000
+#: Highest price cap; checks and solves build the grid 1..max_price.
+MAX_PRICE = 1_000
+#: Most deadline states x prices x intervals, (N+1) * max_price *
+#: horizon_intervals: the size of the value and price tables.
+MAX_DEADLINE_CELLS = 2_000_000
 
 
 def resolve_planning_means(
@@ -168,7 +184,7 @@ class _LiveCampaign:
 
 
 class CampaignPlanner:
-    """Builds planning problems and admits campaigns through the cache.
+    """Decides, admits and quotes campaigns through the shared cache.
 
     A campaign's cache signature depends only on its planning shape (see
     :meth:`cache_signature`), which the planner memoizes, so admitting a
@@ -299,14 +315,41 @@ class CampaignPlanner:
             self._signatures[key] = signature
         return signature
 
+    def refusal(self, spec: CampaignSpec) -> str | None:
+        """Why the engine cannot serve ``spec``, or ``None`` if it can.
+
+        The one admit-or-refuse decision, asked by submission, quotes and
+        source pulls alike: the shape bounds first, then the horizon
+        against this planner's per-interval forecast, then
+        :meth:`budget_shortfall`.
+        """
+        n, price = spec.num_tasks, spec.max_price
+        cells = (n + 1) * price * spec.horizon_intervals if spec.kind == DEADLINE else 0
+        if n > MAX_NUM_TASKS or price > MAX_PRICE or cells > MAX_DEADLINE_CELLS:
+            for name, value, limit in (
+                ("num_tasks", n, MAX_NUM_TASKS),
+                ("max_price", price, MAX_PRICE),
+                ("(num_tasks + 1) * max_price * horizon_intervals", cells,
+                 MAX_DEADLINE_CELLS),
+            ):
+                if value > limit:
+                    return (
+                        f"campaign {spec.campaign_id!r} {name} {value} exceeds "
+                        f"the limit of {limit}"
+                    )
+        problem = horizon_overrun(spec, self.planning_means.size)
+        if problem is None:
+            problem = self.budget_shortfall(spec)
+        return problem
+
     def budget_shortfall(self, spec: CampaignSpec) -> str | None:
         """Why a budget campaign cannot pay for its tasks, or ``None``.
 
         The bound the budget solvers enforce at admission — the budget
         must cover every task at the cheapest grid price workers accept —
-        checked up front, so an unaffordable submission is refused
-        instead of failing the tick that would admit it.  The cheapest
-        viable price is computed once per price grid.
+        checked up front by :meth:`refusal`, so an unaffordable campaign
+        is refused instead of failing the tick that would admit it.  The
+        cheapest viable price is computed once per price grid.
         """
         if spec.kind != BUDGET:
             return None
@@ -337,46 +380,19 @@ class CampaignPlanner:
     # Admission
     # ------------------------------------------------------------------
     def admit(self, spec: CampaignSpec) -> _LiveCampaign:
-        """Solve (or fetch) one campaign's policy and go live.
-
-        A deadline miss is solved by the batched kernel as a batch of
-        one; nothing is counted on the :class:`BatchPolicySolver`.
-        """
-        if spec.adaptive:
-            # Adaptive campaigns own their re-planning loop (and its private
-            # suffix-solve cache); the shared cache only serves static ones.
-            repricer = AdaptiveRepricer(
-                self.planning_problem(spec), resolve_every=spec.resolve_every
-            )
-            return _LiveCampaign(spec, repricer, False, 0)
-        signature = self.cache_signature(spec)
-        runtime: PricingRuntime
-        if spec.kind == BUDGET:
-            allocation, hit = self.cache.get_or_solve(
-                signature, lambda: self._solve_budget(spec)
-            )
-            runtime = SemiStaticRuntime(allocation.as_semi_static())
-        else:
-            policy, hit = self.cache.get_or_solve(
-                signature, lambda: solve_deadline(self.planning_problem(spec))
-            )
-            runtime = TablePolicyRuntime(policy)
-        return _LiveCampaign(spec, runtime, hit, 0 if hit else 1)
+        """Admit one campaign: :meth:`admit_many` of a one-campaign tick."""
+        return self.admit_many([spec])[0]
 
     def admit_many(self, specs: list[CampaignSpec]) -> list[_LiveCampaign]:
-        """Batch path: admit one tick's campaigns in stacked solve passes.
+        """Admit one tick's campaigns, solving their misses in stacked passes.
 
-        All static-deadline cache misses of the tick are solved in one
-        call to :func:`~repro.core.batch.deadline.solve_deadline_batch`,
-        and all budget misses in one call to
-        :func:`~repro.core.batch.budget.solve_budget_batch`.  Adaptive
-        campaigns keep their private re-planning loops and are admitted
-        individually, as is a tick with a single campaign.  Returns live
-        campaigns in submission order, priced identically to one-by-one
-        :meth:`admit` calls.
+        All static-deadline cache misses of the tick, however few, go to
+        the batch solver in one call, and all budget misses in another,
+        so its stats count every admission miss.  Adaptive campaigns own
+        their re-planning loop (and its private suffix-solve cache); the
+        shared cache only serves static ones.  Returns live campaigns in
+        submission order; every spec must have passed :meth:`refusal`.
         """
-        if len(specs) <= 1:
-            return [self.admit(spec) for spec in specs]
         live: list[_LiveCampaign | None] = [None] * len(specs)
         deadline_items: list[tuple[tuple, CampaignSpec]] = []
         deadline_slots: list[int] = []
@@ -384,7 +400,10 @@ class CampaignPlanner:
         budget_slots: list[int] = []
         for i, spec in enumerate(specs):
             if spec.adaptive:
-                live[i] = self.admit(spec)
+                repricer = AdaptiveRepricer(
+                    self.planning_problem(spec), resolve_every=spec.resolve_every
+                )
+                live[i] = _LiveCampaign(spec, repricer, False, 0)
             elif spec.kind == BUDGET:
                 budget_items.append((self.cache_signature(spec), spec))
                 budget_slots.append(i)
@@ -416,12 +435,6 @@ class CampaignPlanner:
     # Cache-miss solves: a static campaign's problem or request is built
     # here, once per distinct miss
     # ------------------------------------------------------------------
-    def _solve_budget(self, spec: CampaignSpec) -> StaticAllocation:
-        request = self.budget_request(spec)
-        return solve_budget_hull(
-            request.num_tasks, request.budget, request.acceptance, request.price_grid
-        )
-
     def _solve_deadline_many(self, specs: list[CampaignSpec]) -> list[DeadlinePolicy]:
         return self.batch_solver.solve_deadline_many(
             [self.planning_problem(spec) for spec in specs]
@@ -431,3 +444,34 @@ class CampaignPlanner:
         return self.batch_solver.solve_budget_many(
             [self.budget_request(spec) for spec in specs]
         )
+
+    # ------------------------------------------------------------------
+    # Quotes
+    # ------------------------------------------------------------------
+    def quote(self, spec: CampaignSpec, solve_on_miss: bool) -> dict:
+        """The quote payload for ``spec``, leaving the cache untouched.
+
+        ``cached`` says the policy was in the cache, ``solved`` that it
+        was not and ``solve_on_miss`` solved it outside the cache, and
+        ``price`` is the reward the campaign would post first (``None``
+        on an unsolved miss).  The cache is only peeked and a solve is not
+        stored, so quoting cannot perturb admission telemetry.  ``spec``
+        must have passed :meth:`refusal`.
+        """
+        policy = self.cache.peek(self.cache_signature(spec))
+        payload: dict = {"kind": spec.kind, "cached": policy is not None,
+                         "solved": False, "price": None}
+        if policy is None and solve_on_miss:
+            if spec.kind == BUDGET:
+                policy = solve_budget_hull(
+                    spec.num_tasks, spec.budget, self.acceptance, spec.price_grid()
+                )
+            else:
+                policy = solve_deadline(self.planning_problem(spec))
+            payload["solved"] = True
+        if policy is not None:
+            if spec.kind == BUDGET:
+                payload["price"] = float(policy.as_semi_static().price_at(0))
+            else:
+                payload["price"] = float(policy.price(spec.num_tasks, 0))
+        return payload

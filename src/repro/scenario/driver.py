@@ -67,7 +67,10 @@ def apply_cancellation(
     * an id the engine has never seen raises :class:`ValueError` — almost
       certainly a typo, and silently dropping it would hide the bug.
       ``context`` (e.g. ``"at tick 12"``) is woven into that message so
-      callers can say which event fired.
+      callers can say which event fired.  The engine's id registry
+      decides it in either sink mode, except that a streaming sink fed
+      by a workload source, whose ids the engine does not record, takes
+      an unknown id to have retired.
 
     Requires an active engine session (start one first); cancellation
     consumes no randomness.
@@ -80,13 +83,11 @@ def apply_cancellation(
     try:
         outcome = engine.cancel(campaign_id)
     except KeyError:
-        if core.sink.has_retired(campaign_id):
-            return ("retired", None)
-        if not core.sink.keep:
-            # Streaming mode deliberately forgets the retired set, so an
-            # already-retired target is indistinguishable from a typo;
-            # treat it as the deterministic no-op — raising here would
-            # make streaming runs diverge from materialized ones.
+        if (
+            engine.is_known(campaign_id)
+            or core.sink.has_retired(campaign_id)
+            or (engine.source is not None and not core.sink.keep)
+        ):
             return ("retired", None)
         where = f" {context}" if context else ""
         raise ValueError(

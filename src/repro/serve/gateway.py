@@ -65,9 +65,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.batch.deadline import solve_deadline_single as solve_deadline
-from repro.core.budget.static_lp import solve_budget_hull
-from repro.engine.campaign import BUDGET, CampaignOutcome, horizon_overrun
+from repro.engine.campaign import CampaignOutcome
 from repro.engine.checkpoint import (
     CheckpointError,
     load_extras,
@@ -531,58 +529,21 @@ class Gateway:
         )
 
     def _quote(self, request: Quote, core: EngineCore) -> Response:
-        """Price a campaign shape from the cache without touching it.
+        """Answer a quote as the planner decides it.
 
-        The peek counts no cache lookup and refreshes no LRU position,
-        so quoting cannot perturb the underlying run's admission
-        telemetry; ``solve_on_miss`` solves *outside* the cache (nothing
-        stored) for the same reason.  The signature comes from the
-        planner's per-shape memo
-        (:meth:`~repro.engine.planning.CampaignPlanner.cache_signature`),
-        so quoting a popular shape builds no planning problem.  A shape
-        that would outrun the stream, or a budget that cannot pay for its
-        tasks, is rejected as its submission would be.
+        A spec the planner refuses is rejected with the text its
+        submission would get; any other is priced by
+        :meth:`~repro.engine.planning.CampaignPlanner.quote`.
         """
         planner = self.engine.planner
-        spec = request.spec
-        problem = horizon_overrun(spec, self.engine.stream.num_intervals)
-        if problem is None:
-            problem = planner.budget_shortfall(spec)
+        problem = planner.refusal(request.spec)
         if problem is not None:
             return Response(
                 kind="quote", status="rejected", tick=core.clock, detail=problem
             )
-        payload: dict = {"kind": spec.kind, "cached": False, "solved": False,
-                         "price": None}
-        signature = planner.cache_signature(spec)
-        if spec.kind == BUDGET:
-            allocation = planner.cache.peek(signature)
-            if allocation is not None:
-                payload["cached"] = True
-            elif request.solve_on_miss:
-                budget_request = planner.budget_request(spec)
-                allocation = solve_budget_hull(
-                    budget_request.num_tasks,
-                    budget_request.budget,
-                    budget_request.acceptance,
-                    budget_request.price_grid,
-                )
-                payload["solved"] = True
-            if allocation is not None:
-                payload["price"] = float(
-                    allocation.as_semi_static().price_at(0)
-                )
-        else:
-            policy = planner.cache.peek(signature)
-            if policy is not None:
-                payload["cached"] = True
-            elif request.solve_on_miss:
-                policy = solve_deadline(planner.planning_problem(spec))
-                payload["solved"] = True
-            if policy is not None:
-                payload["price"] = float(policy.price(spec.num_tasks, 0))
         return Response(
-            kind="quote", status="ok", tick=core.clock, payload=payload
+            kind="quote", status="ok", tick=core.clock,
+            payload=planner.quote(request.spec, request.solve_on_miss),
         )
 
     # ------------------------------------------------------------------

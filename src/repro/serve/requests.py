@@ -100,20 +100,22 @@ class SubmitCampaign:
 class Quote:
     """Ask what a campaign shape would be priced at, without submitting it.
 
-    Answered from the policy cache via a side-effect-free peek — quoting
-    never counts a cache lookup, so serving quotes cannot perturb the
-    admission telemetry of the underlying run.  On a cache miss the
-    gateway either answers ``cached=False`` with no price (the default)
-    or, when ``solve_on_miss`` is set, solves the instance *outside* the
-    cache (nothing is stored) and quotes the resulting initial price.
+    Answered by :meth:`~repro.engine.planning.CampaignPlanner.quote` from
+    the policy cache via a side-effect-free peek — quoting never counts a
+    cache lookup, so serving quotes cannot perturb the admission
+    telemetry of the underlying run.  On a cache miss the gateway either
+    answers ``cached=False`` with no price (the default) or, when
+    ``solve_on_miss`` is set, solves the instance *outside* the cache
+    (nothing is stored) and quotes the resulting initial price.
 
     Attributes
     ----------
     spec:
         The campaign shape to quote.  Its id is irrelevant to the price;
         its submit interval picks the forecast slice under ``"sliced"``
-        planning.  A shape that would run past the stream is answered
-        ``rejected``, exactly as its submission would be.
+        planning.  A shape the planner refuses (too large, running past
+        the stream, or unaffordable) is answered ``rejected``, exactly as
+        its submission would be.
     solve_on_miss:
         Solve uncached shapes on the spot (costly but exact) instead of
         answering "not cached".

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BudgetRequest, solve_budget_batch
-from repro.core.batch import budget as batch_budget
+from repro.core.budget import static_lp
 from repro.core.budget.static_lp import solve_budget_hull
 from repro.market.acceptance import LogitAcceptance, paper_acceptance_model
 
@@ -77,9 +77,9 @@ class TestEquivalence:
                 BudgetRequest(num_tasks, num_tasks * per_task, acceptance, grid)
             )
         builds = []
-        hull = batch_budget.lower_convex_hull
+        hull = static_lp.lower_convex_hull
         monkeypatch.setattr(
-            batch_budget, "lower_convex_hull",
+            static_lp, "lower_convex_hull",
             lambda xs, ys: builds.append(1) or hull(xs, ys),
         )
         batch = solve_budget_batch(requests)
@@ -124,6 +124,9 @@ class TestContract:
             BudgetRequest(5, -1.0, acceptance, np.arange(1.0, 5.0))
         with pytest.raises(ValueError, match="ascending"):
             BudgetRequest(5, 10.0, acceptance, np.array([3.0, 2.0]))
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="budget must be finite"):
+                BudgetRequest(5, budget, acceptance, np.arange(1.0, 5.0))
 
     def test_signature_matches_budget_signature(self):
         from repro.core.budget.static_lp import budget_signature

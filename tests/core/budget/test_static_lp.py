@@ -59,6 +59,12 @@ class TestSolveBudgetHull:
         with pytest.raises(ValueError):
             solve_budget_hull(10, 100.0, paper_acceptance, [2.0, 1.0])
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, paper_acceptance, budget):
+        # NaN used to reach the hull search and raise IndexError.
+        with pytest.raises(ValueError, match="budget must be finite"):
+            solve_budget_hull(50, budget, paper_acceptance, GRID)
+
 
 class TestAgainstLP:
     @given(st.floats(min_value=300.0, max_value=5000.0))

@@ -38,6 +38,15 @@ class TestPenaltyScheme:
         with pytest.raises(ValueError):
             PenaltyScheme(per_task=1.0).terminal_cost(-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_penalties_rejected(self, value):
+        # NaN passed the sign check and was solved: 1c posted, 10.8 of 20
+        # tasks expected left.
+        with pytest.raises(ValueError, match="per_task penalty must be finite"):
+            PenaltyScheme(per_task=value)
+        with pytest.raises(ValueError, match="existence penalty must be finite"):
+            PenaltyScheme(per_task=1.0, existence=value)
+
 
 class TestDeadlineProblem:
     def test_basic_properties(self, small_problem):

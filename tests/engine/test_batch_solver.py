@@ -1,24 +1,28 @@
-"""The cache's batch drain and the engine's batched admission path."""
+"""The cache's batch drain and the engine's one admission path."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.deadline.adaptive as adaptive_module
-import repro.engine.planning as planning_module
 from repro.core.batch import BatchPolicySolver
 from repro.core.deadline import vectorized
-from repro.engine import MarketplaceEngine, PolicyCache, generate_workload
+from repro.engine import CampaignSpec, MarketplaceEngine, PolicyCache, generate_workload
 from repro.engine.planning import CampaignPlanner
 from repro.market.acceptance import paper_acceptance_model
+from repro.sim.policies import SemiStaticRuntime, TablePolicyRuntime
 from repro.sim.stream import SharedArrivalStream
+
+
+MEANS = 1200.0 + 400.0 * np.sin(np.linspace(0.0, 4.0 * np.pi, 64))
 
 
 @pytest.fixture
 def stream() -> SharedArrivalStream:
-    means = 1200.0 + 400.0 * np.sin(np.linspace(0.0, 4.0 * np.pi, 64))
-    return SharedArrivalStream(means)
+    return SharedArrivalStream(MEANS)
 
 
 class TestGetOrSolveMany:
@@ -40,7 +44,7 @@ class TestGetOrSolveMany:
 
     def test_cached_entries_answered_without_solving(self):
         cache = PolicyCache()
-        cache.get_or_solve(("a"), lambda: "old-a")
+        cache.get_or_solve_many([("a", 0)], lambda requests: ["old-a"])
         out = cache.get_or_solve_many([("a", 1), ("b", 2)], self.solve_many)
         assert out == [("old-a", True), ("policy-2", False)]
         assert self.calls == [[2]]
@@ -113,13 +117,76 @@ class TestBatchPolicySolverStats:
         assert solver.stats.batches == 2
 
 
-def admit_one_by_one(monkeypatch) -> None:
-    """Send every tick's admissions through ``CampaignPlanner.admit``."""
-    monkeypatch.setattr(
-        CampaignPlanner,
-        "admit_many",
-        lambda planner, specs: [planner.admit(spec) for spec in specs],
+#: Campaign shapes a generated tick draws from: two deadline shapes that
+#: stack into one tensor group (they differ only in penalty), one that
+#: does not, and two budget shapes over one marketplace.
+SHAPES = (
+    dict(kind="deadline", num_tasks=4, horizon_intervals=3, max_price=6,
+         penalty_per_task=40.0),
+    dict(kind="deadline", num_tasks=4, horizon_intervals=3, max_price=6,
+         penalty_per_task=90.0),
+    dict(kind="deadline", num_tasks=7, horizon_intervals=4, max_price=8,
+         penalty_per_task=60.0),
+    dict(kind="budget", num_tasks=5, horizon_intervals=3, max_price=8,
+         budget=30.0),
+    dict(kind="budget", num_tasks=8, horizon_intervals=4, max_price=8,
+         budget=70.0),
+)
+
+
+@st.composite
+def tick_specs(draw) -> list[CampaignSpec]:
+    """One admission tick: repeated shapes, adaptive and budget specs."""
+    specs = []
+    for i in range(draw(st.integers(1, 8))):
+        shape = SHAPES[draw(st.integers(0, len(SHAPES) - 1))]
+        adaptive = shape["kind"] == "deadline" and draw(st.booleans())
+        specs.append(CampaignSpec(
+            campaign_id=f"c{i}", submit_interval=draw(st.integers(0, 2)),
+            adaptive=adaptive, resolve_every=2, **shape,
+        ))
+    return specs
+
+
+def admitted_policy(campaign):
+    """What a live campaign prices with, in comparable form."""
+    runtime = campaign.runtime
+    if isinstance(runtime, TablePolicyRuntime):
+        return ("table", runtime.policy.price_index.tobytes(),
+                runtime.policy.opt.tobytes())
+    if isinstance(runtime, SemiStaticRuntime):
+        return ("semi-static", runtime.strategy)
+    return ("adaptive", runtime.problem.signature())
+
+
+class TestOnePath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=tick_specs(),
+        cache_entries=st.sampled_from([0, 256]),
+        planning=st.sampled_from(["sliced", "stationary"]),
     )
+    def test_admit_many_matches_one_at_a_time(self, specs, cache_entries, planning):
+        # One tick's admit_many gives every campaign the policy, hit flag
+        # and solve count that admitting the specs one at a time gives,
+        # and leaves the same cache counters and batch-solver instances.
+        def planner() -> CampaignPlanner:
+            return CampaignPlanner(
+                paper_acceptance_model(), PolicyCache(max_entries=cache_entries),
+                planning, MEANS,
+            )
+
+        together, apart = planner(), planner()
+        batched = together.admit_many(specs)
+        single = [apart.admit(spec) for spec in specs]
+        for a, b in zip(batched, single, strict=True):
+            assert a.spec == b.spec
+            assert (a.cache_hit, a.initial_solves) == (b.cache_hit, b.initial_solves)
+            assert admitted_policy(a) == admitted_policy(b)
+        assert together.cache.stats == apart.cache.stats
+        misses = together.cache.stats.misses
+        assert together.batch_solver.stats.instances == misses
+        assert apart.batch_solver.stats.instances == misses
 
 
 class TestEngineBatchAdmission:
@@ -137,43 +204,17 @@ class TestEngineBatchAdmission:
             for o in result.outcomes
         ]
 
-    def run(self, stream, cache_entries=256):
+    def run(self, stream):
         engine = MarketplaceEngine(
-            stream,
-            paper_acceptance_model(),
-            cache=PolicyCache(max_entries=cache_entries),
-            planning="stationary",
+            stream, paper_acceptance_model(), planning="stationary"
         )
         engine.submit(generate_workload(40, stream.num_intervals, seed=13))
         return engine.run(seed=13)
 
-    def test_batch_and_scalar_paths_agree_exactly(self, stream, monkeypatch):
-        batch = self.run(stream)
-        admit_one_by_one(monkeypatch)
-        scalar = self.run(stream)
-        assert self.outcome_key(batch) == self.outcome_key(scalar)
-        assert batch.cache_stats.hits == scalar.cache_stats.hits
-        assert batch.cache_stats.misses == scalar.cache_stats.misses
-
-    def test_batch_and_scalar_agree_with_cache_disabled(self, stream, monkeypatch):
-        batch = self.run(stream, cache_entries=0)
-        admit_one_by_one(monkeypatch)
-        scalar = self.run(stream, cache_entries=0)
-        assert self.outcome_key(batch) == self.outcome_key(scalar)
-        assert batch.cache_stats.misses == scalar.cache_stats.misses
-
-    @pytest.mark.parametrize("batch_admission", [True, False])
-    def test_kernel_matches_the_scalar_oracle(
-        self, stream, monkeypatch, batch_admission
-    ):
-        # Batched admission (True), one-by-one CampaignPlanner.admit
-        # (False), and every adaptive re-solve run the batched kernel; with
-        # the engine's single-instance solves sent back to the vectorized
-        # scalar solver, a sliced run with adaptive campaigns must retire
-        # identical outcomes.
-        if not batch_admission:
-            admit_one_by_one(monkeypatch)
-
+    def test_kernel_matches_the_scalar_oracle(self, stream, monkeypatch):
+        # Every admission miss and every adaptive re-solve runs the batched
+        # kernel; with both sent back to the vectorized scalar solver, a
+        # sliced run with adaptive campaigns must retire identical outcomes.
         def sliced_run():
             engine = MarketplaceEngine(
                 stream,
@@ -187,19 +228,21 @@ class TestEngineBatchAdmission:
             return engine.run(seed=13)
 
         kernel = sliced_run()
-        monkeypatch.setattr(planning_module, "solve_deadline", vectorized.solve_deadline)
+        assert kernel.batch_stats.instances == kernel.cache_stats.misses > 0
+        monkeypatch.setattr(
+            BatchPolicySolver, "solve_deadline_many",
+            lambda solver, problems: [vectorized.solve_deadline(p) for p in problems],
+        )
         monkeypatch.setattr(adaptive_module, "solve_deadline", vectorized.solve_deadline)
         oracle = sliced_run()
         assert any(o.spec.adaptive and o.num_solves > 1 for o in oracle.outcomes)
         assert self.outcome_key(kernel) == self.outcome_key(oracle)
         assert kernel.checksum == oracle.checksum
-        if not batch_admission:
-            assert kernel.batch_stats.instances == 0
 
     def test_batch_stats_reported(self, stream):
         result = self.run(stream)
         assert result.batch_stats is not None
-        # Single-spec ticks fall back to scalar admission, so the batch
-        # solver sees at most (and usually most of) the cache misses.
-        assert 0 < result.batch_stats.instances <= result.cache_stats.misses
+        # Every admission miss, one-campaign ticks included, is solved by
+        # the batch solver.
+        assert 0 < result.batch_stats.instances == result.cache_stats.misses
         assert "batch solver" in result.summary()

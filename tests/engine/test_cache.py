@@ -7,33 +7,41 @@ import pytest
 from repro.engine.cache import PolicyCache
 
 
+def resolve(cache: PolicyCache, signature, policy):
+    """One ``(policy, was_hit)`` lookup whose miss solves to ``policy``."""
+    [result] = cache.get_or_solve_many(
+        [(signature, policy)], lambda requests: list(requests)
+    )
+    return result
+
+
 class TestGetOrSolve:
     def test_miss_then_hit(self):
         cache = PolicyCache()
         calls = []
 
-        def solve():
-            calls.append(1)
-            return "policy"
+        def solve_many(requests):
+            calls.append(list(requests))
+            return ["policy"] * len(requests)
 
-        value, hit = cache.get_or_solve("sig", solve)
+        value, hit = cache.get_or_solve_many([("sig", None)], solve_many)[0]
         assert (value, hit) == ("policy", False)
-        value, hit = cache.get_or_solve("sig", solve)
+        value, hit = cache.get_or_solve_many([("sig", None)], solve_many)[0]
         assert (value, hit) == ("policy", True)
         assert len(calls) == 1
 
     def test_distinct_signatures_solve_separately(self):
         cache = PolicyCache()
-        a, _ = cache.get_or_solve(("n", 1), lambda: "a")
-        b, _ = cache.get_or_solve(("n", 2), lambda: "b")
+        a, _ = resolve(cache, ("n", 1), "a")
+        b, _ = resolve(cache, ("n", 2), "b")
         assert (a, b) == ("a", "b")
         assert len(cache) == 2
 
     def test_stats_counters(self):
         cache = PolicyCache()
-        cache.get_or_solve("x", lambda: 1)
-        cache.get_or_solve("x", lambda: 1)
-        cache.get_or_solve("y", lambda: 2)
+        resolve(cache, "x", 1)
+        resolve(cache, "x", 1)
+        resolve(cache, "y", 2)
         stats = cache.stats
         assert stats.hits == 1
         assert stats.misses == 2
@@ -48,17 +56,17 @@ class TestGetOrSolve:
 class TestBounds:
     def test_lru_eviction(self):
         cache = PolicyCache(max_entries=2)
-        cache.get_or_solve("a", lambda: 1)
-        cache.get_or_solve("b", lambda: 2)
-        cache.get_or_solve("a", lambda: 1)  # refresh a; b is now LRU
-        cache.get_or_solve("c", lambda: 3)  # evicts b
+        resolve(cache, "a", 1)
+        resolve(cache, "b", 2)
+        resolve(cache, "a", 1)  # refresh a; b is now LRU
+        resolve(cache, "c", 3)  # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.stats.evictions == 1
 
     def test_zero_capacity_disables_storage(self):
         cache = PolicyCache(max_entries=0)
-        cache.get_or_solve("a", lambda: 1)
-        _, hit = cache.get_or_solve("a", lambda: 1)
+        resolve(cache, "a", 1)
+        _, hit = resolve(cache, "a", 1)
         assert not hit
         assert len(cache) == 0
         assert cache.stats.misses == 2
@@ -69,8 +77,8 @@ class TestBounds:
 
     def test_clear_resets(self):
         cache = PolicyCache()
-        cache.get_or_solve("a", lambda: 1)
-        cache.get_or_solve("a", lambda: 1)
+        resolve(cache, "a", 1)
+        resolve(cache, "a", 1)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0

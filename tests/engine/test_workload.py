@@ -84,6 +84,27 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="num_tasks must be an integer"):
             request_from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_penalty_and_budget_rejected(self, value):
+        # A NaN penalty was written into the outcome record and checksum; a
+        # NaN budget passed submission and crashed the admitting tick.
+        with pytest.raises(ValueError, match="penalty_per_task must be finite"):
+            make_spec(penalty_per_task=value)
+        with pytest.raises(ValueError, match="finite positive budget"):
+            make_spec(kind=BUDGET, budget=value)
+
+    def test_nan_budget_is_refused_at_the_decode_boundary(self):
+        data = {
+            "type": "quote", "solve_on_miss": True,
+            "spec": {
+                "campaign_id": "nan", "kind": BUDGET, "num_tasks": 50,
+                "submit_interval": 0, "horizon_intervals": 6,
+                "budget": float("nan"),
+            },
+        }
+        with pytest.raises(ValueError, match="finite positive budget"):
+            request_from_dict(data)
+
     def test_fractional_max_price_rejected(self):
         # 10.5 used to build the grid 1..11, above the campaign's own cap.
         with pytest.raises(ValueError, match="max_price must be a whole number"):

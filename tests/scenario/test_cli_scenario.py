@@ -137,3 +137,23 @@ class TestScenarioRun:
             assert "\n" not in err
             assert str(path) in err
             assert field in err
+
+    @pytest.mark.parametrize("sink", [[], ["--keep-outcomes"]],
+                             ids=["streaming", "keep-outcomes"])
+    def test_mistyped_cancellation_exits_2_with_one_line(
+        self, sink, tmp_path, capsys
+    ):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({
+            "name": "typo", "seed": 3,
+            "events": [
+                {"type": "campaign-churn", "start": 1, "stop": 3,
+                 "per_wave": 2, "prefix": "g"},
+                {"type": "cancellation", "tick": 4, "campaign_id": "g-typo"},
+            ],
+        }))
+        assert main(["engine", "scenario", "run", "--spec", str(path),
+                     *FAST, *sink]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "unknown campaign 'g-typo' at tick 4" in err

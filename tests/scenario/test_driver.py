@@ -8,6 +8,7 @@ import pytest
 from repro.engine import (
     CampaignSpec,
     CheckpointError,
+    ListSource,
     MarketplaceEngine,
     generate_workload,
 )
@@ -19,6 +20,7 @@ from repro.scenario import (
     Scenario,
     ScenarioDriver,
 )
+from repro.scenario.driver import apply_cancellation
 from repro.sim.stream import SharedArrivalStream
 
 NUM_INTERVALS = 32
@@ -144,10 +146,14 @@ class TestCancellations:
                     Cancellation(tick=cancel_tick,
                                  campaign_id=victim.campaign_id)),
         )
-        driver = ScenarioDriver(make_engine(), scenario)
-        result = driver.run()
-        assert not any(o.cancelled for o in result.outcomes)
-        assert driver.telemetry.total_cancelled == 0
+        # Either sink mode: the engine's id registry, not the retired set
+        # a streaming sink drops, knows the target.
+        for keep_outcomes in (True, False):
+            driver = ScenarioDriver(make_engine(), scenario,
+                                    keep_outcomes=keep_outcomes)
+            result = driver.run()
+            assert not any(o.cancelled for o in result.outcomes)
+            assert driver.telemetry.total_cancelled == 0
 
     def test_cancellation_that_empties_the_engine_ends_the_run(self):
         """The last live campaign cancelled mid-step must not crash.
@@ -177,13 +183,29 @@ class TestCancellations:
                 if o.cancelled] == [victim.campaign_id]
 
     def test_cancelling_an_unknown_id_fails_loudly(self):
-        """A typo'd campaign id is a spec error, not a silent no-op."""
+        """A typo'd campaign id is a spec error, not a silent no-op, in
+        either sink mode: the engine's id registry decides it."""
         scenario = self._scenario_with_cancel(1, "tyop-001")
-        driver = ScenarioDriver(make_engine(), scenario)
-        driver.start()
-        with pytest.raises(ValueError, match="unknown campaign 'tyop-001'"):
-            while not driver.done:
-                driver.step()
+        for keep_outcomes in (True, False):
+            driver = ScenarioDriver(make_engine(), scenario,
+                                    keep_outcomes=keep_outcomes)
+            driver.start()
+            with pytest.raises(ValueError,
+                               match="unknown campaign 'tyop-001' at tick 1"):
+                while not driver.done:
+                    driver.step()
+            driver.engine.close()
+
+    def test_streaming_source_stays_lenient(self):
+        """A streaming sink fed by a workload source cannot tell a typo
+        from a streamed campaign that retired, so it takes it as retired."""
+        engine = make_engine()
+        engine.submit_source(ListSource(generate_workload(2, NUM_INTERVALS, seed=2)))
+        core = engine.start(seed=0, keep_outcomes=False)
+        while not core.done:
+            core.tick()
+        assert apply_cancellation(engine, "g-typo") == ("retired", None)
+        engine.close()
 
 
 class TestSaveResume:

@@ -107,6 +107,21 @@ class TestSolveBudgetCommand:
         assert main(["solve-budget", "--num-tasks", "100", "--budget-cents", "10"]) == 2
         assert "cannot cover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve-budget", "--num-tasks", "50", "--budget-cents", "nan"],
+             "budget must be finite"),
+            (["solve-deadline", "--penalty", "nan", "--num-tasks", "20",
+              "--horizon-hours", "4"], "per_task penalty must be finite"),
+        ],
+        ids=["budget", "penalty"],
+    )
+    def test_nan_input_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and message in err
+
 
 class TestEngineCommand:
     def test_run_smoke(self, capsys):
