@@ -86,9 +86,9 @@ cov:
 regen-golden:
 	PYTHONPATH=src $(PYTHON) scripts/regen_golden.py
 
-## Golden guard (CI): regenerate every golden — streaming, tenant,
-## multi-frontier and instrumented invariance arms included — and fail
-## if any committed golden byte changed.
+## Golden guard (CI): regenerate every golden — streaming, tenant and
+## instrumented invariance arms included — and fail if any committed
+## golden byte changed.
 golden-check: regen-golden
 	git diff --exit-code -- 'tests/golden/*.json'
 

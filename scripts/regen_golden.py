@@ -8,8 +8,8 @@ unreviewed regeneration defeats the point of a golden trace.
 Before writing anything, the script verifies the invariance contract on
 the *candidate* traces: every case re-run in streaming mode (lazy source
 + spill-backed sink) must be byte-identical to the materialized
-recomputation, and every served case must hold under tenant tagging, two
-admission frontiers and a fully instrumented run.  A divergence means
+recomputation, and every served case must hold under tenant tagging and
+a fully instrumented run.  A divergence means
 the engine change broke the determinism contract — regeneration would
 only bake the bug into the goldens — so the script refuses and points at
 the first differing case instead (the matrix suite,
@@ -65,10 +65,9 @@ def verify_invariance() -> str | None:
             )
     # Tenant-mode arm: the served goldens are recorded single-tenant, so
     # (a) the default-tenant payload must never leak tenant keys (the
-    # byte-identity convention for pre-tenant readers), (b) replaying the
-    # tenant-tagged twin under fair scheduling must leave the engine
-    # result identical, and (c) a gateway with 2 admission frontiers must
-    # reproduce the one-frontier payload exactly.
+    # byte-identity convention for pre-tenant readers), and (b) replaying
+    # the tenant-tagged twin under fair scheduling must leave the engine
+    # result identical.
     for case in sorted(SERVE_CASES):
         baseline = run_serve_case(case)
         if '"tenant"' in json.dumps(baseline):
@@ -84,19 +83,8 @@ def verify_invariance() -> str | None:
                 f"served case {case!r} changed engine outcomes when the "
                 "trace was tenant-tagged; fair scheduling must not alter "
                 "what the engine computes (see tests/serve/"
-                "test_fleet.py) — fix the serve layer before "
-                "regenerating goldens"
-            )
-        split = run_serve_case(case, frontiers=2)
-        if (
-            split["result"] != baseline["result"]
-            or split["telemetry"] != baseline["telemetry"]
-        ):
-            return (
-                f"served case {case!r} diverged between one and two "
-                "admission frontiers; the frontier determinism contract "
-                "is broken (see tests/serve/test_fleet.py) — fix the "
-                "serve layer before regenerating goldens"
+                "test_gateway_determinism.py) — fix the serve layer "
+                "before regenerating goldens"
             )
         # Instrumented arm: the full observability stack — event log,
         # tracer, metrics + phase timings, and a live ops server scraped
@@ -123,8 +111,7 @@ def main() -> int:
         return 1
     print("invariance verified: traces byte-identical under "
           "streaming outcome mode, tenant tagging, "
-          "2 admission frontiers, and a fully-instrumented run with "
-          "live ops scrapes")
+          "and a fully-instrumented run with live ops scrapes")
     for case in sorted(CASES) + sorted(SERVE_CASES):
         payload = run_any_case(case)
         path = trace_path(case)

@@ -449,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mutating-request queue depth; offers beyond it are rejected "
         "at offer time (0 = unbounded)",
     )
-    serve.add_argument(
-        "--gateways", type=int, default=1, metavar="N",
-        help="split admission into N frontiers, each with its own queue, "
-        "drain budget and fair scheduler (tenants hash to frontiers); "
-        "ignored with --resume, which reads N from the bundle",
-    )
     _add_tenant_flags(serve)
     serve.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
@@ -1139,8 +1133,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
     _check_serving_flags(args)
     if args.max_live < 0 or args.max_queue < 0:
         raise _CliError("--max-live and --max-queue must be >= 0")
-    if args.gateways < 1:
-        raise _CliError("--gateways must be >= 1")
     tenant_kwargs = _tenant_kwargs(args)
     event_log = None
     if args.event_log:
@@ -1160,7 +1152,7 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
         remaining = gateway.replay_remaining
         print(f"resume        : {args.resume} at tick {core.clock} "
               f"({core.num_live} live, {core.num_pending} pending, "
-              f"{gateway.queue_depth} queued requests, "
+              f"{gateway.queue.depth} queued requests, "
               f"{remaining if remaining is not None else 'no'} trace "
               "requests left)")
         if remaining is None:
@@ -1183,7 +1175,6 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
         try:
             gateway = Gateway(
                 engine,
-                frontiers=args.gateways,
                 max_live=args.max_live or None,
                 max_queue=args.max_queue or None,
                 event_log=event_log,
@@ -1193,14 +1184,9 @@ def _cmd_engine_serve(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
         gateway.start(seed=seed, rate_multipliers=multipliers)
-        front = (
-            f"gateway with {args.gateways} frontiers"
-            if args.gateways > 1
-            else "gateway"
-        )
         print(f"serving       : trace {trace.name!r} "
               f"({trace.num_requests} requests), seed={seed}, "
-              f"arrivals={args.arrivals}, {front}")
+              f"arrivals={args.arrivals}, gateway")
         print(f"admission     : max-live "
               f"{args.max_live if args.max_live else 'unlimited'}, "
               f"queue depth {args.max_queue if args.max_queue else 'unbounded'}")

@@ -54,6 +54,7 @@ interrupted run (see ``make checkpoint-smoke`` for the kill/resume drill).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -90,6 +91,7 @@ __all__ = [
     "save_checkpoint",
     "restore_engine",
     "load_extras",
+    "decoding_bundle",
 ]
 
 #: Bundle format version; bumped on any incompatible manifest change.
@@ -428,13 +430,26 @@ def restore_engine(path: str | pathlib.Path) -> MarketplaceEngine:
     CLI's ``--resume``) need exactly one except clause.
     """
     bundle = pathlib.Path(path)
-    try:
+    with decoding_bundle(bundle):
         return _restore(bundle)
+
+
+@contextlib.contextmanager
+def decoding_bundle(path: str | pathlib.Path):
+    """Raise whatever decoding a bundle inside the block raises as one
+    :class:`CheckpointError` naming the bundle.
+
+    The one promise :func:`restore_engine` makes, kept by the layers that
+    decode their own extras (the serving gateway, the scenario driver)
+    so a corrupt bundle never escapes ``--resume`` as a traceback.
+    """
+    try:
+        yield
     except CheckpointError:
         raise
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(
-            f"corrupt or unreadable checkpoint bundle at {bundle}: {exc}"
+            f"corrupt or unreadable checkpoint bundle at {path}: {exc}"
         ) from exc
 
 

@@ -760,7 +760,7 @@ class EngineCore:
         tick — registration order *is* drain precedence, identical across
         runs and resumes as long as whoever registered re-registers in
         the same order.  (A gateway registers one hook that drains its
-        admission frontiers in index order.)  Hook work is not counted in
+        admission queue.)  Hook work is not counted in
         the session's ``elapsed_seconds``, and hooks are never
         checkpointed — re-register after a resume.
         """

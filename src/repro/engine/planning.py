@@ -64,12 +64,12 @@ _SIGNATURE_MEMO_CAP = 1024
 
 # Shape bounds, checked by CampaignPlanner.refusal before anything is
 # sized by a (client-chosen) spec.  The largest shape the repository
-# submits is the 10,000-task, 2-price, 96-interval keepalive campaign of
+# submits is the 200-task, 2-price, 96-interval keepalive campaign of
 # benchmarks/bench_serve.py.
 
 #: Most tasks per campaign: a deadline solve copies an (N+1) x (N+1)
-#: float Toeplitz per layer (763 MiB here); a budget one expands N prices.
-MAX_NUM_TASKS = 10_000
+#: float Toeplitz per layer (7.6 MiB here); a budget one expands N prices.
+MAX_NUM_TASKS = 1_000
 #: Highest price cap; checks and solves build the grid 1..max_price.
 MAX_PRICE = 1_000
 #: Most deadline states x prices x intervals, (N+1) * max_price *

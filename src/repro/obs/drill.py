@@ -180,7 +180,7 @@ def run_drill_child(
             timed = requests[i]
             i += 1
             gateway.offer(timed.request, client=timed.client)
-        if core.done and gateway.queue_depth == 0:
+        if core.done and gateway.queue.depth == 0:
             if i >= len(requests):
                 break
             # Idle mid-schedule: deliver through the next submission to

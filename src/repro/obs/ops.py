@@ -10,12 +10,12 @@ answers operational questions without stopping the run:
 ``GET /healthz``        Liveness: the process answers, with the clock and
                         occupancy it currently stands at.
 ``GET /readyz``         Admission-readiness: 200 only while the session is
-                        open, every frontier queue has headroom, and the
+                        open, the request queue has headroom, and the
                         event-log writer is keeping up; 503 otherwise, with
                         per-check detail.
 ``GET /tenants``        Per-tenant live/quota/deficit/admission state from
                         the :class:`~repro.serve.tenants.TenantLedger`, the
-                        fair-scheduler queues, and the drain tallies.
+                        fair-scheduler queue, and the drain tallies.
 ``GET /slo``            Windowed availability and latency objectives with
                         multi-window burn rates (:mod:`repro.obs.slo`).
 ======================  ==================================================
@@ -56,8 +56,8 @@ class OpsServer:
     Parameters
     ----------
     target:
-        The :class:`~repro.serve.gateway.Gateway` to introspect, at any
-        frontier count (``None`` serves metrics/health only).
+        The :class:`~repro.serve.gateway.Gateway` to introspect
+        (``None`` serves metrics/health only).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` ``/metrics``
         scrapes; usually the same registry the target records into.
@@ -141,7 +141,7 @@ class OpsServer:
         if self.target is not None:
             self.metrics.gauge(
                 "serve_queue_depth", "Mutating requests queued"
-            ).set(self.target.queue_depth)
+            ).set(self.target.queue.depth)
         core = self._core()
         if core is not None:
             self.metrics.gauge(
@@ -180,23 +180,17 @@ class OpsServer:
             "detail": "engine session open" if core is not None
             else "no open engine session",
         }
-        queues = self.target.queues if self.target is not None else ()
-        depths = [q.depth for q in queues]
-        bounds = [q.max_depth for q in queues]
-        full = [
-            i for i, (depth, bound) in enumerate(zip(depths, bounds))
-            if bound is not None and depth >= bound
-        ]
+        queue = self.target.queue if self.target is not None else None
+        depth = queue.depth if queue is not None else 0
+        bound = queue.max_depth if queue is not None else None
+        full = bound is not None and depth >= bound
         checks["queue"] = {
             "ok": not full,
-            "depth": sum(depths),
-            "bound": (
-                sum(b for b in bounds if b is not None)
-                if any(b is not None for b in bounds) else None
-            ),
+            "depth": depth,
+            "bound": bound,
             "detail": (
-                "every frontier queue has headroom" if not full
-                else f"frontier queue(s) {full} at their depth bound"
+                f"request queue at its depth bound ({bound})" if full
+                else "request queue has headroom"
             ),
         }
         if self.event_log is None:
@@ -229,20 +223,17 @@ class OpsServer:
             return 404, "application/json", json.dumps(
                 {"error": "no gateway attached to the ops server"}
             )
-        queues = self.target.queues
+        queue = self.target.queue
         ledger = self.target.ledger
         telemetry = self.target.telemetry
         held = ledger.snapshot()
         names = sorted(
-            set(telemetry.tenants)
-            | set(held["live"])
-            | {t for q in queues for t in q.tenants}
+            set(telemetry.tenants) | set(held["live"]) | set(queue.tenants)
         )
         core = self._core()
+        deficits = queue.scheduler_state()["deficits"]
         tenants = {}
         for name in names:
-            owner = next((q for q in queues if name in q.tenants), queues[0])
-            deficits = owner.scheduler_state().get("deficits", {})
             series = telemetry.tenants.get(name)
             totals = {
                 key: sum(values) for key, values in series.items()
@@ -251,8 +242,8 @@ class OpsServer:
             tenants[name] = {
                 "live": held["live"].get(name, 0),
                 "admitted_this_tick": held["tick_admitted"].get(name, 0),
-                "queued": sum(q.depth_of(name) for q in queues),
-                "weight": owner.weight_of(name),
+                "queued": queue.depth_of(name),
+                "weight": queue.weight_of(name),
                 "deficit": deficits.get(name, 0.0),
                 "quota": quota,
                 "totals": totals,

@@ -92,8 +92,6 @@ def bundle_event_seq(bundle_path: str | pathlib.Path) -> int | None:
 
     ``None`` when the bundle predates event logging or was saved by a
     gateway with no log wired — recovery then replays the entire log.
-    Reads bundles of any frontier count (the frontiers share one log, so
-    the bundle records one high-water mark).
     """
     from repro.engine.checkpoint import load_extras
     from repro.serve.gateway import _gateway_state

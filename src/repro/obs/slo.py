@@ -92,6 +92,16 @@ class SloPolicy:
                 raise ValueError(
                     f"{name} must be inside (0, 1), got {value}"
                 )
+        if not 0.0 < self.latency_target_ms < math.inf:
+            raise ValueError(
+                "latency_target_ms must be finite and positive, got "
+                f"{self.latency_target_ms}"
+            )
+        if self.latency_target_ticks < 0:
+            raise ValueError(
+                "latency_target_ticks must be >= 0, got "
+                f"{self.latency_target_ticks}"
+            )
         windows = tuple(int(w) for w in self.windows)
         if not windows or any(w < 1 for w in windows) or any(
             b <= a for a, b in zip(windows, windows[1:])
@@ -218,13 +228,9 @@ def event_log_slo(log_path, policy: SloPolicy | None = None) -> dict:
 
     Availability counts ``submit-campaign`` response rows (bad =
     ``rejected``); latency joins each response to its request by
-    ``(client, seq)`` — ticket sequences count per frontier in a
-    multi-frontier gateway's log, and one client's requests always land
-    on one frontier, so the pair is a unique join key — and measures the
-    deterministic
-    queueing latency in ticks (bad = slower than
-    :attr:`SloPolicy.latency_target_ticks`).  Windows are trailing
-    *ticks* ending at the last response tick.
+    ``(client, seq)`` and measures the deterministic queueing latency in
+    ticks (bad = slower than :attr:`SloPolicy.latency_target_ticks`).
+    Windows are trailing *ticks* ending at the last response tick.
     """
     from repro.obs.eventlog import EventLog
 

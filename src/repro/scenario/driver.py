@@ -35,6 +35,7 @@ import pathlib
 from repro.engine.campaign import CampaignOutcome
 from repro.engine.checkpoint import (
     CheckpointError,
+    decoding_bundle,
     load_extras,
     restore_engine,
     save_checkpoint,
@@ -349,22 +350,24 @@ class ScenarioDriver:
         driver to exhaustion is bit-identical to never having stopped.
         ``event_log`` re-wires durable event logging for the resumed run
         (logs are observational state and never travel in the bundle).
+        Every way a bundle can fail to decode raises
+        :class:`~repro.engine.checkpoint.CheckpointError`.
         """
         engine = restore_engine(path)
-        extras = load_extras(path)
-        state = (extras or {}).get(_EXTRAS_KEY)
-        if state is None:
-            raise CheckpointError(
-                f"bundle at {path} carries no scenario-driver state "
-                "(was it written by ScenarioDriver.save?)"
+        with decoding_bundle(path):
+            state = (load_extras(path) or {}).get(_EXTRAS_KEY)
+            if state is None:
+                raise CheckpointError(
+                    f"bundle at {path} carries no scenario-driver state "
+                    "(was it written by ScenarioDriver.save?)"
+                )
+            driver = cls(
+                engine,
+                Scenario.from_dict(state["scenario"]),
+                telemetry=Telemetry.from_dict(state["telemetry"]),
+                event_log=event_log,
             )
-        driver = cls(
-            engine,
-            Scenario.from_dict(state["scenario"]),
-            telemetry=Telemetry.from_dict(state["telemetry"]),
-            event_log=event_log,
-        )
-        driver._next_wave = int(state["next_wave"])
+            driver._next_wave = int(state["next_wave"])
         driver._started = True
         core = engine.core
         if core is not None:

@@ -22,10 +22,10 @@ reading telemetry *while* the deterministic clock keeps ticking.
   quotas answer typed backpressure naming the tenant and quota.
 * :mod:`repro.serve.gateway` — the :class:`Gateway`: tick-boundary
   request drains riding the ordinary mid-flight ``submit()``/``cancel()``
-  paths (served outcomes bit-identical to the offline run), N admission
-  frontiers with tenants hashed across them, cache-peek quotes that
-  never block or perturb the clock, an asyncio facade for concurrent
-  clients, and checkpoint/resume of the whole served session.
+  paths (served outcomes bit-identical to the offline run), one
+  weighted-fair admission queue shared by every tenant, cache-peek
+  quotes that never block or perturb the clock, an asyncio facade for
+  concurrent clients, and checkpoint/resume of the whole served session.
 * :mod:`repro.serve.telemetry` — :class:`GatewayTelemetry`: per-tick
   queue/batch/admission series (with per-tenant breakdowns) layered
   over the engine telemetry, plus wall-clock latency percentiles

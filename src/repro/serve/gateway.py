@@ -19,21 +19,12 @@ deterministic tick loop keeps running underneath:
   request queue rejects offers beyond its depth, and a live-campaign
   budget rejects submissions once ``live + pending`` reaches it — both
   deterministic functions of the arrival sequence, never of wall-clock.
-* **Frontiers isolate tenant groups.**  ``frontiers=N`` splits admission
-  into N queues, each with its own depth bound, drain budget, and
-  weighted-fair scheduler.  A tenant's requests (an untagged client's, by
-  client id) always route to the same frontier by a stable CRC-32, so
-  its FIFO order holds while one group's backlog cannot backpressure
-  another's.  Frontiers drain in index order into the one engine
-  session, ledger, and telemetry stream: the engine re-sorts same-tick
-  submissions at admission, so an uncontended replay is bit-identical
-  at any frontier count.
 * **Reads never wait for the clock.**  Quotes are answered from the
   policy cache via a side-effect-free
   :meth:`~repro.engine.cache.PolicyCache.peek`, and telemetry queries
   from the collector — immediately, between ticks.
 * **Serving sessions are durable.**  :meth:`Gateway.save` checkpoints
-  the engine session *plus* every frontier's queue and drain-in-progress
+  the engine session *plus* the request queue and its drain-in-progress
   tally, the telemetry, and the replay cursor into one bundle (manifest
   extras); :meth:`Gateway.resume` reopens it mid-serve, bit-identical to
   never having stopped.
@@ -61,13 +52,13 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import time
-import zlib
 
 import numpy as np
 
 from repro.engine.campaign import CampaignOutcome
 from repro.engine.checkpoint import (
     CheckpointError,
+    decoding_bundle,
     load_extras,
     restore_engine,
     save_checkpoint,
@@ -97,11 +88,12 @@ from repro.serve.tenants import TenantLedger, TenantQuota
 
 __all__ = ["Gateway"]
 
-#: Key a one-frontier gateway's state lives under in a bundle's extras.
+#: Key the gateway's state lives under in a bundle's extras.
 _EXTRAS_KEY = "serve_gateway"
 
-#: Key a multi-frontier gateway's state lives under: the same fields,
-#: with the per-frontier ones listed under ``"members"``.
+#: Key of the layout an earlier build wrote for a gateway partitioned
+#: into several queues: the same fields, the per-queue ones listed under
+#: ``"members"``.  Read only (:func:`_one_queue_state`).
 _FLEET_EXTRAS_KEY = "serve_fleet"
 
 #: Extras format version (both keys); bumped on any incompatible change.
@@ -119,25 +111,42 @@ def _gateway_state(extras: dict | None) -> dict | None:
     return extras.get(_EXTRAS_KEY) or extras.get(_FLEET_EXTRAS_KEY)
 
 
-class _Frontier:
-    """One admission frontier: a bounded fair queue plus its drain tally.
+def _one_queue_state(state: dict, path) -> dict:
+    """A ``serve_gateway`` state for ``state``, folding a ``serve_fleet`` one.
 
-    The tally and the outcomes of the cancellations it applied accumulate
-    across a tick's drains and are taken when the tick is recorded.
+    A partitioned bundle resumes as one queue only when it holds no
+    request in flight: every member's queue, pending drain tally and
+    pending cancellations empty (a tick-boundary snapshot taken outside a
+    drain; an empty queue has no scheduler round state either).  The one
+    queue then continues from the sum of the members' arrival counters,
+    the count one queue would have reached.
     """
-
-    __slots__ = ("queue", "drain", "cancelled")
-
-    def __init__(self, max_queue: int | None, weights: dict[str, float] | None):
-        self.queue = AdmissionQueue(max_depth=max_queue, weights=weights)
-        self.drain = DrainReport()
-        self.cancelled: list[CampaignOutcome] = []
-
-    def take(self) -> tuple[DrainReport, list[CampaignOutcome]]:
-        """Swap out the accumulated drain state for one recorded tick."""
-        drain, self.drain = self.drain, DrainReport()
-        cancelled, self.cancelled = self.cancelled, []
-        return drain, cancelled
+    members = state.get("members")
+    if members is None:
+        return state
+    busy = [
+        i for i, member in enumerate(members)
+        if member["queue"] or member["pending_cancelled"]
+        or any(member["pending_drain"].values())
+    ]
+    if busy:
+        raise CheckpointError(
+            f"bundle at {path} holds requests in flight on partitioned "
+            f"admission queues {busy}; only a bundle saved with every queue "
+            "empty resumes as one queue"
+        )
+    folded = {key: value for key, value in state.items() if key != "members"}
+    folded["config"] = {
+        key: value for key, value in state["config"].items()
+        if key != "num_gateways"
+    }
+    folded.update(
+        next_seq=sum(int(member["next_seq"]) for member in members),
+        queue=[],
+        pending_drain={},
+        pending_cancelled=[],
+    )
+    return folded
 
 
 class Gateway:
@@ -150,19 +159,15 @@ class Gateway:
         The gateway owns its serving session:
         call :meth:`start` (not ``engine.start``) and drive ticks through
         :meth:`step`/:meth:`serve`.
-    frontiers:
-        Admission frontiers (queue + fair scheduler), ``>= 1``.  Tenants
-        partition across them by stable hash (:meth:`frontier_of`);
-        ``max_queue`` and ``max_drain`` bound each frontier separately.
     max_live:
         Live-campaign budget: submissions are rejected (backpressure)
         while ``live + pending`` campaigns would exceed it.  ``None``
-        disables the budget.  Engine-wide, whatever the frontier count.
+        disables the budget.
     max_queue:
-        Mutating-request queue depth per frontier; offers beyond it are
-        rejected at offer time.  ``None`` disables the bound.
+        Mutating-request queue depth; offers beyond it are rejected at
+        offer time.  ``None`` disables the bound.
     max_drain:
-        Per-boundary drain budget per frontier: at most this many queued
+        Per-boundary drain budget: at most this many queued
         requests are applied at each tick boundary (``None`` = drain
         everything, the historical behaviour).  Bounding the drain is
         what makes the weighted-fair scheduler observable — with an
@@ -175,8 +180,7 @@ class Gateway:
         tenant at equal weight.
     tenant_quotas:
         Tenant name -> :class:`~repro.serve.tenants.TenantQuota`, checked
-        against the gateway's one :attr:`ledger` (a quota bounds the
-        tenant, not the tenant per frontier).  Exhausted quotas answer
+        against the gateway's :attr:`ledger`.  Exhausted quotas answer
         typed backpressure rejections whose payload names the tenant and
         quota.
     telemetry:
@@ -202,7 +206,6 @@ class Gateway:
         self,
         engine: MarketplaceEngine,
         *,
-        frontiers: int = 1,
         max_live: int | None = None,
         max_queue: int | None = 256,
         max_drain: int | None = None,
@@ -213,8 +216,6 @@ class Gateway:
         tracer=None,
         metrics=None,
     ):
-        if frontiers < 1:
-            raise ValueError(f"frontiers must be >= 1, got {frontiers}")
         if max_live is not None and max_live < 1:
             raise ValueError(f"max_live must be >= 1 or None, got {max_live}")
         if max_drain is not None and max_drain < 1:
@@ -222,9 +223,13 @@ class Gateway:
         self.engine = engine
         self.max_live = max_live
         self.max_drain = max_drain
-        self._frontiers = tuple(
-            _Frontier(max_queue, tenant_weights) for _ in range(frontiers)
-        )
+        #: The bounded weighted-fair queue every mutating request waits in.
+        self.queue = AdmissionQueue(max_depth=max_queue, weights=tenant_weights)
+        # What the drains at the coming tick boundary did, and the
+        # outcomes of the cancellations they applied; both accumulate
+        # across the tick's drains and are taken when it is recorded.
+        self._drain = DrainReport()
+        self._cancelled: list[CampaignOutcome] = []
         self.ledger = TenantLedger(tenant_quotas)
         self.telemetry = telemetry if telemetry is not None else GatewayTelemetry()
         self.event_log = event_log
@@ -248,8 +253,7 @@ class Gateway:
         #: (``None`` on a fresh start or a pre-event-log bundle); events
         #: beyond it are the request tail recovery replays.
         self.resumed_event_seq: int | None = None
-        # Open request spans by ticket (tracer wiring only; arrival seqs
-        # are per frontier, so they are not unique across the gateway).
+        # Open request spans by ticket (tracer wiring only).
         self._open_spans: dict = {}
         # Arrival seqs the current tick's drain applied (tick-span attrs).
         self._drained_seqs: list[int] = []
@@ -282,10 +286,9 @@ class Gateway:
         if self.metrics is not None:
             core.enable_phase_timings(PhaseTimings(metrics=self.metrics))
         if self.event_log is not None:
-            payload = {"action": "start", "seed": seed}
-            if len(self._frontiers) > 1:
-                payload["gateways"] = len(self._frontiers)
-            self.event_log.log("run", core.clock, payload)
+            self.event_log.log(
+                "run", core.clock, {"action": "start", "seed": seed}
+            )
         self._started = True
         return core
 
@@ -318,49 +321,14 @@ class Gateway:
         return self._active_core().clock >= self.engine.stream.num_intervals
 
     @property
-    def queues(self) -> tuple[AdmissionQueue, ...]:
-        """Every frontier's admission queue, in drain order."""
-        return tuple(frontier.queue for frontier in self._frontiers)
-
-    @property
-    def queue(self) -> AdmissionQueue:
-        """The admission queue of a one-frontier gateway (see :attr:`queues`)."""
-        if len(self._frontiers) > 1:
-            raise AttributeError(
-                f"this gateway has {len(self._frontiers)} frontier queues; "
-                "use .queues or .queue_depth"
-            )
-        return self._frontiers[0].queue
-
-    @property
-    def queue_depth(self) -> int:
-        """Mutating requests queued across every frontier."""
-        return sum(frontier.queue.depth for frontier in self._frontiers)
-
-    def frontier_of(self, tenant: str = DEFAULT_TENANT, client: str = "local") -> int:
-        """The index of the frontier that owns a tenant's requests.
-
-        Stable: a tenant always lands on the same frontier, so its
-        requests keep FIFO order through one fair scheduler.  Untagged
-        (default-tenant) traffic partitions by client id for the same
-        reason.  A one-frontier gateway hashes nothing.
-        """
-        count = len(self._frontiers)
-        if count == 1:
-            return 0
-        # CRC rather than hash(): string hashing is salted per process.
-        key = tenant if tenant != DEFAULT_TENANT else client
-        return zlib.crc32(key.encode()) % count
-
-    @property
     def done(self) -> bool:
-        """True when nothing could change: engine drained, queues empty."""
+        """True when nothing could change: engine drained, queue empty."""
         if not self._started:
             return False
         core = self.engine.core
         if core is None:
             return True
-        return core.done and self.queue_depth == 0
+        return core.done and self.queue.depth == 0
 
     def close(self) -> None:
         """End the session; unanswered queued requests are rejected."""
@@ -385,13 +353,12 @@ class Gateway:
         this returns.  Mutating requests resolve at the next tick
         boundary — drive the gateway (:meth:`step`, :meth:`serve`, or
         :meth:`replay`) and read ``ticket.response``.  ``tenant`` selects
-        the frontier (:meth:`frontier_of`), its fair-scheduler subqueue,
-        and the quota the submission is checked against.  Ticket
-        sequence numbers count per frontier.
+        the fair-scheduler subqueue and the quota the submission is
+        checked against.
         """
         core = self._active_core()
         now = time.perf_counter()
-        queue = self._frontiers[self.frontier_of(tenant, client)].queue
+        queue = self.queue
         if not is_mutating(request):
             ticket = queue.make_ticket(client, request, now, tenant)
             self._record_request(ticket, core)
@@ -514,7 +481,7 @@ class Gateway:
                 "clock": core.clock,
                 "live": core.num_live,
                 "pending": core.num_pending,
-                "queue_depth": self.queue_depth,
+                "queue_depth": self.queue.depth,
                 "responses": dict(self.telemetry.responses),
                 "ticks_recorded": self.telemetry.num_ticks,
             }
@@ -550,47 +517,45 @@ class Gateway:
     # The tick-boundary drain (mutating requests coalesce here)
     # ------------------------------------------------------------------
     def _drain_hook(self, core: EngineCore) -> None:
-        """The :meth:`EngineCore.tick` boundary hook: apply the queues."""
+        """The :meth:`EngineCore.tick` boundary hook: apply the queue."""
         self._do_drain(core, budget=self.max_drain)
 
     def _do_drain(self, core: EngineCore, budget: int | None = None) -> None:
-        """Apply queued mutations frontier by frontier, in fair-scheduler order.
+        """Apply queued mutations in fair-scheduler order.
 
-        Each frontier applies requests until its tally for the tick
-        reaches ``budget`` (``None`` = all — revival drains pass no
-        budget so a queued submission can always wake an idle clock, and
-        leave every queue empty for the hook drain that follows).  The
-        tally accumulates in place on the frontier, so a mid-batch
-        :class:`Snapshot` checkpoints a consistent partial drain: the
-        resumed gateway finishes the batch within the same budget and the
-        recorded tick comes out identical to the uninterrupted run's.
+        Requests are applied until the tick's tally reaches ``budget``
+        (``None`` = all — revival drains pass no budget so a queued
+        submission can always wake an idle clock, and leave the queue
+        empty for the hook drain that follows).  The tally accumulates in
+        place, so a mid-batch :class:`Snapshot` checkpoints a consistent
+        partial drain: the resumed gateway finishes the batch within the
+        same budget and the recorded tick comes out identical to the
+        uninterrupted run's.
         """
-        for frontier in self._frontiers:
-            pd = frontier.drain
-            queue = frontier.queue
-            pd.queue_depth = max(pd.queue_depth, queue.depth)
-            while budget is None or pd.drained < budget:
-                ticket = queue.pop()
-                if ticket is None:
-                    break
-                pd.drained += 1
-                pd.tally(ticket.tenant, "drained")
-                self._drained_seqs.append(ticket.seq)
-                request = ticket.request
-                if isinstance(request, SubmitCampaign):
-                    self._apply_submit(ticket, core, pd)
-                elif isinstance(request, Cancel):
-                    self._apply_cancel(ticket, core, frontier)
-                elif isinstance(request, Snapshot):
-                    self._apply_snapshot(ticket, core, pd)
-                else:  # pragma: no cover - is_mutating() gates the queue
-                    raise TypeError(
-                        f"unexpected queued request {type(request).__name__}"
-                    )
+        pd = self._drain
+        queue = self.queue
+        pd.queue_depth = max(pd.queue_depth, queue.depth)
+        while budget is None or pd.drained < budget:
+            ticket = queue.pop()
+            if ticket is None:
+                break
+            pd.drained += 1
+            pd.tally(ticket.tenant, "drained")
+            self._drained_seqs.append(ticket.seq)
+            request = ticket.request
+            if isinstance(request, SubmitCampaign):
+                self._apply_submit(ticket, core)
+            elif isinstance(request, Cancel):
+                self._apply_cancel(ticket, core)
+            elif isinstance(request, Snapshot):
+                self._apply_snapshot(ticket, core)
+            else:  # pragma: no cover - is_mutating() gates the queue
+                raise TypeError(
+                    f"unexpected queued request {type(request).__name__}"
+                )
 
-    def _apply_submit(
-        self, ticket: Ticket, core: EngineCore, pd: DrainReport
-    ) -> None:
+    def _apply_submit(self, ticket: Ticket, core: EngineCore) -> None:
+        pd = self._drain
         spec = ticket.request.spec
         if self.max_live is not None:
             # core.num_pending counts submissions applied earlier in this
@@ -659,9 +624,7 @@ class Gateway:
             ),
         )
 
-    def _apply_cancel(
-        self, ticket: Ticket, core: EngineCore, frontier: _Frontier
-    ) -> None:
+    def _apply_cancel(self, ticket: Ticket, core: EngineCore) -> None:
         campaign_id = ticket.request.campaign_id
         try:
             status, outcome = apply_cancellation(self.engine, campaign_id)
@@ -674,8 +637,8 @@ class Gateway:
                 ),
             )
             return
-        frontier.drain.cancels += 1
-        frontier.drain.tally(ticket.tenant, "cancels")
+        self._drain.cancels += 1
+        self._drain.tally(ticket.tenant, "cancels")
         if status in ("cancelled", "dropped"):
             # The campaign left the engine: give its owner the budget
             # slot back (no-op for campaigns not admitted via a tenant).
@@ -691,7 +654,7 @@ class Gateway:
             )
         payload: dict = {"campaign_id": campaign_id, "result": status}
         if outcome is not None:
-            frontier.cancelled.append(outcome)
+            self._cancelled.append(outcome)
             payload.update(
                 completed=outcome.completed,
                 remaining=outcome.remaining,
@@ -702,9 +665,7 @@ class Gateway:
             Response(kind="cancel", status="ok", tick=core.clock, payload=payload),
         )
 
-    def _apply_snapshot(
-        self, ticket: Ticket, core: EngineCore, pd: DrainReport
-    ) -> None:
+    def _apply_snapshot(self, ticket: Ticket, core: EngineCore) -> None:
         # Tallied before saving so the bundle accounts for the snapshot
         # itself — its drain entry and its own "ok" response — exactly as
         # the uninterrupted run will have recorded them; a resumed
@@ -712,6 +673,7 @@ class Gateway:
         # (bundle errors, or an unwritable path) rolls both back.  The
         # ticket is resolved directly (not through _resolve) to avoid
         # re-counting.
+        pd = self._drain
         pd.snapshots += 1
         self.telemetry.count_response("ok", is_read=False)
         try:
@@ -737,21 +699,20 @@ class Gateway:
         """Reject every still-queued request (shutdown path: none lost)."""
         core = self.engine.core
         tick = core.clock if core is not None else -1
-        for frontier in self._frontiers:
-            while (ticket := frontier.queue.pop()) is not None:
-                self._resolve(
-                    ticket,
-                    Response(
-                        kind=_kind(ticket.request), status="rejected",
-                        tick=tick, detail=reason,
-                    ),
-                )
+        while (ticket := self.queue.pop()) is not None:
+            self._resolve(
+                ticket,
+                Response(
+                    kind=_kind(ticket.request), status="rejected",
+                    tick=tick, detail=reason,
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Driving the clock
     # ------------------------------------------------------------------
     def step(self) -> TickReport | None:
-        """Advance one tick (draining the queues at its boundary).
+        """Advance one tick (draining the queue at its boundary).
 
         When the engine is idle-done, queued mutations are drained first
         — a submission can revive the clock.  Returns ``None`` when no
@@ -774,17 +735,9 @@ class Gateway:
         return report
 
     def _finish_tick(self, core: EngineCore, report: TickReport, tick_span=None) -> None:
-        """Record one completed tick: telemetry, ledger, observability.
-
-        Every frontier's drain tally is merged (in frontier order) into
-        one report, so the tick is recorded once however many frontiers
-        drained at its boundary.
-        """
-        drain, cancelled = self._frontiers[0].take()
-        for frontier in self._frontiers[1:]:
-            more, more_cancelled = frontier.take()
-            drain.absorb(more)
-            cancelled.extend(more_cancelled)
+        """Record one completed tick: telemetry, ledger, observability."""
+        drain, self._drain = self._drain, DrainReport()
+        cancelled, self._cancelled = self._cancelled, []
         drained_seqs, self._drained_seqs = self._drained_seqs, []
         self.ledger.settle(
             report.interval, (o.spec.campaign_id for o in report.retired)
@@ -817,7 +770,7 @@ class Gateway:
         """
         self.metrics.gauge(
             "serve_queue_depth", "Mutating requests queued"
-        ).set(self.queue_depth)
+        ).set(self.queue.depth)
         self.metrics.gauge(
             "engine_live_campaigns", "Campaigns currently live"
         ).set(core.num_live)
@@ -932,7 +885,7 @@ class Gateway:
             while i < len(requests) and requests[i].tick <= core.clock:
                 i += 1
             deliver(i)
-            if core.done and self.queue_depth == 0:
+            if core.done and self.queue.depth == 0:
                 if self._replay_cursor >= len(requests):
                     break
                 # Engine idle mid-trace: deliver up to and including the
@@ -1022,17 +975,14 @@ class Gateway:
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
-    @staticmethod
-    def _frontier_state(frontier: _Frontier) -> dict:
-        """One frontier's serialized queue + drain-in-progress state.
+    def _queue_state(self) -> dict:
+        """The queue and drain-in-progress part of a bundle's extras.
 
-        The per-frontier part of a bundle's extras: :meth:`save` inlines
-        it for a one-frontier gateway and lists one per frontier under
-        ``"members"`` otherwise.  Additive tenant keys follow the trace
-        convention: present only when they carry non-default information,
-        so single-tenant bundles stay byte-identical to pre-tenant ones.
+        Additive tenant keys follow the trace convention: present only
+        when they carry non-default information, so single-tenant bundles
+        stay byte-identical to pre-tenant ones.
         """
-        queue = frontier.queue
+        queue = self.queue
         entries = []
         for t in queue.snapshot():
             entry = {
@@ -1043,7 +993,7 @@ class Gateway:
             if t.tenant != DEFAULT_TENANT:
                 entry["tenant"] = t.tenant
             entries.append(entry)
-        drain = frontier.drain
+        drain = self._drain
         pending_drain = {
             "queue_depth": drain.queue_depth,
             "drained": drain.drained,
@@ -1063,7 +1013,7 @@ class Gateway:
             # Full records, spec embedded: in streaming mode the engine
             # holds no outcome list to look these up in at resume time.
             "pending_cancelled": [
-                outcome_record(o, with_spec=True) for o in frontier.cancelled
+                outcome_record(o, with_spec=True) for o in self._cancelled
             ],
         }
         # The DRR round state matters only when several tenants are
@@ -1072,9 +1022,10 @@ class Gateway:
             state["scheduler"] = queue.scheduler_state()
         return state
 
-    def _restore_frontier(self, frontier: _Frontier, state: dict, now: float) -> None:
-        """Reload :meth:`_frontier_state` into one frontier (resume path)."""
-        frontier.queue.restore(
+    def _restore_queue(self, state: dict) -> None:
+        """Reload :meth:`_queue_state` (resume path)."""
+        now = time.perf_counter()
+        self.queue.restore(
             state["next_seq"],
             [
                 Ticket(
@@ -1090,7 +1041,7 @@ class Gateway:
         )
         pending_drain = dict(state["pending_drain"])
         tenants = pending_drain.pop("tenants", {})
-        frontier.drain = DrainReport(
+        self._drain = DrainReport(
             **pending_drain,
             tenants={t: dict(row) for t, row in tenants.items()},
         )
@@ -1103,7 +1054,7 @@ class Gateway:
             if core is not None
             else {}
         )
-        frontier.cancelled = [
+        self._cancelled = [
             outcome_from_record(entry)
             if isinstance(entry, dict)
             else outcomes[entry]
@@ -1112,16 +1063,15 @@ class Gateway:
 
     def _config_state(self) -> dict:
         """The admission configuration as serialized in bundle extras."""
-        queue = self._frontiers[0].queue
         config = {
             "max_live": self.max_live,
-            "max_queue": queue.max_depth,
+            "max_queue": self.queue.max_depth,
         }
         # Additive keys, present only when configured (.get on resume).
         if self.max_drain is not None:
             config["max_drain"] = self.max_drain
-        if queue.weights:
-            config["tenant_weights"] = dict(queue.weights)
+        if self.queue.weights:
+            config["tenant_weights"] = dict(self.queue.weights)
         if self.ledger.quotas:
             config["tenant_quotas"] = {
                 tenant: quota.to_dict()
@@ -1132,14 +1082,12 @@ class Gateway:
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Snapshot the served session to a bundle (engine + gateway state).
 
-        The bundle is a regular engine checkpoint whose extras carry every
-        frontier's unanswered queue and drain-in-progress tally, the
+        The bundle is a regular engine checkpoint whose ``"serve_gateway"``
+        extras carry the unanswered queue and drain-in-progress tally, the
         tenant ledger, the serving telemetry, the admission
         configuration, and — when called inside :meth:`replay` — the
-        trace and its cursor.  A one-frontier gateway writes them under
-        ``"serve_gateway"``; more frontiers write the ``"serve_fleet"``
-        layout, one ``"members"`` entry per frontier.  Legal at any tick
-        boundary, including mid-drain (a queued :class:`Snapshot`).
+        trace and its cursor.  Legal at any tick boundary, including
+        mid-drain (a queued :class:`Snapshot`).
         """
         if not self._started:
             raise CheckpointError(
@@ -1152,36 +1100,27 @@ class Gateway:
         event_log_state = None
         if self.event_log is not None:
             event_log_state = {"last_seq": self.event_log.sync()}
-        state = {"version": _EXTRAS_VERSION, "event_log": event_log_state}
+        state = {
+            "version": _EXTRAS_VERSION,
+            "event_log": event_log_state,
+            "config": self._config_state(),
+            **self._queue_state(),
+            "telemetry": self.telemetry.to_dict(),
+            "replay": (
+                None
+                if self._replay_trace is None
+                else {
+                    "trace": self._replay_trace.to_dict(),
+                    "cursor": self._replay_cursor,
+                }
+            ),
+        }
         ledger_state = self.ledger.to_dict()
-        if len(self._frontiers) == 1:
-            key = _EXTRAS_KEY
-            state["config"] = self._config_state()
-            state.update(self._frontier_state(self._frontiers[0]))
-        else:
-            key = _FLEET_EXTRAS_KEY
-            state["config"] = {
-                "num_gateways": len(self._frontiers),
-                **self._config_state(),
-            }
-            state["members"] = [
-                self._frontier_state(frontier) for frontier in self._frontiers
-            ]
-            state["tenants"] = ledger_state
-        state["telemetry"] = self.telemetry.to_dict()
-        state["replay"] = (
-            None
-            if self._replay_trace is None
-            else {
-                "trace": self._replay_trace.to_dict(),
-                "cursor": self._replay_cursor,
-            }
-        )
-        if key == _EXTRAS_KEY and any(
+        if any(
             value for value in ledger_state.values() if isinstance(value, dict)
         ):
             state["tenants"] = ledger_state
-        bundle = save_checkpoint(self.engine, path, extras={key: state})
+        bundle = save_checkpoint(self.engine, path, extras={_EXTRAS_KEY: state})
         if self.event_log is not None:
             self.event_log.log(
                 "checkpoint",
@@ -1203,59 +1142,67 @@ class Gateway:
         """Reopen a served session from a bundle written by :meth:`save`.
 
         Restores the engine session, re-registers the tick-boundary
-        drain, reloads every frontier's unanswered queue (the restored
-        requests will be answered at the next boundary — none were lost),
-        and rewinds nothing: driving the resumed gateway to exhaustion
-        produces telemetry bit-identical to never having stopped.  The
-        frontier count comes from the bundle.  A bundle saved
+        drain, reloads the unanswered queue (the restored requests will
+        be answered at the next boundary — none were lost), and rewinds
+        nothing: driving the resumed gateway to exhaustion produces
+        telemetry bit-identical to never having stopped.  A bundle saved
         mid-:meth:`replay` carries its trace; continue with
-        :meth:`resume_replay`.
+        :meth:`resume_replay`.  A ``"serve_fleet"`` bundle, written by an
+        earlier build that partitioned admission into several queues,
+        resumes as one queue when none of them held a request
+        (:func:`_one_queue_state`).  Every way a bundle can fail to
+        decode raises :class:`~repro.engine.checkpoint.CheckpointError`.
         """
         engine = restore_engine(path)
-        state = _gateway_state(load_extras(path))
-        if state is None:
-            raise CheckpointError(
-                f"bundle at {path} carries no serving-gateway state "
-                "(was it written by Gateway.save?)"
+        with decoding_bundle(path):
+            state = _gateway_state(load_extras(path))
+            if state is None:
+                raise CheckpointError(
+                    f"bundle at {path} carries no serving-gateway state "
+                    "(was it written by Gateway.save?)"
+                )
+            if state.get("version") != _EXTRAS_VERSION:
+                raise CheckpointError(
+                    f"serve-gateway state version {state.get('version')!r} is "
+                    f"not supported (this build reads version {_EXTRAS_VERSION})"
+                )
+            state = _one_queue_state(state, path)
+            config = state["config"]
+            quotas = config.get("tenant_quotas")
+            gateway = cls(
+                engine,
+                max_live=config["max_live"],
+                max_queue=config["max_queue"],
+                max_drain=config.get("max_drain"),
+                tenant_weights=config.get("tenant_weights"),
+                tenant_quotas=(
+                    {t: TenantQuota.from_dict(q) for t, q in quotas.items()}
+                    if quotas
+                    else None
+                ),
+                telemetry=GatewayTelemetry.from_dict(state["telemetry"]),
+                event_log=event_log,
+                tracer=tracer,
+                metrics=metrics,
             )
-        if state.get("version") != _EXTRAS_VERSION:
-            raise CheckpointError(
-                f"serve-gateway state version {state.get('version')!r} is not "
-                f"supported (this build reads version {_EXTRAS_VERSION})"
-            )
-        # A one-frontier state carries its frontier fields inline.
-        members = state.get("members", [state])
-        config = state["config"]
-        quotas = config.get("tenant_quotas")
-        gateway = cls(
-            engine,
-            frontiers=len(members),
-            max_live=config["max_live"],
-            max_queue=config["max_queue"],
-            max_drain=config.get("max_drain"),
-            tenant_weights=config.get("tenant_weights"),
-            tenant_quotas=(
-                {t: TenantQuota.from_dict(q) for t, q in quotas.items()}
-                if quotas
-                else None
-            ),
-            telemetry=GatewayTelemetry.from_dict(state["telemetry"]),
-            event_log=event_log,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        gateway.ledger.restore(state.get("tenants"))
+            gateway.ledger.restore(state.get("tenants"))
+            gateway._restore_queue(state)
+            # "event_log" is an additive extras field (.get: bundles
+            # written before it existed read as None).
+            log_state = state.get("event_log")
+            if log_state is not None:
+                gateway.resumed_event_seq = log_state["last_seq"]
+            if state["replay"] is not None:
+                gateway._replay_trace = RequestTrace.from_dict(
+                    state["replay"]["trace"]
+                )
+                gateway._replay_cursor = int(state["replay"]["cursor"])
         core = engine.core
         assert core is not None  # restore_engine always opens a session
         core.add_tick_boundary_hook(gateway._drain_hook)
         # Pre-checkpoint admissions were logged before the snapshot;
         # mirror only what happens from here on.
         gateway._admission_seen = core.num_admission_batches
-        # "event_log" is an additive extras field (.get: bundles written
-        # before it existed read as None).
-        log_state = state.get("event_log")
-        if log_state is not None:
-            gateway.resumed_event_seq = log_state["last_seq"]
         if metrics is not None:
             core.enable_phase_timings(PhaseTimings(metrics=metrics))
         if event_log is not None:
@@ -1264,25 +1211,12 @@ class Gateway:
                 {"action": "resume", "bundle": str(path)},
             )
         gateway._started = True
-        now = time.perf_counter()
-        for frontier, member in zip(gateway._frontiers, members):
-            gateway._restore_frontier(frontier, member, now)
-        if state["replay"] is not None:
-            gateway._replay_trace = RequestTrace.from_dict(
-                state["replay"]["trace"]
-            )
-            gateway._replay_cursor = int(state["replay"]["cursor"])
         return gateway
 
     def __repr__(self) -> str:
         state = "started" if self._started else "idle"
-        frontiers = (
-            f"{len(self._frontiers)} frontiers, "
-            if len(self._frontiers) > 1
-            else ""
-        )
         return (
-            f"Gateway({type(self.engine).__name__}, {state}, {frontiers}"
-            f"queue depth {self.queue_depth}, "
+            f"Gateway({type(self.engine).__name__}, {state}, "
+            f"queue depth {self.queue.depth}, "
             f"{self.telemetry.total_requests} responses)"
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -69,8 +70,12 @@ class ClientMix:
 
     def __post_init__(self) -> None:
         weights = (self.submit, self.quote, self.cancel, self.query)
-        if any(w < 0 for w in weights):
-            raise ValueError(f"mix weights must be non-negative, got {weights}")
+        for kind, weight in zip(_KINDS, weights):
+            if not 0 <= weight < math.inf:
+                raise ValueError(
+                    f"mix weight {kind!r} must be finite and non-negative, "
+                    f"got {weight}"
+                )
         if not sum(weights) > 0:
             raise ValueError("at least one mix weight must be positive")
 
@@ -136,8 +141,8 @@ class LoadGenerator:
             raise ValueError(f"num_intervals must be positive, got {num_intervals}")
         if clients < 1:
             raise ValueError(f"clients must be >= 1, got {clients}")
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate}")
         if think < 0:
             raise ValueError(f"think must be non-negative, got {think}")
         if requests_per_client < 1:

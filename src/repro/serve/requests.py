@@ -311,8 +311,8 @@ class TimedRequest:
         The request itself (any :data:`REQUEST_TYPES` member).
     tenant:
         Tenant the client belongs to (:data:`DEFAULT_TENANT` when
-        untagged).  Weighted-fair scheduling, quotas, and frontier
-        routing key on it; replay hands it to :meth:`Gateway.offer
+        untagged).  Weighted-fair scheduling and quotas key on it;
+        replay hands it to :meth:`Gateway.offer
         <repro.serve.gateway.Gateway.offer>` with each request.
     """
 

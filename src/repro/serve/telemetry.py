@@ -71,7 +71,7 @@ SERVE_SERIES_FIELDS = (
 
 #: Per-tenant tally keys carried by a :class:`DrainReport` and the
 #: per-tenant serve series (a subset of :data:`SERVE_SERIES_FIELDS` —
-#: queue depth and reads are frontier-wide, snapshots are operator ops).
+#: queue depth and reads are gateway-wide, snapshots are operator ops).
 TENANT_SERIES_FIELDS = ("drained", "admitted", "rejected", "cancels")
 
 
@@ -109,21 +109,6 @@ class DrainReport:
             tenant, {field: 0 for field in TENANT_SERIES_FIELDS}
         )
         row[key] += amount
-
-    def absorb(self, other: "DrainReport") -> None:
-        """Fold another drain report into this one (frontier tick merge)."""
-        self.queue_depth += other.queue_depth
-        self.drained += other.drained
-        self.admitted += other.admitted
-        self.rejected += other.rejected
-        self.cancels += other.cancels
-        self.snapshots += other.snapshots
-        for tenant, row in other.tenants.items():
-            mine = self.tenants.setdefault(
-                tenant, {field: 0 for field in TENANT_SERIES_FIELDS}
-            )
-            for key, value in row.items():
-                mine[key] += value
 
 
 class LatencyRecorder:

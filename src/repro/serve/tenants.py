@@ -17,9 +17,7 @@ fairness, and quotas"):
   whose payload names the tenant and the quota that bounced it.
 * :class:`TenantLedger` is the bookkeeping those quotas are enforced
   against — per-tenant live+pending campaign counts and the per-tick
-  admission tally.  A gateway keeps one ledger however many admission
-  frontiers it runs, so quotas bound the *tenant*, not the tenant per
-  frontier.
+  admission tally.
 
 Everything here is a pure function of the arrival sequence — wall-clock
 never enters, so quota decisions replay bit-identically.

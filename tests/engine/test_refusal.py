@@ -45,7 +45,7 @@ REFUSED = {
     "num_tasks": make_spec(num_tasks=MAX_NUM_TASKS + 1, max_price=1,
                            horizon_intervals=1),
     "max_price": make_spec(kind="budget", max_price=MAX_PRICE + 1, budget=1e6),
-    "cells": make_spec(num_tasks=3000, max_price=30, horizon_intervals=48),
+    "cells": make_spec(num_tasks=1000, max_price=50, horizon_intervals=48),
     "horizon": make_spec(submit_interval=40, horizon_intervals=18),
     "budget": make_spec(kind="budget", num_tasks=50, budget=1.0),
 }
@@ -57,7 +57,7 @@ class TestShapeBounds:
         shapes = [template.spec(template.name, 0) for template in DEFAULT_TEMPLATES]
         # The largest campaign the repository submits: the keepalive of
         # benchmarks/bench_serve.py (full size).
-        shapes.append(make_spec(num_tasks=10_000, max_price=2, horizon_intervals=96))
+        shapes.append(make_spec(num_tasks=200, max_price=2, horizon_intervals=96))
         # Exactly at the cells bound: 1000 states x 20 prices x 100 intervals.
         shapes.append(make_spec(num_tasks=999, max_price=20, horizon_intervals=100))
         # The cells bound is a deadline solve's; a budget campaign has none.
@@ -108,6 +108,10 @@ class TestOversizedRequests:
             # 2.98 GiB Toeplitz per layer: MemoryError out of offer().
             (Quote(make_spec(num_tasks=20_000, horizon_intervals=24),
                    solve_on_miss=True), "num_tasks 20000"),
+            # Solved inside offer() under the old 10,000-task bound,
+            # stalling the loop for seconds.
+            (Quote(make_spec(num_tasks=2_000, horizon_intervals=24),
+                   solve_on_miss=True), "num_tasks 2000"),
             # The signature and shortfall checks built a 7.45 GiB grid.
             (Quote(make_spec(max_price=10**9)), f"max_price {10**9}"),
             # Answered "queued", then step() raised MemoryError.
@@ -115,8 +119,8 @@ class TestOversizedRequests:
             (SubmitCampaign(make_spec(kind="budget", num_tasks=10**9,
                                       budget=2e10)), f"num_tasks {10**9}"),
         ],
-        ids=["quote-20k-tasks", "quote-max-price", "submit-100k-tasks",
-             "submit-budget-1e9-tasks"],
+        ids=["quote-20k-tasks", "quote-2k-tasks", "quote-max-price",
+             "submit-100k-tasks", "submit-budget-1e9-tasks"],
     )
     def test_rejected_and_the_session_steps_on(self, request_, field):
         gateway = started_gateway()

@@ -197,17 +197,14 @@ def serve_trace() -> RequestTrace:
 
 def build_serve_gateway(
     case: str,
-    frontiers: int = 1,
     tenant_weights: dict[str, float] | None = None,
     sinks: dict | None = None,
 ) -> Gateway:
     """Construct one served case's engine + gateway (session not yet open).
 
-    ``frontiers > 1`` splits admission across that many frontiers — the
-    multi-frontier arm of the golden invariance guard.  ``sinks`` passes
-    observability keyword arguments (``event_log`` / ``tracer`` /
-    ``metrics``) straight through — the instrumented arm of the same
-    guard.
+    ``sinks`` passes observability keyword arguments (``event_log`` /
+    ``tracer`` / ``metrics``) straight through — the instrumented arm of
+    the golden invariance guard.
     """
     sinks = sinks or {}
     engine = MarketplaceEngine(
@@ -216,7 +213,6 @@ def build_serve_gateway(
     )
     return Gateway(
         engine,
-        frontiers=frontiers,
         max_live=SERVE_CASES[case]["max_live"],
         tenant_weights=tenant_weights,
         **sinks,
@@ -240,16 +236,14 @@ def tenant_tagged_trace(tenants: tuple[str, ...]) -> RequestTrace:
 def run_serve_case(
     case: str,
     tenants: tuple[str, ...] | None = None,
-    frontiers: int = 1,
     instrumented: bool = False,
 ) -> dict:
     """Run one served case; payload = trace + result + serving telemetry.
 
     ``tenants`` replays the tenant-tagged twin of the trace under fair
-    scheduling (weights 2:1:...), and ``frontiers`` splits admission
-    across that many frontiers — neither may change the engine
-    ``result`` block, which is what the regen guard verifies before
-    rewriting any golden.
+    scheduling (weights 2:1:...), which may not change the engine
+    ``result`` block — what the regen guard verifies before rewriting
+    any golden.
     ``instrumented`` wires every observability layer the ops plane rides
     on — event log, tracer, metrics registry with phase timings, and a
     live :class:`~repro.obs.ops.OpsServer` scraped at tick boundaries —
@@ -284,9 +278,7 @@ def run_serve_case(
             "metrics": metrics,
         }
         cleanup = [event_log.close, lambda: shutil.rmtree(tmp)]
-    gateway = build_serve_gateway(
-        case, frontiers=frontiers, tenant_weights=weights, sinks=sinks
-    )
+    gateway = build_serve_gateway(case, tenant_weights=weights, sinks=sinks)
     if instrumented:
         ops = OpsServer(gateway, metrics=metrics, event_log=sinks["event_log"])
         ops.start_in_thread()

@@ -13,7 +13,14 @@ from repro.obs.analytics import (
     canned_queries,
     render_table,
 )
-from tests.golden.cases import ANALYTICS_WINDOW, analytics_path, run_analytics_case
+from tests.golden.cases import (
+    ANALYTICS_WINDOW,
+    SCENARIO_SEED,
+    analytics_path,
+    build_serve_gateway,
+    run_analytics_case,
+    tenant_tagged_trace,
+)
 
 _TELEMETRY_COLUMNS = (
     "interval", "num_live", "admitted", "arrived", "considered", "accepted",
@@ -171,6 +178,32 @@ class TestEventQueries:
         assert tail["requests"] == 1
         assert tail["unresolved"] == 1
         assert tail["mean_ticks_to_response"] is None
+
+
+    def test_served_requests_each_get_one_trace_id(self, tmp_path):
+        """The join counts every request of a served trace once.
+
+        Trace ids come from one arrival counter, so the tenant-tagged
+        golden trace logs as many distinct ids as requests.
+        """
+        trace = tenant_tagged_trace(("acme", "beta", "gamma"))
+        log = EventLog(tmp_path / "events.sqlite")
+        gateway = build_serve_gateway(
+            "serve_flash_crowd", tenant_weights={"acme": 2.0},
+            sinks={"event_log": log},
+        )
+        gateway.start(seed=SCENARIO_SEED)
+        gateway.replay(trace)
+        gateway.close()
+        log.close()
+        requests = EventLog.read(log.path).events(kind="request")
+        assert len(requests) == len(trace.requests) == 54
+        assert len({event.trace_id for event in requests}) == 54
+        with AnalyticsDB() as db:
+            db.load_event_log(log.path)
+            rows = db.run_as_dicts("request-outcomes", window=1000)
+        assert sum(row["requests"] for row in rows) == 54
+        assert sum(row["unresolved"] for row in rows) == 0
 
 
 class TestRenderTable:

@@ -76,13 +76,6 @@ def test_instrumented_solo_golden_matches_dark():
     assert json.dumps(lit, sort_keys=True) == json.dumps(dark, sort_keys=True)
 
 
-def test_instrumented_fleet_golden_matches_dark():
-    """The same contract at two admission frontiers."""
-    dark = run_serve_case("serve_flash_crowd", frontiers=2)
-    lit = run_serve_case("serve_flash_crowd", frontiers=2, instrumented=True)
-    assert json.dumps(lit, sort_keys=True) == json.dumps(dark, sort_keys=True)
-
-
 # ----------------------------------------------------------------------
 # Checkpoint bundles: a scraped run writes the same bytes
 # ----------------------------------------------------------------------

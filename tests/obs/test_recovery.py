@@ -124,16 +124,15 @@ class TestRecoveryGuards:
             recover_serve_run(workdir / BUNDLE_NAME, tmp_path / "nope.sqlite")
 
 
-class TestMultiFrontierRecovery:
-    def test_two_frontier_bundle_and_log_recover_bit_identically(self, tmp_path):
-        """A stopped 2-frontier run recovers from its bundle + log tail."""
+class TestTenantTaggedRecovery:
+    def test_offer_driven_bundle_and_log_recover_bit_identically(self, tmp_path):
+        """A stopped tenant-tagged run recovers from its bundle + log tail."""
         from repro.serve import Gateway, RequestTrace
 
         def gateway(event_log=None) -> Gateway:
             pinned = build_drill_gateway()  # the drill's engine and budget
             return Gateway(
-                pinned.engine, frontiers=2, max_live=pinned.max_live,
-                event_log=event_log,
+                pinned.engine, max_live=pinned.max_live, event_log=event_log,
             )
 
         base = drill_trace()
@@ -167,7 +166,6 @@ class TestMultiFrontierRecovery:
         assert bundle_event_seq(bundle) < EventLog.read(log_path).last_seq
 
         recovered = recover_serve_run(bundle, log_path)
-        assert len(recovered.queues) == 2
         baseline = gateway()
         baseline.start(**drill_start_kwargs())
         baseline.replay(reconstruct_trace(log_path))

@@ -34,6 +34,38 @@ class TestPolicy:
         with pytest.raises(ValueError, match="strictly increasing"):
             SloPolicy(windows=windows)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("latency_target_ticks", -1, "latency_target_ticks must be >= 0"),
+            ("latency_target_ms", 0.0, "latency_target_ms must be finite"),
+            ("latency_target_ms", -5.0, "latency_target_ms must be finite"),
+            ("latency_target_ms", math.nan, "latency_target_ms must be finite"),
+            ("latency_target_ms", math.inf, "latency_target_ms must be finite"),
+        ],
+        ids=["ticks-negative", "ms-zero", "ms-negative", "ms-nan", "ms-inf"],
+    )
+    def test_latency_targets_must_be_servable(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SloPolicy(**{field: value})
+
+    def test_negative_tick_target_exits_2_with_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "events.sqlite"
+        log = EventLog(path)
+        log.log("request", 0,
+                {"seq": 0, "request": {"type": "submit-campaign"}}, client="c")
+        log.log("response", 0,
+                {"seq": 0, "kind": "submit-campaign", "status": "ok"},
+                client="c")
+        log.close()
+        assert main(["engine", "slo", "--event-log", str(path),
+                     "--latency-target-ticks", "-1"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "latency_target_ticks must be >= 0" in err
+
     def test_to_dict_is_json_ready(self):
         data = SloPolicy(windows=(4, 16)).to_dict()
         assert data["windows"] == [4, 16]
@@ -160,8 +192,9 @@ class TestEventLogSlo:
         }
 
     def test_fleet_safe_join_key_is_client_and_seq(self, tmp_path):
-        # Two fleet members mint the same ticket seq for different
-        # clients; the (client, seq) join must keep the pairs apart.
+        # A log written by an earlier build that partitioned admission can
+        # carry the same ticket seq for different clients; the
+        # (client, seq) join must keep the pairs apart.
         path = tmp_path / "events.sqlite"
         self._write_log(path, [
             ("request", 0, {"seq": 0, "request": {"type": "submit-campaign"}}, "a"),

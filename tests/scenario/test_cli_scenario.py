@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -111,6 +112,32 @@ class TestScenarioRun:
         assert main(["engine", "scenario", "run", "--canned", "day-night",
                      *FAST, "--stop-after", "5"]) == 2
         assert "--checkpoint-path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scenario", None), ("next_wave", "x")],
+        ids=["no-scenario", "next-wave-not-a-number"],
+    )
+    def test_resume_of_corrupt_driver_state_exits_2_with_one_line(
+        self, field, value, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        assert main(["engine", "scenario", "run", "--canned", "black-friday",
+                     *FAST, "--stop-after", "5",
+                     "--checkpoint-path", str(bundle)]) == 0
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        state = manifest["extras"]["scenario_driver"]
+        if value is None:
+            del state[field]
+        else:
+            state[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["engine", "scenario", "run", "--resume", str(bundle)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert str(bundle) in err
 
     def test_resume_missing_bundle(self, tmp_path, capsys):
         assert main(["engine", "scenario", "run",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -165,25 +166,101 @@ def test_serve_stop_resume_round_trip(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
 
-    # The resume reads the frontier count from the bundle: no --gateways.
-    for gateways in ("1", "2"):
-        bundle = tmp_path / f"bundle-{gateways}"
-        resumed_out = tmp_path / f"resumed-{gateways}.json"
-        assert main([
-            "engine", "serve", "--trace", str(trace_path), *FAST,
-            "--gateways", gateways,
-            "--stop-after", "5", "--checkpoint-path", str(bundle),
-        ]) == 0
-        assert "stopped       : after 5 ticks" in capsys.readouterr().out
+    bundle = tmp_path / "bundle"
+    resumed_out = tmp_path / "resumed.json"
+    assert main([
+        "engine", "serve", "--trace", str(trace_path), *FAST,
+        "--stop-after", "5", "--checkpoint-path", str(bundle),
+    ]) == 0
+    assert "stopped       : after 5 ticks" in capsys.readouterr().out
 
-        assert main([
-            "engine", "serve", "--resume", str(bundle),
-            "--telemetry-out", str(resumed_out),
-        ]) == 0
-        assert "resume        :" in capsys.readouterr().out
-        assert json.loads(resumed_out.read_text()) == json.loads(
-            full_out.read_text()
-        ), gateways
+    assert main([
+        "engine", "serve", "--resume", str(bundle),
+        "--telemetry-out", str(resumed_out),
+    ]) == 0
+    assert "resume        :" in capsys.readouterr().out
+    assert json.loads(resumed_out.read_text()) == json.loads(
+        full_out.read_text()
+    )
+
+
+def test_serve_gateways_flag_is_gone(capsys):
+    # One admission queue: the removed partition flag is refused like
+    # --shards, not silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["engine", "serve", "--canned", "flash-crowd", *FAST,
+              "--gateways", "2"])
+    assert exc.value.code == 2
+    assert "--gateways" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stopped_serve_bundle(tmp_path_factory):
+    """An ``engine serve --stop-after 5`` bundle, mid-replay."""
+    bundle = tmp_path_factory.mktemp("stopped") / "bundle"
+    assert main([
+        "engine", "serve", "--canned", "flash-crowd", *FAST,
+        "--stop-after", "5", "--checkpoint-path", str(bundle),
+    ]) == 0
+    return bundle
+
+
+def _drop(key):
+    return lambda state: state.pop(key)
+
+
+def _set(path, value):
+    def mutate(state):
+        *parents, last = path
+        for key in parents:
+            state = state[key]
+        state[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop("telemetry"),
+        _drop("config"),
+        _set(["queue"], 5),
+        _set(["telemetry", "version"], 99),
+        _set(["replay", "trace"], 3),
+    ],
+    ids=["no-telemetry", "no-config", "queue-not-a-list",
+         "telemetry-version", "trace-not-an-object"],
+)
+def test_serve_resume_of_corrupt_gateway_state_exits_2_with_one_line(
+    stopped_serve_bundle, mutate, tmp_path, capsys
+):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(stopped_serve_bundle, bundle)
+    manifest_path = bundle / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    mutate(manifest["extras"]["serve_gateway"])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["engine", "serve", "--resume", str(bundle)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert str(bundle) in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--mode", "open", "--rate", "nan"], "rate must be finite"),
+        (["--mode", "open", "--rate", "inf"], "rate must be finite"),
+        (["--mix", "inf", "1", "1", "1"], "mix weight 'submit' must be finite"),
+        (["--mix", "nan", "1", "1", "1"], "mix weight 'submit' must be finite"),
+    ],
+    ids=["rate-nan", "rate-inf", "mix-inf", "mix-nan"],
+)
+def test_loadtest_non_finite_input_exits_2_with_one_line(flags, field, capsys):
+    assert main(["engine", "loadtest", *FAST, *flags]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert field in err
 
 
 def test_serve_resume_of_non_gateway_bundle_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Gateway behaviour: reads, drains, backpressure, revival, the async facade."""
+"""Gateway behaviour: reads, drains, backpressure, revival, quotas, the
+event log, the async facade."""
 
 from __future__ import annotations
 
@@ -10,12 +11,15 @@ from repro.engine import MarketplaceEngine
 from repro.engine.campaign import CampaignSpec
 from repro.engine.workload import DEFAULT_TEMPLATES
 from repro.market.acceptance import paper_acceptance_model
+from repro.obs import EventLog
+from repro.obs.recovery import bundle_event_seq
 from repro.serve import (
     Cancel,
     Gateway,
     QueryTelemetry,
     Quote,
     SubmitCampaign,
+    TenantQuota,
 )
 from tests.serve.conftest import NUM_INTERVALS, make_engine, make_stream
 
@@ -353,6 +357,66 @@ def test_serve_series_track_the_drains():
 
 
 # ----------------------------------------------------------------------
+# Tenant quotas
+# ----------------------------------------------------------------------
+def test_tenant_quota_slot_settles_on_retirement():
+    gateway = started_gateway(tenant_quotas={"acme": TenantQuota(max_live=1)})
+    first = gateway.offer(SubmitCampaign(spec("a0", tasks=4)), tenant="acme")
+    bounced = gateway.offer(SubmitCampaign(spec("a1")), tenant="acme")
+    gateway.step()
+    assert first.response.ok
+    assert bounced.response.status == "rejected"
+    assert bounced.response.payload == {"tenant": "acme", "quota": "max_live"}
+    # Drive the campaign to retirement: the ledger settles the tick once
+    # and the budget slot comes back.
+    while gateway.ledger.live_count("acme"):
+        assert gateway.step() is not None
+    retry = gateway.offer(SubmitCampaign(spec("a1", submit=12)), tenant="acme")
+    gateway.step()
+    assert retry.response.ok
+
+
+# ----------------------------------------------------------------------
+# The event log
+# ----------------------------------------------------------------------
+def test_run_and_tick_rows_are_logged_once(tmp_path):
+    log = EventLog(tmp_path / "events.sqlite")
+    gateway = Gateway(make_engine(), event_log=log)
+    gateway.start(seed=3)
+    gateway.offer(SubmitCampaign(spec("a0")), tenant="acme")
+    gateway.step()
+    gateway.step()
+    gateway.close()
+    log.close()  # close() flushes asynchronously; wait for the commit
+
+    events = EventLog.read(log.path).events()
+    runs = [e.payload for e in events if e.kind == "run"]
+    assert runs == [{"action": "start", "seed": 3}, {"action": "close"}]
+    assert [e.tick for e in events if e.kind == "tick"] == [0, 1]
+    assert len([e for e in events if e.kind == "request"]) == 1
+
+
+def test_checkpoint_records_the_event_log_high_water_mark(tmp_path):
+    log = EventLog(tmp_path / "events.sqlite")
+    gateway = Gateway(make_engine(), event_log=log)
+    gateway.start(seed=3)
+    gateway.offer(SubmitCampaign(spec("a0")), tenant="acme")
+    gateway.step()
+    bundle = gateway.save(tmp_path / "bundle")
+    recorded = bundle_event_seq(bundle)
+    assert recorded is not None
+    # Everything logged before the save is covered by the mark; only the
+    # post-save checkpoint event sits beyond it.
+    log.sync()
+    beyond = EventLog.read(log.path).events(since=recorded)
+    assert [e.kind for e in beyond] == ["checkpoint"]
+
+    resumed = Gateway.resume(bundle, event_log=log)
+    assert resumed.resumed_event_seq == recorded
+    log.close()
+
+
+# ----------------------------------------------------------------------
 # The asyncio facade
 # ----------------------------------------------------------------------
 def test_async_request_and_serve_loop():
@@ -363,7 +427,7 @@ def test_async_request_and_serve_loop():
 
         serve_task = asyncio.ensure_future(gateway.serve())
         submitted = await gateway.request(
-            SubmitCampaign(spec("x")), client="w"
+            SubmitCampaign(spec("x")), client="w", tenant="acme"
         )
         assert submitted.ok
         gateway.stop()

@@ -30,6 +30,13 @@ TRACE = LoadGenerator(
 CLOSED_TRACE = LoadGenerator(
     NUM_INTERVALS, seed=4, clients=5, think=1, requests_per_client=10,
 ).trace("closed")
+#: The open trace's shape with tenant-tagged clients: one fair queue
+#: interleaves their submissions, and the engine re-sorts same-tick
+#: submissions at admission, so outcomes still equal the direct run's.
+TENANT_TRACE = LoadGenerator(
+    NUM_INTERVALS, seed=11, clients=3, rate=2.0, think=1,
+    tenants=("acme", "beta", "gamma"),
+).trace("open")
 SEED = 5
 
 
@@ -92,8 +99,8 @@ def outcome_map(result):
     }
 
 
-@pytest.mark.parametrize("trace", [TRACE, CLOSED_TRACE],
-                         ids=["open", "closed"])
+@pytest.mark.parametrize("trace", [TRACE, CLOSED_TRACE, TENANT_TRACE],
+                         ids=["open", "closed", "tenants"])
 @pytest.mark.parametrize("arrivals", ["pooled", "factored"])
 def test_served_equals_direct_bit_for_bit(trace, arrivals):
     served = run_served(trace, arrivals)

@@ -190,8 +190,7 @@ def test_snapshot_to_an_unwritable_path_answers_error(tmp_path):
     assert telemetry.serve["drained"][0] == 2
 
 
-@pytest.mark.parametrize("frontiers", [1, 2])
-def test_mid_drain_snapshot_resumes_within_the_drain_budget(tmp_path, frontiers):
+def test_mid_drain_snapshot_resumes_within_the_drain_budget(tmp_path):
     """A resumed boundary applies only what is left of its drain budget."""
     bundle = str(tmp_path / "bundle")
 
@@ -202,7 +201,7 @@ def test_mid_drain_snapshot_resumes_within_the_drain_budget(tmp_path, frontiers)
         )
 
     def run() -> Gateway:
-        gateway = Gateway(make_engine(), frontiers=frontiers, max_drain=2)
+        gateway = Gateway(make_engine(), max_drain=2)
         gateway.start(seed=SEED)
         gateway.offer(SubmitCampaign(spec("first", 0, tasks=40)), tenant="t0")
         gateway.step()
@@ -225,25 +224,23 @@ def test_mid_drain_snapshot_resumes_within_the_drain_budget(tmp_path, frontiers)
 # Bundles written by an earlier build
 # ----------------------------------------------------------------------
 #: Bundles committed from commit 965fc69, the last one with a separate
-#: multi-gateway front-end: ``serve_gateway_v1`` from a one-frontier
-#: ``Gateway.save``, ``serve_fleet_v1`` from its two-member front-end's
-#: save, both at tick :data:`FIXTURE_SAVE_TICK` of :data:`FIXTURE_TRACE`
-#: on ``make_engine()`` with seed :data:`SEED`.  Their manifests still
-#: carry the engine-config switch of the retired scalar admission path.
+#: multi-gateway front-end: ``serve_gateway_v1`` from ``Gateway.save``,
+#: ``serve_fleet_v1`` from its two-member front-end's save (each member
+#: with its own queue, both empty at the save), both at tick
+#: :data:`FIXTURE_SAVE_TICK` of :data:`FIXTURE_TRACE` on ``make_engine()``
+#: with seed :data:`SEED`.  Their manifests still carry the engine-config
+#: switch of the retired scalar admission path.
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 FIXTURE_TRACE = LoadGenerator(
     NUM_INTERVALS, seed=11, clients=3, rate=1.0, think=1,
     tenants=("acme", "beta", "gamma"),
 ).trace("open")
 FIXTURE_SAVE_TICK = 14
-FIXTURE_LAYOUTS = pytest.mark.parametrize(
-    "layout, frontiers", [("serve_gateway_v1", 1), ("serve_fleet_v1", 2)]
-)
 
 
-def fixture_run(frontiers: int, save_to=None) -> Gateway:
+def fixture_run(save_to=None) -> Gateway:
     """The committed bundles' workload; stops after saving when asked."""
-    gateway = Gateway(make_engine(), frontiers=frontiers)
+    gateway = Gateway(make_engine())
     gateway.start(seed=SEED)
 
     def on_tick(gw: Gateway):
@@ -256,25 +253,54 @@ def fixture_run(frontiers: int, save_to=None) -> Gateway:
     return gateway
 
 
-@FIXTURE_LAYOUTS
-def test_committed_bundle_resumes_to_the_uninterrupted_run(
-    tmp_path, layout, frontiers
-):
+@pytest.mark.parametrize("layout", ["serve_gateway_v1", "serve_fleet_v1"])
+def test_committed_bundle_resumes_to_the_uninterrupted_run(tmp_path, layout):
+    """Both layouts resume as one queue."""
     bundle = tmp_path / layout
     shutil.copytree(FIXTURES / layout, bundle)
     resumed = Gateway.resume(bundle)
-    assert len(resumed.queues) == frontiers
+    # The partitioned bundle's members had counted 6 and 7 arrivals; the
+    # one queue counts on from their sum, where a one-queue run stands.
+    stopped = fixture_run(save_to=tmp_path / "fresh")
+    assert resumed.queue.next_seq == stopped.queue.next_seq == 13
     resumed.resume_replay()
-    uninterrupted = fixture_run(frontiers)
+    uninterrupted = fixture_run()
     assert resumed.telemetry == uninterrupted.telemetry
     assert outcome_map(resumed.core) == outcome_map(uninterrupted.core)
 
 
-@FIXTURE_LAYOUTS
-def test_fresh_run_writes_the_committed_extras(tmp_path, layout, frontiers):
+def test_fresh_run_writes_the_committed_extras(tmp_path):
     fresh = tmp_path / "fresh"
-    fixture_run(frontiers, save_to=fresh)
+    fixture_run(save_to=fresh)
     # Key order included: the extras JSON is written byte-for-byte alike.
     assert json.dumps(load_extras(fresh)) == json.dumps(
-        load_extras(FIXTURES / layout)
+        load_extras(FIXTURES / "serve_gateway_v1")
     )
+
+
+@pytest.mark.parametrize(
+    "member_field, value",
+    [
+        ("queue", [{"seq": 6, "client": "c00",
+                    "request": {"type": "cancel", "campaign_id": "x"}}]),
+        ("pending_cancelled", ["c00-000"]),
+        ("pending_drain", {"queue_depth": 1, "drained": 1, "admitted": 0,
+                           "rejected": 0, "cancels": 1, "snapshots": 0}),
+    ],
+    ids=["queued-entry", "pending-cancellation", "pending-drain"],
+)
+def test_partitioned_bundle_with_requests_in_flight_is_refused(
+    tmp_path, member_field, value
+):
+    """Only empty member queues fold into one queue without reordering."""
+    bundle = tmp_path / "busy"
+    shutil.copytree(FIXTURES / "serve_fleet_v1", bundle)
+    manifest_path = bundle / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["extras"]["serve_fleet"]["members"][1][member_field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError) as refused:
+        Gateway.resume(bundle)
+    message = str(refused.value)
+    assert "\n" not in message
+    assert str(bundle) in message and "[1]" in message

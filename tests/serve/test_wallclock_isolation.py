@@ -76,5 +76,5 @@ def test_offered_at_is_wall_clock_but_stays_off_the_wire(monkeypatch):
 
     ticket = gateway.offer(QueryTelemetry())
     assert ticket.offered_at >= 1_000_000.0
-    state = gateway._frontier_state(gateway._frontiers[0])
+    state = gateway._queue_state()
     assert "offered_at" not in json.dumps(state)
