@@ -184,8 +184,10 @@ class CampaignOutcome:
     cache_hit:
         Whether admission reused a cached policy instead of solving.
     num_solves:
-        DP/LP solves this campaign triggered (0 on a cache hit; adaptive
-        campaigns count every re-plan).
+        Plans this campaign took, not DP/LP runs: 1 on a cache miss and
+        0 on a hit; an adaptive campaign counts every suffix table it
+        took at a new ``(anchor, factor)`` key, whether it was solved,
+        sliced from an earlier table or seeded from a cached twin.
     cancelled:
         True when the campaign was retired early through
         :meth:`~repro.engine.engine.MarketplaceEngine.cancel` instead of

@@ -128,7 +128,7 @@ class _LiveCampaign:
         self.rng: np.random.Generator | None = None
 
     def num_solves(self) -> int:
-        """Solves attributable to this campaign (adaptive ones re-plan)."""
+        """Plans attributable to this campaign (adaptive ones re-plan)."""
         if isinstance(self.runtime, AdaptiveRepricer):
             return self.runtime.num_solves
         return self.initial_solves
@@ -390,20 +390,26 @@ class CampaignPlanner:
         the batch solver in one call, and all budget misses in another,
         so its stats count every admission miss.  Adaptive campaigns own
         their re-planning loop (and its private suffix-solve cache); the
-        shared cache only serves static ones.  Returns live campaigns in
-        submission order; every spec must have passed :meth:`refusal`.
+        shared cache only serves static ones.  After the static solves, an
+        adaptive campaign whose signature is cached is offered that policy
+        as its first plan (:meth:`AdaptiveRepricer.seed_first_plan`),
+        through :meth:`PolicyCache.peek`, which counts nothing and leaves
+        the LRU order alone.  Returns live campaigns in submission order;
+        every spec must have passed :meth:`refusal`.
         """
         live: list[_LiveCampaign | None] = [None] * len(specs)
         deadline_items: list[tuple[tuple, CampaignSpec]] = []
         deadline_slots: list[int] = []
         budget_items: list[tuple[tuple, CampaignSpec]] = []
         budget_slots: list[int] = []
+        adaptive_slots: list[int] = []
         for i, spec in enumerate(specs):
             if spec.adaptive:
                 repricer = AdaptiveRepricer(
                     self.planning_problem(spec), resolve_every=spec.resolve_every
                 )
                 live[i] = _LiveCampaign(spec, repricer, False, 0)
+                adaptive_slots.append(i)
             elif spec.kind == BUDGET:
                 budget_items.append((self.cache_signature(spec), spec))
                 budget_slots.append(i)
@@ -429,6 +435,10 @@ class CampaignPlanner:
                     hit,
                     0 if hit else 1,
                 )
+        for i in adaptive_slots:
+            policy = self.cache.peek(self.cache_signature(specs[i]))
+            if policy is not None:
+                live[i].runtime.seed_first_plan(policy)
         return live  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -57,7 +57,7 @@ TELEMETRY_VERSION = 1
 #: ``rate_factor``      — the arrival-rate factor the tick ran under.
 #: ``cache_hits``       — policy-cache hits this tick (admission lookups).
 #: ``cache_misses``     — policy-cache misses this tick.
-#: ``repricer_solves``  — adaptive re-plan solves performed this tick.
+#: ``repricer_solves``  — adaptive re-plans taken this tick (see ``num_solves``).
 #: ``tasks_remaining``  — open tasks across live campaigns after the tick.
 #: ``idle``             — 1 when no campaign was live (no randomness drawn).
 SERIES_FIELDS = (
@@ -106,7 +106,8 @@ class CampaignRecord:
     cache_hit:
         Whether admission reused a cached policy.
     num_solves:
-        DP/LP solves the campaign triggered over its lifetime.
+        Plans the campaign took over its lifetime
+        (:attr:`CampaignOutcome.num_solves`), not DP/LP runs.
     """
 
     campaign_id: str

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchSolveStats
+from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.engine import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -159,6 +160,115 @@ class TestRoundTrip:
         result = third.run_to_completion()
         third.close()
         assert strip_timing(result) == strip_timing(base)
+
+
+class TestAdaptiveSuffixTables:
+    """Restored suffix tables: checked on restore, then sliced by later
+    anchors at the same factor exactly as the uninterrupted run did."""
+
+    @staticmethod
+    def sliced_engine():
+        # Sliced planning, so adaptive first plans are seeded from static
+        # twins, and mostly adaptive campaigns.
+        engine = MarketplaceEngine(
+            make_stream(), paper_acceptance_model(), planning="sliced"
+        )
+        engine.submit(generate_workload(
+            20, NUM_INTERVALS, seed=3, adaptive_fraction=0.8
+        ))
+        return engine
+
+    # Each stop is followed by a tick in which live repricers take new
+    # anchors at factors they solved before the stop.
+    @pytest.mark.parametrize("stop_tick", [4, 12, 33])
+    def test_resume_between_two_anchors_of_one_factor(self, stop_tick, tmp_path):
+        base = self.sliced_engine().run(seed=SEED)
+        engine = self.sliced_engine()
+        core = engine.start(seed=SEED)
+        for _ in range(stop_tick):
+            core.tick()
+        save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        restored = restore_engine(tmp_path / "ck")
+        repricers = [
+            lc.runtime for lc in restored.core.live
+            if isinstance(lc.runtime, AdaptiveRepricer)
+        ]
+        saved = [set(r.export_state()["cache"]) for r in repricers]
+        restored.tick()
+        sliced = 0
+        for repricer, keys in zip(repricers, saved):
+            factors = {factor for _, factor in keys}
+            new = set(repricer.export_state()["cache"]) - keys
+            # A new anchor at a restored factor slices the restored table;
+            # only a factor the bundle never solved runs a DP.
+            sliced += sum(factor in factors for _, factor in new)
+            assert repricer.num_dp_solves == sum(
+                factor not in factors for _, factor in new
+            )
+        assert sliced > 0
+        result = restored.run_to_completion()
+        restored.close()
+        assert strip_timing(result) == strip_timing(base)
+
+    def saved_bundle(self, tmp_path):
+        engine = self.sliced_engine()
+        core = engine.start(seed=SEED)
+        for _ in range(7):
+            core.tick()
+        bundle = save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        return bundle
+
+    @pytest.mark.parametrize(
+        "cut,match",
+        [
+            (lambda table: table[:, :1], "shape"),
+            (lambda table: table.astype(float), "integer array"),
+            (lambda table: table + 10_000, "grid"),
+        ],
+        ids=["one-column", "float", "past-grid"],
+    )
+    def test_a_corrupt_restored_table_raises_checkpoint_error(
+        self, cut, match, tmp_path
+    ):
+        # A table cut to one column used to restore without complaint and
+        # fail the first tick with a bare IndexError.
+        bundle = self.saved_bundle(tmp_path)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        payload = bundle / manifest["arrays"]
+        with np.load(payload) as npz:
+            arrays = dict(npz)
+        name = next(
+            name for name, table in arrays.items()
+            if name.startswith("adaptive::") and table.shape[1] > 1
+        )
+        arrays[name] = cut(arrays[name])
+        with payload.open("wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match=match):
+            restore_engine(bundle)
+
+    @pytest.mark.parametrize(
+        "key,match",
+        [
+            ((10_000, 1.0), "outside the horizon"),
+            ((0, 0.0), "positive and finite"),
+            ((0, float("nan")), "positive and finite"),
+        ],
+        ids=["anchor-past-horizon", "zero-factor", "nan-factor"],
+    )
+    def test_a_corrupt_restored_key_raises_checkpoint_error(
+        self, key, match, tmp_path
+    ):
+        bundle = self.saved_bundle(tmp_path)
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = next(e["adaptive"] for e in manifest["live"] if e["adaptive"])
+        entry["cache_keys"][0] = list(key)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=match):
+            restore_engine(bundle)
 
 
 class TestBundleContract:
