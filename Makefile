@@ -111,7 +111,9 @@ checkpoint-smoke:
 perfbench-smoke:
 	$(PYTHON) perfbench/selftest.py
 
-## The local gate a refactor reports: tier-1 tests, the docs contract, and
-## the bit-identity drills (checkpoint/resume, goldens, bench checksums,
-## perfbench fingerprints).
-all: test docs-check checkpoint-smoke golden-check bench-smoke perfbench-smoke
+## The local gate a refactor reports: tier-1 tests, the docs contract, the
+## bit-identity drills (checkpoint/resume, goldens, bench checksums,
+## perfbench fingerprints), and the serving drills (gateway read path,
+## event-log recovery, live ops plane).
+all: test docs-check checkpoint-smoke golden-check bench-smoke perfbench-smoke \
+	serve-smoke obs-smoke ops-smoke

@@ -16,7 +16,8 @@ table once.  Most keys need no DP: a suffix DP's layer ``t`` reads only
 do not depend on the horizon, so the table anchored at a later interval
 is, bit for bit, the trailing columns of an earlier anchor's table at the
 same factor.  A key is therefore sliced from this repricer's earliest
-table at its factor, and solved (by the batched kernel as a batch of
+table at its factor, kept as a view of it (one table buffer per DP run,
+not one per key), and solved (by the batched kernel as a batch of
 one) only when no such table exists.  The first plan, anchor 0 at factor
 1.0, is the trained problem itself, so a static policy solved for exactly
 that problem can stand in for it (:meth:`AdaptiveRepricer.seed_first_plan`).
@@ -169,7 +170,7 @@ class AdaptiveRepricer(PricingRuntime):
         _, factor = key
         base = self._earliest.get(factor)
         if base is not None and base <= anchor:
-            table = np.ascontiguousarray(self._cache[base, factor][:, anchor - base :])
+            table = self._cache[base, factor][:, anchor - base :]
         elif key == _FIRST_PLAN and self._first_plan is not None:
             table = self._first_plan
         else:
@@ -216,13 +217,27 @@ class AdaptiveRepricer(PricingRuntime):
         can be priced from or sliced: a key's anchor must lie on the
         horizon and its factor be finite and positive, and its table must
         be an integer array of shape ``(num_tasks + 1, num_intervals -
-        anchor)`` indexing the price grid.  A failed check raises
-        ``ValueError``.
+        anchor)`` indexing the price grid.  A later anchor's table must
+        equal the trailing columns of its factor's earliest table, and is
+        kept as a view of it, as :meth:`price` would have sliced it.  A
+        failed check raises ``ValueError``.
         """
         cache = {}
         for (anchor, factor), table in state["cache"].items():
             key = (int(anchor), float(factor))
             cache[key] = self._checked_table(key, table)
+        earliest: dict[float, int] = {}
+        for anchor, factor in sorted(cache):
+            base = earliest.setdefault(factor, anchor)
+            if base == anchor:
+                continue
+            view = cache[base, factor][:, anchor - base :]
+            if not np.array_equal(cache[anchor, factor], view):
+                raise ValueError(
+                    f"repricer table at key {(anchor, factor)} is not the "
+                    f"slice of its factor's earliest table at anchor {base}"
+                )
+            cache[anchor, factor] = view
         active = state["active_key"]
         if active is not None:
             active = (int(active[0]), float(active[1]))
@@ -234,9 +249,7 @@ class AdaptiveRepricer(PricingRuntime):
         self.predictor.import_state(state["factor"], state["observations"])
         self.num_solves = int(state["num_solves"])
         self._cache = cache
-        self._earliest = {}
-        for anchor, factor in sorted(cache):
-            self._earliest.setdefault(factor, anchor)
+        self._earliest = earliest
         self._active_key = active
         self._active_price_col = None if active is None else cache[active]
 

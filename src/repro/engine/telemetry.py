@@ -191,7 +191,7 @@ class Telemetry:
         """
         if last <= 0:
             return {key: [] for key in SERIES_FIELDS}
-        return {key: list(values[-last:]) for key, values in self.series.items()}
+        return {key: values[-last:] for key, values in self.series.items()}
 
     def summary(self) -> str:
         """Short human-readable digest (what the scenario CLI prints)."""
@@ -332,7 +332,11 @@ class Telemetry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Telemetry":
-        """Rebuild a telemetry object (and its baselines) from a dict."""
+        """Rebuild a telemetry object (and its baselines) from a dict.
+
+        Every series must hold one entry per recorded tick (the length of
+        ``series["interval"]``); a misaligned one raises ``ValueError``.
+        """
         if data.get("version") != TELEMETRY_VERSION:
             raise ValueError(
                 f"telemetry version {data.get('version')!r} is not supported "
@@ -341,6 +345,13 @@ class Telemetry:
         telemetry = cls(record_campaigns=data.get("record_campaigns", True))
         for key in SERIES_FIELDS:
             telemetry.series[key] = list(data["series"][key])
+        ticks = telemetry.num_ticks
+        for key, values in telemetry.series.items():
+            if len(values) != ticks:
+                raise ValueError(
+                    f"telemetry series {key!r} has {len(values)} entries "
+                    f"for {ticks} ticks"
+                )
         telemetry.campaigns = [
             CampaignRecord(**record) for record in data["campaigns"]
         ]

@@ -10,12 +10,13 @@ The log's job is twofold:
    ``seq`` greater than the last checkpoint's recorded ``last_seq`` are
    exactly the request tail :mod:`repro.obs.recovery` must replay.
 
-Writes never run on the tick path.  :meth:`EventLog.append` assigns a
-sequence number, drops the event into a bounded in-memory buffer, and
-returns; a background writer thread drains the buffer in batches, one
-sqlite transaction per batch.  Backpressure is blocking: if producers
-outrun the writer the buffer fills and ``append`` waits — events are
-never silently dropped.  The engine's tick-boundary hooks call
+Writes never run on the tick path.  :meth:`EventLog.log` (and
+:meth:`EventLog.append`, for a prebuilt event) assigns a sequence
+number, drops the event into a bounded in-memory buffer, and returns; a
+background writer thread drains the buffer in batches, one sqlite
+transaction per batch.  Backpressure is blocking: if producers outrun
+the writer the buffer fills and ``log`` waits — events are never
+silently dropped.  The engine's tick-boundary hooks call
 :meth:`flush` (wake the writer now, don't wait) and checkpoint saves
 call :meth:`sync` (wait until every appended event is committed, so the
 recorded ``last_seq`` is durable before the manifest renames into
@@ -31,7 +32,6 @@ so producers can record "everything up to seq N" markers synchronously.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import pathlib
 import sqlite3
@@ -144,12 +144,15 @@ class EventLog:
     # ------------------------------------------------------------------
     # Producer API
     # ------------------------------------------------------------------
-    def append(self, event: Event) -> int:
-        """Buffer ``event``, assign and return its sequence number.
+    def log(self, kind: str, tick: int, payload: dict | None = None, **cols) -> int:
+        """Build one :class:`Event`, buffer it, and return its sequence number.
 
-        Blocks only when the buffer is full (backpressure, never loss).
-        The event is durable once :meth:`sync` returns — or, without an
-        explicit sync, shortly after the writer's next batch commits.
+        The event is built once, with its sequence number, under the
+        lock.  Blocks only when the buffer is full (backpressure, never
+        loss).  The event is durable once :meth:`sync` returns — or,
+        without an explicit sync, shortly after the writer's next batch
+        commits.  ``cols`` are the optional filter columns
+        (``campaign_id``, ``client``, ``trace_id``).
         """
         with self._lock:
             self._raise_if_unusable()
@@ -157,8 +160,10 @@ class EventLog:
                 self._not_full.wait(timeout=1.0)
                 self._raise_if_unusable()
             seq = self._next_seq
-            self._next_seq += 1
-            self._buffer.append(dataclasses.replace(event, seq=seq))
+            self._buffer.append(
+                Event(kind=kind, tick=tick, payload=payload or {}, seq=seq, **cols)
+            )
+            self._next_seq = seq + 1
             buffered = len(self._buffer)
         if self._m_appended is not None:
             self._m_appended.inc()
@@ -167,9 +172,19 @@ class EventLog:
             self._wake.set()
         return seq
 
-    def log(self, kind: str, tick: int, payload: dict | None = None, **cols) -> int:
-        """Convenience ``append``: build the :class:`Event` in place."""
-        return self.append(Event(kind=kind, tick=tick, payload=payload or {}, **cols))
+    def append(self, event: Event) -> int:
+        """Buffer a prebuilt ``event`` under the next sequence number.
+
+        Its own ``seq``, if any, is replaced; see :meth:`log`.
+        """
+        return self.log(
+            event.kind,
+            event.tick,
+            event.payload,
+            campaign_id=event.campaign_id,
+            client=event.client,
+            trace_id=event.trace_id,
+        )
 
     def flush(self) -> None:
         """Wake the writer to commit what is buffered; does not wait.

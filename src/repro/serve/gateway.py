@@ -362,7 +362,7 @@ class Gateway:
         if not is_mutating(request):
             ticket = queue.make_ticket(client, request, now, tenant)
             self._record_request(ticket, core)
-            self._resolve(ticket, self._answer_read(request, core))
+            self._resolve(ticket, self._answer_read(request, core, tenant))
             return ticket
         ticket, accepted = queue.offer(client, request, now, tenant)
         self._record_request(ticket, core)
@@ -389,10 +389,7 @@ class Gateway:
         self.telemetry.count_response(
             response.status, is_read=not is_mutating(ticket.request)
         )
-        elapsed = time.perf_counter() - ticket.offered_at
-        self.telemetry.latency.observe(elapsed)
-        if ticket.tenant != DEFAULT_TENANT:
-            self.telemetry.latency_for(ticket.tenant).observe(elapsed)
+        self.telemetry.latency.observe(time.perf_counter() - ticket.offered_at)
         self._record_response(ticket, response)
 
     # ------------------------------------------------------------------
@@ -473,7 +470,7 @@ class Gateway:
     # ------------------------------------------------------------------
     # Reads: answered immediately, never blocking the tick loop
     # ------------------------------------------------------------------
-    def _answer_read(self, request, core: EngineCore) -> Response:
+    def _answer_read(self, request, core: EngineCore, tenant: str) -> Response:
         if isinstance(request, Quote):
             return self._quote(request, core)
         if isinstance(request, QueryTelemetry):
@@ -486,7 +483,7 @@ class Gateway:
                 "ticks_recorded": self.telemetry.num_ticks,
             }
             if request.last > 0:
-                payload["window"] = self.telemetry.window(request.last)
+                payload["window"] = self.telemetry.window(request.last, tenant)
             return Response(
                 kind="query-telemetry", status="ok", tick=core.clock,
                 payload=payload,

@@ -149,9 +149,9 @@ class QueryTelemetry:
     Attributes
     ----------
     last:
-        Also return the most recent ``last`` ticks of every per-tick
-        series (0 = summary only).  Any integer ``>= 0`` (numpy ints
-        included, stored as ``int``).
+        Also return the most recent ``last`` ticks of the global per-tick
+        series plus the caller's own tenant's (0 = summary only).  Any
+        integer ``>= 0`` (numpy ints included, stored as ``int``).
     """
 
     last: int = 0
@@ -206,6 +206,13 @@ REQUEST_TYPES = {
 
 _TYPE_TAGS = {cls: tag for tag, cls in REQUEST_TYPES.items()}
 
+#: Field names in declaration order, what :func:`request_to_dict` walks.
+_FIELD_NAMES = {
+    tag: tuple(field.name for field in dataclasses.fields(cls))
+    for tag, cls in REQUEST_TYPES.items()
+}
+_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(CampaignSpec))
+
 #: Request kinds the gateway queues for the next tick-boundary drain.
 _MUTATING = (SubmitCampaign, Cancel, Snapshot)
 
@@ -224,15 +231,23 @@ def request_kind(request) -> str:
 
 
 def request_to_dict(request) -> dict:
-    """Serialize one request to a JSON-ready tagged dict."""
+    """Serialize one request to a JSON-ready tagged dict.
+
+    Built field by field: every request field is a scalar or a
+    :class:`~repro.engine.campaign.CampaignSpec` of scalars, so this
+    equals ``{"type": tag, **dataclasses.asdict(request)}``, key order
+    included, without ``asdict``'s recursive deep copy.
+    """
     tag = _TYPE_TAGS.get(type(request))
     if tag is None:
         raise TypeError(f"unknown request type {type(request).__name__}")
-    data = dataclasses.asdict(request)
-    spec = data.get("spec")
-    if spec is not None:
-        data["spec"] = dict(spec)
-    return {"type": tag, **data}
+    data = {"type": tag}
+    for name in _FIELD_NAMES[tag]:
+        value = getattr(request, name)
+        if isinstance(value, CampaignSpec):
+            value = {field: getattr(value, field) for field in _SPEC_FIELDS}
+        data[name] = value
+    return data
 
 
 def request_from_dict(data: dict) -> object:

@@ -29,6 +29,7 @@ import pathlib
 from typing import TYPE_CHECKING, Iterable
 
 from repro.engine.telemetry import Telemetry
+from repro.serve.requests import DEFAULT_TENANT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.campaign import CampaignOutcome
@@ -101,8 +102,6 @@ class DrainReport:
 
     def tally(self, tenant: str, key: str, amount: int = 1) -> None:
         """Add to one tenant's breakdown (no-op for the default tenant)."""
-        from repro.serve.requests import DEFAULT_TENANT
-
         if tenant == DEFAULT_TENANT:
             return
         row = self.tenants.setdefault(
@@ -214,9 +213,6 @@ class GatewayTelemetry:
         # keeping pre-tenant serialized forms byte-identical.
         self.tenants: dict[str, dict[str, list]] = {}
         self.latency = LatencyRecorder()
-        # Per-tenant latency recorders, created lazily; wall-clock only,
-        # never serialized (same rule as the global recorder).
-        self.latency_by_tenant: dict[str, LatencyRecorder] = {}
         # Lifetime response counters by status, plus total reads served.
         self.responses = {"ok": 0, "rejected": 0, "error": 0}
         self.reads_served = 0
@@ -241,27 +237,29 @@ class GatewayTelemetry:
         """Requests answered with backpressure/validation rejections."""
         return self.responses["rejected"]
 
-    def window(self, last: int) -> dict:
-        """The most recent ``last`` ticks of the serve and engine series.
+    def window(self, last: int, tenant: str = DEFAULT_TENANT) -> dict:
+        """The most recent ``last`` ticks of the global series and ``tenant``'s.
 
         What a :class:`~repro.serve.requests.QueryTelemetry` request with
         ``last > 0`` answers with: ``{"serve": ..., "engine": ...}``,
-        both JSON-ready.  ``last <= 0`` returns empty series.
+        both JSON-ready, plus ``{"tenants": {tenant: ...}}`` when
+        ``tenant`` has per-tenant series.  A tenant sees only its own
+        series, never another tenant's; the default tenant is never
+        tallied, so an untagged read carries no ``tenants`` key.
+        ``last <= 0`` returns empty series.
         """
         if last <= 0:
             serve = {key: [] for key in SERVE_SERIES_FIELDS}
         else:
-            serve = {
-                key: list(values[-last:]) for key, values in self.serve.items()
-            }
+            serve = {key: values[-last:] for key, values in self.serve.items()}
         window = {"serve": serve, "engine": self.engine.window(last)}
-        if self.tenants:
+        series = self.tenants.get(tenant)
+        if series is not None:
             window["tenants"] = {
                 tenant: {
-                    key: (list(values[-last:]) if last > 0 else [])
+                    key: (values[-last:] if last > 0 else [])
                     for key, values in series.items()
                 }
-                for tenant, series in self.tenants.items()
             }
         return window
 
@@ -305,13 +303,6 @@ class GatewayTelemetry:
         self.responses[status] = self.responses.get(status, 0) + 1
         if is_read:
             self.reads_served += 1
-
-    def latency_for(self, tenant: str) -> LatencyRecorder:
-        """The tenant's latency recorder (created on first use)."""
-        recorder = self.latency_by_tenant.get(tenant)
-        if recorder is None:
-            recorder = self.latency_by_tenant[tenant] = LatencyRecorder()
-        return recorder
 
     def record_tick(
         self,
@@ -375,7 +366,13 @@ class GatewayTelemetry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GatewayTelemetry":
-        """Rebuild serving telemetry (and its baselines) from a dict."""
+        """Rebuild serving telemetry (and its baselines) from a dict.
+
+        Every serve, tenant and engine series must hold one entry per
+        recorded tick (the length of ``serve["interval"]``); a misaligned
+        series raises ``ValueError`` rather than answering windows whose
+        fields disagree on which ticks they cover.
+        """
         if data.get("version") != SERVE_TELEMETRY_VERSION:
             raise ValueError(
                 f"serve telemetry version {data.get('version')!r} is not "
@@ -390,6 +387,23 @@ class GatewayTelemetry:
             }
             for tenant, series in data.get("tenants", {}).items()
         }
+        ticks = telemetry.num_ticks
+        if telemetry.engine.num_ticks != ticks:
+            raise ValueError(
+                f"serve telemetry records {ticks} ticks but its engine "
+                f"telemetry {telemetry.engine.num_ticks}"
+            )
+        owners = [("serve", telemetry.serve)] + [
+            (f"tenant {tenant!r}", series)
+            for tenant, series in telemetry.tenants.items()
+        ]
+        for owner, series in owners:
+            for key, values in series.items():
+                if len(values) != ticks:
+                    raise ValueError(
+                        f"serve telemetry {owner} series {key!r} has "
+                        f"{len(values)} entries for {ticks} ticks"
+                    )
         telemetry.responses = {k: int(v) for k, v in data["responses"].items()}
         telemetry.reads_served = int(data["reads_served"])
         telemetry._reads_seen = int(data["reads_seen"])

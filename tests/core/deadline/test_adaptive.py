@@ -137,6 +137,16 @@ def table_of(repricer, key):
     return repricer.export_state()["cache"][key]
 
 
+def held_buffers(cache: dict) -> int:
+    """Distinct memory buffers behind a suffix-table cache's tables."""
+    owners = set()
+    for table in cache.values():
+        while isinstance(table, np.ndarray) and table.base is not None:
+            table = table.base
+        owners.add(id(table))
+    return len(owners)
+
+
 class TestSuffixSlicing:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -167,10 +177,12 @@ class TestSuffixSlicing:
             repricer.price(num_tasks, anchor)
         cache = repricer.export_state()["cache"]
         assert sorted(cache) == list(enumerate(factors))
-        for (anchor, factor), table in cache.items():
+        bases = {}
+        for (anchor, factor), table in sorted(cache.items()):
             fresh = fresh_suffix_table(problem, anchor, factor)
             assert table.dtype == fresh.dtype
-            assert table.flags.c_contiguous
+            # A later anchor is a view of its factor's earliest table.
+            assert np.shares_memory(table, bases.setdefault(factor, table))
             np.testing.assert_array_equal(table, fresh)
         assert repricer.num_solves == problem.num_intervals
         # Only each factor's first anchor runs a DP; the rest slice it.
@@ -189,6 +201,26 @@ class TestSuffixSlicing:
                 table_of(repricer, (anchor, 1.0)),
                 fresh_suffix_table(problem, anchor, 1.0),
             )
+
+    def test_a_repricer_holds_one_buffer_per_dp_run(self, problem):
+        predictor = _PinnedFactor()
+        repricer = AdaptiveRepricer(problem, predictor=predictor)
+        for anchor in range(problem.num_intervals):
+            predictor.factor = (1.0, 0.5)[anchor % 2]
+            repricer.price(5, anchor)
+        assert repricer.num_solves == problem.num_intervals
+        assert held_buffers(repricer.export_state()["cache"]) == 2
+        assert repricer.num_dp_solves == 2
+        # A bundle restores every table as its own array.
+        state = repricer.export_state()
+        state["cache"] = {key: t.copy() for key, t in state["cache"].items()}
+        restored = AdaptiveRepricer(problem, predictor=_PinnedFactor())
+        restored.import_state(state)
+        assert held_buffers(restored.export_state()["cache"]) == 2
+        # A restored later anchor is a view of its factor's earliest table.
+        assert np.shares_memory(
+            table_of(restored, (2, 1.0)), table_of(restored, (0, 1.0))
+        )
 
     def test_restored_tables_are_sliced(self, problem):
         predictor = _PinnedFactor()
@@ -312,6 +344,19 @@ class TestImportValidation:
         with pytest.raises(ValueError, match=match):
             restored.import_state(state)
         # A rejected state leaves the repricer as it was.
+        assert restored.export_state()["cache"] == {}
+
+    def test_a_table_off_its_base_slice_is_rejected(self, problem):
+        repricer = AdaptiveRepricer(problem, predictor=_PinnedFactor())
+        repricer.price(5, 0)
+        repricer.price(5, 1)  # (1, 1.0): the trailing columns of (0, 1.0)
+        state = repricer.export_state()
+        table = state["cache"][(1, 1.0)].copy()
+        table[-1, -1] = 1 - min(table[-1, -1], 1)  # still on the grid
+        state["cache"][(1, 1.0)] = table
+        restored = AdaptiveRepricer(problem)
+        with pytest.raises(ValueError, match="not the slice"):
+            restored.import_state(state)
         assert restored.export_state()["cache"] == {}
 
     @pytest.mark.parametrize(

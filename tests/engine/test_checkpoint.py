@@ -36,6 +36,7 @@ from repro.market.acceptance import paper_acceptance_model
 from repro.scenario import ScenarioDriver
 from repro.serve import Gateway
 from repro.sim.stream import SharedArrivalStream
+from tests.core.deadline.test_adaptive import held_buffers
 
 SEED = 9
 NUM_INTERVALS = 60
@@ -247,6 +248,57 @@ class TestAdaptiveSuffixTables:
         with payload.open("wb") as fh:
             np.savez(fh, **arrays)
         with pytest.raises(CheckpointError, match=match):
+            restore_engine(bundle)
+
+    def test_repricers_hold_one_buffer_per_factor_across_resume(self, tmp_path):
+        def buffers(engine):
+            counts = []
+            for live in engine.core.live:
+                if isinstance(live.runtime, AdaptiveRepricer):
+                    cache = live.runtime.export_state()["cache"]
+                    factors = len({factor for _, factor in cache})
+                    counts.append((held_buffers(cache), factors, len(cache)))
+            return counts
+
+        engine = self.sliced_engine()
+        core = engine.start(seed=SEED)
+        for _ in range(7):
+            core.tick()
+        before = buffers(engine)
+        save_checkpoint(engine, tmp_path / "ck")
+        engine.close()
+        restored = restore_engine(tmp_path / "ck")
+        after = buffers(restored)
+        restored.close()
+        # Later anchors are views, so each factor's tables share one buffer.
+        assert any(keys > factors for _, factors, keys in before)
+        assert all(held == factors for held, factors, _ in before)
+        assert after == before
+
+    def test_a_restored_table_off_its_base_slice_raises_checkpoint_error(
+        self, tmp_path
+    ):
+        bundle = self.saved_bundle(tmp_path)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        payload = bundle / manifest["arrays"]
+        with np.load(payload) as npz:
+            arrays = dict(npz)
+        # A later anchor at a factor the campaign solved earlier.
+        name = next(
+            f"adaptive::{entry['campaign_id']}::{i}"
+            for entry in manifest["live"] if entry["adaptive"]
+            for i, (anchor, factor) in enumerate(entry["adaptive"]["cache_keys"])
+            if any(
+                f == factor and a < anchor
+                for a, f in entry["adaptive"]["cache_keys"]
+            )
+        )
+        table = arrays[name].copy()
+        table[-1, -1] = 1 - min(table[-1, -1], 1)  # still on the grid
+        arrays[name] = table
+        with payload.open("wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="not the slice"):
             restore_engine(bundle)
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -50,6 +51,21 @@ class TestEventLog:
         assert seqs == list(range(1, 11))
         assert log.last_seq == 10
         log.close()
+
+    def test_append_of_a_prebuilt_event_takes_the_next_seq(self, tmp_path):
+        log = EventLog(tmp_path / "e.sqlite")
+        event = Event(
+            kind="cancel", tick=1, payload={"result": "dropped"},
+            campaign_id="c-1", client="alice", trace_id="req-000001", seq=99,
+        )
+        assert log.log("tick", 0) == 1
+        assert log.append(event) == 2  # its own seq is replaced
+        assert log.log("tick", 2) == 3
+        log.sync()
+        events = log.events()
+        log.close()
+        assert [e.seq for e in events] == [1, 2, 3]
+        assert events[1] == dataclasses.replace(event, seq=2)
 
     def test_sync_makes_everything_readable(self, tmp_path):
         path = tmp_path / "e.sqlite"

@@ -226,9 +226,10 @@ def _set(path, value):
         _set(["queue"], 5),
         _set(["telemetry", "version"], 99),
         _set(["replay", "trace"], 3),
+        _set(["telemetry", "serve", "reads"], [0]),
     ],
     ids=["no-telemetry", "no-config", "queue-not-a-list",
-         "telemetry-version", "trace-not-an-object"],
+         "telemetry-version", "trace-not-an-object", "misaligned-series"],
 )
 def test_serve_resume_of_corrupt_gateway_state_exits_2_with_one_line(
     stopped_serve_bundle, mutate, tmp_path, capsys

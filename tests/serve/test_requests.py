@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -44,6 +45,48 @@ ALL_REQUESTS = [
 def test_request_round_trips_through_dict(request_):
     data = request_to_dict(request_)
     assert isinstance(data["type"], str)
+    assert request_from_dict(data) == request_
+
+
+#: Every CampaignSpec field away from its default, for both kinds.
+FULL_SPECS = [
+    CampaignSpec(
+        campaign_id="full-d", kind="deadline", num_tasks=12,
+        submit_interval=3, horizon_intervals=9, max_price=17,
+        penalty_per_task=55.5, budget=250.0, adaptive=True, resolve_every=2,
+    ),
+    CampaignSpec(
+        campaign_id="full-b", kind="budget", num_tasks=40,
+        submit_interval=1, horizon_intervals=24, max_price=11,
+        penalty_per_task=0.5, budget=320.0, resolve_every=6,
+    ),
+]
+FULL_REQUESTS = [
+    *(SubmitCampaign(s) for s in FULL_SPECS),
+    *(Quote(s, solve_on_miss=True) for s in FULL_SPECS),
+    Cancel("full-d"),
+    QueryTelemetry(last=7),
+    Snapshot("/tmp/full"),
+]
+
+
+def asdict_reference(request) -> dict:
+    """The ``dataclasses.asdict`` encoding request_to_dict must equal."""
+    tag = {
+        SubmitCampaign: "submit-campaign", Quote: "quote", Cancel: "cancel",
+        QueryTelemetry: "query-telemetry", Snapshot: "snapshot",
+    }[type(request)]
+    return {"type": tag, **dataclasses.asdict(request)}
+
+
+@pytest.mark.parametrize(
+    "request_", FULL_REQUESTS, ids=lambda r: type(r).__name__
+)
+def test_request_to_dict_equals_the_asdict_reference(request_):
+    data = request_to_dict(request_)
+    reference = asdict_reference(request_)
+    assert data == reference
+    assert json.dumps(data) == json.dumps(reference)  # key order too
     assert request_from_dict(data) == request_
 
 

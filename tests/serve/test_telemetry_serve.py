@@ -56,6 +56,53 @@ def test_latency_stays_out_of_the_serialized_form():
     assert restored.latency.count == 0
 
 
+def tenant_telemetry() -> GatewayTelemetry:
+    """Five recorded ticks with tenant ``acme``'s series."""
+    gateway = Gateway(make_engine())
+    gateway.start(seed=3)
+    gateway.offer(SubmitCampaign(spec("a")), tenant="acme")
+    for _ in range(6):
+        gateway.step()
+    return gateway.telemetry
+
+
+def _cut(*path, keep):
+    def corrupt(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = data[last][:keep]
+    return corrupt
+
+
+def _cut_engine(keep):
+    def corrupt(data):
+        series = data["engine"]["series"]
+        for key in series:
+            series[key] = series[key][:keep]
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (_cut("serve", "reads", keep=1), "serve series 'reads'"),
+        (_cut("tenants", "acme", "drained", keep=3), "tenant 'acme' series"),
+        (_cut("engine", "series", "num_live", keep=4), "series 'num_live'"),
+        (_cut_engine(keep=4), "but its engine telemetry 4"),
+    ],
+    ids=["serve-reads", "tenant-drained", "engine-series", "engine-ticks"],
+)
+def test_misaligned_series_are_rejected(corrupt, match):
+    # Used to restore without error: window(3) then answered 2 drained
+    # entries next to 3 of every other field.
+    data = tenant_telemetry().to_dict()
+    assert len(data["serve"]["interval"]) == 5
+    corrupt(data)
+    with pytest.raises(ValueError, match=match):
+        GatewayTelemetry.from_dict(data)
+
+
 def test_window_bounds():
     telemetry = recorded_telemetry()
     empty = telemetry.window(0)
