@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke bench-scenario \
+.PHONY: test bench bench-smoke bench-scenario scenario-smoke \
 	bench-serve serve-smoke bench-obs obs-smoke ops-smoke bench-scale scale-smoke cov \
 	regen-golden golden-check docs-check checkpoint-smoke perfbench-smoke all
 
@@ -28,9 +28,13 @@ bench-smoke:
 ## Scenario-engine benchmarks: driver overhead vs the raw clock, and
 ## stress throughput under churn + shock + cancellation under both
 ## arrival models.
-## CI runs this with REPRO_BENCH_SMOKE=1 (tiny horizon, same code paths).
 bench-scenario:
 	$(PYTEST) benchmarks/bench_scenario.py -q -p no:cacheprovider
+
+## Scenario smoke (CI): the scenario bench on a tiny horizon — same code
+## paths, seconds of wall-clock.
+scenario-smoke:
+	REPRO_BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_scenario.py -q -p no:cacheprovider
 
 ## Serving-gateway benchmarks: sustained requests/sec through the
 ## gateway (>= 12k bar, recorded under BENCH_engine.json's "serve" key),
@@ -113,7 +117,8 @@ perfbench-smoke:
 
 ## The local gate a refactor reports: tier-1 tests, the docs contract, the
 ## bit-identity drills (checkpoint/resume, goldens, bench checksums,
-## perfbench fingerprints), and the serving drills (gateway read path,
-## event-log recovery, live ops plane).
+## perfbench fingerprints, the streaming outcome checksum of scale-smoke),
+## the scenario smoke, and the serving drills (gateway read path,
+## event-log recovery, live ops plane) — every smoke CI runs.
 all: test docs-check checkpoint-smoke golden-check bench-smoke perfbench-smoke \
-	serve-smoke obs-smoke ops-smoke
+	scenario-smoke scale-smoke serve-smoke obs-smoke ops-smoke

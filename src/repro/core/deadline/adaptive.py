@@ -217,27 +217,39 @@ class AdaptiveRepricer(PricingRuntime):
         can be priced from or sliced: a key's anchor must lie on the
         horizon and its factor be finite and positive, and its table must
         be an integer array of shape ``(num_tasks + 1, num_intervals -
-        anchor)`` indexing the price grid.  A later anchor's table must
-        equal the trailing columns of its factor's earliest table, and is
-        kept as a view of it, as :meth:`price` would have sliced it.  A
-        failed check raises ``ValueError``.
+        anchor)`` indexing the price grid.  A later anchor's table is
+        rebuilt as a view of the trailing columns of its factor's
+        earliest table, as :meth:`price` would have sliced it.  Its
+        table may be ``None`` (checkpoint bundles store only each
+        factor's earliest table); a given one must equal that slice.  A
+        failed check, or a factor's earliest table missing, raises
+        ``ValueError``.
         """
-        cache = {}
+        tables = {}
         for (anchor, factor), table in state["cache"].items():
             key = (int(anchor), float(factor))
-            cache[key] = self._checked_table(key, table)
+            tables[key] = self._checked_table(key, table)
+        cache = {}
         earliest: dict[float, int] = {}
-        for anchor, factor in sorted(cache):
+        for key in sorted(tables):
+            anchor, factor = key
             base = earliest.setdefault(factor, anchor)
+            table = tables[key]
             if base == anchor:
+                if table is None:
+                    raise ValueError(
+                        f"repricer table at key {key} is missing, and it is "
+                        "the earliest table at its factor"
+                    )
+                cache[key] = table
                 continue
             view = cache[base, factor][:, anchor - base :]
-            if not np.array_equal(cache[anchor, factor], view):
+            if table is not None and not np.array_equal(table, view):
                 raise ValueError(
-                    f"repricer table at key {(anchor, factor)} is not the "
+                    f"repricer table at key {key} is not the "
                     f"slice of its factor's earliest table at anchor {base}"
                 )
-            cache[anchor, factor] = view
+            cache[key] = view
         active = state["active_key"]
         if active is not None:
             active = (int(active[0]), float(active[1]))
@@ -253,8 +265,9 @@ class AdaptiveRepricer(PricingRuntime):
         self._active_key = active
         self._active_price_col = None if active is None else cache[active]
 
-    def _checked_table(self, key: tuple[int, float], table) -> np.ndarray:
-        """A restored suffix table, checked against :attr:`problem`."""
+    def _checked_table(self, key: tuple[int, float], table) -> np.ndarray | None:
+        """A restored suffix table, checked against :attr:`problem`
+        (``None``, a table left to be sliced, once its key is checked)."""
         anchor, factor = key
         problem = self.problem
         if not 0 <= anchor < problem.num_intervals:
@@ -267,6 +280,8 @@ class AdaptiveRepricer(PricingRuntime):
                 f"repricer factor {factor} at anchor {anchor} must be "
                 "positive and finite"
             )
+        if table is None:
+            return None
         table = np.asarray(table)
         shape = (problem.num_tasks + 1, problem.num_intervals - anchor)
         if not np.issubdtype(table.dtype, np.integer) or table.shape != shape:

@@ -19,8 +19,10 @@ Bundle layout (a directory)::
     <path>/manifest.json      # everything human-readable: specs, counters,
                               # generator states, adaptive metadata, config
     <path>/arrays-<id>.npz    # the numeric payloads: stream / planning
-                              # forecasts, adaptive suffix price tables
-                              # (unique name recorded in the manifest)
+                              # forecasts, each factor's earliest adaptive
+                              # suffix price table (later anchors restore
+                              # as its slices; unique name recorded in
+                              # the manifest)
 
 Saves are **crash-safe**: files are written to temp names and renamed
 into place, payload first and manifest last, so killing a periodic save
@@ -212,8 +214,13 @@ def _live_entry(live, arrays: dict) -> dict:
     if isinstance(live.runtime, AdaptiveRepricer):
         state = live.runtime.export_state()
         keys = sorted(state["cache"])
+        factors = set()
         for i, key in enumerate(keys):
-            arrays[_adaptive_key(cid, i)] = state["cache"][key]
+            # Only each factor's earliest table: later anchors are its
+            # slices, and restore rebuilds them from it.
+            if key[1] not in factors:
+                factors.add(key[1])
+                arrays[_adaptive_key(cid, i)] = state["cache"][key]
         entry["adaptive"] = {
             "factor": state["factor"],
             "observations": state["observations"],
@@ -401,7 +408,7 @@ def _restore_adaptive(runtime, meta: dict, cid: str, arrays) -> None:
             "produced a non-adaptive runtime (corrupt bundle?)"
         )
     cache = {
-        (int(key[0]), float(key[1])): arrays[_adaptive_key(cid, i)]
+        (int(key[0]), float(key[1])): arrays.get(_adaptive_key(cid, i))
         for i, key in enumerate(meta["cache_keys"])
     }
     runtime.import_state(

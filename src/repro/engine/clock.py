@@ -519,17 +519,6 @@ class EngineCore:
                 )
         return n
 
-    @property
-    def admission_log(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        """Which campaigns were admitted at which tick, in admission order.
-
-        The same record checkpoint restores replay to rebuild the policy
-        cache; exposed read-only so observability layers (the event log,
-        recovery verification) can mirror it without reaching into
-        private state.
-        """
-        return tuple(self._admission_log)
-
     def admissions_since(self, start: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
         """Admission-log entries from index ``start`` on (incremental
         consumption for event recording, without copying the whole log)."""
@@ -765,10 +754,6 @@ class EngineCore:
         checkpointed — re-register after a resume.
         """
         self._tick_boundary_hooks.append(hook)
-
-    def remove_tick_boundary_hook(self, hook) -> None:
-        """Unregister a hook added with :meth:`add_tick_boundary_hook`."""
-        self._tick_boundary_hooks.remove(hook)
 
     # ------------------------------------------------------------------
     # Mid-flight submission

@@ -171,16 +171,6 @@ class Telemetry:
         """Campaign cancellations recorded (O(1) incremental counter)."""
         return self._cancelled_count
 
-    def iter_rows(self) -> Iterable[dict]:
-        """Yield one ``{field: value}`` dict per recorded tick, in order.
-
-        The row-oriented view of the column-oriented series — what SQL
-        analytics (:mod:`repro.obs.analytics`) loads and what brute-force
-        recomputation in tests iterates over.
-        """
-        for values in zip(*(self.series[key] for key in SERIES_FIELDS)):
-            yield dict(zip(SERIES_FIELDS, values))
-
     def window(self, last: int) -> dict[str, list]:
         """The most recent ``last`` ticks of every series, as plain lists.
 

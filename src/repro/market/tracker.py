@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from repro.market.rates import PiecewiseConstantRate, RateFunction
+from repro.market.rates import PiecewiseConstantRate
 from repro.util.validation import require_positive
 
 __all__ = ["TrackerConfig", "SyntheticTrackerTrace", "HOURS_PER_DAY", "DEFAULT_BIN_HOURS"]
@@ -189,8 +189,3 @@ class SyntheticTrackerTrace:
             raise ValueError(
                 f"day must lie in [0, {self.config.num_days}), got {day}"
             )
-
-
-def default_market_rate(seed: int = 20140101) -> RateFunction:
-    """Convenience: the observed 4-week rate function of the default trace."""
-    return SyntheticTrackerTrace(seed=seed).rate_function()

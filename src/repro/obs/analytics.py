@@ -61,10 +61,6 @@ class CannedQuery:
     requires: tuple
     sql: str
 
-    @property
-    def uses_window(self) -> bool:
-        return "{window}" in self.sql
-
 
 _CANNED = (
     CannedQuery(

@@ -78,7 +78,7 @@ class Event:
     # ------------------------------------------------------------------
     def to_row(self) -> tuple:
         """The ``(tick, kind, campaign_id, client, trace_id, payload)``
-        tuple the log's INSERT binds (seq is the rowid, never bound)."""
+        columns the log's INSERT binds after ``seq``, the rowid."""
         return (
             int(self.tick),
             self.kind,

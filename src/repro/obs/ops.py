@@ -199,16 +199,16 @@ class OpsServer:
             }
         else:
             backlog = self.event_log.buffered
-            capacity = self.event_log.buffer_size
             healthy = self.event_log.healthy
+            saturated = self.event_log.saturated
             checks["event_log"] = {
-                "ok": healthy and backlog < capacity,
+                "ok": healthy and not saturated,
                 "backlog": backlog,
-                "capacity": capacity,
+                "capacity": self.event_log.capacity,
                 "detail": (
-                    "writer keeping up" if healthy and backlog < capacity
-                    else "writer failed" if not healthy
-                    else f"writer backlog at capacity ({backlog})"
+                    "writer failed" if not healthy
+                    else f"writer backlog at capacity ({backlog})" if saturated
+                    else "writer keeping up"
                 ),
             }
         ready = all(check["ok"] for check in checks.values())

@@ -490,21 +490,6 @@ class RequestTrace:
                 raise ValueError(f"{where}: {exc}") from exc
         return cls(name=data["name"], requests=tuple(requests))
 
-    def with_tenant(self, tenant: str) -> "RequestTrace":
-        """The same trace with every request re-tagged to ``tenant``.
-
-        How an untagged workload (a lowered scenario, a load-generator
-        draw) becomes one tenant's traffic in a multi-tenant run — the
-        fairness benchmark and the tenant-mode invariance guard both
-        build their workloads this way.
-        """
-        return RequestTrace(
-            name=self.name,
-            requests=tuple(
-                dataclasses.replace(r, tenant=tenant) for r in self.requests
-            ),
-        )
-
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Write the trace to ``path`` as JSON; returns the path."""
         target = pathlib.Path(path)

@@ -232,11 +232,6 @@ class GatewayTelemetry:
         """Responses delivered (any status)."""
         return sum(self.responses.values())
 
-    @property
-    def total_rejected(self) -> int:
-        """Requests answered with backpressure/validation rejections."""
-        return self.responses["rejected"]
-
     def window(self, last: int, tenant: str = DEFAULT_TENANT) -> dict:
         """The most recent ``last`` ticks of the global series and ``tenant``'s.
 

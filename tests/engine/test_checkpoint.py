@@ -221,6 +221,77 @@ class TestAdaptiveSuffixTables:
         engine.close()
         return bundle
 
+    @staticmethod
+    def bundle_arrays(bundle) -> tuple[dict, pathlib.Path, dict]:
+        """A bundle's manifest, its payload path and its arrays."""
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        payload = bundle / manifest["arrays"]
+        with np.load(payload) as npz:
+            return manifest, payload, dict(npz)
+
+    def with_every_table(self, bundle) -> tuple[dict, pathlib.Path, dict]:
+        """Rewrite ``bundle`` in the layout of builds that stored every
+        key's table, each later anchor's as the slice of its factor's
+        earliest; returns :meth:`bundle_arrays` of the result."""
+        manifest, payload, arrays = self.bundle_arrays(bundle)
+        for entry in manifest["live"]:
+            if entry["adaptive"] is None:
+                continue
+            name = f"adaptive::{entry['campaign_id']}::{{}}".format
+            earliest: dict = {}
+            for i, (anchor, factor) in enumerate(entry["adaptive"]["cache_keys"]):
+                base, base_anchor = earliest.setdefault(factor, (i, anchor))
+                if base != i:
+                    arrays[name(i)] = arrays[name(base)][:, anchor - base_anchor :]
+        with payload.open("wb") as fh:
+            np.savez(fh, **arrays)
+        return manifest, payload, arrays
+
+    def test_a_bundle_holds_one_table_per_factor_and_resumes_exactly(
+        self, tmp_path
+    ):
+        base = self.sliced_engine().run(seed=SEED)
+        bundle = self.saved_bundle(tmp_path)
+        manifest, _, arrays = self.bundle_arrays(bundle)
+        later = 0
+        for entry in manifest["live"]:
+            if entry["adaptive"] is None:
+                continue
+            keys = entry["adaptive"]["cache_keys"]
+            factors = {factor for _, factor in keys}
+            prefix = f"adaptive::{entry['campaign_id']}::"
+            assert sum(name.startswith(prefix) for name in arrays) == len(factors)
+            later += len(keys) - len(factors)
+        assert later > 0  # later anchors were left to be sliced on restore
+        restored = restore_engine(bundle)
+        result = restored.run_to_completion()
+        restored.close()
+        assert strip_timing(result) == strip_timing(base)
+
+    def test_a_bundle_with_every_table_restores(self, tmp_path):
+        base = self.sliced_engine().run(seed=SEED)
+        bundle = self.saved_bundle(tmp_path)
+        self.with_every_table(bundle)
+        restored = restore_engine(bundle)
+        for live in restored.core.live:
+            if isinstance(live.runtime, AdaptiveRepricer):
+                cache = live.runtime.export_state()["cache"]
+                assert held_buffers(cache) == len({f for _, f in cache})
+        result = restored.run_to_completion()
+        restored.close()
+        assert strip_timing(result) == strip_timing(base)
+
+    def test_a_missing_base_table_raises_checkpoint_error(self, tmp_path):
+        bundle = self.saved_bundle(tmp_path)
+        manifest, payload, arrays = self.bundle_arrays(bundle)
+        entry = next(e for e in manifest["live"] if e["adaptive"])
+        # Key 0 is the earliest at its factor, so its table is stored.
+        del arrays[f"adaptive::{entry['campaign_id']}::0"]
+        with payload.open("wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CheckpointError, match="earliest table at its factor"):
+            restore_engine(bundle)
+
     @pytest.mark.parametrize(
         "cut,match",
         [
@@ -236,10 +307,7 @@ class TestAdaptiveSuffixTables:
         # A table cut to one column used to restore without complaint and
         # fail the first tick with a bare IndexError.
         bundle = self.saved_bundle(tmp_path)
-        manifest = json.loads((bundle / "manifest.json").read_text())
-        payload = bundle / manifest["arrays"]
-        with np.load(payload) as npz:
-            arrays = dict(npz)
+        _, payload, arrays = self.bundle_arrays(bundle)
         name = next(
             name for name, table in arrays.items()
             if name.startswith("adaptive::") and table.shape[1] > 1
@@ -279,10 +347,7 @@ class TestAdaptiveSuffixTables:
         self, tmp_path
     ):
         bundle = self.saved_bundle(tmp_path)
-        manifest = json.loads((bundle / "manifest.json").read_text())
-        payload = bundle / manifest["arrays"]
-        with np.load(payload) as npz:
-            arrays = dict(npz)
+        manifest, payload, arrays = self.with_every_table(bundle)
         # A later anchor at a factor the campaign solved earlier.
         name = next(
             f"adaptive::{entry['campaign_id']}::{i}"

@@ -237,6 +237,7 @@ def run_serve_case(
     case: str,
     tenants: tuple[str, ...] | None = None,
     instrumented: bool = False,
+    event_log=None,
 ) -> dict:
     """Run one served case; payload = trace + result + serving telemetry.
 
@@ -249,6 +250,8 @@ def run_serve_case(
     live :class:`~repro.obs.ops.OpsServer` scraped at tick boundaries —
     and must leave the payload **byte-identical** to a dark run: that is
     the serialization-inert contract the regen guard enforces.
+    ``event_log`` attaches a caller-owned
+    :class:`~repro.obs.eventlog.EventLog` to an uninstrumented run.
     """
     scenario = canned_scenario("flash-crowd", NUM_INTERVALS, seed=SCENARIO_SEED)
     weights = None
@@ -257,7 +260,7 @@ def run_serve_case(
         trace = tenant_tagged_trace(tenants)
     else:
         trace = serve_trace()
-    sinks = None
+    sinks = None if event_log is None else {"event_log": event_log}
     cleanup = []
     on_tick = None
     if instrumented:
