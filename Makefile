@@ -97,7 +97,8 @@ golden-check: regen-golden
 	git diff --exit-code -- 'tests/golden/*.json'
 
 ## Documentation contract: docs pages exist and are linked, relative
-## links resolve, the tracked benchmark record has its fields, and every
+## links resolve, every repro.* path the docs and docstrings name
+## resolves, the tracked benchmark record has its fields, and every
 ## public symbol carries a docstring.
 docs-check:
 	$(PYTEST) tests/test_docs.py tests/test_documentation.py -q
@@ -119,6 +120,9 @@ perfbench-smoke:
 ## bit-identity drills (checkpoint/resume, goldens, bench checksums,
 ## perfbench fingerprints, the streaming outcome checksum of scale-smoke),
 ## the scenario smoke, and the serving drills (gateway read path,
-## event-log recovery, live ops plane) — every smoke CI runs.
+## event-log recovery, live ops plane) — every smoke CI runs except the
+## event-log overhead smoke (REPRO_BENCH_SMOKE=1 make bench-obs), a
+## wall-clock ratio that read +9% to +42% against its 50% bar on a
+## 2-core machine and is left to CI's own step.
 all: test docs-check checkpoint-smoke golden-check bench-smoke perfbench-smoke \
 	scenario-smoke scale-smoke serve-smoke obs-smoke ops-smoke

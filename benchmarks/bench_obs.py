@@ -11,12 +11,13 @@ wall-clock each way.  The acceptance bar is **< 5% overhead** in full
 mode; the result is recorded under the ``"obs"`` key of
 ``BENCH_engine.json``.
 
-Smoke mode: set ``REPRO_BENCH_SMOKE=1`` (CI does, via ``make
-obs-smoke``) to shrink the horizon and loosen the bar — a contended CI
-runner can't resolve single-digit percent differences over a tiny run,
-so smoke mode only guards against pathological regressions (log on the
-hot path, a blocking flush); the committed ``BENCH_engine.json`` record
-is only rewritten by full (non-smoke) runs.
+Smoke mode: set ``REPRO_BENCH_SMOKE=1`` (CI runs
+``REPRO_BENCH_SMOKE=1 make bench-obs``) to shrink the horizon and loosen
+the bar — a contended CI runner can't resolve single-digit percent
+differences over a tiny run, so smoke mode only guards against
+pathological regressions (log on the hot path, a blocking flush); the
+committed ``BENCH_engine.json`` record is only rewritten by full
+(non-smoke) runs.
 
 Run:  pytest benchmarks/bench_obs.py -q
 """

@@ -87,15 +87,15 @@ def verify_invariance() -> str | None:
                 "before regenerating goldens"
             )
         # Instrumented arm: the full observability stack — event log,
-        # tracer, metrics + phase timings, and a live ops server scraped
-        # at tick boundaries — must be serialization-inert.
+        # metrics + phase timings, and a live ops server scraped at tick
+        # boundaries — must be serialization-inert.
         instrumented = run_serve_case(case, instrumented=True)
         if json.dumps(instrumented, sort_keys=True) != json.dumps(
             baseline, sort_keys=True
         ):
             return (
                 f"served case {case!r} diverged when the observability "
-                "stack (event log, tracer, metrics, live ops scrapes) "
+                "stack (event log, metrics, live ops scrapes) "
                 "was wired; the serialization-inert contract is broken "
                 "(see tests/obs/test_ops_invariance.py) — fix the obs "
                 "layer before regenerating goldens"

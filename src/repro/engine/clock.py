@@ -545,10 +545,6 @@ class EngineCore:
         self.phase_timings = timings
         return timings
 
-    def disable_phase_timings(self) -> None:
-        """Stop per-phase tick timing (the sink keeps its totals)."""
-        self.phase_timings = None
-
     @property
     def done(self) -> bool:
         """True once no tick could change anything.

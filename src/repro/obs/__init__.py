@@ -1,4 +1,4 @@
-"""Observability: durable event log, SQL analytics, tracing, and metrics.
+"""Observability: durable event log, SQL analytics, and metrics.
 
 The engine (:mod:`repro.engine`), the scenario driver
 (:mod:`repro.scenario`), and the serving gateway (:mod:`repro.serve`)
@@ -13,17 +13,19 @@ or *durable between checkpoints*.  ``repro.obs`` adds the missing layer:
   checkpoint bundle it makes a served run recoverable after ``kill -9``:
   :mod:`repro.obs.recovery` replays log + last checkpoint into a run
   bit-identical to an uninterrupted one.
+* :mod:`repro.obs.events` — the log's row vocabulary, including the
+  deterministic trace id (:func:`~repro.obs.events.trace_id_for_seq`)
+  that a served request's request, response and cancel rows share.
 * :mod:`repro.obs.analytics` — loads the event log and the
   engine/gateway telemetry series into sqlite and answers **canned
   window-function queries** (rolling p50/p95 queue depth, admission and
   rejection rates per window, cache hit-rate trends, per-campaign fill,
-  arrival modulation) — the ``repro engine analytics`` CLI.
-* :mod:`repro.obs.tracing` — deterministic trace/span ids threaded from
-  a gateway request through its admission batch to the tick that applied
-  it, plus the per-tick-phase timers
-  (:class:`~repro.engine.clock.PhaseTimings`) the engine clock records.
-* :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges, and histograms, exportable as JSON or Prometheus text format.
+  arrival modulation, request outcomes joined by trace id) — the
+  ``repro engine analytics`` CLI.
+* :mod:`repro.obs.metrics` — a registry of counters, gauges, and
+  histograms, exportable as JSON or Prometheus text format; the engine
+  clock's per-tick-phase timers
+  (:class:`~repro.engine.clock.PhaseTimings`) record into it.
 * :mod:`repro.obs.ops` — the **live ops plane**: an asyncio HTTP server
   attachable to a running gateway (``--ops-port``) answering
   ``/metrics``, ``/healthz``, ``/readyz``, ``/tenants``, and ``/slo``
@@ -36,10 +38,9 @@ or *durable between checkpoints*.  ``repro.obs`` adds the missing layer:
 
 Design rule, inherited from the serving layer's
 :class:`~repro.serve.telemetry.LatencyRecorder`: **wall-clock never
-enters a deterministic serialized form**.  Event-log rows, spans, and
-metrics may carry wall-clock durations for operators, but the recovery
-and determinism contracts compare only deterministic telemetry.  See
-``docs/observability.md``.
+enters a deterministic serialized form**.  Metrics may carry wall-clock
+durations for operators, but the recovery and determinism contracts
+compare only deterministic telemetry.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -48,15 +49,8 @@ from repro.obs.analytics import AnalyticsDB, CannedQuery, canned_queries
 from repro.obs.events import EVENT_KINDS, Event
 from repro.obs.eventlog import EventLog
 from repro.obs.logsetup import setup_logging
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloPolicy
-from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "AnalyticsDB",
@@ -67,15 +61,12 @@ __all__ = [
     "Event",
     "EventLog",
     "Gauge",
-    "get_registry",
     "Histogram",
     "MetricsRegistry",
     "OpsServer",
     "recover_serve_run",
     "setup_logging",
     "SloPolicy",
-    "Span",
-    "Tracer",
 ]
 
 

@@ -73,7 +73,7 @@ def _make_stream() -> SharedArrivalStream:
     return SharedArrivalStream(means)
 
 
-def build_drill_gateway(event_log=None, *, tracer=None, metrics=None):
+def build_drill_gateway(event_log=None, *, metrics=None):
     """A fresh, unstarted gateway over the drill's pinned engine config.
 
     Both sides of the drill use this — the child (with an event log) and
@@ -89,7 +89,6 @@ def build_drill_gateway(event_log=None, *, tracer=None, metrics=None):
         engine,
         max_live=MAX_LIVE,
         event_log=event_log,
-        tracer=tracer,
         metrics=metrics,
     )
 

@@ -146,6 +146,36 @@ class EventLog:
             trace_id=event.trace_id,
         )
 
+    def log_tick(self, core, report, admissions_seen: int, **counters) -> int:
+        """Append one finished tick's rows; returns the new ``admissions_seen``.
+
+        The rows are an ``admission`` row for each entry of ``core``'s
+        admission log from index ``admissions_seen`` on, then the
+        ``tick`` row: the seven engine counters of ``report`` (a
+        :class:`~repro.engine.clock.TickReport`) plus ``counters``.  The
+        scenario driver and the serving gateway both write their tick
+        rows here; the gateway adds its drain's ``queue_depth`` and
+        ``drained``.
+        """
+        new = core.admissions_since(admissions_seen)
+        for interval, campaign_ids in new:
+            self.log("admission", interval, {"campaign_ids": list(campaign_ids)})
+        self.log(
+            "tick",
+            report.interval,
+            {
+                "admitted": report.admitted,
+                "arrived": report.arrived,
+                "considered": report.considered,
+                "accepted": report.accepted,
+                "retired": len(report.retired),
+                "num_live": report.num_live,
+                "idle": report.idle,
+                **counters,
+            },
+        )
+        return admissions_seen + len(new)
+
     def flush(self) -> None:
         """Hand the open batch to the writer; does not wait for the commit.
 

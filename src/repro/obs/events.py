@@ -28,6 +28,12 @@ filter on (``tick``, ``kind``, ``campaign_id``, ``client``,
 ``trace_id``) plus a free-form JSON ``payload`` for everything else.
 The sequence number is assigned by the log at append time, not by the
 producer.
+
+A served request's ``request``, ``response`` and ``cancel`` rows share
+one ``trace_id``, derived from its arrival sequence number by
+:func:`trace_id_for_seq` (``req-000042``): deterministic, so the same
+replayed trace writes the same ids, and one ``WHERE trace_id = ?``
+follows a request from offer to answer.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-__all__ = ["EVENT_KINDS", "Event"]
+__all__ = ["EVENT_KINDS", "Event", "trace_id_for_seq"]
 
 #: Every kind the log accepts; appends with other kinds are rejected.
 EVENT_KINDS = (
@@ -47,6 +53,11 @@ EVENT_KINDS = (
     "checkpoint",
     "run",
 )
+
+
+def trace_id_for_seq(seq: int) -> str:
+    """The deterministic trace id of arrival-sequence ``seq``."""
+    return f"req-{seq:06d}"
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Process-wide metrics: counters, gauges, histograms, two export formats.
+"""Metrics: counters, gauges, histograms, two export formats.
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
 Components *record* into one when it is wired up (the serving gateway's
-``metrics=`` parameter, the event log's internal counters, the CLI's
-``--metrics-out``) and stay metrics-free otherwise — recording is opt-in
-wiring, exactly like telemetry collectors, so the deterministic hot
-paths carry no mandatory bookkeeping.
+``metrics=`` parameter, the engine clock's
+:class:`~repro.engine.clock.PhaseTimings`, the CLI's ``--metrics-out``)
+and stay metrics-free otherwise — recording is opt-in wiring, exactly
+like telemetry collectors, so the deterministic hot paths carry no
+mandatory bookkeeping.
 
 Instruments follow the Prometheus data model:
 
@@ -22,8 +23,8 @@ series, exported separately.  Exports: :meth:`MetricsRegistry.to_dict`
 (JSON-ready) and :meth:`MetricsRegistry.to_prometheus` (the text
 exposition format scrapers ingest).
 
-Metrics are wall-clock-adjacent and process-scoped; they are **never**
-serialized into checkpoints or deterministic telemetry (the same rule
+Metrics are wall-clock-adjacent; they are **never** serialized into
+checkpoints or deterministic telemetry (the same rule
 :class:`~repro.serve.telemetry.LatencyRecorder` follows).
 """
 
@@ -40,8 +41,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
+    "set_session_gauges",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -189,9 +189,9 @@ class MetricsRegistry:
     ``(name, labels)`` returns the same instrument, so callers never
     cache instrument handles unless they are on a hot path.  Asking for
     an existing name with a different instrument kind raises — one name,
-    one kind, any number of label sets.  Thread-safe: the serving
-    gateway's asyncio loop and the event log's background writer may
-    share one registry.
+    one kind, any number of label sets.  Thread-safe: an
+    :class:`~repro.obs.ops.OpsServer` thread scrapes the registry the
+    serving gateway records into.
     """
 
     def __init__(self) -> None:
@@ -319,18 +319,35 @@ class MetricsRegistry:
         return f"MetricsRegistry({families} metrics, {series} series)"
 
 
-#: The process-wide default registry (:func:`get_registry`).
-_DEFAULT = MetricsRegistry()
+def set_session_gauges(
+    registry: MetricsRegistry, queue_depth: int | None, core, event_log
+) -> None:
+    """Set the point-in-time gauges of a served session.
 
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default (tests); returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = registry
-    return previous
+    ``serve_queue_depth`` from ``queue_depth``; ``engine_live_campaigns``,
+    ``engine_pending_campaigns`` and ``engine_clock_interval`` from the
+    engine session ``core``; ``eventlog_buffered_events`` from
+    ``event_log``.  A source passed as ``None`` leaves its gauges unset.
+    The gateway calls this at every tick boundary and the ops server
+    before every ``/metrics`` scrape, so both write the same series.
+    """
+    if queue_depth is not None:
+        registry.gauge(
+            "serve_queue_depth", "Mutating requests queued"
+        ).set(queue_depth)
+    if core is not None:
+        registry.gauge(
+            "engine_live_campaigns", "Campaigns currently live"
+        ).set(core.num_live)
+        registry.gauge(
+            "engine_pending_campaigns",
+            "Submitted campaigns awaiting admission",
+        ).set(core.num_pending)
+        registry.gauge(
+            "engine_clock_interval", "Engine-clock interval"
+        ).set(core.clock)
+    if event_log is not None:
+        registry.gauge(
+            "eventlog_buffered_events",
+            "Events appended but not yet committed",
+        ).set(event_log.buffered)

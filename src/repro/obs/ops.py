@@ -42,6 +42,8 @@ import asyncio
 import json
 import threading
 
+from repro.obs.metrics import set_session_gauges
+
 __all__ = ["OpsServer"]
 
 #: Paths the server answers (the index endpoint lists them).
@@ -128,37 +130,19 @@ class OpsServer:
             return 404, "application/json", json.dumps(
                 {"error": "no metrics registry wired to the ops server"}
             )
-        self._refresh_gauges()
+        # Re-sample the point-in-time gauges so an idle-period scrape
+        # still reads current state (tick boundaries also update them).
+        set_session_gauges(
+            self.metrics,
+            None if self.target is None else self.target.queue.depth,
+            self._core(),
+            self.event_log,
+        )
         return (
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             self.metrics.to_prometheus(),
         )
-
-    def _refresh_gauges(self) -> None:
-        """Re-sample the point-in-time gauges so an idle-period scrape
-        still reads current state (tick boundaries also update them)."""
-        if self.target is not None:
-            self.metrics.gauge(
-                "serve_queue_depth", "Mutating requests queued"
-            ).set(self.target.queue.depth)
-        core = self._core()
-        if core is not None:
-            self.metrics.gauge(
-                "engine_live_campaigns", "Campaigns currently live"
-            ).set(core.num_live)
-            self.metrics.gauge(
-                "engine_pending_campaigns",
-                "Submitted campaigns awaiting admission",
-            ).set(core.num_pending)
-            self.metrics.gauge(
-                "engine_clock_interval", "Engine-clock interval"
-            ).set(core.clock)
-        if self.event_log is not None:
-            self.metrics.gauge(
-                "eventlog_buffered_events",
-                "Events appended but not yet committed",
-            ).set(self.event_log.buffered)
 
     def _healthz(self) -> tuple[int, str, str]:
         core = self._core()

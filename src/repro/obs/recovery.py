@@ -128,7 +128,6 @@ def recover_serve_run(
     log_path: str | pathlib.Path,
     *,
     event_log=None,
-    tracer=None,
     metrics=None,
 ) -> "Gateway":
     """Resume a killed served run and drive it to completion.
@@ -154,9 +153,7 @@ def recover_serve_run(
     """
     from repro.serve.gateway import Gateway
 
-    gateway = Gateway.resume(
-        bundle_path, event_log=event_log, tracer=tracer, metrics=metrics
-    )
+    gateway = Gateway.resume(bundle_path, event_log=event_log, metrics=metrics)
     if gateway.replay_remaining is not None:
         raise ValueError(
             "bundle carries an interrupted trace replay; use "

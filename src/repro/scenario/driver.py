@@ -264,33 +264,13 @@ class ScenarioDriver:
         report = core.tick()
         self.telemetry.record_tick(core, report, cancelled=cancelled)
         if self.event_log is not None:
-            self._log_tick(core, report)
+            self._admission_seen = self.event_log.log_tick(
+                core, report, self._admission_seen
+            )
             # One flush per boundary keeps writer batches tick-aligned
             # without ever blocking the tick path on sqlite.
             self.event_log.flush()
         return report
-
-    def _log_tick(self, core: EngineCore, report: TickReport) -> None:
-        """Append this tick's admission batches and summary row."""
-        new = core.admissions_since(self._admission_seen)
-        self._admission_seen += len(new)
-        for interval, campaign_ids in new:
-            self.event_log.log(
-                "admission", interval, {"campaign_ids": list(campaign_ids)}
-            )
-        self.event_log.log(
-            "tick",
-            report.interval,
-            {
-                "admitted": report.admitted,
-                "arrived": report.arrived,
-                "considered": report.considered,
-                "accepted": report.accepted,
-                "retired": len(report.retired),
-                "num_live": report.num_live,
-                "idle": report.idle,
-            },
-        )
 
     def run(self) -> EngineResult:
         """Drive the scenario to exhaustion and return the session result.

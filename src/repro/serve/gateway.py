@@ -35,16 +35,15 @@ Two ways to drive it: the synchronous :meth:`step`/:meth:`replay` pair
 the :class:`~repro.serve.loadgen.LoadGenerator`'s closed-loop mode, the
 ``repro engine loadtest`` CLI.
 
-Observability is opt-in wiring (``event_log=`` / ``tracer=`` /
-``metrics=``): a wired gateway records every request/response,
-admission batch, cancellation, and tick summary into the durable
-:class:`~repro.obs.eventlog.EventLog` (flushed at tick boundaries,
-synced before checkpoints, so bundle + log together survive ``kill
--9`` — :mod:`repro.obs.recovery`), threads deterministic trace ids from
-each request through its drain batch to the tick that applied it, and
-counts requests/latency into a metrics registry.  None of it perturbs
-the served run: recording happens outside the engine's draws and
-wall-clock never enters the deterministic telemetry.
+Observability is opt-in wiring (``event_log=`` / ``metrics=``): a wired
+gateway records every request/response, admission batch, cancellation,
+and tick summary into the durable :class:`~repro.obs.eventlog.EventLog`
+(flushed at tick boundaries, synced before checkpoints, so bundle + log
+together survive ``kill -9`` — :mod:`repro.obs.recovery`), tags each
+request's rows with one deterministic trace id derived from its arrival
+sequence, and counts requests/latency into a metrics registry.  None of
+it perturbs the served run: recording happens outside the engine's
+draws and wall-clock never enters the deterministic telemetry.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ from repro.engine.checkpoint import (
 from repro.engine.clock import EngineCore, PhaseTimings, TickReport
 from repro.engine.engine import MarketplaceEngine
 from repro.engine.outcomes import outcome_from_record, outcome_record
-from repro.obs.tracing import trace_id_for_seq
+from repro.obs.events import trace_id_for_seq
+from repro.obs.metrics import set_session_gauges
 from repro.scenario.driver import apply_cancellation
 from repro.serve.admission import AdmissionQueue, Ticket
 from repro.serve.requests import (
@@ -191,11 +191,9 @@ class Gateway:
         summary is appended (off the tick path, flushed at tick
         boundaries) and :meth:`save` syncs the log before recording its
         high-water sequence in the bundle — the durable half of the
-        kill--9 recovery contract.
-    tracer:
-        Optional :class:`~repro.obs.tracing.Tracer`.  Requests get
-        deterministic trace ids derived from their arrival sequence; the
-        per-tick span lists the trace ids its drain batch applied.
+        kill--9 recovery contract.  Each request's rows carry the trace
+        id :func:`~repro.obs.events.trace_id_for_seq` derives from its
+        arrival sequence.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` for
         request/response counters, queue-depth gauge, request-latency
@@ -213,7 +211,6 @@ class Gateway:
         tenant_quotas: dict[str, TenantQuota] | None = None,
         telemetry: GatewayTelemetry | None = None,
         event_log=None,
-        tracer=None,
         metrics=None,
     ):
         if max_live is not None and max_live < 1:
@@ -233,7 +230,6 @@ class Gateway:
         self.ledger = TenantLedger(tenant_quotas)
         self.telemetry = telemetry if telemetry is not None else GatewayTelemetry()
         self.event_log = event_log
-        self.tracer = tracer
         self.metrics = metrics
         # Hot-path instrument handles, cached per label value: request
         # and response recording runs once per request, so the registry's
@@ -253,10 +249,6 @@ class Gateway:
         #: (``None`` on a fresh start or a pre-event-log bundle); events
         #: beyond it are the request tail recovery replays.
         self.resumed_event_seq: int | None = None
-        # Open request spans by ticket (tracer wiring only).
-        self._open_spans: dict = {}
-        # Arrival seqs the current tick's drain applied (tick-span attrs).
-        self._drained_seqs: list[int] = []
         # Admission-log entries already mirrored into the event log.
         self._admission_seen = 0
         self._started = False
@@ -396,7 +388,7 @@ class Gateway:
     # Observability recording (no-ops unless the sinks are wired)
     # ------------------------------------------------------------------
     def _record_request(self, ticket: Ticket, core: EngineCore) -> None:
-        """Log/trace/count one offered request (reads included).
+        """Log/count one offered request (reads included).
 
         The request event is the recovery-critical row: it carries the
         clock the request arrived at and its full serialized form, which
@@ -420,12 +412,6 @@ class Gateway:
                 client=ticket.client,
                 trace_id=trace_id_for_seq(ticket.seq),
             )
-        if self.tracer is not None:
-            self._open_spans[ticket] = self.tracer.start_span(
-                "request",
-                trace_id_for_seq(ticket.seq),
-                attrs={"kind": _kind(ticket.request), "client": ticket.client},
-            )
         if self.metrics is not None:
             kind = _kind(ticket.request)
             counter = self._request_counters.get(kind)
@@ -439,7 +425,7 @@ class Gateway:
             counter.inc()
 
     def _record_response(self, ticket: Ticket, response: Response) -> None:
-        """Log/trace/count one delivered response."""
+        """Log/count one delivered response."""
         if self.event_log is not None:
             self.event_log.log(
                 "response",
@@ -449,10 +435,6 @@ class Gateway:
                 client=ticket.client,
                 trace_id=trace_id_for_seq(ticket.seq),
             )
-        if self.tracer is not None:
-            span = self._open_spans.pop(ticket, None)
-            if span is not None:
-                self.tracer.finish_span(span, {"status": response.status})
         if self.metrics is not None:
             counter = self._response_counters.get(response.status)
             if counter is None:
@@ -538,7 +520,6 @@ class Gateway:
                 break
             pd.drained += 1
             pd.tally(ticket.tenant, "drained")
-            self._drained_seqs.append(ticket.seq)
             request = ticket.request
             if isinstance(request, SubmitCampaign):
                 self._apply_submit(ticket, core)
@@ -722,36 +703,24 @@ class Gateway:
             self._do_drain(core)
             if core.done:
                 return None
-        tick_span = (
-            self.tracer.start_span("tick", f"tick-{core.clock}")
-            if self.tracer is not None
-            else None
-        )
         report = core.tick()
-        self._finish_tick(core, report, tick_span)
+        self._finish_tick(core, report)
         return report
 
-    def _finish_tick(self, core: EngineCore, report: TickReport, tick_span=None) -> None:
+    def _finish_tick(self, core: EngineCore, report: TickReport) -> None:
         """Record one completed tick: telemetry, ledger, observability."""
         drain, self._drain = self._drain, DrainReport()
         cancelled, self._cancelled = self._cancelled, []
-        drained_seqs, self._drained_seqs = self._drained_seqs, []
         self.ledger.settle(
             report.interval, (o.spec.campaign_id for o in report.retired)
         )
         self.ledger.end_tick(report.interval)
         self.telemetry.record_tick(core, report, drain, cancelled)
-        if tick_span is not None:
-            self.tracer.finish_span(
-                tick_span,
-                {
-                    "interval": report.interval,
-                    "idle": report.idle,
-                    "batch": [trace_id_for_seq(s) for s in drained_seqs],
-                },
-            )
         if self.event_log is not None:
-            self._log_tick(core, report, drain)
+            self._admission_seen = self.event_log.log_tick(
+                core, report, self._admission_seen,
+                queue_depth=drain.queue_depth, drained=drain.drained,
+            )
             # Flushing here keeps the writer's batches aligned with tick
             # boundaries instead of arbitrary buffer fill levels.
             self.event_log.flush()
@@ -765,24 +734,7 @@ class Gateway:
         checkpoints, or the event log, so an instrumented run's
         deterministic artifacts stay byte-identical to a dark run's.
         """
-        self.metrics.gauge(
-            "serve_queue_depth", "Mutating requests queued"
-        ).set(self.queue.depth)
-        self.metrics.gauge(
-            "engine_live_campaigns", "Campaigns currently live"
-        ).set(core.num_live)
-        self.metrics.gauge(
-            "engine_pending_campaigns",
-            "Submitted campaigns awaiting admission",
-        ).set(core.num_pending)
-        self.metrics.gauge(
-            "engine_clock_interval", "Engine-clock interval"
-        ).set(core.clock)
-        if self.event_log is not None:
-            self.metrics.gauge(
-                "eventlog_buffered_events",
-                "Events appended but not yet committed",
-            ).set(self.event_log.buffered)
+        set_session_gauges(self.metrics, self.queue.depth, core, self.event_log)
         for tenant, row in drain.tenants.items():
             labels = {"tenant": tenant}
             for field, amount in row.items():
@@ -792,30 +744,6 @@ class Gateway:
                         f"Per-tenant {field} requests at drain time",
                         labels,
                     ).inc(amount)
-
-    def _log_tick(self, core: EngineCore, report: TickReport, drain: DrainReport) -> None:
-        """Append this tick's admission batches and summary row."""
-        new = core.admissions_since(self._admission_seen)
-        self._admission_seen += len(new)
-        for interval, campaign_ids in new:
-            self.event_log.log(
-                "admission", interval, {"campaign_ids": list(campaign_ids)}
-            )
-        self.event_log.log(
-            "tick",
-            report.interval,
-            {
-                "admitted": report.admitted,
-                "arrived": report.arrived,
-                "considered": report.considered,
-                "accepted": report.accepted,
-                "retired": len(report.retired),
-                "num_live": report.num_live,
-                "idle": report.idle,
-                "queue_depth": drain.queue_depth,
-                "drained": drain.drained,
-            },
-        )
 
     def replay(self, trace: RequestTrace, on_tick=None) -> list[Ticket]:
         """Deliver a trace at its recorded ticks; run the session through it.
@@ -1133,7 +1061,6 @@ class Gateway:
         path: str | pathlib.Path,
         *,
         event_log=None,
-        tracer=None,
         metrics=None,
     ) -> "Gateway":
         """Reopen a served session from a bundle written by :meth:`save`.
@@ -1179,7 +1106,6 @@ class Gateway:
                 ),
                 telemetry=GatewayTelemetry.from_dict(state["telemetry"]),
                 event_log=event_log,
-                tracer=tracer,
                 metrics=metrics,
             )
             gateway.ledger.restore(state.get("tenants"))

@@ -82,6 +82,7 @@ def build_driver(
     case: str,
     streaming: bool = False,
     outcomes_path: pathlib.Path | None = None,
+    event_log=None,
 ) -> ScenarioDriver:
     """Construct one canonical case's engine + driver (not yet started).
 
@@ -89,6 +90,8 @@ def build_driver(
     ``ListSource`` and runs with a streaming outcome sink (no
     materialized outcome list; full fidelity via the ``outcomes_path``
     spill) — the memory-mode arm of the invariance proof.
+    ``event_log`` attaches a caller-owned
+    :class:`~repro.obs.eventlog.EventLog` to the driver.
     """
     engine = MarketplaceEngine(
         make_stream(), paper_acceptance_model(), planning="stationary",
@@ -98,11 +101,11 @@ def build_driver(
     if streaming:
         engine.submit_source(ListSource(specs))
         return ScenarioDriver(
-            engine, golden_scenario(),
+            engine, golden_scenario(), event_log=event_log,
             keep_outcomes=False, outcomes_path=outcomes_path,
         )
     engine.submit(specs)
-    return ScenarioDriver(engine, golden_scenario())
+    return ScenarioDriver(engine, golden_scenario(), event_log=event_log)
 
 
 def result_to_dict(result: EngineResult, outcomes=None) -> dict:
@@ -203,8 +206,8 @@ def build_serve_gateway(
     """Construct one served case's engine + gateway (session not yet open).
 
     ``sinks`` passes observability keyword arguments (``event_log`` /
-    ``tracer`` / ``metrics``) straight through — the instrumented arm of
-    the golden invariance guard.
+    ``metrics``) straight through — the instrumented arm of the golden
+    invariance guard.
     """
     sinks = sinks or {}
     engine = MarketplaceEngine(
@@ -246,7 +249,7 @@ def run_serve_case(
     ``result`` block — what the regen guard verifies before rewriting
     any golden.
     ``instrumented`` wires every observability layer the ops plane rides
-    on — event log, tracer, metrics registry with phase timings, and a
+    on — event log, metrics registry with phase timings, and a
     live :class:`~repro.obs.ops.OpsServer` scraped at tick boundaries —
     and must leave the payload **byte-identical** to a dark run: that is
     the serialization-inert contract the regen guard enforces.
@@ -269,17 +272,13 @@ def run_serve_case(
         import urllib.error
         import urllib.request
 
-        from repro.obs import EventLog, MetricsRegistry, Tracer
+        from repro.obs import EventLog, MetricsRegistry
         from repro.obs.ops import OpsServer
 
         tmp = tempfile.mkdtemp(prefix="repro-golden-obs-")
         event_log = EventLog(pathlib.Path(tmp) / "events.sqlite")
         metrics = MetricsRegistry()
-        sinks = {
-            "event_log": event_log,
-            "tracer": Tracer(),
-            "metrics": metrics,
-        }
+        sinks = {"event_log": event_log, "metrics": metrics}
         cleanup = [event_log.close, lambda: shutil.rmtree(tmp)]
     gateway = build_serve_gateway(case, tenant_weights=weights, sinks=sinks)
     if instrumented:

@@ -17,7 +17,8 @@ import pytest
 from repro.obs import EVENT_KINDS, Event, EventLog
 from repro.obs.eventlog import BATCH_EVENTS, QUEUED_BATCHES, EventLogError
 from repro.obs.ops import OpsServer
-from tests.golden.cases import run_serve_case
+from repro.obs.events import trace_id_for_seq
+from tests.golden.cases import build_driver, run_serve_case
 from tests.obs.test_ops import body_of, started_gateway
 
 
@@ -303,6 +304,19 @@ class TestWriterFailureAndBacklog:
         assert [e.tick for e in events] == list(range(QUEUED_BATCHES + 1)) + [99]
 
 
+def _committed_rows(path) -> list[tuple]:
+    """All seven columns of every committed row, in seq order."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT seq, tick, kind, campaign_id, client, trace_id, payload "
+            "FROM events ORDER BY seq"
+        ).fetchall()
+
+
+def _digest(rows: list[tuple]) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 #: sha256 of the golden serve trace's ``events`` rows, all seven columns
 #: in seq order, as the log committed them before its writer took batches
 #: from a hand-off queue.  Any change to a row's bytes or order fails here.
@@ -321,11 +335,60 @@ def test_golden_serve_trace_rows_are_pinned(tmp_path, tenants):
     log = EventLog(tmp_path / "events.sqlite")
     run_serve_case("serve_flash_crowd", tenants=tenants, event_log=log)
     log.close()
-    with contextlib.closing(sqlite3.connect(log.path)) as conn:
-        rows = conn.execute(
-            "SELECT seq, tick, kind, campaign_id, client, trace_id, payload "
-            "FROM events ORDER BY seq"
-        ).fetchall()
+    rows = _committed_rows(log.path)
     assert [row[0] for row in rows] == list(range(1, 153))
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == GOLDEN_ROW_DIGESTS[tenants]
+    assert _digest(rows) == GOLDEN_ROW_DIGESTS[tenants]
+
+
+#: sha256 of the rows a :class:`~repro.scenario.driver.ScenarioDriver`
+#: writes for two golden cases (run, admission, cancel and tick rows),
+#: in the same form as :data:`GOLDEN_ROW_DIGESTS`.
+DRIVER_ROW_DIGESTS = {
+    "pooled_small": (
+        "1ffa78f386aee9cd2337e9b4f65ffe41f3b859c3c198fdd587215f970df54ad1"
+    ),
+    "factored_small": (
+        "744e15dcaadcdc0e0174efef4c5b741bcd1ac2c18a47d948cf15cb564fa391c2"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DRIVER_ROW_DIGESTS))
+def test_golden_driver_rows_are_pinned(tmp_path, case):
+    log = EventLog(tmp_path / "events.sqlite")
+    build_driver(case, event_log=log).run()
+    log.close()
+    rows = _committed_rows(log.path)
+    assert [row[0] for row in rows] == list(range(1, 38))
+    assert _digest(rows) == DRIVER_ROW_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "tenants", [None, ("acme", "beta", "gamma")],
+    ids=["untagged", "three-tenants"],
+)
+def test_every_request_row_pairs_with_one_response_row(tmp_path, tenants):
+    """A served request's trace id joins its rows: one request row, one
+    response row for the same client and seq at the same tick or later,
+    and any cancel row it applied."""
+    log = EventLog(tmp_path / "events.sqlite")
+    run_serve_case("serve_flash_crowd", tenants=tenants, event_log=log)
+    log.close()
+    events = committed(log)
+    requests = [e for e in events if e.kind == "request"]
+    by_trace = {e.trace_id: e for e in requests}
+    assert len(by_trace) == len(requests)
+    responses: dict[str, list[Event]] = {}
+    for event in events:
+        if event.kind == "response":
+            responses.setdefault(event.trace_id, []).append(event)
+    assert set(responses) == set(by_trace)
+    for trace_id, request in by_trace.items():
+        assert trace_id == trace_id_for_seq(request.payload["seq"])
+        (response,) = responses[trace_id]
+        assert response.client == request.client
+        assert response.tick >= request.tick
+        assert response.payload["seq"] == request.payload["seq"]
+    cancels = [e for e in events if e.kind == "cancel"]
+    assert all(e.trace_id in by_trace for e in cancels)
+    assert (len(requests), len(cancels)) == (54, 3)

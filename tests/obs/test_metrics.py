@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.metrics import get_registry, set_registry
 
 
 class TestInstruments:
@@ -117,15 +116,6 @@ class TestRegistry:
         registry.counter("x").inc()
         registry.clear()
         assert registry.to_dict() == {}
-
-    def test_default_registry_swap(self):
-        replacement = MetricsRegistry()
-        previous = set_registry(replacement)
-        try:
-            assert get_registry() is replacement
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous
 
 
 class TestPrometheusEscaping:

@@ -85,6 +85,65 @@ class TestMetricsEndpoint:
         log.close()
 
 
+#: The point-in-time gauges a served session sets.
+SESSION_GAUGES = {
+    "serve_queue_depth",
+    "engine_live_campaigns",
+    "engine_pending_campaigns",
+    "engine_clock_interval",
+    "eventlog_buffered_events",
+}
+
+
+def gauges_of(registry: MetricsRegistry) -> dict[str, tuple[str, float]]:
+    """Each unlabelled gauge's ``(help, value)``."""
+    return {
+        name: (family["help"], family["series"][0]["value"])
+        for name, family in registry.to_dict().items()
+        if family["kind"] == "gauge"
+    }
+
+
+class TestSessionGauges:
+    def test_a_gateway_run_without_ops_server_ends_at_the_final_state(
+        self, tmp_path
+    ):
+        # What --metrics-out writes: the gateway's tick-boundary refresh
+        # alone, with nothing scraping.
+        metrics = MetricsRegistry()
+        log = EventLog(tmp_path / "events.sqlite")
+        gateway = started_gateway(metrics=metrics, event_log=log, max_drain=1)
+        gateway.offer(SubmitCampaign(spec("a")))
+        gateway.step()  # reviving the idle clock drains without a budget
+        for cid in ("b", "c"):
+            gateway.offer(SubmitCampaign(spec(cid, submit=4)))
+        gateway.step()
+        core = gateway.core
+        assert (gateway.queue.depth, core.num_live, core.num_pending) == (1, 1, 1)
+        gauges = gauges_of(metrics)
+        assert set(gauges) == SESSION_GAUGES
+        assert gauges["serve_queue_depth"][1] == gateway.queue.depth
+        assert gauges["engine_live_campaigns"][1] == core.num_live
+        assert gauges["engine_pending_campaigns"][1] == core.num_pending
+        assert gauges["engine_clock_interval"][1] == core.clock == 2
+        # The writer keeps committing after the boundary, so the backlog
+        # the gauge read can only have shrunk since.
+        buffered = gauges["eventlog_buffered_events"][1]
+        assert log.buffered <= buffered <= log.last_seq
+
+        # A scrape writes the same series with the same help text.
+        scraped = MetricsRegistry()
+        OpsServer(gateway, metrics=scraped, event_log=log).handle("/metrics")
+        scrape = gauges_of(scraped)
+        assert {name: help for name, (help, _) in scrape.items()} == {
+            name: help for name, (help, _) in gauges.items()
+        }
+        for name in SESSION_GAUGES - {"eventlog_buffered_events"}:
+            assert scrape[name] == gauges[name]
+        gateway.close()
+        log.close()
+
+
 # ----------------------------------------------------------------------
 # Health and readiness
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The ops plane is wall-clock-tolerant by design (scrape timing is
 nondeterministic), so the determinism guarantee it must honor is
 *serialization inertness*: with the full observability stack wired —
-event log, tracer, metrics registry with phase timings, and a live
+event log, metrics registry with phase timings, and a live
 :class:`~repro.obs.ops.OpsServer` being scraped mid-run — every
 deterministic artifact (engine result, serving telemetry, checkpoint
 bundles, golden payloads) stays byte-identical to the dark run.
@@ -18,7 +18,7 @@ import pathlib
 import urllib.error
 import urllib.request
 
-from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.obs import EventLog, MetricsRegistry
 from repro.obs.ops import OpsServer
 from repro.serve import Gateway, LoadGenerator
 from tests.golden.cases import run_serve_case
@@ -89,7 +89,6 @@ def _run_instrumented(tmp_path: pathlib.Path, tag: str, scrape: bool):
     gateway = Gateway(
         make_engine(),
         event_log=log,
-        tracer=Tracer(),
         metrics=MetricsRegistry(),
     )
     gateway.start(seed=SEED)

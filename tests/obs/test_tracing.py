@@ -1,4 +1,4 @@
-"""Tracing and tick-phase timing: spans, ids, and the engine wiring."""
+"""Trace ids and tick-phase timing: the id scheme and the engine wiring."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import pytest
 from repro.engine import MarketplaceEngine, generate_workload
 from repro.engine.clock import PhaseTimings
 from repro.market.acceptance import paper_acceptance_model
-from repro.obs import MetricsRegistry, Span, Tracer
-from repro.obs.tracing import trace_id_for_seq
+from repro.obs import MetricsRegistry
+from repro.obs.events import trace_id_for_seq
 from repro.sim.stream import SharedArrivalStream
 
 NUM_INTERVALS = 24
@@ -33,68 +33,6 @@ class TestTraceIds:
 
     def test_deterministic(self):
         assert trace_id_for_seq(7) == trace_id_for_seq(7)
-
-
-class TestTracer:
-    def test_span_lifecycle(self):
-        tracer = Tracer()
-        span = tracer.start_span("request", "req-000001", attrs={"kind": "quote"})
-        assert tracer.num_open == 1
-        assert tracer.num_finished == 0
-        tracer.finish_span(span, {"status": "ok"})
-        assert tracer.num_open == 0
-        assert tracer.num_finished == 1
-        assert span.duration_s is not None and span.duration_s >= 0
-        assert span.attrs == {"kind": "quote", "status": "ok"}
-
-    def test_finish_is_idempotent(self):
-        tracer = Tracer()
-        span = tracer.start_span("tick", "tick-0")
-        tracer.finish_span(span)
-        first = span.duration_s
-        span.finish()
-        assert span.duration_s == first
-
-    def test_ring_bounds_memory(self):
-        tracer = Tracer(max_spans=8)
-        for i in range(20):
-            tracer.finish_span(tracer.start_span("request", f"req-{i:06d}"))
-        assert tracer.num_finished == 8
-        assert tracer.total_started == 20
-        kept = [s.trace_id for s in tracer.spans()]
-        assert kept == [f"req-{i:06d}" for i in range(12, 20)]
-
-    def test_bad_max_spans(self):
-        with pytest.raises(ValueError, match="max_spans"):
-            Tracer(max_spans=0)
-
-    def test_trace_filter_and_parents(self):
-        tracer = Tracer()
-        root = tracer.start_span("tick", "tick-3")
-        child = tracer.start_span("request", "tick-3", parent_id=root.span_id)
-        tracer.finish_span(child)
-        tracer.finish_span(root)
-        trace = tracer.trace("tick-3")
-        assert [s["name"] for s in trace] == ["request", "tick"]
-        assert trace[0]["parent_id"] == root.span_id
-        assert tracer.spans("other") == []
-
-    def test_save(self, tmp_path):
-        tracer = Tracer()
-        tracer.finish_span(tracer.start_span("request", "req-000000"))
-        path = tracer.save(tmp_path / "spans.json")
-        import json
-
-        data = json.loads(path.read_text())
-        assert data["total_started"] == 1
-        assert data["spans"][0]["trace_id"] == "req-000000"
-
-    def test_span_dataclass_shape(self):
-        span = Span(
-            span_id="s-0", trace_id="t", name="n", parent_id=None,
-            started_at=0.0,
-        )
-        assert span.to_dict()["duration_s"] is None
 
 
 class TestPhaseTimings:
@@ -164,16 +102,3 @@ class TestEnginePhaseTimings:
 
         for arrivals in ("pooled", "factored"):
             assert run(True, arrivals) == run(False, arrivals)
-
-    def test_disable_detaches_backend_sink(self):
-        engine = make_engine()
-        engine.submit(generate_workload(3, NUM_INTERVALS, seed=5))
-        core = engine.start(seed=5)
-        timings = core.enable_phase_timings()
-        core.tick()
-        ticks_before = timings.ticks
-        core.disable_phase_timings()
-        core.tick()
-        assert timings.ticks == ticks_before
-        assert core.phase_timings is None
-        engine.close()

@@ -2,12 +2,14 @@
 
 This is the ``make docs-check`` target: it fails when a docs page goes
 missing, when the README stops linking the docs tree, when a relative
-markdown link points at a file that does not exist, or when the tracked
+markdown link points at a file that does not exist, when a backticked
+``repro.…`` path names nothing importable, or when the tracked
 benchmark record loses the fields ``docs/performance.md`` documents.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
 import re
@@ -54,6 +56,39 @@ def test_relative_links_resolve(source):
         if not target.exists():
             broken.append(match.group(1))
     assert not broken, f"{source} has broken relative links: {broken}"
+
+
+#: A backticked dotted path into the package: `repro.obs.events.Event`
+#: (a trailing call, `repro.x.f()`, names the same object).
+_DOTTED_PATH = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+
+
+def resolves(path: str) -> bool:
+    """Whether dotted ``path`` imports as a module, or resolves as an
+    attribute chain under its longest importable module prefix."""
+    parts = path.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source", ["README.md", *DOCS_PAGES], ids=lambda p: str(p)
+)
+def test_dotted_paths_resolve(source):
+    text = (REPO_ROOT / source).read_text()
+    broken = sorted(
+        {path for path in _DOTTED_PATH.findall(text) if not resolves(path)}
+    )
+    assert not broken, f"{source} names paths that do not resolve: {broken}"
 
 
 #: Markdown links into a heading: [text](page.md#anchor) or [text](#anchor).

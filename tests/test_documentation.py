@@ -2,18 +2,22 @@
 
 The deliverable is a library other people adopt; this meta-test walks the
 installed package and fails on any public module, class, function, or
-method missing documentation.
+method missing documentation, and on any ``repro.…`` cross-reference
+role in a module's source that names nothing importable.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
+from tests.test_docs import resolves
 
 
 def iter_public_modules():
@@ -64,6 +68,27 @@ def test_public_members_documented(module):
                     undocumented.append(f"{name}.{method_name}")
     assert not undocumented, (
         f"undocumented public items in {module.__name__}: {undocumented}"
+    )
+
+
+#: The ``repro.`` target of a cross-reference role, bare, shortened
+#: (``~``) or titled: :class:`~repro.obs.events.Event`,
+#: :meth:`replay <repro.serve.gateway.Gateway.replay>`.
+_ROLE_TARGET = re.compile(
+    r":(?:class|func|meth|mod|data|attr|exc):`(?:[^`<]*<)?~?"
+    r"(repro(?:\.[A-Za-z_]\w*)+)>?`"
+)
+
+
+@pytest.mark.parametrize("module", ALL_MODULES, ids=lambda m: m.__name__)
+def test_role_targets_resolve(module):
+    source = pathlib.Path(module.__file__).read_text()
+    broken = sorted(
+        {path for path in _ROLE_TARGET.findall(source) if not resolves(path)}
+    )
+    assert not broken, (
+        f"{module.__name__} cross-references paths that do not resolve: "
+        f"{broken}"
     )
 
 
