@@ -14,15 +14,22 @@ Contracts under test:
 * Spill files replay bit-identically through ``replay_outcomes``, and
   ``resume_offset`` truncates a dirty tail so checkpoint restore can
   reopen a spill mid-stream without duplicating records.
+* Every spilled line is the JSON reference form of ``outcome_record``
+  (sorted keys, compact separators, ASCII escapes), for every field type
+  a record can hold, and the checksum chains exactly those bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     CampaignOutcome,
@@ -342,3 +349,89 @@ class TestCanonicalBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "570b2fce566c5d1fb2d2f8f71e65d6f471a471cf0afc924d2425072e158cd336"
         )
+
+
+# Field values of every type a record can hold: int and float money
+# fields (numpy floats, a float subclass, among them), whole-float price
+# caps, truthy non-bool flags, non-finite and signed-zero floats, and ids
+# that need JSON escapes.
+_ODD_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+_MONEY = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    _ODD_FLOATS,
+)
+_FLAGS = st.sampled_from([True, False, 0, 1, 2])
+_IDS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x07\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def any_outcome(draw) -> CampaignOutcome:
+    kind = draw(st.sampled_from([DEADLINE, BUDGET]))
+    if kind == BUDGET:
+        budget = draw(st.one_of(
+            st.integers(1, 10**9),
+            st.floats(min_value=1e-6, max_value=1e12),
+        ))
+        adaptive = draw(st.sampled_from([False, 0]))
+    else:
+        budget = draw(st.one_of(st.none(), _MONEY))
+        adaptive = draw(_FLAGS)
+    spec = CampaignSpec(
+        campaign_id=draw(_IDS),
+        kind=kind,
+        num_tasks=draw(st.integers(1, 10**6)),
+        submit_interval=draw(st.integers(0, 10**9)),
+        horizon_intervals=draw(st.integers(1, 10**6)),
+        max_price=draw(st.one_of(
+            st.integers(1, 1000), st.integers(1, 1000).map(float)
+        )),
+        penalty_per_task=draw(st.one_of(
+            st.integers(0, 10**6), st.floats(min_value=0.0, max_value=1e12)
+        )),
+        budget=budget,
+        adaptive=adaptive,
+        resolve_every=draw(st.integers(1, 64)),
+    )
+    return CampaignOutcome(
+        spec=spec,
+        completed=draw(st.integers(0, 10**6)),
+        remaining=draw(st.integers(0, 10**6)),
+        total_cost=draw(st.one_of(st.floats(), _ODD_FLOATS)),
+        penalty=draw(_MONEY),
+        finished_interval=draw(st.one_of(st.none(), st.integers(0, 10**9))),
+        cache_hit=draw(_FLAGS),
+        num_solves=draw(st.integers(0, 10**4)),
+        cancelled=draw(_FLAGS),
+    )
+
+
+class TestCanonicalBytesMatchJson:
+    """Spilled lines equal the JSON reference encoding, type by type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(outcomes=st.lists(any_outcome(), min_size=1, max_size=6))
+    def test_spill_lines_and_chain_match_json_dumps(self, outcomes):
+        expected = [
+            json.dumps(
+                outcome_record(o), sort_keys=True, separators=(",", ":")
+            ).encode()
+            for o in outcomes
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            sink = OutcomeSink(keep=False, spill_path=path)
+            sink.extend(outcomes)
+            sink.close()
+            assert path.read_bytes().split(b"\n")[:-1] == expected
+        digest = b"\x00" * 32
+        for line in expected:
+            digest = hashlib.sha256(digest + line).digest()
+        assert sink.aggregate.checksum == digest.hex()
