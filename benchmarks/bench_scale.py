@@ -1,12 +1,21 @@
-"""Streaming scale benchmark: a million campaigns in O(live) memory.
+"""Streaming scale benchmark: a million campaigns in bounded memory.
 
 The proof obligation for the streaming memory core
-(:mod:`repro.engine.source` + :mod:`repro.engine.outcomes`): campaign
-count must stop being a memory axis.  A :class:`StreamedWorkload`
+(:mod:`repro.engine.source` + :mod:`repro.engine.outcomes`): no
+per-campaign *object* outlives its campaign.  A :class:`StreamedWorkload`
 materializes each spec just before its submit tick, retirements fold
 into the O(1) :class:`OutcomeAggregate`, and telemetry runs with
-per-campaign records disabled — so resident memory tracks the *live*
-frontier (wave size x horizon), not the workload size.
+per-campaign records disabled — so specs, live state and outcomes track
+the *live* frontier (wave size x horizon), not the workload size.
+
+Campaign count is still a memory axis through one structure: the
+engine's admission log keeps every admitted campaign id for the whole
+session, because checkpoint manifests write it and resume replays it to
+rebuild the policy cache.  It retains about 72 bytes per campaign
+(tracemalloc, the heap freed by clearing the log after stream-scale-shaped
+runs: 1.73 MiB at 25,000 campaigns, 6.91 MiB at 100,000), roughly 69 MiB
+of the scale arm's peak at 1M.  The ceilings below bound that growth;
+they do not make it flat.
 
 Two arms, both driven through a scenario end-to-end:
 

@@ -461,17 +461,6 @@ class EngineCore:
         """Currently live campaigns."""
         return len(self.live)
 
-    def live_stats(self) -> list[tuple[str, int, int, bool]]:
-        """Per-live-campaign ``(campaign_id, remaining, num_solves, adaptive)``.
-
-        Sorted by campaign id whatever the arrival model's live order;
-        telemetry builds its per-tick series from this.
-        """
-        return sorted(
-            (c.spec.campaign_id, c.remaining, c.num_solves(), c.spec.adaptive)
-            for c in self.live
-        )
-
     @property
     def outcomes(self) -> list[CampaignOutcome]:
         """Materialized retirement history (empty in streaming mode).
@@ -853,8 +842,9 @@ class EngineCore:
             retire_started = time.perf_counter()
         retired: list[CampaignOutcome] = []
         still_live: list[_LiveCampaign] = []
+        next_interval = t + 1
         for campaign in self.live:
-            if campaign.remaining == 0 or t + 1 >= campaign.spec.end_interval:
+            if campaign.remaining == 0 or next_interval >= campaign.end_interval:
                 retired.append(campaign.outcome())
             else:
                 still_live.append(campaign)

@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import pathlib
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from repro.engine.campaign import DEADLINE, CampaignOutcome, CampaignSpec
@@ -52,9 +53,39 @@ __all__ = [
 #: what ``dataclasses.asdict`` would, without its per-call deep copy.
 _SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(CampaignSpec))
 
-#: The one encoder every canonical record goes through (``json.dumps``
-#: with these options would build a fresh encoder per call).
+#: The reference encoding of a canonical record: ``_ENCODER.encode(
+#: outcome_record(o))``.  :meth:`OutcomeAggregate.fold` writes the same
+#: bytes without building the record, and falls back to this encoder for
+#: any value it does not render itself.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+_INF = float("inf")
+
+
+def _json(value) -> str:
+    """``value`` exactly as :data:`_ENCODER` writes it.
+
+    Exact ``int``, finite exact ``float``, ``None``, the two bools and
+    exact ``str`` are rendered here; anything else (NaN, infinities,
+    subclasses such as numpy floats, other types) goes through the
+    encoder, which renders it or raises as it always did.  Types are
+    checked by identity, never by value: ``1 == True`` and
+    ``20 == 20.0``, but each is written differently.
+    """
+    cls = type(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is float and -_INF < value < _INF:
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if cls is str:
+        return encode_basestring_ascii(value)
+    return _ENCODER.encode(value)
 
 
 def outcome_record(outcome: CampaignOutcome, with_spec: bool = True) -> dict:
@@ -106,11 +137,6 @@ def outcome_from_record(
     )
 
 
-def _canonical_bytes(record: dict) -> bytes:
-    """The byte form the checksum chain and the spill file both write."""
-    return _ENCODER.encode(record).encode()
-
-
 class OutcomeAggregate:
     """Every engine-level outcome aggregate, folded one retirement at a time.
 
@@ -156,7 +182,10 @@ class OutcomeAggregate:
 
         Returns the outcome's canonical record bytes (what the checksum
         chain hashed), so a spilling sink writes them without a second
-        encode.
+        encode.  The bytes are ``_ENCODER.encode(outcome_record(outcome))``
+        written directly, keys in sorted order and each value rendered by
+        :func:`_json`, so no record dict is built and no keys are sorted
+        per retirement.
         """
         self.num_campaigns += 1
         self.total_completed += outcome.completed
@@ -174,7 +203,30 @@ class OutcomeAggregate:
         if outcome.remaining == 0:
             self.num_finished += 1
         self.total_solves += outcome.num_solves
-        data = _canonical_bytes(outcome_record(outcome))
+        spec = outcome.spec
+        campaign_id = _json(spec.campaign_id)
+        data = (
+            f'{{"cache_hit":{_json(outcome.cache_hit)},'
+            f'"campaign_id":{campaign_id},'
+            f'"cancelled":{_json(outcome.cancelled)},'
+            f'"completed":{_json(outcome.completed)},'
+            f'"finished_interval":{_json(outcome.finished_interval)},'
+            f'"num_solves":{_json(outcome.num_solves)},'
+            f'"penalty":{_json(outcome.penalty)},'
+            f'"remaining":{_json(outcome.remaining)},'
+            f'"spec":{{"adaptive":{_json(spec.adaptive)},'
+            f'"budget":{_json(spec.budget)},'
+            f'"campaign_id":{campaign_id},'
+            # CampaignSpec stores these four as exact ints.
+            f'"horizon_intervals":{spec.horizon_intervals},'
+            f'"kind":{_json(spec.kind)},'
+            f'"max_price":{_json(spec.max_price)},'
+            f'"num_tasks":{spec.num_tasks},'
+            f'"penalty_per_task":{_json(spec.penalty_per_task)},'
+            f'"resolve_every":{spec.resolve_every},'
+            f'"submit_interval":{spec.submit_interval}}},'
+            f'"total_cost":{_json(outcome.total_cost)}}}'
+        ).encode()
         self._digest = hashlib.sha256(self._digest + data).digest()
         return data
 

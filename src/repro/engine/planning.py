@@ -95,12 +95,29 @@ def resolve_planning_means(
     return means
 
 
+#: What a live campaign's runtime is (:attr:`_LiveCampaign.runtime_kind`):
+#: adaptive runtimes count their own plans, semi-static ones are charged
+#: one completion at a time, and every other runtime posts one price per
+#: interval.
+ADAPTIVE = "adaptive"
+SEMI_STATIC = "semi-static"
+POSTED = "posted"
+
+
 class _LiveCampaign:
-    """Mutable runtime state of one admitted campaign (engine-internal)."""
+    """Mutable runtime state of one admitted campaign (engine-internal).
+
+    ``end_interval`` (the spec's) and ``runtime_kind`` are worked out once,
+    here, because the tick loop asks for them every tick.  Admission knows
+    each campaign's runtime kind and passes it in; without it the
+    runtime's class decides.
+    """
 
     __slots__ = (
         "spec",
         "runtime",
+        "runtime_kind",
+        "end_interval",
         "remaining",
         "total_cost",
         "finished_interval",
@@ -115,9 +132,19 @@ class _LiveCampaign:
         runtime: PricingRuntime,
         cache_hit: bool,
         initial_solves: int,
+        runtime_kind: str | None = None,
     ):
         self.spec = spec
         self.runtime = runtime
+        if runtime_kind is None:
+            if isinstance(runtime, AdaptiveRepricer):
+                runtime_kind = ADAPTIVE
+            elif isinstance(runtime, SemiStaticRuntime):
+                runtime_kind = SEMI_STATIC
+            else:
+                runtime_kind = POSTED
+        self.runtime_kind = runtime_kind
+        self.end_interval = spec.submit_interval + spec.horizon_intervals
         self.remaining = spec.num_tasks
         self.total_cost = 0.0
         self.finished_interval: int | None = None
@@ -129,7 +156,7 @@ class _LiveCampaign:
 
     def num_solves(self) -> int:
         """Plans attributable to this campaign (adaptive ones re-plan)."""
-        if isinstance(self.runtime, AdaptiveRepricer):
+        if self.runtime_kind == ADAPTIVE:
             return self.runtime.num_solves
         return self.initial_solves
 
@@ -146,7 +173,7 @@ class _LiveCampaign:
         done = min(accepted, self.remaining)
         if done == 0:
             return
-        if isinstance(self.runtime, SemiStaticRuntime):
+        if self.runtime_kind == SEMI_STATIC:
             completed = self.spec.num_tasks - self.remaining
             strategy = self.runtime.strategy
             self.total_cost += float(
@@ -394,8 +421,10 @@ class CampaignPlanner:
         adaptive campaign whose signature is cached is offered that policy
         as its first plan (:meth:`AdaptiveRepricer.seed_first_plan`),
         through :meth:`PolicyCache.peek`, which counts nothing and leaves
-        the LRU order alone.  Returns live campaigns in submission order;
-        every spec must have passed :meth:`refusal`.
+        the LRU order alone.  Campaigns resolved to the same policy or
+        allocation share one runtime, built once per call.  Returns live
+        campaigns in submission order; every spec must have passed
+        :meth:`refusal`.
         """
         live: list[_LiveCampaign | None] = [None] * len(specs)
         deadline_items: list[tuple[tuple, CampaignSpec]] = []
@@ -408,7 +437,7 @@ class CampaignPlanner:
                 repricer = AdaptiveRepricer(
                     self.planning_problem(spec), resolve_every=spec.resolve_every
                 )
-                live[i] = _LiveCampaign(spec, repricer, False, 0)
+                live[i] = _LiveCampaign(spec, repricer, False, 0, ADAPTIVE)
                 adaptive_slots.append(i)
             elif spec.kind == BUDGET:
                 budget_items.append((self.cache_signature(spec), spec))
@@ -420,20 +449,27 @@ class CampaignPlanner:
             resolved = self.cache.get_or_solve_many(
                 deadline_items, self._solve_deadline_many
             )
+            tables: dict[int, TablePolicyRuntime] = {}
             for i, (policy, hit) in zip(deadline_slots, resolved):
+                runtime = tables.get(id(policy))
+                if runtime is None:
+                    runtime = tables[id(policy)] = TablePolicyRuntime(policy)
                 live[i] = _LiveCampaign(
-                    specs[i], TablePolicyRuntime(policy), hit, 0 if hit else 1
+                    specs[i], runtime, hit, 0 if hit else 1, POSTED
                 )
         if budget_items:
             resolved = self.cache.get_or_solve_many(
                 budget_items, self._solve_budget_many
             )
+            sequences: dict[int, SemiStaticRuntime] = {}
             for i, (allocation, hit) in zip(budget_slots, resolved):
+                runtime = sequences.get(id(allocation))
+                if runtime is None:
+                    runtime = sequences[id(allocation)] = SemiStaticRuntime(
+                        allocation.as_semi_static()
+                    )
                 live[i] = _LiveCampaign(
-                    specs[i],
-                    SemiStaticRuntime(allocation.as_semi_static()),
-                    hit,
-                    0 if hit else 1,
+                    specs[i], runtime, hit, 0 if hit else 1, SEMI_STATIC
                 )
         for i in adaptive_slots:
             policy = self.cache.peek(self.cache_signature(specs[i]))

@@ -17,10 +17,11 @@ re-planned.  :class:`Telemetry` collects exactly that:
   accounting for cancelled campaigns.
 
 Telemetry is **deterministic**: every field is computed from
-storage-order-invariant engine state (sorted live listings, clock
-counters), never from wall-clock, so a fixed-seed scenario produces
-bit-identical telemetry across checkpoint/resume boundaries — the golden-trace and fuzz suites assert
-this.  It serializes to JSON (:meth:`Telemetry.to_dict` /
+storage-order-invariant engine state (integer sums over the live
+campaigns, clock counters), never from wall-clock, so a fixed-seed
+scenario produces bit-identical telemetry across checkpoint/resume
+boundaries — the golden-trace and fuzz suites assert this.  It
+serializes to JSON (:meth:`Telemetry.to_dict` /
 :meth:`Telemetry.from_dict`, :meth:`Telemetry.save` /
 :meth:`Telemetry.load`) and rides inside checkpoint bundles through
 :class:`~repro.scenario.driver.ScenarioDriver`, resuming mid-series
@@ -76,6 +77,20 @@ SERIES_FIELDS = (
     "tasks_remaining",
     "idle",
 )
+
+
+def _live_sums(core: "EngineCore") -> tuple[int, int]:
+    """Open tasks, and plans taken by adaptive campaigns, across ``core.live``.
+
+    One pass, in whatever order the live list is kept: both are integer
+    sums, so the order cannot change them.
+    """
+    tasks = plans = 0
+    for campaign in core.live:
+        tasks += campaign.remaining
+        if campaign.spec.adaptive:
+            plans += campaign.num_solves()
+    return tasks, plans
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,7 +162,7 @@ class Telemetry:
         self._cache_misses_seen = 0
         self._adaptive_solves_seen = 0
         # Adaptive solves accumulated by campaigns that already left the
-        # engine (their solve counters vanish from live_stats).
+        # engine (their solve counters leave the live list with them).
         self._departed_adaptive_solves = 0
         # Maintained incrementally so total_cancelled never scans the
         # (possibly absent) campaign records.
@@ -219,10 +234,8 @@ class Telemetry:
         cache = core.planner.cache.stats
         self._cache_hits_seen = cache.hits
         self._cache_misses_seen = cache.misses
-        self._adaptive_solves_seen = self._departed_adaptive_solves + sum(
-            solves
-            for _, _, solves, adaptive in core.live_stats()
-            if adaptive
+        self._adaptive_solves_seen = (
+            self._departed_adaptive_solves + _live_sums(core)[1]
         )
 
     def record_tick(
@@ -236,18 +249,18 @@ class Telemetry:
         ``cancelled`` lists the outcomes of campaigns cancelled at this
         tick's boundary (before the tick ran); they are folded into the
         tick's entry and recorded as :class:`CampaignRecord` rows ahead
-        of the tick's natural retirements.
+        of the tick's natural retirements.  What the entry needs from the
+        live campaigns, open tasks and adaptive plans, is two integer sums
+        taken in one pass over ``core.live`` (:func:`_live_sums`).
         """
         cancelled = list(cancelled)
         for outcome in cancelled:
             self._record_departure(outcome, report.interval)
         for outcome in report.retired:
             self._record_departure(outcome, report.interval)
-        live = core.live_stats()
+        tasks_remaining, live_plans = _live_sums(core)
         cache = core.planner.cache.stats
-        adaptive_total = self._departed_adaptive_solves + sum(
-            solves for _, _, solves, adaptive in live if adaptive
-        )
+        adaptive_total = self._departed_adaptive_solves + live_plans
         row = {
             "interval": report.interval,
             "num_live": report.num_live,
@@ -261,7 +274,7 @@ class Telemetry:
             "cache_hits": cache.hits - self._cache_hits_seen,
             "cache_misses": cache.misses - self._cache_misses_seen,
             "repricer_solves": adaptive_total - self._adaptive_solves_seen,
-            "tasks_remaining": sum(remaining for _, remaining, _, _ in live),
+            "tasks_remaining": tasks_remaining,
             "idle": int(report.idle),
         }
         for key in SERIES_FIELDS:

@@ -50,17 +50,36 @@ class TablePolicyRuntime(PricingRuntime):
 
     When the realized horizon outruns the table (the simulator is asked for
     an interval beyond ``N_T - 1``, which cannot happen in a deadline run
-    but can in open-ended what-if runs), the last column is reused.
+    but can in open-ended what-if runs), the last column is reused, and
+    ``remaining`` is clamped to ``1 .. N``; a negative interval raises
+    ``ValueError``.
+
+    :meth:`price` is the engine's per-campaign, per-tick read, so it
+    equals ``policy.price`` at the clamped ``(n, t)`` without going
+    through it: one ``price_index.item(n, t)`` into the problem's price
+    grid, copied once into a list of floats here.  The runtime holds no
+    per-campaign state, so the planner builds one per solved policy and
+    shares it among the campaigns that policy prices.
     """
 
     def __init__(self, policy: DeadlinePolicy):
         self.policy = policy
+        self._grid = policy.problem.price_grid.tolist()
+        self._index = policy.price_index
+        self._num_tasks = policy.problem.num_tasks
+        self._last_interval = policy.problem.num_intervals - 1
 
     def price(self, remaining: int, interval: int) -> float:
-        n_intervals = self.policy.problem.num_intervals
-        t = min(interval, n_intervals - 1)
-        n = min(max(remaining, 1), self.policy.problem.num_tasks)
-        return self.policy.price(n, t)
+        if interval < 0:
+            raise ValueError(f"interval must be non-negative, got {interval}")
+        # Clamped with comparisons: min() and max() cost more than the read.
+        n = self._num_tasks
+        if remaining < n:
+            n = remaining if remaining > 1 else 1
+        t = self._last_interval
+        if interval < t:
+            t = interval
+        return self._grid[self._index.item(n, t)]
 
     def __repr__(self) -> str:
         return f"TablePolicyRuntime({self.policy.solver})"
@@ -78,11 +97,12 @@ class SemiStaticRuntime(PricingRuntime):
         self.strategy = strategy
 
     def price(self, remaining: int, interval: int) -> float:
-        n = self.strategy.num_tasks
+        prices = self.strategy.prices
         if remaining <= 0:
-            return self.strategy.prices[-1]
-        completed = min(max(n - remaining, 0), n - 1)
-        return self.strategy.price_at(completed)
+            return prices[-1]
+        # With at least one task open, N - remaining <= N - 1.
+        completed = len(prices) - remaining
+        return prices[completed if completed > 0 else 0]
 
     def __repr__(self) -> str:
         return f"SemiStaticRuntime({self.strategy.num_tasks} prices)"

@@ -1,11 +1,25 @@
-"""Tests for the runtime pricing-policy adapters."""
+"""Tests for the runtime pricing-policy adapters.
+
+The engine reads every live campaign's price through these each tick, so
+the read paths are pinned value by value: a table read equals the solved
+policy at the clamped ``(n, t)``, a semi-static read equals the sequence
+position of the completed count, and a live campaign's recorded runtime
+kind agrees with its runtime's class.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.budget.semi_static import SemiStaticStrategy
+from repro.core.deadline.adaptive import AdaptiveRepricer
 from repro.core.deadline.vectorized import solve_deadline
+from repro.engine import BUDGET, DEADLINE, CampaignSpec, PolicyCache
+from repro.engine.planning import (
+    ADAPTIVE, POSTED, SEMI_STATIC, CampaignPlanner, _LiveCampaign,
+)
+from repro.market.acceptance import paper_acceptance_model
 from repro.sim.policies import FixedPriceRuntime, SemiStaticRuntime, TablePolicyRuntime
 
 
@@ -36,6 +50,26 @@ class TestTablePolicyRuntime:
         assert runtime.price(3, 10_000) == policy.price(3, last_t)
         assert runtime.price(10_000, 0) == policy.price(small_problem.num_tasks, 0)
 
+    @pytest.mark.parametrize("problem", ["small_problem", "medium_problem"])
+    def test_every_clamped_read_matches_the_policy(self, problem, request):
+        problem = request.getfixturevalue(problem)
+        policy = solve_deadline(problem)
+        runtime = TablePolicyRuntime(policy)
+        num_tasks, num_intervals = problem.num_tasks, problem.num_intervals
+        for n in range(-1, num_tasks + 3):
+            for t in range(num_intervals + 3):
+                price = runtime.price(n, t)
+                assert type(price) is float
+                assert price == policy.price(
+                    min(max(n, 1), num_tasks), min(t, num_intervals - 1)
+                )
+
+    def test_negative_interval_rejected(self, small_problem):
+        runtime = TablePolicyRuntime(solve_deadline(small_problem))
+        for remaining in (0, 3, 10_000):
+            with pytest.raises(ValueError):
+                runtime.price(remaining, -1)
+
     def test_repr(self, small_problem):
         assert "vectorized" in repr(TablePolicyRuntime(solve_deadline(small_problem)))
 
@@ -53,5 +87,69 @@ class TestSemiStaticRuntime:
         runtime = SemiStaticRuntime(strategy)
         assert runtime.price(0, 0) == 5.0
 
+    def test_every_remaining_count(self):
+        prices = (9.0, 7.0, 5.0, 2.5)
+        runtime = SemiStaticRuntime(SemiStaticStrategy(prices))
+        num_tasks = len(prices)
+        for remaining in (-3, -1, 0):
+            assert runtime.price(remaining, 0) == prices[-1]
+        for remaining in range(1, num_tasks + 1):
+            assert runtime.price(remaining, 7) == prices[num_tasks - remaining]
+        for remaining in (num_tasks + 1, num_tasks + 9, 10**6):
+            assert runtime.price(remaining, 0) == prices[0]
+
     def test_repr(self):
         assert "2 prices" in repr(SemiStaticRuntime(SemiStaticStrategy((1.0, 2.0))))
+
+
+def _spec(cid: str, kind: str = DEADLINE, adaptive: bool = False) -> CampaignSpec:
+    return CampaignSpec(
+        campaign_id=cid, kind=kind, num_tasks=6, submit_interval=2,
+        horizon_intervals=5, max_price=12, penalty_per_task=20.0,
+        budget=60.0 if kind == BUDGET else None, adaptive=adaptive,
+    )
+
+
+def _assert_kind_matches_class(live: _LiveCampaign) -> None:
+    runtime = live.runtime
+    assert (live.runtime_kind == ADAPTIVE) == isinstance(runtime, AdaptiveRepricer)
+    assert (live.runtime_kind == SEMI_STATIC) == isinstance(
+        runtime, SemiStaticRuntime
+    )
+    assert live.runtime_kind in (ADAPTIVE, SEMI_STATIC, POSTED)
+    assert live.end_interval == live.spec.end_interval
+
+
+class TestLiveCampaignKind:
+    def test_kind_from_the_runtime_class(self, small_problem):
+        runtimes = [
+            FixedPriceRuntime(5.0),
+            TablePolicyRuntime(solve_deadline(small_problem)),
+            SemiStaticRuntime(SemiStaticStrategy((9.0, 7.0, 5.0))),
+            AdaptiveRepricer(small_problem),
+        ]
+        kinds = []
+        for runtime in runtimes:
+            live = _LiveCampaign(_spec("c"), runtime, False, 0)
+            _assert_kind_matches_class(live)
+            kinds.append(live.runtime_kind)
+        assert kinds == [POSTED, POSTED, SEMI_STATIC, ADAPTIVE]
+
+    def test_admission_passes_the_same_kind(self):
+        planner = CampaignPlanner(
+            paper_acceptance_model(), PolicyCache(), "stationary",
+            np.full(16, 400.0),
+        )
+        specs = [
+            _spec("d1"), _spec("b1", BUDGET), _spec("a1", adaptive=True),
+            _spec("d2"), _spec("b2", BUDGET),
+        ]
+        live = planner.admit_many(specs)
+        for campaign in live:
+            _assert_kind_matches_class(campaign)
+        assert [c.runtime_kind for c in live] == [
+            POSTED, SEMI_STATIC, ADAPTIVE, POSTED, SEMI_STATIC,
+        ]
+        # One runtime per solved policy or allocation in a call.
+        assert live[0].runtime is live[3].runtime
+        assert live[1].runtime is live[4].runtime
