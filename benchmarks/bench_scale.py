@@ -96,7 +96,7 @@ EXPECTED_CHECKSUM = (
 
 #: Ratcheted scale-arm floor (campaigns/sec); raise it when the recorded
 #: figure rises, never lower it.  Smoke mode only guards against hangs.
-REQUIRED_MIN_CPS = 500.0 if SMOKE else 12_000.0
+REQUIRED_MIN_CPS = 500.0 if SMOKE else 20_000.0
 
 #: Tiny shapes: the frontier stays wide (one wave every ~tick) while
 #: each campaign's policy and lifetime stay small.
