@@ -91,10 +91,14 @@ def _json(value) -> str:
 def outcome_record(outcome: CampaignOutcome, with_spec: bool = True) -> dict:
     """One outcome as a canonical JSON-ready dict.
 
-    The single serialization used by the aggregate checksum, the spill
-    file, and checkpoint manifests, so the three can never disagree on
-    what an outcome *is*.  ``with_spec=False`` drops the embedded spec
-    (checkpoint manifests key outcomes by id against their stored specs).
+    The reference form of a record: checkpoint manifests and bundle
+    extras store it, and ``_ENCODER.encode(outcome_record(o))`` is what
+    the aggregate checksum hashes and the spill file writes.
+    :meth:`OutcomeAggregate.fold` writes those bytes without building
+    this dict; ``TestCanonicalBytesMatchJson`` (``tests/engine/
+    test_outcomes.py``) pins the two to each other.  ``with_spec=False``
+    drops the embedded spec (checkpoint manifests key outcomes by id
+    against their stored specs).
     """
     record = {
         "campaign_id": outcome.spec.campaign_id,
@@ -185,7 +189,10 @@ class OutcomeAggregate:
         encode.  The bytes are ``_ENCODER.encode(outcome_record(outcome))``
         written directly, keys in sorted order and each value rendered by
         :func:`_json`, so no record dict is built and no keys are sorted
-        per retirement.
+        per retirement.  The key list below is written out by hand: a
+        field added to :class:`CampaignSpec` reaches :func:`outcome_record`
+        through ``_SPEC_FIELDS`` but must also be added here, in sorted
+        place, or ``TestCanonicalBytesMatchJson`` fails.
         """
         self.num_campaigns += 1
         self.total_completed += outcome.completed

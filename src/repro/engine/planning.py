@@ -107,10 +107,10 @@ POSTED = "posted"
 class _LiveCampaign:
     """Mutable runtime state of one admitted campaign (engine-internal).
 
-    ``end_interval`` (the spec's) and ``runtime_kind`` are worked out once,
-    here, because the tick loop asks for them every tick.  Admission knows
-    each campaign's runtime kind and passes it in; without it the
-    runtime's class decides.
+    ``end_interval`` (the spec's) is worked out once, here, because the
+    tick loop asks for it every tick.  ``runtime_kind`` is passed in:
+    admission knows each campaign's kind when it builds the runtime, so
+    no ``isinstance`` check against the runtime classes runs per campaign.
     """
 
     __slots__ = (
@@ -130,19 +130,12 @@ class _LiveCampaign:
         self,
         spec: CampaignSpec,
         runtime: PricingRuntime,
+        runtime_kind: str,
         cache_hit: bool,
         initial_solves: int,
-        runtime_kind: str | None = None,
     ):
         self.spec = spec
         self.runtime = runtime
-        if runtime_kind is None:
-            if isinstance(runtime, AdaptiveRepricer):
-                runtime_kind = ADAPTIVE
-            elif isinstance(runtime, SemiStaticRuntime):
-                runtime_kind = SEMI_STATIC
-            else:
-                runtime_kind = POSTED
         self.runtime_kind = runtime_kind
         self.end_interval = spec.submit_interval + spec.horizon_intervals
         self.remaining = spec.num_tasks
@@ -437,7 +430,7 @@ class CampaignPlanner:
                 repricer = AdaptiveRepricer(
                     self.planning_problem(spec), resolve_every=spec.resolve_every
                 )
-                live[i] = _LiveCampaign(spec, repricer, False, 0, ADAPTIVE)
+                live[i] = _LiveCampaign(spec, repricer, ADAPTIVE, False, 0)
                 adaptive_slots.append(i)
             elif spec.kind == BUDGET:
                 budget_items.append((self.cache_signature(spec), spec))
@@ -455,7 +448,7 @@ class CampaignPlanner:
                 if runtime is None:
                     runtime = tables[id(policy)] = TablePolicyRuntime(policy)
                 live[i] = _LiveCampaign(
-                    specs[i], runtime, hit, 0 if hit else 1, POSTED
+                    specs[i], runtime, POSTED, hit, 0 if hit else 1
                 )
         if budget_items:
             resolved = self.cache.get_or_solve_many(
@@ -469,7 +462,7 @@ class CampaignPlanner:
                         allocation.as_semi_static()
                     )
                 live[i] = _LiveCampaign(
-                    specs[i], runtime, hit, 0 if hit else 1, SEMI_STATIC
+                    specs[i], runtime, SEMI_STATIC, hit, 0 if hit else 1
                 )
         for i in adaptive_slots:
             policy = self.cache.peek(self.cache_signature(specs[i]))

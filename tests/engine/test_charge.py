@@ -27,7 +27,7 @@ from repro.engine import (
     MarketplaceEngine,
     generate_workload,
 )
-from repro.engine.planning import _LiveCampaign
+from repro.engine.planning import POSTED, SEMI_STATIC, _LiveCampaign
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.policies import FixedPriceRuntime, SemiStaticRuntime
 from repro.sim.stream import SharedArrivalStream
@@ -40,7 +40,7 @@ def deadline_campaign(num_tasks: int = 12, price: float = 10.0) -> _LiveCampaign
         campaign_id="dl", kind=DEADLINE, num_tasks=num_tasks,
         submit_interval=0, horizon_intervals=12,
     )
-    return _LiveCampaign(spec, FixedPriceRuntime(price), False, 1)
+    return _LiveCampaign(spec, FixedPriceRuntime(price), POSTED, False, 1)
 
 
 def budget_campaign(prices: tuple[float, ...]) -> _LiveCampaign:
@@ -49,7 +49,7 @@ def budget_campaign(prices: tuple[float, ...]) -> _LiveCampaign:
         submit_interval=0, horizon_intervals=12, budget=float(sum(prices)),
     )
     runtime = SemiStaticRuntime(SemiStaticStrategy(prices))
-    return _LiveCampaign(spec, runtime, False, 1)
+    return _LiveCampaign(spec, runtime, SEMI_STATIC, False, 1)
 
 
 class TestChargeMatchesReference:

@@ -3,8 +3,9 @@
 The engine reads every live campaign's price through these each tick, so
 the read paths are pinned value by value: a table read equals the solved
 policy at the clamped ``(n, t)``, a semi-static read equals the sequence
-position of the completed count, and a live campaign's recorded runtime
-kind agrees with its runtime's class.
+position of the completed count, admission records each live
+campaign's runtime kind in agreement with its runtime's class, and that
+kind decides how the campaign is charged and counts its plans.
 """
 
 from __future__ import annotations
@@ -121,19 +122,28 @@ def _assert_kind_matches_class(live: _LiveCampaign) -> None:
 
 
 class TestLiveCampaignKind:
-    def test_kind_from_the_runtime_class(self, small_problem):
-        runtimes = [
-            FixedPriceRuntime(5.0),
-            TablePolicyRuntime(solve_deadline(small_problem)),
-            SemiStaticRuntime(SemiStaticStrategy((9.0, 7.0, 5.0))),
-            AdaptiveRepricer(small_problem),
-        ]
-        kinds = []
-        for runtime in runtimes:
-            live = _LiveCampaign(_spec("c"), runtime, False, 0)
+    def test_the_kind_decides_charge_and_plan_count(self, small_problem):
+        posted = _LiveCampaign(_spec("p"), FixedPriceRuntime(5.0), POSTED, False, 1)
+        posted.charge(2, 5.0, 3)
+        assert (posted.total_cost, posted.num_solves()) == (10.0, 1)
+
+        strategy = SemiStaticStrategy((9.0, 7.0, 5.0, 5.0, 5.0, 5.0))
+        staged = _LiveCampaign(
+            _spec("s", BUDGET), SemiStaticRuntime(strategy), SEMI_STATIC, False, 1
+        )
+        # Each completion pays the sequence's next price, not the posted one.
+        staged.charge(2, 100.0, 3)
+        assert (staged.total_cost, staged.num_solves()) == (16.0, 1)
+
+        repricer = AdaptiveRepricer(small_problem)
+        adaptive = _LiveCampaign(
+            _spec("a", adaptive=True), repricer, ADAPTIVE, False, 0
+        )
+        repricer.price(small_problem.num_tasks, 0)
+        assert adaptive.num_solves() == repricer.num_solves == 1
+
+        for live in (posted, staged, adaptive):
             _assert_kind_matches_class(live)
-            kinds.append(live.runtime_kind)
-        assert kinds == [POSTED, POSTED, SEMI_STATIC, ADAPTIVE]
 
     def test_admission_passes_the_same_kind(self):
         planner = CampaignPlanner(

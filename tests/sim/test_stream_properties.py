@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import CampaignSpec, MarketplaceEngine
-from repro.engine.planning import _LiveCampaign
+from repro.engine.planning import POSTED, _LiveCampaign
 from repro.market.acceptance import paper_acceptance_model
 from repro.sim.stream import SharedArrivalStream
 
@@ -76,7 +76,7 @@ def _session_with(fractions, mean, num_tasks=1_000_000):
             submit_interval=0, horizon_intervals=64,
         )
         live = _LiveCampaign(
-            spec, _InertRuntime(), cache_hit=False, initial_solves=0
+            spec, _InertRuntime(), POSTED, cache_hit=False, initial_solves=0
         )
         counters[cid] = live.rng = _CountingPoisson(seed=hash(cid) & 0xFFFF)
         core.live.append(live)
