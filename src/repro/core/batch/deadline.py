@@ -14,8 +14,18 @@ group as one stacked tensor computation.  Per time layer ``t`` it builds
   :func:`repro.core.deadline.vectorized.solve_deadline` with a single BLAS
   call per layer.
 
-Only the continuation reads the next layer, so everything else is
-computed ahead of the backward loop for a block of layers at once.
+Only the continuation reads the next layer, so everything else (the
+layer's *terms*: pmf, truncation and payment) depends on the layer's
+arrival mean, the instance's acceptance probabilities and price grid,
+``eps`` and ``N`` alone, and is computed ahead of the backward loop for
+a block of layers at once.  Each group consults a
+:class:`LayerTermsMemo` first, keyed on the raw bytes of exactly those
+inputs: a layer the memo holds is looked up, and only the distinct
+misses are computed.  A :class:`~repro.core.batch.solver.BatchPolicySolver`
+keeps one memo for its session, where sliced forecast windows overlap
+and most layers repeat; every other call shares layers only within
+itself.  A hit is the arrays a miss would compute, so the memo moves no
+bit.
 
 The recurrence, truncation lengths, absorbing-tail payment, and
 lowest-price tie-breaking all mirror the scalar solvers, so the price
@@ -30,6 +40,7 @@ values included.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +49,22 @@ from repro.core.batch import kernels
 from repro.core.deadline.model import DeadlineProblem
 from repro.core.deadline.policy import DeadlinePolicy
 
-__all__ = ["solve_deadline_batch", "solve_deadline_single", "group_key"]
+__all__ = [
+    "LayerTermsMemo",
+    "MEMO_BYTES",
+    "group_key",
+    "solve_deadline_batch",
+    "solve_deadline_single",
+]
 
-#: Byte budget of the pmf tensor of one block of hoisted layers (the
-#: payment tensor and a few temporaries are the same size); a block
-#: always holds at least one layer.
+#: Byte budget of the pmf tensor of one block of hoisted layer terms
+#: (the payment tensor and a few temporaries are the same size); a block
+#: always holds at least one instance's layer.
 _BLOCK_BYTES = 128 * 1024
+
+#: Byte budget of one :class:`LayerTermsMemo`'s held pmf and payment
+#: arrays.
+MEMO_BYTES = 2 * 1024 * 1024
 
 
 def group_key(problem: DeadlineProblem) -> tuple:
@@ -56,17 +77,90 @@ def group_key(problem: DeadlineProblem) -> tuple:
     )
 
 
-def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
+class LayerTermsMemo:
+    """Byte-bounded LRU of exact deadline layer terms.
+
+    Keys are the raw bytes of everything
+    :func:`~repro.core.batch.kernels.deadline_layer_terms` reads for one
+    instance's layer: its arrival mean, acceptance probabilities, price
+    grid, truncation ``eps`` and ``N``.  Values are read-only ``(pmf,
+    pay)`` copies, each ``(num_prices, num_tasks + 1)``, so a hit hands
+    back exactly the arrays a miss would compute.  Least recently used
+    entries are evicted past :data:`MEMO_BYTES`; ``nbytes`` counts the
+    held arrays, and ``hits`` and ``misses`` count lookups.  A memo is
+    derived state, never checkpointed.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = (
+            OrderedDict()
+        )
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+        """The held ``(pmf, pay)`` of ``key`` (now most recent), or ``None``."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+        else:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return entry
+
+    def put(
+        self, key: tuple, pmf: np.ndarray, pay: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hold read-only copies of a layer's terms; returns the pair held.
+
+        A key already held keeps its entry, so no layer is counted twice.
+        Terms larger than the whole budget are not held, and come back
+        as given.
+        """
+        held = self._entries.get(key)
+        if held is not None:
+            return held
+        size = pmf.nbytes + pay.nbytes
+        if size > MEMO_BYTES:
+            return pmf, pay
+        while self.nbytes + size > MEMO_BYTES:
+            _, (old_pmf, old_pay) = self._entries.popitem(last=False)
+            self.nbytes -= old_pmf.nbytes + old_pay.nbytes
+        held = (pmf.copy(), pay.copy())
+        for array in held:
+            array.flags.writeable = False
+        self._entries[key] = held
+        self.nbytes += size
+        return held
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        self._entries.clear()
+        self.nbytes = self.hits = self.misses = 0
+
+
+def _solve_group(
+    problems: Sequence[DeadlineProblem], memo: LayerTermsMemo | None
+) -> list[DeadlinePolicy]:
     """Solve one same-shaped group of instances as stacked tensors.
 
-    The layer-independent terms (pmf tensor, truncation, payment) are
-    computed for a block of up to :data:`_BLOCK_BYTES` worth of layers at
-    once, and only :func:`~repro.core.batch.kernels.deadline_layer_step`
-    runs inside the backward loop.
+    Each distinct layer key is looked up in ``memo`` once (``None``: the
+    group is the whole call, and its own keys are all it shares).  The
+    misses are computed in the order the backward loop reaches them, up
+    to :data:`_BLOCK_BYTES` worth of layers per
+    :func:`~repro.core.batch.kernels.deadline_layer_terms` call, and held
+    in ``memo``; only :func:`~repro.core.batch.kernels.deadline_layer_step`
+    runs once per layer, on one set of step buffers for the group.  A
+    layer's terms are dropped from the call once its last layer is swept.
     """
     first = problems[0]
     n_tasks = first.num_tasks
     n_intervals = first.num_intervals
+    n_prices = first.num_prices
     eps = first.truncation_eps
     size = n_tasks + 1  # states 0..N, also the pmf head length
     batch = len(problems)
@@ -78,20 +172,77 @@ def _solve_group(problems: Sequence[DeadlineProblem]) -> list[DeadlinePolicy]:
     opt[:, :, n_intervals] = np.stack(
         [p.penalty.terminal_costs(n_tasks) for p in problems]
     )
-    lam_by_t = np.ascontiguousarray(lam.T)  # (T, B)
-    block = max(1, _BLOCK_BYTES // (8 * batch * first.num_prices * size))
-    for stop in range(n_intervals, 0, -block):
-        start = max(stop - block, 0)
-        means = lam_by_t[start:stop, :, None] * probs  # (L, B, C)
-        pmf, pay = kernels.deadline_layer_terms(
-            means, np.exp(-means), prices, eps, n_tasks
-        )
-        for t in range(stop - 1, start - 1, -1):
-            opt_t, best = kernels.deadline_layer_step(
-                pmf[t - start], pay[t - start], opt[:, :, t + 1]
+    # A layer's key is the raw bytes of everything the terms read: bytes,
+    # not floats, since 0.0 == -0.0 (whose pmf carries signed zeros) and
+    # NaN != NaN.
+    shared = [
+        (probs[b].tobytes(), prices[b].tobytes(), eps, n_tasks)
+        for b in range(batch)
+    ]
+    raw = [lam[b].tobytes() for b in range(batch)]
+    width = lam.itemsize
+    keys = [
+        [(shared[b], raw[b][t * width : (t + 1) * width]) for b in range(batch)]
+        for t in range(n_intervals)
+    ]
+    # Sweep order, latest layer first: ``last`` is each key's earliest
+    # layer, ``misses`` queues the keys to compute in order of first use,
+    # ``cells`` holds the ``b * T + t`` of that use, and ``due[t]`` counts
+    # the misses used from layer t on.
+    terms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    last: dict[tuple, int] = {}
+    misses: list[tuple] = []
+    cells: list[int] = []
+    due = [0] * n_intervals
+    for t in range(n_intervals - 1, -1, -1):
+        for b, key in enumerate(keys[t]):
+            if key not in last:
+                entry = None if memo is None else memo.get(key)
+                if entry is None:
+                    misses.append(key)
+                    cells.append(b * n_intervals + t)
+                else:
+                    terms[key] = entry
+            last[key] = t
+        due[t] = len(misses)
+    means = (lam[:, :, None] * probs[:, None, :]).reshape(-1, n_prices)
+    rows = np.array(cells, dtype=np.intp)  # rows of ``means``
+    owner = rows // n_intervals
+    block = max(1, _BLOCK_BYTES // (8 * n_prices * size))
+    done = 0
+    buffers = kernels.layer_step_buffers(batch, n_prices, size)
+    if batch > 1:
+        pmf_t = np.empty((batch, n_prices, size))
+        pay_t = np.empty((batch, n_prices, size))
+    for t in range(n_intervals - 1, -1, -1):
+        while done < due[t]:
+            chunk = slice(done, done + block)
+            means_c = means.take(rows[chunk], axis=0)
+            pmf, pay = kernels.deadline_layer_terms(
+                means_c, np.exp(-means_c), prices.take(owner[chunk], axis=0),
+                eps, n_tasks,
             )
-            opt[:, :, t] = opt_t
-            price_index[:, 1:, t] = best[:, 1:]
+            for i, key in enumerate(misses[chunk]):
+                terms[key] = (
+                    (pmf[i], pay[i]) if memo is None
+                    else memo.put(key, pmf[i], pay[i])
+                )
+            done += len(means_c)
+        layer = keys[t]
+        if batch == 1:
+            pmf_t, pay_t = terms[layer[0]]
+            pmf_t, pay_t = pmf_t[None], pay_t[None]
+        else:
+            np.stack([terms[key][0] for key in layer], out=pmf_t)
+            np.stack([terms[key][1] for key in layer], out=pay_t)
+        opt_t, best = kernels.deadline_layer_step(
+            pmf_t, pay_t, opt[:, :, t + 1], buffers
+        )
+        opt[:, :, t] = opt_t
+        price_index[:, 1:, t] = best[:, 1:]
+        for key in layer:
+            if last[key] == t:
+                terms.pop(key, None)
     return [
         DeadlinePolicy(
             problem=problem,
@@ -109,13 +260,16 @@ def solve_deadline_single(problem: DeadlineProblem) -> DeadlinePolicy:
     The engine's one-instance solves (adaptive suffix re-solves and
     ``solve_on_miss`` quotes) call this in place of
     :func:`~repro.core.deadline.vectorized.solve_deadline`: same price
-    table, several times faster per instance.
+    table, several times faster per instance.  It keeps no memo: a layer
+    repeated within the horizon (a flat forecast repeats every one) is
+    computed once, and nothing outlives the call.
     """
-    return _solve_group([problem])[0]
+    return _solve_group([problem], None)[0]
 
 
 def solve_deadline_batch(
     problems: Sequence[DeadlineProblem],
+    memo: LayerTermsMemo | None = None,
 ) -> list[DeadlinePolicy]:
     """Solve many fixed-deadline MDP instances in stacked array passes.
 
@@ -126,6 +280,13 @@ def solve_deadline_batch(
         ``(num_tasks, num_intervals, num_prices, truncation_eps)`` are
         solved together in one tensor sweep; singleton shapes degrade to
         a batch of one (still the batched kernel, still correct).
+    memo:
+        The :class:`LayerTermsMemo` to look layer terms up in and add
+        the computed ones to: a :class:`~repro.core.batch.solver.BatchPolicySolver`
+        passes its session's.  By default the memo is local to the call,
+        so a layer that several instances or groups of the call share is
+        computed once and nothing outlives the call.  Either way the
+        tables are bitwise those of a cold solve.
 
     Returns
     -------
@@ -135,12 +296,14 @@ def solve_deadline_batch(
     """
     if not problems:
         return []
+    if memo is None:
+        memo = LayerTermsMemo()
     groups: dict[tuple, list[int]] = {}
     for i, problem in enumerate(problems):
         groups.setdefault(group_key(problem), []).append(i)
     out: list[DeadlinePolicy | None] = [None] * len(problems)
     for indices in groups.values():
-        solved = _solve_group([problems[i] for i in indices])
+        solved = _solve_group([problems[i] for i in indices], memo)
         for i, policy in zip(indices, solved):
             out[i] = policy
     return out  # type: ignore[return-value]

@@ -8,7 +8,9 @@ hands the whole miss set here, which dispatches deadline instances to
 instances to :func:`~repro.core.batch.budget.solve_budget_batch` — one
 array pass per tick instead of one solve per campaign.  Counters record
 how much batching actually happened (batch calls, instances per call)
-for the benchmark reports.
+for the benchmark reports.  Its deadline solves share one
+:class:`~repro.core.batch.deadline.LayerTermsMemo`, so a layer an
+earlier solve of the session computed is looked up, not recomputed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import dataclasses
 from typing import Sequence
 
 from repro.core.batch.budget import BudgetRequest, solve_budget_batch
-from repro.core.batch.deadline import solve_deadline_batch
+from repro.core.batch.deadline import LayerTermsMemo, solve_deadline_batch
 from repro.core.budget.static_lp import StaticAllocation
 from repro.core.deadline.model import DeadlineProblem
 from repro.core.deadline.policy import DeadlinePolicy
@@ -69,8 +71,16 @@ class BatchSolveStats:
 class BatchPolicySolver:
     """Solves outstanding deadline/budget instances in stacked array passes.
 
-    Stateless apart from its counters; one instance can serve any number
-    of engines, but it is not thread-safe (the engines drain it from the
+    Besides its counters it holds :attr:`memo`, a byte-bounded LRU of the
+    exact layer terms its deadline solves computed.  Under sliced
+    planning every campaign plans against a window of one forecast, so a
+    layer's terms recur across the session's solves; a hit returns the
+    arrays a miss would compute, and the tables stay bitwise those of a
+    cold solve.  :meth:`reset` empties the memo with the counters (the
+    engines call it at session start, so every session starts cold);
+    the memo is never checkpointed, and a resumed session solves the
+    same tables from a cold one.  One instance can serve any number of
+    engines, but it is not thread-safe (the engines drain it from the
     coordinator thread only).
     """
 
@@ -78,6 +88,7 @@ class BatchPolicySolver:
         self._batches = 0
         self._instances = 0
         self._largest = 0
+        self.memo = LayerTermsMemo()
 
     def _count(self, size: int) -> None:
         if size == 0:
@@ -89,9 +100,10 @@ class BatchPolicySolver:
     def solve_deadline_many(
         self, problems: Sequence[DeadlineProblem]
     ) -> list[DeadlinePolicy]:
-        """Solve deadline MDP instances via the batched tensor kernel."""
+        """Solve deadline MDP instances via the batched tensor kernel,
+        through the session's layer memo."""
         self._count(len(problems))
-        return solve_deadline_batch(problems)
+        return solve_deadline_batch(problems, self.memo)
 
     def solve_budget_many(
         self, requests: Sequence[BudgetRequest]
@@ -110,8 +122,10 @@ class BatchPolicySolver:
         )
 
     def reset(self) -> None:
-        """Zero the counters (the engines call this at serving-session start)."""
+        """Zero the counters and empty the layer memo (the engines call
+        this at serving-session start)."""
         self._batches = self._instances = self._largest = 0
+        self.memo.clear()
 
     def counters(self) -> tuple[int, int, int]:
         """The raw ``(batches, instances, largest)`` counters (checkpointing)."""

@@ -17,9 +17,15 @@ Poisson noise averages out.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.util.validation import require_in_range, require_positive
+from repro.util.validation import (
+    require_in_range,
+    require_nonnegative,
+    require_positive,
+)
 
 __all__ = ["AdaptiveRatePredictor"]
 
@@ -111,6 +117,15 @@ class AdaptiveRatePredictor:
         return (self._factor, self._observations)
 
     def import_state(self, factor: float, observations: int) -> None:
-        """Restore state captured by :meth:`export_state` (checkpoint resume)."""
+        """Restore state captured by :meth:`export_state` (checkpoint resume).
+
+        A finite factor is clamped to ``[min_factor, max_factor]``; a
+        non-finite one, or a negative observation count, raises
+        ``ValueError``.
+        """
+        factor = float(factor)
+        if not math.isfinite(factor):
+            raise ValueError(f"restored factor must be finite, got {factor!r}")
+        observations = require_nonnegative("restored observations", int(observations))
         self._factor = float(np.clip(factor, self.min_factor, self.max_factor))
-        self._observations = int(observations)
+        self._observations = observations

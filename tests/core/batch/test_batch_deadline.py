@@ -8,7 +8,9 @@ the literal Algorithm 1 of ``solve_deadline_simple``) — identical price
 tables, values within float tolerance.  One layer alone reproduces the
 scalar solver's layer costs.  Against its own per-layer reference (one
 ``_deadline_layer_numpy`` call per layer) the hoisted sweep is bitwise
-equal, and it computes the layer-independent terms once per block.
+equal, and it computes each distinct layer's terms once, a block of
+layers per kernel call.  A solver's layer memo hands back exactly what a
+cold solve computes, within its byte budget.
 """
 
 from __future__ import annotations
@@ -19,13 +21,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.batch import kernels, solve_deadline_batch
+from repro.core.batch import BatchPolicySolver, kernels, solve_deadline_batch
 from repro.core.batch import deadline as batch_deadline
-from repro.core.batch.deadline import group_key, solve_deadline_single
+from repro.core.batch.deadline import (
+    MEMO_BYTES,
+    LayerTermsMemo,
+    group_key,
+    solve_deadline_single,
+)
 from repro.core.batch.kernels import _deadline_layer_numpy
 from repro.core.deadline.model import DeadlineProblem, PenaltyScheme
 from repro.core.deadline.simple_dp import solve_deadline_simple
 from repro.core.deadline.vectorized import _layer_costs, solve_deadline
+from repro.engine import DEADLINE, DEFAULT_TEMPLATES, PolicyCache
+from repro.engine.planning import CampaignPlanner
 from repro.market.acceptance import LogitAcceptance, paper_acceptance_model
 from repro.util.poisson import poisson_pmf_vector
 
@@ -155,6 +164,69 @@ def layer_by_layer(problems) -> tuple[np.ndarray, np.ndarray]:
         opt[:, :, t] = opt_t
         price_index[:, 1:, t] = best[:, 1:]
     return opt, price_index
+
+
+def count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of the two layer kernels, and the layer rows the
+    terms kernel computes, from here to the end of the test."""
+    calls = {"deadline_layer_terms": 0, "deadline_layer_step": 0, "rows": 0}
+    for name in ("deadline_layer_terms", "deadline_layer_step"):
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            if _name == "deadline_layer_terms":
+                calls["rows"] += args[0].shape[0]
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def layer_keys(problems) -> set[tuple]:
+    """The distinct layers of same-shaped instances, by the bytes their
+    terms are computed from."""
+    return {
+        (
+            p.acceptance_probabilities().tobytes(),
+            p.price_grid.tobytes(),
+            p.arrival_means[t].tobytes(),
+        )
+        for p in problems
+        for t in range(p.num_intervals)
+    }
+
+
+def held_bytes(memo: LayerTermsMemo) -> int:
+    return sum(pmf.nbytes + pay.nbytes for pmf, pay in memo._entries.values())
+
+
+def assert_bitwise_equal(a, b) -> None:
+    """Identical price tables and identical value bytes (signed zeros
+    included)."""
+    assert a.opt.tobytes() == b.opt.tobytes()
+    assert np.array_equal(a.price_index, b.price_index)
+
+
+def sliced_windows() -> list[DeadlineProblem]:
+    """The default deadline templates planned against sliding windows of
+    one diurnal forecast, as ``sliced`` planning builds them: 48
+    submission waves spread over 192 intervals, each template once per
+    wave, in wave order."""
+    intervals, waves = 192, 48
+    means = 1500.0 + 600.0 * np.sin(2.0 * np.pi * np.arange(intervals) / 32)
+    planner = CampaignPlanner(
+        paper_acceptance_model(), PolicyCache(), "sliced", means
+    )
+    templates = [t for t in DEFAULT_TEMPLATES if t.kind == DEADLINE]
+    return [
+        planner.planning_problem(template.spec(
+            f"{template.name}-{wave}",
+            submit_interval=round(
+                (intervals - template.horizon_intervals) * wave / (waves - 1)
+            ),
+        ))
+        for wave in range(waves)
+        for template in templates
+    ]
 
 
 def assert_same_policy(scalar, batch) -> None:
@@ -305,22 +377,143 @@ class TestHoistedSweep:
     def test_terms_run_once_per_block_and_the_step_once_per_layer(
         self, case, monkeypatch
     ):
+        # A fresh memo computes each distinct layer key once, a block of
+        # keys per terms call (the zero-arrival group shares one key among
+        # its zero layers); the same solve again through the same solver
+        # computes nothing.  The step runs once per layer either way.
         problems = HOISTING_CASES[case]()
         first = problems[0]
-        calls = {"deadline_layer_terms": 0, "deadline_layer_step": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(kernels, name)):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(kernels, name, counted)
-        solve_deadline_batch(problems)
-        per_layer = 8 * len(problems) * first.num_prices * (first.num_tasks + 1)
+        calls = count_kernel_calls(monkeypatch)
+        solver = BatchPolicySolver()
+        cold = solver.solve_deadline_many(problems)
+        distinct = len(layer_keys(problems))
+        per_layer = 8 * first.num_prices * (first.num_tasks + 1)
         block = max(1, batch_deadline._BLOCK_BYTES // per_layer)
-        blocks = -(-first.num_intervals // block)
+        assert calls["deadline_layer_terms"] == -(-distinct // block)
+        assert calls["rows"] == distinct == solver.memo.misses
         assert calls["deadline_layer_step"] == first.num_intervals
-        assert calls["deadline_layer_terms"] == blocks
-        assert 2 <= blocks < first.num_intervals  # crosses a block boundary
+        assert 2 <= calls["deadline_layer_terms"]  # crosses a block boundary
+        warm = solver.solve_deadline_many(problems)
+        assert calls["deadline_layer_terms"] == -(-distinct // block)
+        assert solver.memo.hits == distinct
+        assert calls["deadline_layer_step"] == 2 * first.num_intervals
+        for a, b in zip(cold, warm):
+            assert a.opt.tobytes() == b.opt.tobytes()
+            assert np.array_equal(a.price_index, b.price_index)
+
+
+class TestLayerTermsMemo:
+    @pytest.mark.parametrize(
+        "case",
+        sorted(HOISTING_CASES) + ["random-0", "random-1", "random-2", "interleaved"],
+    )
+    def test_a_warm_memo_solves_bitwise_as_a_cold_solve(self, case):
+        # Solved twice through one solver, one group or instance at a
+        # time in the interleaved case, every table is a cold solve's.
+        if case in HOISTING_CASES:
+            calls = [HOISTING_CASES[case]()]
+        elif case.startswith("random"):
+            rng = np.random.default_rng(300 + int(case[-1]))
+            problems = [random_problem(rng) for _ in range(4)]
+            problems += [
+                p.with_penalty(PenaltyScheme(per_task=33.0)) for p in problems[:2]
+            ]
+            calls = [problems]
+        else:
+            rng = np.random.default_rng(77)
+            shapes = [shape_group(2, num_tasks=12, num_prices=9, horizon=10),
+                      [random_problem(rng) for _ in range(3)],
+                      shape_group(1, num_tasks=30, num_prices=20, horizon=7)]
+            calls = [[p] for group in zip(*shapes) for p in group]
+            calls += [group for group in shapes]
+        solver = BatchPolicySolver()
+        for _ in range(2):
+            for problems in calls:
+                warm = solver.solve_deadline_many(problems)
+                for problem, policy in zip(problems, warm, strict=True):
+                    assert_bitwise_equal(policy, solve_deadline_single(problem))
+        assert solver.memo.hits > 0
+
+    def test_the_byte_count_is_the_held_entries_within_budget(self):
+        # A call that repeats a key holds it once; past the budget the
+        # least recently used entries go, and the count stays exact.
+        solver = BatchPolicySolver()
+        memo = solver.memo
+        zeros = zero_arrival_group()
+        solver.solve_deadline_many(zeros)
+        assert len(memo) == len(layer_keys(zeros)) < sum(
+            p.num_intervals for p in zeros
+        )
+        assert memo.nbytes == held_bytes(memo) <= MEMO_BYTES
+        (wide,) = shape_group(1, num_tasks=80, num_prices=30, horizon=120)
+        solver.solve_deadline_many([wide])
+        entry = 2 * 8 * wide.num_prices * (wide.num_tasks + 1)
+        assert memo.misses > len(memo)  # entries were evicted
+        assert memo.nbytes == held_bytes(memo)
+        assert MEMO_BYTES - entry < memo.nbytes <= MEMO_BYTES
+        solver.solve_deadline_many(zeros)
+        assert memo.nbytes == held_bytes(memo) <= MEMO_BYTES
+
+    def test_signed_zero_means_are_different_keys(self):
+        # 0.0 == -0.0, but their pmf rows differ in the sign of zeros (the
+        # head is not cut at N <= 19), so each is its own key.
+        positive = DeadlineProblem(
+            num_tasks=6,
+            arrival_means=np.array([0.0, 35.0]),
+            acceptance=paper_acceptance_model(),
+            price_grid=np.arange(1.0, 9.0),
+            penalty=PenaltyScheme(per_task=70.0),
+        )
+        negative = DeadlineProblem(
+            num_tasks=6,
+            arrival_means=np.array([-0.0, 35.0]),
+            acceptance=paper_acceptance_model(),
+            price_grid=np.arange(1.0, 9.0),
+            penalty=PenaltyScheme(per_task=70.0),
+        )
+        solver = BatchPolicySolver()
+        solver.solve_deadline_many([positive])
+        (policy,) = solver.solve_deadline_many([negative])
+        assert (solver.memo.hits, solver.memo.misses) == (1, 3)
+        pmfs = {pmf.tobytes() for pmf, _ in solver.memo._entries.values()}
+        assert len(pmfs) == 3
+        assert_bitwise_equal(policy, solve_deadline_single(negative))
+
+    def test_entries_are_read_only(self):
+        solver = BatchPolicySolver()
+        solver.solve_deadline_many(zero_arrival_group())
+        for pmf, pay in solver.memo._entries.values():
+            for array in (pmf, pay):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
+
+    def test_reset_empties_the_memo(self):
+        solver = BatchPolicySolver()
+        solver.solve_deadline_many(shape_group(2))
+        assert len(solver.memo) > 0
+        solver.reset()
+        memo = solver.memo
+        assert (len(memo), memo.nbytes, memo.hits, memo.misses) == (0, 0, 0, 0)
+
+    def test_sliding_windows_compute_at_most_a_quarter_of_their_layers(
+        self, monkeypatch
+    ):
+        # Overlapping forecast windows share most layers: solved one at a
+        # time through one solver, 3,024 layers need about 600 computed
+        # (a fifth) within the budget.  A smaller budget thrashes (1.5
+        # MiB computes 37%), and without reuse across solves nearly every
+        # layer is computed.
+        problems = sliced_windows()
+        calls = count_kernel_calls(monkeypatch)
+        solver = BatchPolicySolver()
+        for problem in problems:
+            solver.solve_deadline_many([problem])
+        layers = sum(p.num_intervals for p in problems)
+        assert layers == 3024
+        assert calls["rows"] == solver.memo.misses
+        assert calls["rows"] <= 0.25 * layers
+        assert solver.memo.nbytes <= MEMO_BYTES
 
 
 class TestRetainedMemory:

@@ -116,6 +116,24 @@ class TestBatchPolicySolverStats:
         solver.solve_deadline_many([])  # empty drains are not counted
         assert solver.stats.batches == 2
 
+    def test_a_session_starts_with_an_empty_layer_memo(self, stream):
+        # The memo is scoped to one serving session, like the policy
+        # cache: a rerun starts cold and replays the same solves.
+        engine = MarketplaceEngine(
+            stream, paper_acceptance_model(), planning="sliced"
+        )
+        engine.submit(generate_workload(30, stream.num_intervals, seed=4))
+        memo = engine.planner.batch_solver.memo
+        first = engine.run(seed=4)
+        assert memo.misses > 0 and memo.hits > 0
+        seen = (memo.hits, memo.misses)
+        engine.start(seed=4)
+        assert (len(memo), memo.nbytes, memo.hits, memo.misses) == (0, 0, 0, 0)
+        engine.close()
+        second = engine.run(seed=4)
+        assert (memo.hits, memo.misses) == seen
+        assert second.checksum == first.checksum
+
 
 #: Campaign shapes a generated tick draws from: two deadline shapes that
 #: stack into one tensor group (they differ only in penalty), one that

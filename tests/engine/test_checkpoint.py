@@ -388,6 +388,29 @@ class TestAdaptiveSuffixTables:
             restore_engine(bundle)
 
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("factor", float("nan"), "factor must be finite"),
+            ("factor", float("inf"), "factor must be finite"),
+            ("observations", -1, "observations must be non-negative"),
+        ],
+        ids=["nan-factor", "infinite-factor", "negative-observations"],
+    )
+    def test_a_corrupt_restored_predictor_raises_checkpoint_error(
+        self, field, value, match, tmp_path
+    ):
+        # A NaN factor used to restore, then fail mid-run at the next
+        # anchor with a bare ValueError from quantizing it.
+        bundle = self.saved_bundle(tmp_path)
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = next(e["adaptive"] for e in manifest["live"] if e["adaptive"])
+        entry[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=match):
+            restore_engine(bundle)
+
 class TestBundleContract:
     def test_bundle_layout_and_version(self, tmp_path):
         engine = ENGINES["market"]()
