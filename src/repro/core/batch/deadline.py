@@ -18,14 +18,16 @@ Only the continuation reads the next layer, so everything else (the
 layer's *terms*: pmf, truncation and payment) depends on the layer's
 arrival mean, the instance's acceptance probabilities and price grid,
 ``eps`` and ``N`` alone, and is computed ahead of the backward loop for
-a block of layers at once.  Each group consults a
-:class:`LayerTermsMemo` first, keyed on the raw bytes of exactly those
-inputs: a layer the memo holds is looked up, and only the distinct
-misses are computed.  A :class:`~repro.core.batch.solver.BatchPolicySolver`
-keeps one memo for its session, where sliced forecast windows overlap
-and most layers repeat; every other call shares layers only within
-itself.  A hit is the arrays a miss would compute, so the memo moves no
-bit.
+a block of layers at once.  A layer's key is the raw bytes of exactly
+those inputs, and a group computes each key once and carries its terms
+to its next use while the uses lie close enough together (within
+:data:`MEMO_BYTES` of carried terms, so memory does not grow with the
+horizon).  Given a :class:`LayerTermsMemo`, the group looks each key up
+there first and adds what it computes.  A
+:class:`~repro.core.batch.solver.BatchPolicySolver` keeps one memo for
+its session, where sliced forecast windows overlap and most layers
+repeat; every other call shares layers only within each group.  A hit
+is the arrays a miss would compute, so the memo moves no bit.
 
 The recurrence, truncation lengths, absorbing-tail payment, and
 lowest-price tie-breaking all mirror the scalar solvers, so the price
@@ -63,7 +65,7 @@ __all__ = [
 _BLOCK_BYTES = 128 * 1024
 
 #: Byte budget of one :class:`LayerTermsMemo`'s held pmf and payment
-#: arrays.
+#: arrays, and of the terms one group carries between a key's uses.
 MEMO_BYTES = 2 * 1024 * 1024
 
 
@@ -148,14 +150,17 @@ def _solve_group(
 ) -> list[DeadlinePolicy]:
     """Solve one same-shaped group of instances as stacked tensors.
 
-    Each distinct layer key is looked up in ``memo`` once (``None``: the
-    group is the whole call, and its own keys are all it shares).  The
-    misses are computed in the order the backward loop reaches them, up
-    to :data:`_BLOCK_BYTES` worth of layers per
-    :func:`~repro.core.batch.kernels.deadline_layer_terms` call, and held
-    in ``memo``; only :func:`~repro.core.batch.kernels.deadline_layer_step`
-    runs once per layer, on one set of step buffers for the group.  A
-    layer's terms are dropped from the call once its last layer is swept.
+    A layer's terms are computed once for each *run* of its key: the
+    key's uses, latest layer first, while consecutive ones lie at most
+    ``reach`` layers apart, which keeps what the call carries between
+    uses within :data:`MEMO_BYTES` whatever the horizon.  Each run looks
+    its key up in ``memo`` (``None``: the group shares only within
+    itself).  The misses are computed in the order the backward loop
+    reaches them, up to :data:`_BLOCK_BYTES` worth of layers per
+    :func:`~repro.core.batch.kernels.deadline_layer_terms` call, and
+    added to ``memo``; a run's terms are dropped once its last layer is
+    swept.  Only :func:`~repro.core.batch.kernels.deadline_layer_step`
+    runs once per layer.
     """
     first = problems[0]
     n_tasks = first.num_tasks
@@ -181,36 +186,50 @@ def _solve_group(
     ]
     raw = [lam[b].tobytes() for b in range(batch)]
     width = lam.itemsize
-    keys = [
-        [(shared[b], raw[b][t * width : (t + 1) * width]) for b in range(batch)]
-        for t in range(n_intervals)
-    ]
-    # Sweep order, latest layer first: ``last`` is each key's earliest
-    # layer, ``misses`` queues the keys to compute in order of first use,
-    # ``cells`` holds the ``b * T + t`` of that use, and ``due[t]`` counts
-    # the misses used from layer t on.
-    terms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    last: dict[tuple, int] = {}
-    misses: list[tuple] = []
+    block = max(1, _BLOCK_BYTES // (8 * n_prices * size))
+    reach = max(1, MEMO_BYTES // (batch * 16 * n_prices * size))
+    # Plan the runs, latest layer first: ``slots[t][b]`` is the run that
+    # serves (b, t), ``starts[run]`` its first layer, ``until[run]`` its
+    # earliest layer so far, and ``held[run]`` its terms once known (a
+    # memo hit is known now).
+    # ``misses`` queues the runs to compute in order of first use,
+    # ``cells`` holds the ``b * T + t`` of that use, and ``due[t]``
+    # counts the misses used from layer t on.
+    open_runs: dict[tuple, int] = {}
+    run_keys: list[tuple] = []
+    starts: list[int] = []
+    until: list[int] = []
+    held: list[tuple[np.ndarray, np.ndarray] | None] = []
+    misses: list[int] = []
     cells: list[int] = []
+    slots: list[list[int]] = [[]] * n_intervals
     due = [0] * n_intervals
     for t in range(n_intervals - 1, -1, -1):
-        for b, key in enumerate(keys[t]):
-            if key not in last:
+        layer = []
+        for b in range(batch):
+            key = (shared[b], raw[b][t * width : (t + 1) * width])
+            run = open_runs.get(key)
+            if run is None or until[run] - t > reach:
+                run = open_runs[key] = len(run_keys)
+                run_keys.append(key)
+                starts.append(t)
+                until.append(t)
                 entry = None if memo is None else memo.get(key)
+                held.append(entry)
                 if entry is None:
-                    misses.append(key)
+                    misses.append(run)
                     cells.append(b * n_intervals + t)
-                else:
-                    terms[key] = entry
-            last[key] = t
+            until[run] = t
+            layer.append(run)
+        slots[t] = layer
         due[t] = len(misses)
+    ends: list[list[int]] = [[] for _ in range(n_intervals)]
+    for run, t in enumerate(until):
+        ends[t].append(run)
     means = (lam[:, :, None] * probs[:, None, :]).reshape(-1, n_prices)
     rows = np.array(cells, dtype=np.intp)  # rows of ``means``
     owner = rows // n_intervals
-    block = max(1, _BLOCK_BYTES // (8 * n_prices * size))
     done = 0
-    buffers = kernels.layer_step_buffers(batch, n_prices, size)
     if batch > 1:
         pmf_t = np.empty((batch, n_prices, size))
         pay_t = np.empty((batch, n_prices, size))
@@ -222,27 +241,28 @@ def _solve_group(
                 means_c, np.exp(-means_c), prices.take(owner[chunk], axis=0),
                 eps, n_tasks,
             )
-            for i, key in enumerate(misses[chunk]):
-                terms[key] = (
-                    (pmf[i], pay[i]) if memo is None
-                    else memo.put(key, pmf[i], pay[i])
-                )
+            for i, run in enumerate(misses[chunk]):
+                if memo is not None:
+                    held[run] = memo.put(run_keys[run], pmf[i], pay[i])
+                elif until[run] < starts[run]:
+                    # Used past its first layer: a copy, so that it does
+                    # not keep the whole chunk alive.
+                    held[run] = (pmf[i].copy(), pay[i].copy())
+                else:
+                    held[run] = (pmf[i], pay[i])
             done += len(means_c)
-        layer = keys[t]
+        layer = slots[t]
         if batch == 1:
-            pmf_t, pay_t = terms[layer[0]]
+            pmf_t, pay_t = held[layer[0]]
             pmf_t, pay_t = pmf_t[None], pay_t[None]
         else:
-            np.stack([terms[key][0] for key in layer], out=pmf_t)
-            np.stack([terms[key][1] for key in layer], out=pay_t)
-        opt_t, best = kernels.deadline_layer_step(
-            pmf_t, pay_t, opt[:, :, t + 1], buffers
-        )
+            np.stack([held[run][0] for run in layer], out=pmf_t)
+            np.stack([held[run][1] for run in layer], out=pay_t)
+        opt_t, best = kernels.deadline_layer_step(pmf_t, pay_t, opt[:, :, t + 1])
         opt[:, :, t] = opt_t
         price_index[:, 1:, t] = best[:, 1:]
-        for key in layer:
-            if last[key] == t:
-                terms.pop(key, None)
+        for run in ends[t]:
+            held[run] = None
     return [
         DeadlinePolicy(
             problem=problem,
@@ -262,7 +282,7 @@ def solve_deadline_single(problem: DeadlineProblem) -> DeadlinePolicy:
     :func:`~repro.core.deadline.vectorized.solve_deadline`: same price
     table, several times faster per instance.  It keeps no memo: a layer
     repeated within the horizon (a flat forecast repeats every one) is
-    computed once, and nothing outlives the call.
+    computed once per run of its key, and nothing outlives the call.
     """
     return _solve_group([problem], None)[0]
 
@@ -283,10 +303,10 @@ def solve_deadline_batch(
     memo:
         The :class:`LayerTermsMemo` to look layer terms up in and add
         the computed ones to: a :class:`~repro.core.batch.solver.BatchPolicySolver`
-        passes its session's.  By default the memo is local to the call,
-        so a layer that several instances or groups of the call share is
-        computed once and nothing outlives the call.  Either way the
-        tables are bitwise those of a cold solve.
+        passes its session's.  Without one, each group shares layers only
+        within itself, as :func:`solve_deadline_single` does, and nothing
+        outlives the call.  Either way the tables are bitwise those of a
+        cold solve.
 
     Returns
     -------
@@ -296,8 +316,6 @@ def solve_deadline_batch(
     """
     if not problems:
         return []
-    if memo is None:
-        memo = LayerTermsMemo()
     groups: dict[tuple, list[int]] = {}
     for i, problem in enumerate(problems):
         groups.setdefault(group_key(problem), []).append(i)

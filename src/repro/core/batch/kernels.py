@@ -7,8 +7,7 @@ the composition of
   truncation, payment), which the batched solver computes for a block
   of layers at once, and
 * the per-layer :func:`deadline_layer_step` (continuation and argmin)
-  that runs inside its backward loop, on one set of
-  :func:`layer_step_buffers` per group.
+  that runs inside its backward loop.
 
 :func:`_deadline_layer_numpy` composes the two for a single layer; it is
 the per-layer reference the hoisted sweep is tested against
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["deadline_layer_step", "deadline_layer_terms", "layer_step_buffers"]
+__all__ = ["deadline_layer_step", "deadline_layer_terms"]
 
 #: Above this Poisson mean the pmf recurrence underflows at ``s = 0``; the
 #: scalar path (:func:`repro.util.poisson.poisson_pmf_vector`) switches to
@@ -80,54 +79,33 @@ def deadline_layer_terms(
     return pmf, pay
 
 
-def layer_step_buffers(
-    batch: int, num_prices: int, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch arrays for :func:`deadline_layer_step`, for a ``(batch,
-    num_prices, size)`` layer: the zero-padded next values, the strided
-    Toeplitz view into them, the view's contiguous copy, and the costs.
-
-    The batched solver allocates one set per group and every layer of the
-    group's backward loop refills it.
-    """
-    padded = np.zeros((batch, 2 * size - 1))
-    # T[b, s, n] = opt_next[b, n - s] (0 for n < s): the view steps one
-    # element back per state s through the padded values.
-    step = padded.itemsize
-    view = np.ndarray(
-        (batch, size, size),
-        buffer=padded,
-        offset=(size - 1) * step,
-        strides=(padded.strides[0], -step, step),
-    )
-    toeplitz = np.empty((batch, size, size))
-    costs = np.empty((batch, num_prices, size))
-    return padded, view, toeplitz, costs
-
-
 def deadline_layer_step(
-    pmf: np.ndarray,
-    pay: np.ndarray,
-    opt_next: np.ndarray,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    pmf: np.ndarray, pay: np.ndarray, opt_next: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Layer-dependent half of a deadline layer: continuation and argmin.
 
     ``pmf``/``pay`` are one layer's ``(B, C, S)`` terms from
-    :func:`deadline_layer_terms`, ``opt_next`` the ``(B, S)`` next
-    layer's values and ``buffers`` a :func:`layer_step_buffers` set for
-    that shape; returns ``(opt_t, best)`` as :func:`_deadline_layer_numpy`
-    does, in arrays of their own.
+    :func:`deadline_layer_terms` and ``opt_next`` the ``(B, S)`` next
+    layer's values; returns ``(opt_t, best)`` as
+    :func:`_deadline_layer_numpy` does.
     """
-    size = opt_next.shape[1]
-    padded, view, toeplitz, costs = buffers
+    batch, size = opt_next.shape
+    # Toeplitz matrix T[b, s, n] = opt_next[b, n - s] (0 for n < s): a view
+    # into a zero-padded copy that steps one element back per state s,
+    # copied contiguous so the continuation of every (instance, price) is
+    # one batched matmul.  Contiguous matters: BLAS output on the strided
+    # view differs in the last ulp from the contiguous product, which
+    # would move the solved values.
+    padded = np.zeros((batch, 2 * size - 1))
     padded[:, size - 1 :] = opt_next
-    # The Toeplitz matrix is copied contiguous so the continuation of
-    # every (instance, price) is one batched matmul.  Contiguous matters:
-    # BLAS output on the strided view differs in the last ulp from the
-    # contiguous product, which would move the solved values.
-    np.copyto(toeplitz, view)
-    np.matmul(pmf, toeplitz, out=costs)  # (B, C, S)
+    step = padded.itemsize
+    toeplitz = np.ndarray(
+        (batch, size, size),
+        buffer=padded,
+        offset=(size - 1) * step,
+        strides=(padded.strides[0], -step, step),
+    ).copy()
+    costs = pmf @ toeplitz  # (B, C, S)
     costs += pay
     costs[:, :, 0] = 0.0
     best = np.argmin(costs, axis=1)  # first minimum = lowest price
@@ -154,9 +132,7 @@ def _deadline_layer_numpy(
     pmf, pay = deadline_layer_terms(
         means, pmf0, prices, eps, opt_next.shape[1] - 1
     )
-    return deadline_layer_step(
-        pmf, pay, opt_next, layer_step_buffers(*pmf.shape)
-    )
+    return deadline_layer_step(pmf, pay, opt_next)
 
 
 def _pmf_log_space(means: np.ndarray, s_max: int) -> np.ndarray:

@@ -120,12 +120,15 @@ class AdaptiveRatePredictor:
         """Restore state captured by :meth:`export_state` (checkpoint resume).
 
         A finite factor is clamped to ``[min_factor, max_factor]``; a
-        non-finite one, or a negative observation count, raises
-        ``ValueError``.
+        factor that is not a finite number (a string included), or a
+        negative observation count, raises ``ValueError``.
         """
-        factor = float(factor)
-        if not math.isfinite(factor):
-            raise ValueError(f"restored factor must be finite, got {factor!r}")
-        observations = require_nonnegative("restored observations", int(observations))
+        if not isinstance(factor, (int, float)) or not math.isfinite(factor):
+            raise ValueError(
+                f"restored factor must be a finite number, got {factor!r}"
+            )
+        observations = require_nonnegative(
+            "restored observations", int(observations)
+        )
         self._factor = float(np.clip(factor, self.min_factor, self.max_factor))
         self._observations = observations

@@ -8,9 +8,10 @@ the literal Algorithm 1 of ``solve_deadline_simple``) — identical price
 tables, values within float tolerance.  One layer alone reproduces the
 scalar solver's layer costs.  Against its own per-layer reference (one
 ``_deadline_layer_numpy`` call per layer) the hoisted sweep is bitwise
-equal, and it computes each distinct layer's terms once, a block of
-layers per kernel call.  A solver's layer memo hands back exactly what a
-cold solve computes, within its byte budget.
+equal, and it computes each distinct layer's terms once per run of
+nearby uses, a block of layers per kernel call, holding a bounded share
+of them whatever the horizon.  A solver's layer memo hands back exactly
+what a cold solve computes, within its byte budget.
 """
 
 from __future__ import annotations
@@ -536,6 +537,51 @@ class TestRetainedMemory:
             tracemalloc.stop()
         assert retained < 8 * (problem.num_tasks + 1) ** 2 // 4
         assert_same_policy(solve_deadline(problem), policy)
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["alone", "memo"])
+    @pytest.mark.parametrize(
+        "period,horizon", [(50, 600), (300, 600), (600, 600), (50, 2400)]
+    )
+    def test_a_recurring_forecast_holds_a_bounded_share_of_terms(
+        self, memo, period, horizon, monkeypatch
+    ):
+        # A tiled profile repeats its means across the whole horizon.  A
+        # call carries a layer's terms to its next use only while the uses
+        # lie within MEMO_BYTES worth of layers (64 here), so the peak
+        # beyond the returned tables stays within twice the budget (the
+        # carried terms, plus the memo's own) whatever the horizon or the
+        # period; carrying every recurring key to its last use would hold
+        # 7.3 MiB at period 300.  A period within the carry is computed
+        # once.
+        wave = 900.0 + 400.0 * np.sin(2.0 * np.pi * np.arange(period) / period)
+        problem = DeadlineProblem(
+            num_tasks=100,
+            arrival_means=np.tile(wave, horizon // period),
+            acceptance=paper_acceptance_model(),
+            price_grid=np.arange(1.0, 21.0),
+            penalty=PenaltyScheme(per_task=150.0),
+        )
+        solver = BatchPolicySolver()
+
+        def solve(problem):
+            if memo:
+                return solver.solve_deadline_many([problem])[0]
+            return solve_deadline_single(problem)
+
+        solve(shape_group(1, num_tasks=20, num_prices=5, horizon=4)[0])
+        calls = count_kernel_calls(monkeypatch)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            policy = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = policy.opt.nbytes + policy.price_index.nbytes
+        assert peak - tables < 2 * MEMO_BYTES
+        if period == 50:
+            assert calls["rows"] == len({m.tobytes() for m in wave})
+        assert_bitwise_equal(policy, solve_deadline_single(problem))
 
 
 class TestAgainstAlgorithm1:

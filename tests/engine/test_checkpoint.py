@@ -387,15 +387,15 @@ class TestAdaptiveSuffixTables:
         with pytest.raises(CheckpointError, match=match):
             restore_engine(bundle)
 
-
     @pytest.mark.parametrize(
         "field,value,match",
         [
-            ("factor", float("nan"), "factor must be finite"),
-            ("factor", float("inf"), "factor must be finite"),
+            ("factor", float("nan"), "factor must be a finite number"),
+            ("factor", float("inf"), "factor must be a finite number"),
+            ("factor", "1.5", "factor must be a finite number"),
             ("observations", -1, "observations must be non-negative"),
         ],
-        ids=["nan-factor", "infinite-factor", "negative-observations"],
+        ids=["nan-factor", "infinite-factor", "string-factor", "negative-observations"],
     )
     def test_a_corrupt_restored_predictor_raises_checkpoint_error(
         self, field, value, match, tmp_path
@@ -410,6 +410,7 @@ class TestAdaptiveSuffixTables:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=match):
             restore_engine(bundle)
+
 
 class TestBundleContract:
     def test_bundle_layout_and_version(self, tmp_path):
